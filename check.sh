@@ -43,6 +43,13 @@ dune exec bin/dilos_sim.exe -- report --seed 42 \
 cmp obs_report.json obs_repeat.json
 rm -f obs_repeat.json
 
+echo "== perfbench correctness smoke"
+# One short run per perfbench workload: run.py exits non-zero unless the
+# default-seed simulated outputs equal perfbench/expected.json.
+for w in sort scan scan_fastswap serve; do
+  python3 perfbench/run.py --workload "$w" --seconds 1 --trace 0 > /dev/null
+done
+
 echo "== bench regress gate"
 # Re-run the committed trajectory; fail on deterministic counter or
 # sim-time drift (exact) or a >3x wall-clock regression.

@@ -21,8 +21,6 @@ type reclaim_guide = {
   rg_live_segments : int64 -> (int * int) list option;
 }
 
-let whole_page = [ (0, Vmem.Addr.page_size) ]
-
 (* Merge the pair of adjacent segments separated by the smallest gap
    until the vector fits. Merging a gap re-transfers the dead bytes in
    between, which is exactly the trade-off the paper's guide makes to

@@ -49,9 +49,6 @@ type reclaim_guide = {
           offset order — or [None] when the whole page must move. *)
 }
 
-val whole_page : (int * int) list
-(** The single segment covering a full page. *)
-
 val clamp_segments : (int * int) list -> (int * int) list
 (** Enforce the max-vector rule by merging the closest segments until
     at most {!Params.guided_max_vector} remain. Input must be sorted

@@ -508,7 +508,7 @@ let major_fault t cs vpn pte =
         completed := true;
         wake_fault ())
   in
-  (if segs = [] then completed := true else post_fetch ());
+  (match segs with [] -> completed := true | _ :: _ -> post_fetch ());
   (* Work hidden inside the fetch window (§4.3): hit tracking and
      prefetch issue happen while the 4 KiB READ is in flight. *)
   (* Scan first: used prefetches are older accesses than this fault
@@ -680,9 +680,9 @@ let frame_off_slow t cs vpn ~write =
   let rec loop () =
     match Vmem.Mmu.access t.pt ~vpn ~write with
     | Vmem.Mmu.Frame f ->
-        (* The MMU just set the dirty bit; tell the page manager (a
-           possibly-redundant hint — overcounting is fine). *)
-        if write then Page_manager.note_dirtied t.pm;
+        (* The MMU just set the dirty bit; tell the page manager (the
+           call is redundant, and free, when the page was dirty). *)
+        if write then Page_manager.note_dirtied t.pm vpn;
         let off = Vmem.Frame.offset t.frames f in
         let i = vpn land tlb_mask in
         Array.unsafe_set cs.tlb_vpn i vpn;
@@ -718,7 +718,7 @@ let page_off_for_write t cs vpn =
       (* First store through a read-loaded translation: the hardware
          walker would set the dirty bit now. *)
       Vmem.Page_table.update t.pt vpn Vmem.Pte.set_dirty;
-      Page_manager.note_dirtied t.pm;
+      Page_manager.note_dirtied t.pm vpn;
       Array.unsafe_set cs.tlb_written i true;
       charge t cs 5
     end;

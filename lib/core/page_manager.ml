@@ -1,19 +1,50 @@
-(* The LRU clock: a FIFO ring of VPNs with membership tracking so a
-   page is queued at most once. *)
+(* Int-keyed tables: monomorphic equality and an inline multiplicative
+   hash, so a lookup calls neither [compare_val] nor [caml_hash]. None
+   of them is ever iterated. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = (x * 0x9E3779B1) lsr 16
+end)
+
+(* The LRU clock: a FIFO ring of VPNs. [queued] maps each queued VPN to
+   its push sequence number shifted left one bit; the low bit is the
+   VPN's flag, set while it has a live candidate in the dirty index.
+   Sequence numbers increase from head to tail, so they order the
+   clock. *)
 module Clock = struct
   type t = {
     mutable data : int array;
     mutable head : int;
     mutable len : int;
-    queued : (int, unit) Hashtbl.t;
+    mutable next_seq : int;
+    queued : int Int_tbl.t;
   }
 
-  let create () = { data = Array.make 256 0; head = 0; len = 0; queued = Hashtbl.create 256 }
+  let create () =
+    { data = Array.make 256 0; head = 0; len = 0; next_seq = 0; queued = Int_tbl.create 256 }
+
   let length t = t.len
-  let mem t vpn = Hashtbl.mem t.queued vpn
+
+  let slot t vpn = match Int_tbl.find t.queued vpn with s -> s | exception Not_found -> -1
+
+  (* Set [vpn]'s flag and return its sequence number; -1 when it is not
+     queued or already flagged. *)
+  let flag t vpn =
+    let s = slot t vpn in
+    if s >= 0 && s land 1 = 0 then begin
+      Int_tbl.replace t.queued vpn (s lor 1);
+      s lsr 1
+    end
+    else -1
+
+  (* [vpn] is still queued under [seq], with its flag set. *)
+  let flagged t vpn seq = slot t vpn = (seq lsl 1) lor 1
+  let unflag t vpn seq = Int_tbl.replace t.queued vpn (seq lsl 1)
 
   let push t vpn =
-    if not (mem t vpn) then begin
+    if not (Int_tbl.mem t.queued vpn) then begin
       let cap = Array.length t.data in
       if t.len = cap then begin
         let nd = Array.make (cap * 2) 0 in
@@ -25,7 +56,8 @@ module Clock = struct
       end;
       t.data.((t.head + t.len) mod Array.length t.data) <- vpn;
       t.len <- t.len + 1;
-      Hashtbl.replace t.queued vpn ()
+      Int_tbl.replace t.queued vpn (t.next_seq lsl 1);
+      t.next_seq <- t.next_seq + 1
     end
 
   let pop t =
@@ -34,11 +66,60 @@ module Clock = struct
       let vpn = t.data.(t.head) in
       t.head <- (t.head + 1) mod Array.length t.data;
       t.len <- t.len - 1;
-      Hashtbl.remove t.queued vpn;
+      Int_tbl.remove t.queued vpn;
       Some vpn
     end
 
-  let peek_nth t i = if i >= t.len then None else Some t.data.((t.head + i) mod Array.length t.data)
+  let to_list t = List.init t.len (fun i -> t.data.((t.head + i) mod Array.length t.data))
+end
+
+(* Binary min-heap of dirty candidates [(seq, vpn)] keyed by clock
+   sequence number, so candidates pop in clock order. *)
+module Dirty_index = struct
+  type t = { mutable seqs : int array; mutable vpns : int array; mutable size : int }
+
+  let create () = { seqs = Array.make 16 0; vpns = Array.make 16 0; size = 0 }
+  let is_empty t = t.size = 0
+  let min_seq t = t.seqs.(0)
+  let min_vpn t = t.vpns.(0)
+
+  let put t i seq vpn =
+    t.seqs.(i) <- seq;
+    t.vpns.(i) <- vpn
+
+  let add t seq vpn =
+    if t.size = Array.length t.seqs then begin
+      let grow a =
+        let b = Array.make (2 * t.size) 0 in
+        Array.blit a 0 b 0 t.size;
+        b
+      in
+      t.seqs <- grow t.seqs;
+      t.vpns <- grow t.vpns
+    end;
+    let i = ref t.size in
+    t.size <- t.size + 1;
+    while !i > 0 && t.seqs.((!i - 1) / 2) > seq do
+      let p = (!i - 1) / 2 in
+      put t !i t.seqs.(p) t.vpns.(p);
+      i := p
+    done;
+    put t !i seq vpn
+
+  let remove_min t =
+    t.size <- t.size - 1;
+    let seq = t.seqs.(t.size) and vpn = t.vpns.(t.size) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      let c = if l + 1 < t.size && t.seqs.(l + 1) < t.seqs.(l) then l + 1 else l in
+      if c < t.size && t.seqs.(c) < seq then begin
+        put t !i t.seqs.(c) t.vpns.(c);
+        i := c
+      end
+      else sifting := false
+    done;
+    put t !i seq vpn
 end
 
 (* Reclaim-path stats cells, resolved once at [create]: eviction and
@@ -61,15 +142,13 @@ type t = {
   evict_qp : Rdma.Qp.t;
   reclaim_guide : Guide.reclaim_guide option;
   clock : Clock.t;
-  vector_log : (int, (int * int) list) Hashtbl.t;
+  vector_log : (int * int) list Int_tbl.t;
   mutable next_log_id : int;
-  wb_inflight : (int, unit) Hashtbl.t;
+  (* Invariant: every [Local] dirty page on the clock has exactly one
+     live candidate here; stale ones are discarded when popped. *)
+  dirty : Dirty_index.t;
+  wb_inflight : unit Int_tbl.t;
   mutable invalidate : int -> unit;
-  (* Conservative count of dirty resident pages (may overcount, never
-     undercounts): gates the cleaner's clock scan, which is pure host
-     work and O(clock length) when every page is clean. An overcount
-     self-heals when a full scan finds nothing to write. *)
-  mutable dirty_hint : int;
   frames_avail : Sim.Condvar.t;
   reclaim_work : Sim.Condvar.t;
   wb_done : Sim.Condvar.t;
@@ -108,11 +187,11 @@ let create ~eng ~stats ~pt ~frames ~evict_qp ?reclaim_guide () =
     evict_qp;
     reclaim_guide;
     clock = Clock.create ();
-    vector_log = Hashtbl.create 64;
+    vector_log = Int_tbl.create 64;
     next_log_id = 1;
-    wb_inflight = Hashtbl.create 16;
+    dirty = Dirty_index.create ();
+    wb_inflight = Int_tbl.create 16;
     invalidate = (fun _ -> ());
-    dirty_hint = 0;
     frames_avail = Sim.Condvar.create eng;
     reclaim_work = Sim.Condvar.create eng;
     wb_done = Sim.Condvar.create eng;
@@ -124,26 +203,38 @@ let create ~eng ~stats ~pt ~frames ~evict_qp ?reclaim_guide () =
 let set_invalidate t f = t.invalidate <- f
 let free_frames t = Vmem.Frame.free_count t.frames
 
-(* Called on every (possibly redundant) clean->dirty transition the
-   kernel's store path observes. Redundant calls only overcount. *)
-let note_dirtied t = t.dirty_hint <- t.dirty_hint + 1
+(* Give queued page [vpn] a live dirty candidate unless it has one;
+   pages off the clock are not the cleaner's business. *)
+let note_dirtied t vpn =
+  let seq = Clock.flag t.clock vpn in
+  if seq >= 0 then Dirty_index.add t.dirty seq vpn
 
-let note_mapped t vpn =
-  if Vmem.Pte.dirty (Vmem.Page_table.get t.pt vpn) then
-    t.dirty_hint <- t.dirty_hint + 1;
-  Clock.push t.clock vpn
+(* Every clock push goes through here, so a dirty page gets its
+   candidate when it is queued. *)
+let enqueue t vpn =
+  Clock.push t.clock vpn;
+  let pte = Vmem.Page_table.get t.pt vpn in
+  match Vmem.Pte.tag pte with
+  | Vmem.Pte.Local when Vmem.Pte.dirty pte -> note_dirtied t vpn
+  | Vmem.Pte.Local | Vmem.Pte.Unmapped | Vmem.Pte.Remote | Vmem.Pte.Fetching
+  | Vmem.Pte.Action ->
+      ()
+
+let note_mapped = enqueue
+let clock_order t = Clock.to_list t.clock
+let writeback_in_flight t vpn = Int_tbl.mem t.wb_inflight vpn
 
 let vector_segments t ~payload =
-  match Hashtbl.find_opt t.vector_log payload with
+  match Int_tbl.find_opt t.vector_log payload with
   | Some segs ->
-      Hashtbl.remove t.vector_log payload;
+      Int_tbl.remove t.vector_log payload;
       segs
   | None -> invalid_arg "Page_manager.vector_segments: unknown payload"
 
 let log_vector t segs =
   let id = t.next_log_id in
   t.next_log_id <- t.next_log_id + 1;
-  Hashtbl.replace t.vector_log id segs;
+  Int_tbl.replace t.vector_log id segs;
   id
 
 let guide_segments t vpn =
@@ -156,13 +247,18 @@ let guide_segments t vpn =
       | Some segs ->
           let segs = Guide.clamp_segments segs in
           (* A full-page vector is just an ordinary page. *)
-          if segs = Guide.whole_page then None else Some segs)
+          match segs with
+          | [ (0, len) ] when len = Vmem.Addr.page_size -> None
+          | _ -> Some segs)
+
+(* The guide says the page holds no live data. *)
+let no_live_data t vpn =
+  match guide_segments t vpn with Some [] -> true | Some (_ :: _) | None -> false
 
 (* Drop a local page without any RDMA: either it is clean (remote copy
    current) or the guide says nothing on it is live. With a guide,
    leave an Action PTE so the refetch moves only live bytes. *)
 let drop_without_write t vpn pte =
-  if Vmem.Pte.dirty pte then t.dirty_hint <- Int.max 0 (t.dirty_hint - 1);
   let frame = Vmem.Pte.frame pte in
   let new_pte =
     match guide_segments t vpn with
@@ -179,13 +275,12 @@ let drop_without_write t vpn pte =
    clean-then-drop path from the periodic cleaner (which leaves the
    page mapped). *)
 let writeback t vpn pte ~then_evict =
-  if not (Hashtbl.mem t.wb_inflight vpn) then begin
+  if not (Int_tbl.mem t.wb_inflight vpn) then begin
     let frame = Vmem.Pte.frame pte in
-    Hashtbl.replace t.wb_inflight vpn ();
+    Int_tbl.replace t.wb_inflight vpn ();
     (* Clear dirty before the copy is snapshotted: a store racing with
        the write-back must re-dirty the page so we notice. *)
     Vmem.Page_table.update t.pt vpn Vmem.Pte.clear_dirty;
-    t.dirty_hint <- Int.max 0 (t.dirty_hint - 1);
     t.invalidate vpn;
     (* The guide trims the write-back for the cleaner as well as for
        eviction (§4.4: the cleaner writes only the used area). The
@@ -221,20 +316,19 @@ let writeback t vpn pte ~then_evict =
        back on the clock for a later attempt. Reclaim skips wb_inflight
        pages, so nobody can have dropped the frame meanwhile. *)
     let on_error () =
-      Hashtbl.remove t.wb_inflight vpn;
+      Int_tbl.remove t.wb_inflight vpn;
       Sim.Stats.cincr t.hot.c_wb_failures;
       (match Vmem.Pte.tag (Vmem.Page_table.get t.pt vpn) with
       | Vmem.Pte.Local ->
           Vmem.Page_table.update t.pt vpn Vmem.Pte.set_dirty;
-          t.dirty_hint <- t.dirty_hint + 1;
-          Clock.push t.clock vpn
+          enqueue t vpn
       | Vmem.Pte.Unmapped | Vmem.Pte.Remote | Vmem.Pte.Fetching
       | Vmem.Pte.Action ->
           ());
       Sim.Condvar.broadcast t.wb_done
     in
     Rdma.Qp.post_write ~on_error t.evict_qp ~segs ~buf ~on_complete:(fun () ->
-        Hashtbl.remove t.wb_inflight vpn;
+        Int_tbl.remove t.wb_inflight vpn;
         Sim.Stats.cincr t.hot.c_writebacks;
         (if then_evict then
            let pte' = Vmem.Page_table.get t.pt vpn in
@@ -252,7 +346,7 @@ let writeback t vpn pte ~then_evict =
                Sim.Condvar.broadcast t.frames_avail
            | Vmem.Pte.Local ->
                (* Re-dirtied while in flight: keep it resident. *)
-               Clock.push t.clock vpn
+               enqueue t vpn
            | Vmem.Pte.Unmapped | Vmem.Pte.Remote | Vmem.Pte.Fetching
            | Vmem.Pte.Action ->
                ());
@@ -271,18 +365,18 @@ let clock_step t =
           (* Stale entry; page already gone. *)
           false
       | Vmem.Pte.Fetching ->
-          Clock.push t.clock vpn;
+          enqueue t vpn;
           false
       | Vmem.Pte.Local ->
-          if Hashtbl.mem t.wb_inflight vpn then begin
-            Clock.push t.clock vpn;
+          if Int_tbl.mem t.wb_inflight vpn then begin
+            enqueue t vpn;
             false
           end
           else if Vmem.Pte.accessed pte then begin
             (* Second chance: strip the accessed bit and recycle. *)
             Vmem.Page_table.update t.pt vpn Vmem.Pte.clear_accessed;
             t.invalidate vpn;
-            Clock.push t.clock vpn;
+            enqueue t vpn;
             false
           end
           else if Vmem.Pte.dirty pte then begin
@@ -304,7 +398,7 @@ let reclaim_until t target =
     else begin
       incr no_progress;
       if !no_progress > Clock.length t.clock + 1 then
-        if Hashtbl.length t.wb_inflight > 0 then begin
+        if Int_tbl.length t.wb_inflight > 0 then begin
           (* Everything evictable is already being written back; wait
              for a completion rather than spinning. *)
           Sim.Condvar.wait t.wb_done;
@@ -325,35 +419,43 @@ let reclaimer_fiber t () =
     else Sim.Condvar.wait t.reclaim_work
   done
 
+(* One cleaner pass: pop candidates in clock order and write back the
+   first [cleaner_batch] eligible pages, the same pages a walk of the
+   clock from its head would pick. Stale candidates (the VPN left the
+   clock or was re-pushed under a newer sequence number) are dropped,
+   as are pages no longer [Local] and dirty; a dirty page that is in
+   flight or holds no live data stays a candidate for the next pass.
+   Returns the number of pages written. *)
+let clean_batch t =
+  let written = ref 0 and kept = ref [] in
+  while !written < Params.cleaner_batch && not (Dirty_index.is_empty t.dirty) do
+    let seq = Dirty_index.min_seq t.dirty and vpn = Dirty_index.min_vpn t.dirty in
+    Dirty_index.remove_min t.dirty;
+    if Clock.flagged t.clock vpn seq then begin
+      let pte = Vmem.Page_table.get t.pt vpn in
+      match Vmem.Pte.tag pte with
+      | Vmem.Pte.Local when Vmem.Pte.dirty pte ->
+          if Int_tbl.mem t.wb_inflight vpn || no_live_data t vpn then
+            kept := (seq, vpn) :: !kept
+          else begin
+            Clock.unflag t.clock vpn seq;
+            writeback t vpn pte ~then_evict:false;
+            incr written
+          end
+      | Vmem.Pte.Local | Vmem.Pte.Unmapped | Vmem.Pte.Remote | Vmem.Pte.Fetching
+      | Vmem.Pte.Action ->
+          Clock.unflag t.clock vpn seq
+    end
+  done;
+  List.iter (fun (seq, vpn) -> Dirty_index.add t.dirty seq vpn) !kept;
+  !written
+
 let cleaner_fiber t () =
   while t.running do
     Sim.Engine.sleep t.eng Params.cleaner_period;
-    (* Skipping the scan when no page can be dirty has no simulated
-       effect: a scan that finds nothing posts no write-backs and
-       sleeps for zero scanned pages. *)
-    if t.running && t.dirty_hint > 0 then begin
-      let scanned = ref 0 and i = ref 0 in
-      while !scanned < Params.cleaner_batch && !i < Clock.length t.clock do
-        (match Clock.peek_nth t.clock !i with
-        | None -> ()
-        | Some vpn ->
-            let pte = Vmem.Page_table.get t.pt vpn in
-            if
-              Vmem.Pte.tag pte = Vmem.Pte.Local
-              && Vmem.Pte.dirty pte
-              && (not (Hashtbl.mem t.wb_inflight vpn))
-              && guide_segments t vpn <> Some []
-            then begin
-              writeback t vpn pte ~then_evict:false;
-              incr scanned
-            end);
-        incr i
-      done;
-      (* Ground truth from a complete scan: nothing dirty (in-flight
-         write-backs were dirty-cleared when posted). *)
-      if !scanned = 0 && !i >= Clock.length t.clock then t.dirty_hint <- 0;
-      if !scanned > 0 then
-        Sim.Engine.sleep t.eng (Sim.Time.ns (!scanned * 120))
+    if t.running then begin
+      let written = clean_batch t in
+      if written > 0 then Sim.Engine.sleep t.eng (Sim.Time.ns (written * 120))
     end
   done
 
@@ -398,4 +500,4 @@ let release_frame t frame =
   Sim.Condvar.broadcast t.frames_avail
 
 let quiesce t =
-  Sim.Condvar.wait_for t.wb_done (fun () -> Hashtbl.length t.wb_inflight = 0)
+  Sim.Condvar.wait_for t.wb_done (fun () -> Int_tbl.length t.wb_inflight = 0)

@@ -3,9 +3,11 @@
     The fault handler never reclaims: it pops a free frame from the
     allocator, and two background fibers keep that pool stocked —
 
-    - the {e cleaner} periodically scans the LRU clock for dirty pages
-      and writes them back (clearing dirty bits), so that eviction of
-      cold pages is usually RDMA-free;
+    - the {e cleaner} periodically writes back the oldest dirty pages
+      on the LRU clock (clearing dirty bits), so that eviction of cold
+      pages is usually RDMA-free. It pops them from a dirty index
+      ordered like the clock, so a pass touches only the candidates it
+      examines (O(log n) each) instead of walking the whole clock;
     - the {e reclaimer} runs the clock algorithm eagerly whenever free
       frames fall under the low watermark, evicting
       least-recently-used clean pages until the high watermark.
@@ -56,11 +58,20 @@ val release_frame : t -> int -> unit
 val note_mapped : t -> int -> unit
 (** Tell the LRU clock a page just became [Local] at [vpn]. *)
 
-val note_dirtied : t -> unit
-(** Hint that a resident page just transitioned clean->dirty (the
-    store path calls this; redundant calls are harmless). Gates the
-    periodic cleaner's clock scan so an all-clean resident set costs
-    nothing to re-scan. *)
+val note_dirtied : t -> int -> unit
+(** [note_dirtied t vpn] must follow every store-path transition that
+    sets the dirty bit of the resident ([Local]) page [vpn]: it makes
+    the page a cleaner candidate. Redundant calls (the page was
+    already dirty) are cheap no-ops, and pages not on the LRU clock
+    (non-DDC mappings) are ignored. Missing a call leaves the page
+    dirty until eviction writes it back. *)
+
+val clock_order : t -> int list
+(** VPNs on the LRU clock, head (next eviction candidate) first.
+    O(clock length); for tests and diagnostics. *)
+
+val writeback_in_flight : t -> int -> bool
+(** A write-back of [vpn] has been posted and has not completed. *)
 
 val vector_segments : t -> payload:int -> (int * int) list
 (** Decode an [Action] PTE payload into its logged fetch vector

@@ -9,21 +9,25 @@ let fanout = 512
 let idx vpn level = (vpn lsr (9 * level)) land (fanout - 1)
 let create () = { root = Array.make fanout None }
 
+(* Shared read-only leaf standing in for every absent one, so a lookup
+   returns a leaf without allocating an option. Only readers ever see
+   it: [set]/[update] go through [materialize], which never returns it. *)
+let absent = Array.make fanout Pte.zero
+
 let rec find_leaf node vpn level =
   match node with
-  | Leaf a -> Some a
+  | Leaf a -> a
   | Dir slots -> (
       match slots.(idx vpn level) with
-      | None -> None
+      | None -> absent
       | Some child -> find_leaf child vpn (level - 1))
 
-let leaf_opt t vpn =
+let leaf t vpn =
   match t.root.(idx vpn 3) with
-  | None -> None
+  | None -> absent
   | Some child -> find_leaf child vpn 2
 
-let get t vpn =
-  match leaf_opt t vpn with None -> Pte.zero | Some a -> a.(idx vpn 0)
+let get t vpn = (leaf t vpn).(idx vpn 0)
 
 let rec materialize node vpn level =
   match node with
@@ -64,22 +68,13 @@ let iter_range t ~vpn ~count f =
   let stop = vpn + count in
   let v = ref vpn in
   while !v < stop do
-    match leaf_opt t !v with
-    | None ->
-        (* Skip to the next leaf boundary. *)
-        let next = ((!v lsr 9) + 1) lsl 9 in
-        let upto = Int.min next stop in
-        for u = !v to upto - 1 do
-          f u Pte.zero
-        done;
-        v := upto
-    | Some a ->
-        let next = ((!v lsr 9) + 1) lsl 9 in
-        let upto = Int.min next stop in
-        for u = !v to upto - 1 do
-          f u a.(u land (fanout - 1))
-        done;
-        v := upto
+    (* An absent leaf reads as all [Pte.zero]. *)
+    let a = leaf t !v in
+    let upto = Int.min (((!v lsr 9) + 1) lsl 9) stop in
+    for u = !v to upto - 1 do
+      f u a.(u land (fanout - 1))
+    done;
+    v := upto
   done
 
 let count_mapped t =

@@ -2,11 +2,11 @@ open Util
 
 (* Build a bare page manager over a scratch fabric for unit-level
    checks (kernel-level behaviour is covered in test_dilos). *)
-let with_pm ?(frames = 16) ?reclaim_guide f =
+let with_pm ?(frames = 16) ?reclaim_guide ?extra_completion_delay f =
   run_sim (fun eng ->
       let server = Memnode.Server.create ~eng ~size:(Int64.shift_left 1L 30) () in
       let stats = Sim.Stats.create () in
-      let fabric = Memnode.Server.connect server ~stats () in
+      let fabric = Memnode.Server.connect server ~stats ?extra_completion_delay () in
       let pt = Vmem.Page_table.create () in
       let fr = Vmem.Frame.create ~frames in
       let pm =
@@ -93,6 +93,106 @@ let cleaner_cleans_in_background () =
         Alcotest.(check bool) "now clean" false (Vmem.Pte.dirty p)
       done)
 
+(* The cleaner must write back exactly the pages a walk of the clock
+   from its head would pick: the first [cleaner_batch] that are Local,
+   dirty, not in flight and hold live data. A reclaim pass first
+   gives accessed pages a second chance (re-pushing them to the tail);
+   then, before each checked tick, some in-flight pages are
+   re-dirtied, some clean ones dirtied, and the guide's dead set moves.
+   Write completions are slowed so write-backs span several ticks. *)
+let cleaner_matches_clock_walk () =
+  let npages = 480 in
+  let dead = Hashtbl.create 64 in
+  let guide =
+    {
+      Dilos.Guide.rg_name = "dead-set";
+      rg_live_segments =
+        (fun base -> if Hashtbl.mem dead (Vmem.Addr.vpn base) then Some [] else None);
+    }
+  in
+  with_pm ~frames:512 ~reclaim_guide:guide ~extra_completion_delay:(Sim.Time.us 100)
+    (fun eng _stats pt fr pm ->
+      let log = ref [] in
+      Dilos.Page_manager.set_invalidate pm (fun vpn ->
+          log := (Sim.Engine.now eng, vpn) :: !log);
+      for vpn = 1 to npages do
+        ignore (map_page pt fr pm vpn ~dirty:(vpn mod 3 = 0));
+        if vpn mod 4 = 0 then Vmem.Page_table.update pt vpn Vmem.Pte.set_accessed
+      done;
+      (* Drop below the low watermark: the reclaimer evicts from the
+         head and re-pushes accessed pages. *)
+      while Dilos.Page_manager.free_frames pm >= 9 do
+        ignore (Dilos.Page_manager.try_alloc_frame pm)
+      done;
+      (* Let the reclaim pass finish and its write-backs land. *)
+      Sim.Engine.sleep eng (Sim.Time.us 20);
+      Dilos.Page_manager.quiesce pm;
+      let is_local vpn = Vmem.Pte.tag (Vmem.Page_table.get pt vpn) = Vmem.Pte.Local in
+      let dirty vpn =
+        Vmem.Page_table.update pt vpn Vmem.Pte.set_dirty;
+        Dilos.Page_manager.note_dirtied pm vpn
+      in
+      for vpn = 1 to npages do
+        if is_local vpn && vpn mod 5 <> 1 then dirty vpn
+      done;
+      (* Anchor on the next cleaner tick; later ticks follow from the
+         cleaner's schedule (period, plus 120 ns per page written). *)
+      let start = Sim.Engine.now eng in
+      let at_tick t =
+        List.rev
+          (List.filter_map (fun (at, v) -> if Int64.equal at t then Some v else None) !log)
+      in
+      while not (List.exists (fun (at, _) -> Int64.compare at start > 0) !log) do
+        Sim.Engine.sleep eng (Sim.Time.ns 100)
+      done;
+      let tick = ref (fst (List.hd !log)) in
+      let capped = ref false and skipped_inflight = ref false and skipped_dead = ref false in
+      for k = 1 to 12 do
+        let written = List.length (at_tick !tick) in
+        tick :=
+          Sim.Time.add !tick
+            (Sim.Time.add Dilos.Params.cleaner_period (Sim.Time.ns (written * 120)));
+        Sim.Engine.sleep_until eng (Sim.Time.sub !tick (Sim.Time.us 5));
+        for vpn = 1 to npages do
+          if is_local vpn then begin
+            if Dilos.Page_manager.writeback_in_flight pm vpn && vpn mod 2 = k mod 2 then
+              dirty vpn;
+            if vpn mod 7 = k mod 7 then dirty vpn
+          end
+        done;
+        Hashtbl.reset dead;
+        for vpn = 1 to npages do
+          if vpn mod 9 = k mod 9 then Hashtbl.replace dead vpn ()
+        done;
+        Sim.Engine.sleep_until eng (Sim.Time.sub !tick (Sim.Time.ns 1));
+        let pending vpn =
+          let pte = Vmem.Page_table.get pt vpn in
+          Vmem.Pte.tag pte = Vmem.Pte.Local && Vmem.Pte.dirty pte
+        in
+        let order = Dilos.Page_manager.clock_order pm in
+        if List.exists (fun v -> pending v && Dilos.Page_manager.writeback_in_flight pm v) order
+        then skipped_inflight := true;
+        if List.exists (fun v -> pending v && Hashtbl.mem dead v) order then skipped_dead := true;
+        let eligible =
+          List.filter
+            (fun v ->
+              pending v
+              && (not (Dilos.Page_manager.writeback_in_flight pm v))
+              && not (Hashtbl.mem dead v))
+            order
+        in
+        if List.length eligible > Dilos.Params.cleaner_batch then capped := true;
+        let expect = List.filteri (fun i _ -> i < Dilos.Params.cleaner_batch) eligible in
+        Sim.Engine.sleep_until eng (Sim.Time.add !tick (Sim.Time.ns 1));
+        Alcotest.(check (list int)) (Printf.sprintf "tick %d" k) expect (at_tick !tick)
+      done;
+      check_bool "a tick hit the batch cap" true !capped;
+      check_bool "a dirty in-flight page was skipped" true !skipped_inflight;
+      check_bool "a dirty dead page was skipped" true !skipped_dead;
+      (* The reclaim pass really re-ordered the clock. *)
+      let order = Dilos.Page_manager.clock_order pm in
+      check_bool "second chance re-pushed pages" false (List.sort Int.compare order = order))
+
 let vector_log_roundtrip () =
   let guide =
     {
@@ -153,6 +253,7 @@ let suite =
     quick "dirty pages written back on eviction" dirty_pages_written_back_on_eviction;
     quick "second chance respects accessed bit" second_chance_respects_accessed_bit;
     quick "cleaner cleans in background" cleaner_cleans_in_background;
+    quick "cleaner matches a clock walk" cleaner_matches_clock_walk;
     quick "vector log roundtrip" vector_log_roundtrip;
     quick "vector log consumed once" vector_log_consumed_once;
   ]

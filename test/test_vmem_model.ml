@@ -256,6 +256,56 @@ let address_space_model_qcheck =
       gaps vmas;
       !ok)
 
+(* Thousands of one-page mappings, as the DDC allocator's large-object
+   path creates them. Probes each mapping's edges and the guard pages
+   on both sides (a miss is where a linear lookup walked every mapping),
+   unmaps a run from the middle, then probes everything again. *)
+let address_space_many_vmas_qcheck =
+  QCheck.Test.make ~name:"address space: thousands of one-page vmas" ~count:4
+    QCheck.(triple (int_range 1000 2000) (int_bound 1_000_000) (int_range 1 400))
+    (fun (n, seed, holes) ->
+      let sp = Vmem.Address_space.create () in
+      let rng = Sim.Rng.create seed in
+      let all =
+        List.init n (fun _ ->
+            let ddc = Sim.Rng.int rng 2 = 0 in
+            (Vmem.Address_space.mmap sp ~len:4096 ~ddc (), 4096L, ddc))
+      in
+      let agrees model =
+        List.for_all
+          (fun (b, l, _) ->
+            List.for_all
+              (fun addr ->
+                let expect =
+                  List.find_opt
+                    (fun (b, l, _) ->
+                      Int64.compare b addr <= 0
+                      && Int64.compare addr (Int64.add b l) < 0)
+                    model
+                in
+                (match (Vmem.Address_space.find sp addr, expect) with
+                | None, None -> true
+                | Some vma, Some (b, l, d) ->
+                    Int64.equal vma.Vmem.Address_space.base b
+                    && Int64.equal vma.Vmem.Address_space.len l
+                    && Bool.equal vma.Vmem.Address_space.ddc d
+                | Some _, None | None, Some _ -> false)
+                && Bool.equal
+                     (Vmem.Address_space.is_ddc sp addr)
+                     (match expect with Some (_, _, d) -> d | None -> false))
+              [ Int64.pred b; b; Int64.add b (Int64.pred l); Int64.add b l ])
+          all
+      in
+      let before = agrees all in
+      let lo = (n - holes) / 2 in
+      let gone = List.filteri (fun i _ -> i >= lo && i < lo + holes) all in
+      List.iter (fun (b, _, _) -> ignore (Vmem.Address_space.munmap sp b)) gone;
+      let kept = List.filteri (fun i _ -> i < lo || i >= lo + holes) all in
+      before && agrees kept
+      && List.equal Int64.equal
+           (List.map (fun vma -> vma.Vmem.Address_space.base) (Vmem.Address_space.vmas sp))
+           (List.map (fun (b, _, _) -> b) kept))
+
 let address_space_munmap_missing () =
   let sp = Vmem.Address_space.create () in
   let base = Vmem.Address_space.mmap sp ~len:4096 ~ddc:true () in
@@ -272,5 +322,6 @@ let suite =
     QCheck_alcotest.to_alcotest mmu_ad_bits_qcheck;
     quick "mmu faults leave ptes untouched" mmu_faults_do_not_touch_pte;
     QCheck_alcotest.to_alcotest address_space_model_qcheck;
+    QCheck_alcotest.to_alcotest address_space_many_vmas_qcheck;
     quick "munmap of unknown base raises" address_space_munmap_missing;
   ]
