@@ -35,64 +35,37 @@ type ctx = {
   cores : int;
 }
 
-let memif_of_dilos k ~core =
-  let open Dilos.Kernel in
+(* Both paging kernels run the data path on [Dilos.Cpu]: the closures
+   capture the core's access path itself, so a hit goes straight to the
+   TLB. *)
+let memif_of_cpu kind c ~malloc ~free =
+  let open Dilos.Cpu in
   {
-    Memif.kind = Memif.Dilos_backend;
-    malloc = (fun n -> ddc_malloc k ~core n);
-    free = (fun a -> ddc_free k ~core a);
-    read_u8 = (fun a -> read_u8 k ~core a);
-    read_u16 = (fun a -> read_u16 k ~core a);
-    read_u32 = (fun a -> read_u32 k ~core a);
-    read_u64 = (fun a -> read_u64 k ~core a);
-    write_u8 = (fun a v -> write_u8 k ~core a v);
-    write_u16 = (fun a v -> write_u16 k ~core a v);
-    write_u32 = (fun a v -> write_u32 k ~core a v);
-    write_u64 = (fun a v -> write_u64 k ~core a v);
-    read_bytes = (fun a b o l -> read_bytes k ~core a b o l);
-    write_bytes = (fun a b o l -> write_bytes k ~core a b o l);
-    read_u8_at = (fun a off -> read_u8_at k ~core a off);
-    read_u16_at = (fun a off -> read_u16_at k ~core a off);
-    read_u32_at = (fun a off -> read_u32_at k ~core a off);
-    read_u64_at = (fun a off -> read_u64_at k ~core a off);
-    write_u8_at = (fun a off v -> write_u8_at k ~core a off v);
-    write_u16_at = (fun a off v -> write_u16_at k ~core a off v);
-    write_u32_at = (fun a off v -> write_u32_at k ~core a off v);
-    write_u64_at = (fun a off v -> write_u64_at k ~core a off v);
-    compute = (fun ns -> compute k ~core ns);
-    flush = (fun () -> flush k ~core);
-    touch = (fun a -> touch k ~core a);
-    now = (fun () -> now k);
-  }
-
-let memif_of_fastswap k ~core =
-  let open Fastswap.Kernel in
-  {
-    Memif.kind = Memif.Fastswap_backend;
-    malloc = (fun n -> malloc k ~core n);
-    free = (fun a -> free k ~core a);
-    read_u8 = (fun a -> read_u8 k ~core a);
-    read_u16 = (fun a -> read_u16 k ~core a);
-    read_u32 = (fun a -> read_u32 k ~core a);
-    read_u64 = (fun a -> read_u64 k ~core a);
-    write_u8 = (fun a v -> write_u8 k ~core a v);
-    write_u16 = (fun a v -> write_u16 k ~core a v);
-    write_u32 = (fun a v -> write_u32 k ~core a v);
-    write_u64 = (fun a v -> write_u64 k ~core a v);
-    read_bytes = (fun a b o l -> read_bytes k ~core a b o l);
-    write_bytes = (fun a b o l -> write_bytes k ~core a b o l);
-    read_u8_at = (fun a off -> read_u8_at k ~core a off);
-    read_u16_at = (fun a off -> read_u16_at k ~core a off);
-    read_u32_at = (fun a off -> read_u32_at k ~core a off);
-    read_u64_at = (fun a off -> read_u64_at k ~core a off);
-    write_u8_at = (fun a off v -> write_u8_at k ~core a off v);
-    write_u16_at = (fun a off v -> write_u16_at k ~core a off v);
-    write_u32_at = (fun a off v -> write_u32_at k ~core a off v);
-    write_u64_at = (fun a off v -> write_u64_at k ~core a off v);
-    compute = (fun ns -> compute k ~core ns);
-    flush = (fun () -> flush k ~core);
-    touch = (fun a -> touch k ~core a);
-    now = (fun () -> now k);
+    Memif.kind;
+    malloc;
+    free;
+    read_u8 = (fun a -> read_u8 c a);
+    read_u16 = (fun a -> read_u16 c a);
+    read_u32 = (fun a -> read_u32 c a);
+    read_u64 = (fun a -> read_u64 c a);
+    write_u8 = (fun a v -> write_u8 c a v);
+    write_u16 = (fun a v -> write_u16 c a v);
+    write_u32 = (fun a v -> write_u32 c a v);
+    write_u64 = (fun a v -> write_u64 c a v);
+    read_bytes = (fun a b o l -> read_bytes c a b o l);
+    write_bytes = (fun a b o l -> write_bytes c a b o l);
+    read_u8_at = (fun a off -> read_u8_at c a off);
+    read_u16_at = (fun a off -> read_u16_at c a off);
+    read_u32_at = (fun a off -> read_u32_at c a off);
+    read_u64_at = (fun a off -> read_u64_at c a off);
+    write_u8_at = (fun a off v -> write_u8_at c a off v);
+    write_u16_at = (fun a off v -> write_u16_at c a off v);
+    write_u32_at = (fun a off v -> write_u32_at c a off v);
+    write_u64_at = (fun a off v -> write_u64_at c a off v);
+    compute = (fun ns -> charge c ns);
+    flush = (fun () -> flush c);
+    touch = (fun a -> touch c a);
+    now = (fun () -> now c);
   }
 
 let memif_of_aifm k ~core =
@@ -133,8 +106,14 @@ let memif_of_aifm k ~core =
 
 let memif_of_instance instance ~core =
   match instance with
-  | I_dilos k -> memif_of_dilos k ~core
-  | I_fastswap k -> memif_of_fastswap k ~core
+  | I_dilos k ->
+      memif_of_cpu Memif.Dilos_backend (Dilos.Kernel.cpu k ~core)
+        ~malloc:(fun n -> Dilos.Kernel.ddc_malloc k ~core n)
+        ~free:(fun a -> Dilos.Kernel.ddc_free k ~core a)
+  | I_fastswap k ->
+      memif_of_cpu Memif.Fastswap_backend (Fastswap.Kernel.cpu k ~core)
+        ~malloc:(fun n -> Fastswap.Kernel.malloc k ~core n)
+        ~free:(fun a -> Fastswap.Kernel.free k ~core a)
   | I_aifm k -> memif_of_aifm k ~core
 
 type 'a result = {
@@ -192,7 +171,7 @@ let instance_shutdown = function
   | I_aifm k -> Aifm.Runtime.shutdown k
 
 let run system ~local_mem ?(cores = 1) ?remote_size ?bw_bucket:_ ?fault_spec
-    ?(fault_seed = 1) ?(shards = 1) ?(replication = 1) ?obs ?observe f =
+    ?(fault_seed = 1) ?shards ?replication ?obs ?observe f =
   let eng = Sim.Engine.create () in
   (* The Observatory registry must be ambient BEFORE boot: QPs, shards
      and kernels resolve their labeled handles in their constructors.
@@ -206,22 +185,8 @@ let run system ~local_mem ?(cores = 1) ?remote_size ?bw_bucket:_ ?fault_spec
   let faults =
     Option.map (fun spec -> Faults.Plan.make ~seed:fault_seed spec) fault_spec
   in
-  let has_drill =
-    match fault_spec with Some s -> Faults.Spec.has_drill s | None -> false
-  in
   let server =
-    (* The single-node path stays byte-for-byte the old one — the
-       goldens pin it — so replication is engaged only when asked. *)
-    if shards > 1 || replication > 1 || has_drill then
-      Memnode.Server.create_replicated ~eng ~size
-        ~config:
-          {
-            Memnode.Replica_group.default_config with
-            shards = Int.max shards replication;
-            replication;
-          }
-        ?faults ()
-    else Memnode.Server.create ~eng ~size ?faults ()
+    Memnode.Server.of_topology ~eng ~size ?shards ?replication ?faults ()
   in
   let instance = boot system ~eng ~server ~local_mem ~cores in
   let stats = instance_stats instance in

@@ -25,22 +25,6 @@ exception Page_lost of int64
    backing shard is dead). Raised instead of blocking the faulting
    core forever — data loss must surface, not hang. *)
 
-let tlb_entries = 64
-let tlb_mask = tlb_entries - 1
-
-(* Accumulated fast-path time is flushed to the engine at least this
-   often, so background fibers interleave realistically. *)
-let pending_cap_ns = 10_000
-
-type core_state = {
-  core_id : int;
-  trk : int; (* trace track for this core's fault timeline *)
-  tlb_vpn : int array;
-  tlb_off : int array; (* slab byte offset of the cached page *)
-  tlb_written : bool array;
-  mutable pending : int;
-}
-
 (* Trace handles, resolved once at module init (mirrors the Stats
    handle discipline: the fault path never hashes a category name). *)
 let cat_fault = Trace.category "fault"
@@ -90,7 +74,7 @@ type t = {
   alloc : Ddc_alloc.t;
   loader : Loader.t;
   mapping_changed : Sim.Condvar.t;
-  cores : core_state array;
+  mutable cpus : Cpu.t array;
   prefetch_low : int; (* shed prefetches below this many free frames *)
 }
 
@@ -104,138 +88,14 @@ let allocator t = t.alloc
 let free_frames t = Page_manager.free_frames t.pm
 let page_tag t addr = Vmem.Pte.tag (Vmem.Page_table.get t.pt (Vmem.Addr.vpn addr))
 let quiesce t = Page_manager.quiesce t.pm
+let invalidate t vpn = Cpu.invalidate t.cpus vpn
 
-let make_core id =
-  {
-    core_id = id;
-    trk = Trace.track (Printf.sprintf "cpu%d" id);
-    tlb_vpn = Array.make tlb_entries (-1);
-    tlb_off = Array.make tlb_entries 0;
-    tlb_written = Array.make tlb_entries false;
-    pending = 0;
-  }
-
-(* TLB arrays are always indexed by [vpn land tlb_mask], which is in
-   range by construction: use unchecked loads on the hit path. *)
-let invalidate t vpn =
-  Array.iter
-    (fun cs ->
-      let i = vpn land tlb_mask in
-      if Array.unsafe_get cs.tlb_vpn i = vpn then
-        Array.unsafe_set cs.tlb_vpn i (-1))
-    t.cores
-
-let boot ~eng ~server ?nic_config (cfg : config) =
-  if cfg.cores <= 0 then invalid_arg "Kernel.boot: cores <= 0";
-  let stats = Sim.Stats.create () in
-  let extra_completion_delay =
-    if cfg.tcp_emulation then Some Params.tcp_emulation_delay else None
-  in
-  let fabric =
-    Memnode.Server.connect server ~stats ?nic_config ?extra_completion_delay ()
-  in
-  let aspace = Vmem.Address_space.create () in
-  let pt = Vmem.Page_table.create () in
-  let frames =
-    Vmem.Frame.create
-      ~frames:(Int.max 32 (cfg.local_mem_bytes / Vmem.Addr.page_size))
-  in
-  let comm = Comm.create ~fabric ~cores:cfg.cores in
-  let alloc =
-    Ddc_alloc.create
-      ~mmap:(fun len -> Vmem.Address_space.mmap aspace ~len ~ddc:true ~name:"ddc-arena" ())
-      ()
-  in
-  let reclaim_guide =
-    if cfg.guided_paging then Some (Ddc_alloc.reclaim_guide alloc) else None
-  in
-  let pm =
-    Page_manager.create ~eng ~stats ~pt ~frames
-      ~evict_qp:(Comm.evict_qp comm ~core:0) ?reclaim_guide ()
-  in
-  let prefetcher =
-    match cfg.prefetch with
-    | No_prefetch -> Prefetcher.none
-    | Readahead -> Prefetcher.readahead ()
-    | Trend_based -> Prefetcher.trend_based ()
-  in
-  let hot =
-    {
-      c_major_faults = Sim.Stats.counter stats "major_faults";
-      c_fetch_waits = Sim.Stats.counter stats "fetch_waits";
-      c_zero_fill = Sim.Stats.counter stats "zero_fill_faults";
-      c_prefetch_issued = Sim.Stats.counter stats "prefetch_issued";
-      c_subpage_fetches = Sim.Stats.counter stats "subpage_fetches";
-      c_subpage_bytes = Sim.Stats.counter stats "subpage_bytes";
-      c_fetch_retries = Sim.Stats.counter stats "fault_fetch_retries";
-      c_prefetch_aborted = Sim.Stats.counter stats "prefetch_aborted";
-      c_ph_exception = Sim.Stats.counter stats "ph_exception_ns";
-      c_ph_pte = Sim.Stats.counter stats "ph_pte_ns";
-      c_ph_alloc = Sim.Stats.counter stats "ph_alloc_ns";
-      c_ph_reclaim = Sim.Stats.counter stats "ph_reclaim_ns";
-      c_ph_fetch = Sim.Stats.counter stats "ph_fetch_ns";
-      h_fault = Sim.Stats.histo stats "fault_ns";
-      h_fetch_wait = Sim.Stats.histo stats "fetch_wait_ns";
-      ob_major_faults =
-        Obs.Registry.counter ~name:"kernel_major_faults"
-          ~labels:[ ("system", "dilos") ]
-          ();
-      obh_fault =
-        Obs.Registry.histogram ~name:"kernel_fault_ns"
-          ~labels:[ ("system", "dilos") ]
-          ();
-      attr = Trace.Attr.create stats;
-    }
-  in
-  let t =
-    {
-      eng;
-      cfg;
-      stats;
-      hot;
-      fabric;
-      aspace;
-      pt;
-      frames;
-      slab = Vmem.Frame.slab frames;
-      pm;
-      comm;
-      tracker = Hit_tracker.create pt;
-      prefetcher;
-      prefetch_guide = None;
-      alloc;
-      loader = Loader.create ();
-      mapping_changed = Sim.Condvar.create eng;
-      cores = Array.init cfg.cores make_core;
-      prefetch_low =
-        Int.max 2
-          (Int.min Params.prefetch_low_frames (Vmem.Frame.total frames / 64));
-    }
-  in
-  Page_manager.set_invalidate pm (invalidate t);
-  Page_manager.start pm;
-  t
+let cpu t ~core =
+  if core < 0 || core >= Array.length t.cpus then invalid_arg "Kernel: bad core";
+  t.cpus.(core)
 
 let shutdown t = Page_manager.stop t.pm
 let set_prefetch_guide t g = t.prefetch_guide <- g
-
-let core_state t core =
-  if core < 0 || core >= Array.length t.cores then invalid_arg "Kernel: bad core";
-  t.cores.(core)
-
-let flush_core t cs =
-  if cs.pending > 0 then begin
-    let p = cs.pending in
-    cs.pending <- 0;
-    Sim.Engine.sleep t.eng (Sim.Time.ns p)
-  end
-
-let charge t cs ns =
-  cs.pending <- cs.pending + ns;
-  if cs.pending >= pending_cap_ns then flush_core t cs
-
-let flush t ~core = flush_core t (core_state t core)
-let compute t ~core ns = charge t (core_state t core) ns
 
 (* ------------------------------------------------------------------ *)
 (* Page fault handling                                                 *)
@@ -258,7 +118,12 @@ let map_fetched t vpn frame =
    its own scatter/gather chain element. *)
 type pf_prepared =
   | Pf_page of { vpn : int; frame : int }
-  | Pf_wr of Rdma.Qp.read_wr
+  | Pf_wr of {
+      segs : Rdma.Qp.seg list;
+      buf : Sim.Bigbuf.t;
+      on_complete : unit -> unit;
+      on_error : unit -> unit;
+    }
 
 let prefetch_finish t ~flow ~p_t0 vpn frame =
   map_fetched t vpn frame;
@@ -326,12 +191,11 @@ let prepare_prefetch t ?(flow = 0) vpn =
                       Some
                         (Pf_wr
                            {
-                             Rdma.Qp.r_segs = segs;
-                             r_buf = Vmem.Frame.sub_view t.frames frame;
-                             r_on_complete =
+                             segs;
+                             buf = Vmem.Frame.sub_view t.frames frame;
+                             on_complete =
                                (fun () -> prefetch_finish t ~flow ~p_t0 vpn frame);
-                             r_on_error =
-                               Some (fun () -> prefetch_abort t vpn frame);
+                             on_error = (fun () -> prefetch_abort t vpn frame);
                            }))
               | _ -> Some (Pf_page { vpn; frame }))
     end
@@ -358,10 +222,8 @@ let post_prefetch_window t ~core ~flow prepared =
       let i = ref 0 in
       while !i < n do
         match arr.(!i) with
-        | Pf_wr wr ->
-            Rdma.Qp.post_read ?on_error:wr.Rdma.Qp.r_on_error qp
-              ~segs:wr.Rdma.Qp.r_segs ~buf:wr.Rdma.Qp.r_buf
-              ~on_complete:wr.Rdma.Qp.r_on_complete;
+        | Pf_wr { segs; buf; on_complete; on_error } ->
+            Rdma.Qp.post_read ~on_error qp ~segs ~buf ~on_complete;
             incr i
         | Pf_page { vpn = vpn0; frame = _ } ->
             let count = ref 1 in
@@ -396,12 +258,9 @@ let post_prefetch_window t ~core ~flow prepared =
 let issue_prefetch t ~core vpn =
   match prepare_prefetch t vpn with
   | None -> ()
-  | Some (Pf_wr wr) ->
-      Rdma.Qp.post_read
-        ?on_error:wr.Rdma.Qp.r_on_error
-        (Comm.prefetch_qp t.comm ~core)
-        ~segs:wr.Rdma.Qp.r_segs ~buf:wr.Rdma.Qp.r_buf
-        ~on_complete:wr.Rdma.Qp.r_on_complete
+  | Some (Pf_wr { segs; buf; on_complete; on_error }) ->
+      Rdma.Qp.post_read ~on_error (Comm.prefetch_qp t.comm ~core) ~segs ~buf
+        ~on_complete
   | Some (Pf_page { vpn; frame }) ->
       let p_t0 = Sim.Engine.now t.eng in
       Rdma.Qp.post_read_pages
@@ -501,7 +360,7 @@ let major_fault t cs vpn pte =
         completed := true;
         wake_fault ())
       ?fa
-      (Comm.fault_qp t.comm ~core:cs.core_id)
+      (Comm.fault_qp t.comm ~core:(Cpu.id cs))
       ~segs
       ~buf:(Vmem.Frame.sub_view t.frames frame)
       ~on_complete:(fun () ->
@@ -531,7 +390,7 @@ let major_fault t cs vpn pte =
     match t.prefetch_guide with
     | Some g ->
         g.Guide.pg_on_fault
-          (prefetch_ops t ~core:cs.core_id)
+          (prefetch_ops t ~core:(Cpu.id cs))
           {
             Guide.fi_addr = base;
             fi_hit_ratio = ratio;
@@ -555,7 +414,7 @@ let major_fault t cs vpn pte =
     | [] -> ()
     | prepared ->
         pf_flow := flow;
-        post_prefetch_window t ~core:cs.core_id ~flow prepared
+        post_prefetch_window t ~core:(Cpu.id cs) ~flow prepared
   end;
   let refetches = ref 0 in
   let rec await () =
@@ -597,15 +456,15 @@ let major_fault t cs vpn pte =
   | (Some _ | None), _ -> ());
   if Trace.enabled cat_fault then begin
     let t_end = Sim.Engine.now t.eng in
-    Trace.complete cat_fault ~name:"pte_check" ~track:cs.trk ~t0:t_start
+    Trace.complete cat_fault ~name:"pte_check" ~track:(Cpu.track cs) ~t0:t_start
       ~t1:alloc_t0 ();
-    Trace.complete cat_fault ~name:"alloc" ~track:cs.trk ~t0:alloc_t0
+    Trace.complete cat_fault ~name:"alloc" ~track:(Cpu.track cs) ~t0:alloc_t0
       ~t1:fetch_t0 ();
-    Trace.complete cat_fault ~name:"fetch_window" ~track:cs.trk ~t0:fetch_t0
+    Trace.complete cat_fault ~name:"fetch_window" ~track:(Cpu.track cs) ~t0:fetch_t0
       ~t1:fetch_end ();
-    Trace.complete cat_fault ~name:"map" ~track:cs.trk ~t0:fetch_end ~t1:t_end
+    Trace.complete cat_fault ~name:"map" ~track:(Cpu.track cs) ~t0:fetch_end ~t1:t_end
       ();
-    Trace.complete cat_fault ~name:"major_fault" ~track:cs.trk ~t0:t_start
+    Trace.complete cat_fault ~name:"major_fault" ~track:(Cpu.track cs) ~t0:t_start
       ~t1:t_end ~flow_out:!pf_flow
       ~args:[ ("vpn", Trace.I vpn); ("fetch_ns", Trace.I fetch_ns) ]
       ()
@@ -634,7 +493,7 @@ let handle_fault t cs vpn _pte_at_trap =
          every swap-path access, not only misses). *)
       Hit_tracker.note_fault t.tracker vpn;
       let t0 = Sim.Engine.now t.eng in
-      let sp = Trace.begin_ cat_fault ~name:"fetch_wait" ~track:cs.trk () in
+      let sp = Trace.begin_ cat_fault ~name:"fetch_wait" ~track:(Cpu.track cs) () in
       Sim.Condvar.wait_for t.mapping_changed (fun () ->
           Vmem.Pte.tag (Vmem.Page_table.get t.pt vpn) <> Vmem.Pte.Fetching);
       Sim.Engine.sleep t.eng (Sim.Time.ns Params.dilos_fetch_wait_poll_ns);
@@ -663,7 +522,7 @@ let handle_fault t cs vpn _pte_at_trap =
               Sim.Condvar.broadcast t.mapping_changed;
               Sim.Stats.cincr t.hot.c_zero_fill;
               if Trace.enabled cat_fault then
-                Trace.instant cat_fault ~name:"zero_fill" ~track:cs.trk
+                Trace.instant cat_fault ~name:"zero_fill" ~track:(Cpu.track cs)
                   ~args:[ ("vpn", Trace.I vpn) ]
                   ()
             end
@@ -673,10 +532,10 @@ let handle_fault t cs vpn _pte_at_trap =
 (* ------------------------------------------------------------------ *)
 (* Data path                                                           *)
 
-(* The TLB caches the page's byte offset into the frame slab; a hit is
-   two array loads and integer arithmetic — no heap objects. *)
-let frame_off_slow t cs vpn ~write =
-  flush_core t cs;
+(* The slow path of {!Cpu}: flush, walk the page table (faulting the
+   page in as often as it takes), cache the translation. *)
+let fill t cs vpn ~write =
+  Cpu.flush cs;
   let rec loop () =
     match Vmem.Mmu.access t.pt ~vpn ~write with
     | Vmem.Mmu.Frame f ->
@@ -684,11 +543,7 @@ let frame_off_slow t cs vpn ~write =
            call is redundant, and free, when the page was dirty). *)
         if write then Page_manager.note_dirtied t.pm vpn;
         let off = Vmem.Frame.offset t.frames f in
-        let i = vpn land tlb_mask in
-        Array.unsafe_set cs.tlb_vpn i vpn;
-        Array.unsafe_set cs.tlb_off i off;
-        Array.unsafe_set cs.tlb_written i write;
-        cs.pending <- cs.pending + 20;
+        Cpu.install cs vpn ~off ~write;
         off
     | Vmem.Mmu.Fault pte ->
         handle_fault t cs vpn pte;
@@ -696,186 +551,112 @@ let frame_off_slow t cs vpn ~write =
   in
   loop ()
 
-(* [charge] may flush the pending-time accumulator, which sleeps the
-   fiber; the reclaimer can run in that window, evict the page, and
-   invalidate this very TLB slot. Re-validate the entry after charging
-   — returning the cached offset unconditionally would aim the access
-   at a freed (or re-allocated) frame and the store would be silently
-   lost when the page is next fetched. *)
-let page_off_for_read t cs vpn =
-  let i = vpn land tlb_mask in
-  if Array.unsafe_get cs.tlb_vpn i = vpn then begin
-    charge t cs Params.mem_access_ns;
-    if Array.unsafe_get cs.tlb_vpn i = vpn then Array.unsafe_get cs.tlb_off i
-    else frame_off_slow t cs vpn ~write:false
-  end
-  else frame_off_slow t cs vpn ~write:false
+(* A store through a read-loaded translation: {!Cpu} has just set the
+   dirty bit, so the page becomes a cleaner candidate. *)
+let first_store t cs vpn =
+  Page_manager.note_dirtied t.pm vpn;
+  Cpu.charge cs 5
 
-let page_off_for_write t cs vpn =
-  let i = vpn land tlb_mask in
-  if Array.unsafe_get cs.tlb_vpn i = vpn then begin
-    if not (Array.unsafe_get cs.tlb_written i) then begin
-      (* First store through a read-loaded translation: the hardware
-         walker would set the dirty bit now. *)
-      Vmem.Page_table.update t.pt vpn Vmem.Pte.set_dirty;
-      Page_manager.note_dirtied t.pm vpn;
-      Array.unsafe_set cs.tlb_written i true;
-      charge t cs 5
-    end;
-    charge t cs Params.mem_access_ns;
-    if Array.unsafe_get cs.tlb_vpn i = vpn then Array.unsafe_get cs.tlb_off i
-    else frame_off_slow t cs vpn ~write:true
-  end
-  else frame_off_slow t cs vpn ~write:true
+let boot ~eng ~server ?nic_config (cfg : config) =
+  if cfg.cores <= 0 then invalid_arg "Kernel.boot: cores <= 0";
+  let stats = Sim.Stats.create () in
+  let extra_completion_delay =
+    if cfg.tcp_emulation then Some Params.tcp_emulation_delay else None
+  in
+  let fabric =
+    Memnode.Server.connect server ~stats ?nic_config ?extra_completion_delay ()
+  in
+  let aspace = Vmem.Address_space.create () in
+  let pt = Vmem.Page_table.create () in
+  let frames =
+    Vmem.Frame.create
+      ~frames:(Int.max 32 (cfg.local_mem_bytes / Vmem.Addr.page_size))
+  in
+  let comm = Comm.create ~fabric ~cores:cfg.cores in
+  let alloc =
+    Ddc_alloc.create
+      ~mmap:(fun len -> Vmem.Address_space.mmap aspace ~len ~ddc:true ~name:"ddc-arena" ())
+      ()
+  in
+  let reclaim_guide =
+    if cfg.guided_paging then Some (Ddc_alloc.reclaim_guide alloc) else None
+  in
+  let pm =
+    Page_manager.create ~eng ~stats ~pt ~frames
+      ~evict_qp:(Comm.evict_qp comm ~core:0) ?reclaim_guide ()
+  in
+  let prefetcher =
+    match cfg.prefetch with
+    | No_prefetch -> Prefetcher.none
+    | Readahead -> Prefetcher.readahead ()
+    | Trend_based -> Prefetcher.trend_based ()
+  in
+  let hot =
+    {
+      c_major_faults = Sim.Stats.counter stats "major_faults";
+      c_fetch_waits = Sim.Stats.counter stats "fetch_waits";
+      c_zero_fill = Sim.Stats.counter stats "zero_fill_faults";
+      c_prefetch_issued = Sim.Stats.counter stats "prefetch_issued";
+      c_subpage_fetches = Sim.Stats.counter stats "subpage_fetches";
+      c_subpage_bytes = Sim.Stats.counter stats "subpage_bytes";
+      c_fetch_retries = Sim.Stats.counter stats "fault_fetch_retries";
+      c_prefetch_aborted = Sim.Stats.counter stats "prefetch_aborted";
+      c_ph_exception = Sim.Stats.counter stats "ph_exception_ns";
+      c_ph_pte = Sim.Stats.counter stats "ph_pte_ns";
+      c_ph_alloc = Sim.Stats.counter stats "ph_alloc_ns";
+      c_ph_reclaim = Sim.Stats.counter stats "ph_reclaim_ns";
+      c_ph_fetch = Sim.Stats.counter stats "ph_fetch_ns";
+      h_fault = Sim.Stats.histo stats "fault_ns";
+      h_fetch_wait = Sim.Stats.histo stats "fetch_wait_ns";
+      ob_major_faults =
+        Obs.Registry.counter ~name:"kernel_major_faults"
+          ~labels:[ ("system", "dilos") ]
+          ();
+      obh_fault =
+        Obs.Registry.histogram ~name:"kernel_fault_ns"
+          ~labels:[ ("system", "dilos") ]
+          ();
+      attr = Trace.Attr.create stats;
+    }
+  in
+  let t =
+    {
+      eng;
+      cfg;
+      stats;
+      hot;
+      fabric;
+      aspace;
+      pt;
+      frames;
+      slab = Vmem.Frame.slab frames;
+      pm;
+      comm;
+      tracker = Hit_tracker.create pt;
+      prefetcher;
+      prefetch_guide = None;
+      alloc;
+      loader = Loader.create ();
+      mapping_changed = Sim.Condvar.create eng;
+      cpus = [||];
+      prefetch_low =
+        Int.max 2
+          (Int.min Params.prefetch_low_frames (Vmem.Frame.total frames / 64));
+    }
+  in
+  t.cpus <-
+    Array.init cfg.cores
+      (Cpu.create ~eng ~pt ~slab:t.slab ~fill:(fill t)
+         ~first_store:(first_store t));
+  Page_manager.set_invalidate pm (invalidate t);
+  Page_manager.start pm;
+  t
 
-let split addr = (Vmem.Addr.vpn addr, Vmem.Addr.offset addr)
+include Cpu.Accessors (struct
+  type k = t
 
-let check_span off size =
-  if off + size > Vmem.Addr.page_size then
-    invalid_arg "Kernel: scalar access straddles a page boundary"
-
-(* Scalar accessors: translation yields a slab offset whose page-sized
-   span is valid by construction, and [check_span] bounds [off], so the
-   unsafe slab accessors cannot escape the mapped frame. *)
-
-let read_u8 t ~core addr =
-  let cs = core_state t core in
-  let vpn, off = split addr in
-  Sim.Bigbuf.unsafe_get_u8 t.slab (page_off_for_read t cs vpn + off)
-
-let read_u16 t ~core addr =
-  let cs = core_state t core in
-  let vpn, off = split addr in
-  check_span off 2;
-  Sim.Bigbuf.unsafe_get_u16_le t.slab (page_off_for_read t cs vpn + off)
-
-let read_u32 t ~core addr =
-  let cs = core_state t core in
-  let vpn, off = split addr in
-  check_span off 4;
-  Sim.Bigbuf.unsafe_get_u32_le t.slab (page_off_for_read t cs vpn + off)
-
-let read_u64 t ~core addr =
-  let cs = core_state t core in
-  let vpn, off = split addr in
-  check_span off 8;
-  Sim.Bigbuf.unsafe_get_u64_le t.slab (page_off_for_read t cs vpn + off)
-
-let write_u8 t ~core addr v =
-  let cs = core_state t core in
-  let vpn, off = split addr in
-  Sim.Bigbuf.unsafe_set_u8 t.slab (page_off_for_write t cs vpn + off) (v land 0xFF)
-
-let write_u16 t ~core addr v =
-  let cs = core_state t core in
-  let vpn, off = split addr in
-  check_span off 2;
-  Sim.Bigbuf.unsafe_set_u16_le t.slab (page_off_for_write t cs vpn + off) v
-
-let write_u32 t ~core addr v =
-  let cs = core_state t core in
-  let vpn, off = split addr in
-  check_span off 4;
-  Sim.Bigbuf.unsafe_set_u32_le t.slab (page_off_for_write t cs vpn + off) v
-
-let write_u64 t ~core addr v =
-  let cs = core_state t core in
-  let vpn, off = split addr in
-  check_span off 8;
-  Sim.Bigbuf.unsafe_set_u64_le t.slab (page_off_for_write t cs vpn + off) v
-
-(* [_at] variants: base address plus an int byte offset, splitting the
-   effective address with int arithmetic only. App hot loops use these
-   to index into an arena without constructing a boxed Int64 per
-   access. *)
-
-let eff base off = Int64.to_int base + off
-
-let read_u8_at t ~core base off =
-  let cs = core_state t core in
-  let a = eff base off in
-  let vpn = a lsr 12 in
-  Sim.Bigbuf.unsafe_get_u8 t.slab (page_off_for_read t cs vpn + (a land 4095))
-
-let read_u16_at t ~core base off =
-  let cs = core_state t core in
-  let a = eff base off in
-  let vpn = a lsr 12 and o = a land 4095 in
-  check_span o 2;
-  Sim.Bigbuf.unsafe_get_u16_le t.slab (page_off_for_read t cs vpn + o)
-
-let read_u32_at t ~core base off =
-  let cs = core_state t core in
-  let a = eff base off in
-  let vpn = a lsr 12 and o = a land 4095 in
-  check_span o 4;
-  Sim.Bigbuf.unsafe_get_u32_le t.slab (page_off_for_read t cs vpn + o)
-
-let read_u64_at t ~core base off =
-  let cs = core_state t core in
-  let a = eff base off in
-  let vpn = a lsr 12 and o = a land 4095 in
-  check_span o 8;
-  Sim.Bigbuf.unsafe_get_u64_le t.slab (page_off_for_read t cs vpn + o)
-
-let write_u8_at t ~core base off v =
-  let cs = core_state t core in
-  let a = eff base off in
-  let vpn = a lsr 12 in
-  Sim.Bigbuf.unsafe_set_u8 t.slab
-    (page_off_for_write t cs vpn + (a land 4095))
-    (v land 0xFF)
-
-let write_u16_at t ~core base off v =
-  let cs = core_state t core in
-  let a = eff base off in
-  let vpn = a lsr 12 and o = a land 4095 in
-  check_span o 2;
-  Sim.Bigbuf.unsafe_set_u16_le t.slab (page_off_for_write t cs vpn + o) v
-
-let write_u32_at t ~core base off v =
-  let cs = core_state t core in
-  let a = eff base off in
-  let vpn = a lsr 12 and o = a land 4095 in
-  check_span o 4;
-  Sim.Bigbuf.unsafe_set_u32_le t.slab (page_off_for_write t cs vpn + o) v
-
-let write_u64_at t ~core base off v =
-  let cs = core_state t core in
-  let a = eff base off in
-  let vpn = a lsr 12 and o = a land 4095 in
-  check_span o 8;
-  Sim.Bigbuf.unsafe_set_u64_le t.slab (page_off_for_write t cs vpn + o) v
-
-let bulk t ~core addr buf off len ~write =
-  if off < 0 || len < 0 || off + len > Bytes.length buf then
-    invalid_arg "Kernel: bulk access outside buffer";
-  let cs = core_state t core in
-  let pos = ref addr and done_ = ref 0 in
-  while !done_ < len do
-    let vpn, poff = split !pos in
-    let n = Int.min (len - !done_) (Vmem.Addr.page_size - poff) in
-    if write then
-      let page_off = page_off_for_write t cs vpn in
-      Sim.Bigbuf.blit_from_bytes buf ~src_off:(off + !done_) t.slab
-        ~dst_off:(page_off + poff) ~len:n
-    else begin
-      let page_off = page_off_for_read t cs vpn in
-      Sim.Bigbuf.blit_to_bytes t.slab ~src_off:(page_off + poff) buf
-        ~dst_off:(off + !done_) ~len:n
-    end;
-    (* One access charge per cache line moved. *)
-    charge t cs (n / 64 * Params.mem_access_ns);
-    pos := Int64.add !pos (Int64.of_int n);
-    done_ := !done_ + n
-  done
-
-let read_bytes t ~core addr buf off len = bulk t ~core addr buf off len ~write:false
-let write_bytes t ~core addr buf off len = bulk t ~core addr buf off len ~write:true
-
-let touch t ~core addr =
-  let cs = core_state t core in
-  ignore (page_off_for_read t cs (Vmem.Addr.vpn addr))
+  let cpu = cpu
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Memory management                                                   *)
@@ -899,13 +680,11 @@ let munmap t base =
       | Vmem.Pte.Unmapped -> ())
 
 let ddc_malloc t ~core size =
-  let cs = core_state t core in
-  charge t cs 30;
+  Cpu.charge (cpu t ~core) 30;
   Ddc_alloc.malloc t.alloc size
 
 let ddc_free t ~core addr =
-  let cs = core_state t core in
-  charge t cs 25;
+  Cpu.charge (cpu t ~core) 25;
   Ddc_alloc.free t.alloc ~write_link:(fun a -> write_u64 t ~core a 0xDEADBEEFL) addr
 
 let malloc_usable_size t addr = Ddc_alloc.usable_size t.alloc addr

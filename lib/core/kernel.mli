@@ -64,46 +64,15 @@ val ddc_malloc : t -> core:int -> int -> int64
 val ddc_free : t -> core:int -> int64 -> unit
 val malloc_usable_size : t -> int64 -> int
 
-(** {1 Data path (call from a fiber)} *)
+(** {1 Data path (call from a fiber)}
 
-val read_u8 : t -> core:int -> int64 -> int
-val read_u16 : t -> core:int -> int64 -> int
-val read_u32 : t -> core:int -> int64 -> int
-val read_u64 : t -> core:int -> int64 -> int64
-val write_u8 : t -> core:int -> int64 -> int -> unit
-val write_u16 : t -> core:int -> int64 -> int -> unit
-val write_u32 : t -> core:int -> int64 -> int -> unit
-val write_u64 : t -> core:int -> int64 -> int64 -> unit
-val read_bytes : t -> core:int -> int64 -> bytes -> int -> int -> unit
-val write_bytes : t -> core:int -> int64 -> bytes -> int -> int -> unit
+    Every access runs on {!Cpu}, the hit path shared with Fastswap;
+    this kernel supplies its slow path (the fault handler above). *)
 
-(** [_at] variants take a base address plus an [int] byte offset and
-    split the effective address with int arithmetic only — app hot
-    loops use them to walk an arena without boxing an [Int64] per
-    access. Semantics (including page-straddle checks and simulated
-    charges) are identical to the plain accessors at
-    [Int64.add base (Int64.of_int off)]. *)
+val cpu : t -> core:int -> Cpu.t
+(** The core's access path. Raises [Invalid_argument] on a bad core. *)
 
-val read_u8_at : t -> core:int -> int64 -> int -> int
-val read_u16_at : t -> core:int -> int64 -> int -> int
-val read_u32_at : t -> core:int -> int64 -> int -> int
-val read_u64_at : t -> core:int -> int64 -> int -> int64
-val write_u8_at : t -> core:int -> int64 -> int -> int -> unit
-val write_u16_at : t -> core:int -> int64 -> int -> int -> unit
-val write_u32_at : t -> core:int -> int64 -> int -> int -> unit
-val write_u64_at : t -> core:int -> int64 -> int -> int64 -> unit
-
-val compute : t -> core:int -> int -> unit
-(** Charge [ns] of CPU work to the core (batched; see {!flush}). *)
-
-val flush : t -> core:int -> unit
-(** Synchronize the core's accumulated fast-path time with the engine
-    clock. Called automatically on faults and every ~10 us of
-    accumulated work. *)
-
-val touch : t -> core:int -> int64 -> unit
-(** Fault the page containing the address in (a load without reading
-    data). *)
+include Cpu.ACCESSORS with type k := t
 
 (** {1 Guides} *)
 

@@ -10,19 +10,7 @@ exception Page_lost of int64
    [Dilos.Params.fault_refetch_max] consecutive times, so the page's
    bytes are unreachable and re-faulting forever would hang. *)
 
-let tlb_entries = 64
-let tlb_mask = tlb_entries - 1
-let pending_cap_ns = 10_000
 let cluster = 8 (* Linux page_cluster = 3 -> 2^3 pages per readahead *)
-
-type core_state = {
-  core_id : int;
-  trk : int; (* trace track for this core's fault timeline *)
-  tlb_vpn : int array;
-  tlb_off : int array; (* slab byte offset of the cached page *)
-  tlb_written : bool array;
-  mutable pending : int;
-}
 
 (* Trace handles, resolved once at module init (Stats handle
    discipline: fault/reclaim paths never hash a category name). *)
@@ -76,7 +64,7 @@ type t = {
   io_done : Sim.Condvar.t;
   frames_avail : Sim.Condvar.t;
   reclaim_work : Sim.Condvar.t;
-  cores : core_state array;
+  mutable cpus : Dilos.Cpu.t array;
   mutable running : bool;
   mutable reclaim_counter : int;
   mutable ra_window : int; (* adaptive cluster readahead window (Linux
@@ -94,25 +82,7 @@ let now t = Sim.Engine.now t.eng
 let free_frames t = Vmem.Frame.free_count t.frames
 let swap_cache_size t = Swap_cache.size t.cache
 
-let make_core id =
-  {
-    core_id = id;
-    trk = Trace.track (Printf.sprintf "cpu%d" id);
-    tlb_vpn = Array.make tlb_entries (-1);
-    tlb_off = Array.make tlb_entries 0;
-    tlb_written = Array.make tlb_entries false;
-    pending = 0;
-  }
-
-(* TLB arrays are always indexed by [vpn land tlb_mask], in range by
-   construction: use unchecked loads on the hit path. *)
-let invalidate t vpn =
-  Array.iter
-    (fun cs ->
-      let i = vpn land tlb_mask in
-      if Array.unsafe_get cs.tlb_vpn i = vpn then
-        Array.unsafe_set cs.tlb_vpn i (-1))
-    t.cores
+let invalidate t vpn = Dilos.Cpu.invalidate t.cpus vpn
 
 let lru_push t vpn =
   if not (Hashtbl.mem t.queued vpn) then begin
@@ -231,101 +201,15 @@ let offload_fiber t () =
     else Sim.Condvar.wait t.reclaim_work
   done
 
-let boot ~eng ~server (cfg : config) =
-  if cfg.cores <= 0 then invalid_arg "Fastswap.boot: cores <= 0";
-  let stats = Sim.Stats.create () in
-  let fabric = Memnode.Server.connect server ~stats () in
-  let frames =
-    Vmem.Frame.create
-      ~frames:(Int.max 32 (cfg.local_mem_bytes / Vmem.Addr.page_size))
-  in
-  let total = Vmem.Frame.total frames in
-  let hot =
-    {
-      c_major_faults = Sim.Stats.counter stats "major_faults";
-      c_minor_faults = Sim.Stats.counter stats "minor_faults";
-      c_evictions = Sim.Stats.counter stats "evictions";
-      c_writebacks = Sim.Stats.counter stats "writebacks";
-      c_ra_dropped = Sim.Stats.counter stats "ra_dropped";
-      c_ra_aborted = Sim.Stats.counter stats "ra_aborted";
-      c_readahead_pages = Sim.Stats.counter stats "readahead_pages";
-      c_fetch_retries = Sim.Stats.counter stats "fault_fetch_retries";
-      c_direct_reclaims = Sim.Stats.counter stats "direct_reclaims";
-      c_zero_fill = Sim.Stats.counter stats "zero_fill_faults";
-      c_ph_exception = Sim.Stats.counter stats "ph_exception_ns";
-      c_ph_swapcache = Sim.Stats.counter stats "ph_swapcache_ns";
-      c_ph_alloc = Sim.Stats.counter stats "ph_alloc_ns";
-      c_ph_fetch = Sim.Stats.counter stats "ph_fetch_ns";
-      c_ph_other = Sim.Stats.counter stats "ph_other_ns";
-      c_ph_reclaim = Sim.Stats.counter stats "ph_reclaim_ns";
-      h_fault = Sim.Stats.histo stats "fault_ns";
-      h_minor_fault = Sim.Stats.histo stats "minor_fault_ns";
-      ob_major_faults =
-        Obs.Registry.counter ~name:"kernel_major_faults"
-          ~labels:[ ("system", "fastswap") ]
-          ();
-      obh_fault =
-        Obs.Registry.histogram ~name:"kernel_fault_ns"
-          ~labels:[ ("system", "fastswap") ]
-          ();
-      attr = Trace.Attr.create stats;
-    }
-  in
-  let t =
-    {
-      eng;
-      cfg;
-      stats;
-      hot;
-      fabric;
-      aspace = Vmem.Address_space.create ();
-      pt = Vmem.Page_table.create ();
-      frames;
-      slab = Vmem.Frame.slab frames;
-      cache = Swap_cache.create ();
-      qps =
-        Array.init cfg.cores (fun i ->
-            Rdma.Fabric.qp fabric ~name:(Printf.sprintf "swap.%d" i));
-      lru = Queue.create ();
-      queued = Hashtbl.create 1024;
-      swap_backed = Hashtbl.create 1024;
-      io_done = Sim.Condvar.create eng;
-      frames_avail = Sim.Condvar.create eng;
-      reclaim_work = Sim.Condvar.create eng;
-      cores = Array.init cfg.cores make_core;
-      running = true;
-      reclaim_counter = 0;
-      ra_window = 2;
-      heap = None;
-      low = Int.max 4 (total / 50);
-      high = Int.max 24 (total / 25);
-    }
-  in
-  Sim.Engine.spawn eng ~name:"fastswap.offload" (offload_fiber t);
-  t
-
 let shutdown t =
   t.running <- false;
   Sim.Condvar.broadcast t.reclaim_work
 
 let quiesce _t = ()
-let core_state t core =
-  if core < 0 || core >= Array.length t.cores then invalid_arg "Fastswap: bad core";
-  t.cores.(core)
 
-let flush_core t cs =
-  if cs.pending > 0 then begin
-    let p = cs.pending in
-    cs.pending <- 0;
-    Sim.Engine.sleep t.eng (Sim.Time.ns p)
-  end
-
-let charge t cs ns =
-  cs.pending <- cs.pending + ns;
-  if cs.pending >= pending_cap_ns then flush_core t cs
-
-let flush t ~core = flush_core t (core_state t core)
-let compute t ~core ns = charge t (core_state t core) ns
+let cpu t ~core =
+  if core < 0 || core >= Array.length t.cpus then invalid_arg "Fastswap: bad core";
+  t.cpus.(core)
 
 (* Allocate a frame in fault context: on exhaustion, either this fault
    draws the short straw and does direct reclaim, or it parks on the
@@ -340,7 +224,7 @@ let direct_reclaim t cs =
   Sim.Stats.cincr t.hot.c_direct_reclaims;
   Sim.Stats.cadd t.hot.c_ph_reclaim Dilos.Params.fastswap_reclaim_direct_ns;
   Sim.Engine.sleep t.eng (Sim.Time.ns Dilos.Params.fastswap_reclaim_direct_ns);
-  ignore (evict_one t ~qp:t.qps.(cs.core_id))
+  ignore (evict_one t ~qp:t.qps.((Dilos.Cpu.id cs)))
 
 let alloc_frame_fault t cs =
   match Vmem.Frame.alloc t.frames with
@@ -385,7 +269,7 @@ let swapin_cluster t cs vpn_fault =
   (* Aligned cluster readahead: fetch the 8-page cluster containing
      the fault. The faulted page's IO is posted first; the rest queue
      behind it on the same QP. *)
-  let qp = t.qps.(cs.core_id) in
+  let qp = t.qps.((Dilos.Cpu.id cs)) in
   let win = t.ra_window in
   let start = vpn_fault land lnot (win - 1) in
   (* Swap-cache insertion happens per page, up front; the surviving
@@ -420,7 +304,7 @@ let swapin_cluster t cs vpn_fault =
     let n = !n in
     if n > 0 then begin
       if Trace.enabled cat_swap then
-        Trace.instant cat_swap ~name:"readahead" ~track:cs.trk
+        Trace.instant cat_swap ~name:"readahead" ~track:(Dilos.Cpu.track cs)
           ~args:[ ("vpn", Trace.I vpn_fault); ("pages", Trace.I n) ]
           ();
       Rdma.Qp.note_read_batch qp ~wrs:n;
@@ -518,7 +402,7 @@ let rec major_fault t cs vpn refetches =
       | Some _ | None -> ());
       (match !waiter with Some wake -> wake () | None -> ());
       Sim.Condvar.broadcast t.io_done)
-    t.qps.(cs.core_id)
+    t.qps.((Dilos.Cpu.id cs))
     ~segs:
       [
         {
@@ -561,9 +445,9 @@ let rec major_fault t cs vpn refetches =
   | (Some _ | None), _ -> ());
   if Trace.enabled cat_swap then begin
     let t_end = Sim.Engine.now t.eng in
-    Trace.complete cat_swap ~name:"fetch_window" ~track:cs.trk ~t0:fetch_t0
+    Trace.complete cat_swap ~name:"fetch_window" ~track:(Dilos.Cpu.track cs) ~t0:fetch_t0
       ~t1:fetch_end ();
-    Trace.complete cat_swap ~name:"swap_in" ~track:cs.trk ~t0:t_start ~t1:t_end
+    Trace.complete cat_swap ~name:"swap_in" ~track:(Dilos.Cpu.track cs) ~t0:t_start ~t1:t_end
       ~args:[ ("vpn", Trace.I vpn); ("fetch_ns", Trace.I fetch_ns) ]
       ()
   end;
@@ -620,42 +504,12 @@ and handle_fault_inner t cs vpn refetches =
           | Some e' when e' == e -> map_from_cache t vpn e
           | Some _ | None -> ());
           if Trace.enabled cat_swap then
-            Trace.complete cat_swap ~name:"swap_cache_hit" ~track:cs.trk ~t0
+            Trace.complete cat_swap ~name:"swap_cache_hit" ~track:(Dilos.Cpu.track cs) ~t0
               ~args:[ ("vpn", Trace.I vpn) ]
               ();
           Sim.Histogram.add t.hot.h_minor_fault
             (Int64.to_int (Sim.Time.sub (Sim.Engine.now t.eng) t0) + 570)
       | None -> major_fault t cs vpn refetches)
-
-let frame_off_slow t cs vpn ~write =
-  flush_core t cs;
-  let rec loop () =
-    match Vmem.Mmu.access t.pt ~vpn ~write with
-    | Vmem.Mmu.Frame f ->
-        let off = Vmem.Frame.offset t.frames f in
-        let i = vpn land tlb_mask in
-        Array.unsafe_set cs.tlb_vpn i vpn;
-        Array.unsafe_set cs.tlb_off i off;
-        Array.unsafe_set cs.tlb_written i write;
-        cs.pending <- cs.pending + 20;
-        off
-    | Vmem.Mmu.Fault pte ->
-        handle_fault t cs vpn pte;
-        loop ()
-  in
-  loop ()
-
-(* [charge] may flush pending time and sleep; reclaim can evict the
-   page and invalidate this TLB slot in that window, so re-validate the
-   entry after charging (see the matching comment in Dilos.Kernel). *)
-let page_off_for_read t cs vpn =
-  let i = vpn land tlb_mask in
-  if Array.unsafe_get cs.tlb_vpn i = vpn then begin
-    charge t cs Dilos.Params.mem_access_ns;
-    if Array.unsafe_get cs.tlb_vpn i = vpn then Array.unsafe_get cs.tlb_off i
-    else frame_off_slow t cs vpn ~write:false
-  end
-  else frame_off_slow t cs vpn ~write:false
 
 (* Dirtying a page that came back from swap releases its swap slot
    and goes through write-protect handling; pages that never swapped
@@ -663,175 +517,110 @@ let page_off_for_read t cs vpn =
 let charge_dirtying t cs vpn =
   if Hashtbl.mem t.swap_backed vpn then begin
     Hashtbl.remove t.swap_backed vpn;
-    charge t cs Dilos.Params.fastswap_dirty_write_ns
+    Dilos.Cpu.charge cs Dilos.Params.fastswap_dirty_write_ns
   end
 
-let page_off_for_write t cs vpn =
-  let i = vpn land tlb_mask in
-  if Array.unsafe_get cs.tlb_vpn i = vpn then begin
-    if not (Array.unsafe_get cs.tlb_written i) then begin
-      Vmem.Page_table.update t.pt vpn Vmem.Pte.set_dirty;
-      Array.unsafe_set cs.tlb_written i true;
-      charge_dirtying t cs vpn
-    end;
-    charge t cs Dilos.Params.mem_access_ns;
-    if Array.unsafe_get cs.tlb_vpn i = vpn then Array.unsafe_get cs.tlb_off i
-    else begin
-      let off = frame_off_slow t cs vpn ~write:true in
-      charge_dirtying t cs vpn;
-      off
-    end
-  end
-  else begin
-    let off = frame_off_slow t cs vpn ~write:true in
-    charge_dirtying t cs vpn;
-    off
-  end
+(* The slow path of [Dilos.Cpu]: flush, walk the page table (faulting
+   the page in as often as it takes), cache the translation; a store
+   then pays for dirtying a swap-backed page. *)
+let fill t cs vpn ~write =
+  Dilos.Cpu.flush cs;
+  let rec loop () =
+    match Vmem.Mmu.access t.pt ~vpn ~write with
+    | Vmem.Mmu.Frame f ->
+        let off = Vmem.Frame.offset t.frames f in
+        Dilos.Cpu.install cs vpn ~off ~write;
+        off
+    | Vmem.Mmu.Fault pte ->
+        handle_fault t cs vpn pte;
+        loop ()
+  in
+  let off = loop () in
+  if write then charge_dirtying t cs vpn;
+  off
 
-let split addr = (Vmem.Addr.vpn addr, Vmem.Addr.offset addr)
+let boot ~eng ~server (cfg : config) =
+  if cfg.cores <= 0 then invalid_arg "Fastswap.boot: cores <= 0";
+  let stats = Sim.Stats.create () in
+  let fabric = Memnode.Server.connect server ~stats () in
+  let frames =
+    Vmem.Frame.create
+      ~frames:(Int.max 32 (cfg.local_mem_bytes / Vmem.Addr.page_size))
+  in
+  let total = Vmem.Frame.total frames in
+  let hot =
+    {
+      c_major_faults = Sim.Stats.counter stats "major_faults";
+      c_minor_faults = Sim.Stats.counter stats "minor_faults";
+      c_evictions = Sim.Stats.counter stats "evictions";
+      c_writebacks = Sim.Stats.counter stats "writebacks";
+      c_ra_dropped = Sim.Stats.counter stats "ra_dropped";
+      c_ra_aborted = Sim.Stats.counter stats "ra_aborted";
+      c_readahead_pages = Sim.Stats.counter stats "readahead_pages";
+      c_fetch_retries = Sim.Stats.counter stats "fault_fetch_retries";
+      c_direct_reclaims = Sim.Stats.counter stats "direct_reclaims";
+      c_zero_fill = Sim.Stats.counter stats "zero_fill_faults";
+      c_ph_exception = Sim.Stats.counter stats "ph_exception_ns";
+      c_ph_swapcache = Sim.Stats.counter stats "ph_swapcache_ns";
+      c_ph_alloc = Sim.Stats.counter stats "ph_alloc_ns";
+      c_ph_fetch = Sim.Stats.counter stats "ph_fetch_ns";
+      c_ph_other = Sim.Stats.counter stats "ph_other_ns";
+      c_ph_reclaim = Sim.Stats.counter stats "ph_reclaim_ns";
+      h_fault = Sim.Stats.histo stats "fault_ns";
+      h_minor_fault = Sim.Stats.histo stats "minor_fault_ns";
+      ob_major_faults =
+        Obs.Registry.counter ~name:"kernel_major_faults"
+          ~labels:[ ("system", "fastswap") ]
+          ();
+      obh_fault =
+        Obs.Registry.histogram ~name:"kernel_fault_ns"
+          ~labels:[ ("system", "fastswap") ]
+          ();
+      attr = Trace.Attr.create stats;
+    }
+  in
+  let t =
+    {
+      eng;
+      cfg;
+      stats;
+      hot;
+      fabric;
+      aspace = Vmem.Address_space.create ();
+      pt = Vmem.Page_table.create ();
+      frames;
+      slab = Vmem.Frame.slab frames;
+      cache = Swap_cache.create ();
+      qps =
+        Array.init cfg.cores (fun i ->
+            Rdma.Fabric.qp fabric ~name:(Printf.sprintf "swap.%d" i));
+      lru = Queue.create ();
+      queued = Hashtbl.create 1024;
+      swap_backed = Hashtbl.create 1024;
+      io_done = Sim.Condvar.create eng;
+      frames_avail = Sim.Condvar.create eng;
+      reclaim_work = Sim.Condvar.create eng;
+      cpus = [||];
+      running = true;
+      reclaim_counter = 0;
+      ra_window = 2;
+      heap = None;
+      low = Int.max 4 (total / 50);
+      high = Int.max 24 (total / 25);
+    }
+  in
+  t.cpus <-
+    Array.init cfg.cores
+      (Dilos.Cpu.create ~eng ~pt:t.pt ~slab:t.slab ~fill:(fill t)
+         ~first_store:(charge_dirtying t));
+  Sim.Engine.spawn eng ~name:"fastswap.offload" (offload_fiber t);
+  t
 
-let check_span off size =
-  if off + size > Vmem.Addr.page_size then
-    invalid_arg "Fastswap: scalar access straddles a page boundary"
+include Dilos.Cpu.Accessors (struct
+  type k = t
 
-(* Scalar accessors: translation yields a slab offset whose page-sized
-   span is valid by construction, and [check_span] bounds [off], so the
-   unsafe slab accessors cannot escape the mapped frame. *)
-
-let read_u8 t ~core addr =
-  let cs = core_state t core in
-  let vpn, off = split addr in
-  Sim.Bigbuf.unsafe_get_u8 t.slab (page_off_for_read t cs vpn + off)
-
-let read_u16 t ~core addr =
-  let cs = core_state t core in
-  let vpn, off = split addr in
-  check_span off 2;
-  Sim.Bigbuf.unsafe_get_u16_le t.slab (page_off_for_read t cs vpn + off)
-
-let read_u32 t ~core addr =
-  let cs = core_state t core in
-  let vpn, off = split addr in
-  check_span off 4;
-  Sim.Bigbuf.unsafe_get_u32_le t.slab (page_off_for_read t cs vpn + off)
-
-let read_u64 t ~core addr =
-  let cs = core_state t core in
-  let vpn, off = split addr in
-  check_span off 8;
-  Sim.Bigbuf.unsafe_get_u64_le t.slab (page_off_for_read t cs vpn + off)
-
-let write_u8 t ~core addr v =
-  let cs = core_state t core in
-  let vpn, off = split addr in
-  Sim.Bigbuf.unsafe_set_u8 t.slab (page_off_for_write t cs vpn + off) (v land 0xFF)
-
-let write_u16 t ~core addr v =
-  let cs = core_state t core in
-  let vpn, off = split addr in
-  check_span off 2;
-  Sim.Bigbuf.unsafe_set_u16_le t.slab (page_off_for_write t cs vpn + off) v
-
-let write_u32 t ~core addr v =
-  let cs = core_state t core in
-  let vpn, off = split addr in
-  check_span off 4;
-  Sim.Bigbuf.unsafe_set_u32_le t.slab (page_off_for_write t cs vpn + off) v
-
-let write_u64 t ~core addr v =
-  let cs = core_state t core in
-  let vpn, off = split addr in
-  check_span off 8;
-  Sim.Bigbuf.unsafe_set_u64_le t.slab (page_off_for_write t cs vpn + off) v
-
-(* [_at] variants: see Dilos.Kernel — base + int offset, no Int64
-   boxing per access. *)
-
-let eff base off = Int64.to_int base + off
-
-let read_u8_at t ~core base off =
-  let cs = core_state t core in
-  let a = eff base off in
-  Sim.Bigbuf.unsafe_get_u8 t.slab
-    (page_off_for_read t cs (a lsr 12) + (a land 4095))
-
-let read_u16_at t ~core base off =
-  let cs = core_state t core in
-  let a = eff base off in
-  let o = a land 4095 in
-  check_span o 2;
-  Sim.Bigbuf.unsafe_get_u16_le t.slab (page_off_for_read t cs (a lsr 12) + o)
-
-let read_u32_at t ~core base off =
-  let cs = core_state t core in
-  let a = eff base off in
-  let o = a land 4095 in
-  check_span o 4;
-  Sim.Bigbuf.unsafe_get_u32_le t.slab (page_off_for_read t cs (a lsr 12) + o)
-
-let read_u64_at t ~core base off =
-  let cs = core_state t core in
-  let a = eff base off in
-  let o = a land 4095 in
-  check_span o 8;
-  Sim.Bigbuf.unsafe_get_u64_le t.slab (page_off_for_read t cs (a lsr 12) + o)
-
-let write_u8_at t ~core base off v =
-  let cs = core_state t core in
-  let a = eff base off in
-  Sim.Bigbuf.unsafe_set_u8 t.slab
-    (page_off_for_write t cs (a lsr 12) + (a land 4095))
-    (v land 0xFF)
-
-let write_u16_at t ~core base off v =
-  let cs = core_state t core in
-  let a = eff base off in
-  let o = a land 4095 in
-  check_span o 2;
-  Sim.Bigbuf.unsafe_set_u16_le t.slab (page_off_for_write t cs (a lsr 12) + o) v
-
-let write_u32_at t ~core base off v =
-  let cs = core_state t core in
-  let a = eff base off in
-  let o = a land 4095 in
-  check_span o 4;
-  Sim.Bigbuf.unsafe_set_u32_le t.slab (page_off_for_write t cs (a lsr 12) + o) v
-
-let write_u64_at t ~core base off v =
-  let cs = core_state t core in
-  let a = eff base off in
-  let o = a land 4095 in
-  check_span o 8;
-  Sim.Bigbuf.unsafe_set_u64_le t.slab (page_off_for_write t cs (a lsr 12) + o) v
-
-let bulk t ~core addr buf off len ~write =
-  if off < 0 || len < 0 || off + len > Bytes.length buf then
-    invalid_arg "Fastswap: bulk access outside buffer";
-  let cs = core_state t core in
-  let pos = ref addr and done_ = ref 0 in
-  while !done_ < len do
-    let vpn, poff = split !pos in
-    let n = Int.min (len - !done_) (Vmem.Addr.page_size - poff) in
-    if write then
-      let page_off = page_off_for_write t cs vpn in
-      Sim.Bigbuf.blit_from_bytes buf ~src_off:(off + !done_) t.slab
-        ~dst_off:(page_off + poff) ~len:n
-    else begin
-      let page_off = page_off_for_read t cs vpn in
-      Sim.Bigbuf.blit_to_bytes t.slab ~src_off:(page_off + poff) buf
-        ~dst_off:(off + !done_) ~len:n
-    end;
-    charge t cs (n / 64 * Dilos.Params.mem_access_ns);
-    pos := Int64.add !pos (Int64.of_int n);
-    done_ := !done_ + n
-  done
-
-let read_bytes t ~core addr buf off len = bulk t ~core addr buf off len ~write:false
-let write_bytes t ~core addr buf off len = bulk t ~core addr buf off len ~write:true
-
-let touch t ~core addr =
-  let cs = core_state t core in
-  ignore (page_off_for_read t cs (Vmem.Addr.vpn addr))
+  let cpu = cpu
+end)
 
 let mmap t ~len ?name () = Vmem.Address_space.mmap t.aspace ~len ~ddc:true ?name ()
 
@@ -872,12 +661,11 @@ let heap_of t =
       h
 
 let malloc t ~core size =
-  ignore core;
-  charge t (core_state t core) 30;
+  Dilos.Cpu.charge (cpu t ~core) 30;
   Dilos.Ddc_alloc.malloc (heap_of t) size
 
 let free t ~core addr =
-  charge t (core_state t core) 25;
+  Dilos.Cpu.charge (cpu t ~core) 25;
   Dilos.Ddc_alloc.free (heap_of t)
     ~write_link:(fun a -> write_u64 t ~core a 0xDEADBEEFL)
     addr

@@ -43,32 +43,12 @@ val munmap : t -> int64 -> unit
 val malloc : t -> core:int -> int -> int64
 val free : t -> core:int -> int64 -> unit
 
-val read_u8 : t -> core:int -> int64 -> int
-val read_u16 : t -> core:int -> int64 -> int
-val read_u32 : t -> core:int -> int64 -> int
-val read_u64 : t -> core:int -> int64 -> int64
-val write_u8 : t -> core:int -> int64 -> int -> unit
-val write_u16 : t -> core:int -> int64 -> int -> unit
-val write_u32 : t -> core:int -> int64 -> int -> unit
-val write_u64 : t -> core:int -> int64 -> int64 -> unit
-val read_bytes : t -> core:int -> int64 -> bytes -> int -> int -> unit
-val write_bytes : t -> core:int -> int64 -> bytes -> int -> int -> unit
+val cpu : t -> core:int -> Dilos.Cpu.t
+(** The core's access path: {!Dilos.Cpu}, the hit path shared with
+    DiLOS, with this kernel's swap path as its slow path. Raises
+    [Invalid_argument] on a bad core. *)
 
-(** [_at] variants: base address + [int] byte offset, split with int
-    arithmetic only (no boxed [Int64] per access); semantics identical
-    to the plain accessors at [Int64.add base (Int64.of_int off)]. *)
-
-val read_u8_at : t -> core:int -> int64 -> int -> int
-val read_u16_at : t -> core:int -> int64 -> int -> int
-val read_u32_at : t -> core:int -> int64 -> int -> int
-val read_u64_at : t -> core:int -> int64 -> int -> int64
-val write_u8_at : t -> core:int -> int64 -> int -> int -> unit
-val write_u16_at : t -> core:int -> int64 -> int -> int -> unit
-val write_u32_at : t -> core:int -> int64 -> int -> int -> unit
-val write_u64_at : t -> core:int -> int64 -> int -> int64 -> unit
-val compute : t -> core:int -> int -> unit
-val flush : t -> core:int -> unit
-val touch : t -> core:int -> int64 -> unit
+include Dilos.Cpu.ACCESSORS with type k := t
 
 val free_frames : t -> int
 val swap_cache_size : t -> int

@@ -43,6 +43,7 @@ let classify path =
    handle API (Stats.counter + cincr/cadd) instead. *)
 let hot_modules =
   [
+    "core/cpu.ml";
     "core/kernel.ml";
     "core/page_manager.ml";
     "fastswap/kernel.ml";

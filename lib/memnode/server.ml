@@ -43,6 +43,25 @@ let create_replicated ~eng ~size ?(huge_pages = true)
     faults;
   }
 
+(* The single-instance path stays byte-for-byte the old one — the
+   goldens pin it — so the group is engaged only when asked for. *)
+let of_topology ~eng ~size ?(shards = 1) ?(replication = 1) ?faults () =
+  let has_drill =
+    match faults with
+    | Some p -> Faults.Spec.has_drill (Faults.Plan.spec p)
+    | None -> false
+  in
+  if shards > 1 || replication > 1 || has_drill then
+    create_replicated ~eng ~size
+      ~config:
+        {
+          Replica_group.default_config with
+          shards = Int.max shards replication;
+          replication;
+        }
+      ?faults ()
+  else create ~eng ~size ?faults ()
+
 (* One-sided accesses leave no software trace on the memory node — the
    RNIC serves them against registered memory (§5). The instants below
    are the observability stand-in for a bus analyzer on that node:

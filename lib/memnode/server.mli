@@ -41,6 +41,20 @@ val create_replicated :
     additionally arms the plan's scripted [kill-shard] /
     [recover-shard] schedule on the group. *)
 
+val of_topology :
+  eng:Sim.Engine.t ->
+  size:int64 ->
+  ?shards:int ->
+  ?replication:int ->
+  ?faults:Faults.Plan.t ->
+  unit ->
+  t
+(** The memory node of one run: a single instance ({!create}) unless
+    [shards > 1], [replication > 1] or [faults] scripts a shard
+    kill/recover drill; then a {!create_replicated} group of
+    [max shards replication] shards. [shards] and [replication]
+    default to 1. *)
+
 val connect :
   t ->
   ?nic_config:Rdma.Nic.config ->

@@ -208,23 +208,26 @@ let validate t segs buf =
         invalid_arg "Qp: segment outside local buffer")
     segs
 
-let count t op bytes_ =
+(* Every posted attempt bumps the run's Stats and the QP's labeled
+   registry series alike, so the two views always agree. [ops] WRs of
+   [bytes_] bytes in total. *)
+let count_ops t op ~ops bytes_ =
   (match op with
   | Nic.Read ->
-      Obs.Registry.cincr t.ob_read_ops;
+      Obs.Registry.cadd t.ob_read_ops ops;
       Obs.Registry.cadd t.ob_read_bytes bytes_
   | Nic.Write ->
-      Obs.Registry.cincr t.ob_write_ops;
+      Obs.Registry.cadd t.ob_write_ops ops;
       Obs.Registry.cadd t.ob_write_bytes bytes_);
   match t.hstats with
   | None -> ()
   | Some h -> (
       match op with
       | Nic.Read ->
-          Sim.Stats.cincr h.c_reads;
+          Sim.Stats.cadd h.c_reads ops;
           Sim.Stats.cadd h.c_read_bytes bytes_
       | Nic.Write ->
-          Sim.Stats.cincr h.c_writes;
+          Sim.Stats.cadd h.c_writes ops;
           Sim.Stats.cadd h.c_write_bytes bytes_)
 
 let meter t op bytes_ =
@@ -347,7 +350,7 @@ let extent_fire e =
   let raddr = Int64.add e.e_raddr0 (Int64.of_int (i * page_size)) in
   let unreachable =
     (* A dead replica set fails only this page; the chained siblings
-       still complete (mirroring [post_read_batch]'s independence). *)
+       still complete, as independent WRs would. *)
     try
       t.target.t_read raddr e.e_buf e.e_offs.(i) page_size;
       None
@@ -449,7 +452,7 @@ let rec attempt t plan op ~bytes_ ~segments ~transfer ~on_complete ~on_error
   let completion =
     Sim.Time.add (Sim.Time.add start latency) t.extra_completion_delay
   in
-  count t op bytes_;
+  count_ops t op ~ops:1 bytes_;
   (match fa with
   | Some a -> a.Trace.fa_attempts <- a.Trace.fa_attempts + 1
   | None -> ());
@@ -598,7 +601,7 @@ let post ?on_error ?fa t op ~segs ~buf ~snap ~snap_base ~release_snap
         Sim.Time.add (Sim.Time.add start latency) t.extra_completion_delay
       in
       t.inflight <- t.inflight + 1;
-      count t op bytes_;
+      count_ops t op ~ops:1 bytes_;
       (match fa with
       | Some a ->
           a.Trace.fa_attempts <- a.Trace.fa_attempts + 1;
@@ -623,88 +626,9 @@ let post_read ?on_error ?fa t ~segs ~buf ~on_complete =
   post ?on_error ?fa t Nic.Read ~segs ~buf ~snap:empty_buf ~snap_base:0
     ~release_snap:false ~on_complete
 
-type read_wr = {
-  r_segs : seg list;
-  r_buf : Buf.t;
-  r_on_complete : unit -> unit;
-  r_on_error : (unit -> unit) option;
-}
-
-(* One doorbell for the whole chain. Per-WR service is unchanged:
-   every WR still pays its own occupancy and latency, so the simulated
-   timeline is identical to posting the WRs back-to-back at the same
-   instant (only the first WR of a back-to-back run can ever be
-   doorbell-limited; the rest start at [next_free] either way). What
-   batching saves is host work per WR — here, wall-clock — which the
-   [rdma_read_batches] counter makes visible next to [rdma_reads].
-   Under a fault plan each WR retries independently: a dead link does
-   not take its chain siblings down with it (only its own [r_on_error]
-   fires). *)
-let post_read_batch t wrs =
-  if wrs <> [] then begin
-    (match t.hstats with
-    | Some h -> Sim.Stats.cincr h.c_read_batches
-    | None -> ());
-    let now = Sim.Engine.now t.eng in
-    let posted = Sim.Time.add now (Nic.doorbell t.nic) in
-    if Trace.enabled cat_rdma then
-      Trace.instant cat_rdma ~name:"read_batch" ~track:t.trk
-        ~args:[ ("wrs", Trace.I (List.length wrs)) ]
-        ();
-    match t.faults with
-    | Some plan ->
-        List.iter
-          (fun wr ->
-            validate t wr.r_segs wr.r_buf;
-            let bytes_ = total_len wr.r_segs in
-            let segments = List.length wr.r_segs in
-            let transfer () =
-              List.iter
-                (fun s -> t.target.t_read s.raddr wr.r_buf s.loff s.len)
-                wr.r_segs
-            in
-            t.inflight <- t.inflight + 1;
-            attempt t plan Nic.Read ~bytes_ ~segments ~transfer
-              ~on_complete:wr.r_on_complete ~on_error:wr.r_on_error ~fa:None
-              ~posted ~try_no:1)
-          wrs
-    | None ->
-        List.iter
-          (fun wr ->
-            validate t wr.r_segs wr.r_buf;
-            let bytes_ = total_len wr.r_segs in
-            let segments = List.length wr.r_segs in
-            let start = Sim.Time.max posted t.next_free in
-            t.next_free <- Sim.Time.add start (occupancy t ~bytes_ ~segments);
-            let latency =
-              Nic.latency t.nic Nic.Read ~bytes_ ~segments
-                ~huge_pages:t.huge_pages
-            in
-            let completion =
-              Sim.Time.add (Sim.Time.add start latency) t.extra_completion_delay
-            in
-            t.inflight <- t.inflight + 1;
-            count t Nic.Read bytes_;
-            let c = comp_take t in
-            c.c_op <- Nic.Read;
-            c.c_bytes <- bytes_;
-            c.c_segments <- segments;
-            c.c_segs <- wr.r_segs;
-            c.c_buf <- wr.r_buf;
-            c.c_snap <- empty_buf;
-            c.c_snap_base <- 0;
-            c.c_release_snap <- false;
-            c.c_t0 <- now;
-            c.c_on_complete <- wr.r_on_complete;
-            c.c_on_error <- wr.r_on_error;
-            Sim.Engine.at t.eng completion c.c_fn)
-          wrs
-  end
-
-(* Batch bookkeeping for callers that post a fetch window through
-   [post_read_pages] / [post_read] directly instead of building
-   [read_wr] records: one doorbell's worth of counter + trace, exactly
-   what [post_read_batch] emits before its per-WR loop. *)
+(* Batch bookkeeping for a fetch window posted as one chain through
+   [post_read_pages] / [post_read]: one doorbell's worth of counter +
+   trace for the whole window. *)
 let note_read_batch t ~wrs =
   if wrs > 0 then begin
     (match t.hstats with
@@ -736,7 +660,7 @@ let note_read_batch t ~wrs =
    are not contiguous even when remote pages are); the array must stay
    untouched by the caller until the last page completes. Under a
    fault plan pages fall back to independent per-WR attempts with
-   bounded retry, as [post_read_batch] does. *)
+   bounded retry. *)
 let post_read_pages t ~raddr0 ~buf ~offs ~count ~on_page ~on_page_error =
   if count <= 0 then invalid_arg "Qp.post_read_pages: count must be positive";
   if count > Array.length offs then
@@ -774,8 +698,8 @@ let post_read_pages t ~raddr0 ~buf ~offs ~count ~on_page ~on_page_error =
           ~huge_pages:t.huge_pages
       in
       if not !coalescing then
-        (* Reference path: one engine event per page, exactly the
-           healthy [post_read_batch] loop. *)
+        (* Reference path: one engine event per page, exactly what
+           [count] back-to-back [post_read]s would schedule. *)
         for i = 0 to count - 1 do
           let raddr = Int64.add raddr0 (Int64.of_int (i * page_size)) in
           let start = Sim.Time.max posted t.next_free in
@@ -784,11 +708,7 @@ let post_read_pages t ~raddr0 ~buf ~offs ~count ~on_page ~on_page_error =
             Sim.Time.add (Sim.Time.add start latency) t.extra_completion_delay
           in
           t.inflight <- t.inflight + 1;
-          (match t.hstats with
-          | None -> ()
-          | Some h ->
-              Sim.Stats.cincr h.c_reads;
-              Sim.Stats.cadd h.c_read_bytes page_size);
+          count_ops t Nic.Read ~ops:1 page_size;
           let c = comp_take t in
           c.c_op <- Nic.Read;
           c.c_bytes <- page_size;
@@ -814,11 +734,7 @@ let post_read_pages t ~raddr0 ~buf ~offs ~count ~on_page ~on_page_error =
           Sim.Time.add (Sim.Time.add start0 latency) t.extra_completion_delay
         in
         t.inflight <- t.inflight + count;
-        (match t.hstats with
-        | None -> ()
-        | Some h ->
-            Sim.Stats.cadd h.c_reads count;
-            Sim.Stats.cadd h.c_read_bytes (count * page_size));
+        count_ops t Nic.Read ~ops:count (count * page_size);
         let seq0 = Sim.Engine.reserve_seqs t.eng count in
         let e = ext_take t in
         e.e_raddr0 <- raddr0;

@@ -101,29 +101,10 @@ val post_write :
     buffer when it fits); retried attempts resend the same snapshot,
     keeping the WR idempotent. [on_error] as in {!post_read}. *)
 
-type read_wr = {
-  r_segs : seg list;
-  r_buf : Sim.Bigbuf.t;
-  r_on_complete : unit -> unit;
-  r_on_error : (unit -> unit) option;
-      (** Per-WR permanent-failure handler; [None] retries forever. *)
-}
-
-val post_read_batch : t -> read_wr list -> unit
-(** Post a chain of READ work requests with a single doorbell.
-    Simulated timing is identical to posting each WR with {!post_read}
-    at the same instant — each WR still pays its own occupancy and
-    latency, and completions fire per WR in order — but the host-side
-    cost is paid once per chain. Increments [rdma_read_batches] once
-    (and the per-op counters per WR). Empty list is a no-op. Under a
-    fault plan each WR retries independently; a WR's permanent failure
-    fires only its own [r_on_error]. *)
-
 val note_read_batch : t -> wrs:int -> unit
-(** The batch-level bookkeeping of {!post_read_batch} (one
-    [rdma_read_batches] bump + trace instant) for callers that post
-    the window's WRs through {!post_read_pages} / {!post_read}
-    directly. No-op when [wrs = 0]. *)
+(** Batch-level bookkeeping for a window of [wrs] READs posted as one
+    chain (one doorbell) through {!post_read_pages} / {!post_read}: one
+    [rdma_read_batches] bump + trace instant. No-op when [wrs = 0]. *)
 
 val post_read_pages :
   t ->
@@ -141,7 +122,7 @@ val post_read_pages :
     fires at page [i]'s exact completion instant (after its payload
     transfer); sequence numbers are pre-reserved so the global event
     order, every counter, and every trace span are bit-identical to
-    the equivalent {!post_read_batch} chain. [offs] must not be
+    [count] back-to-back {!post_read}s. [offs] must not be
     mutated until the last page completes. Under a fault plan each
     page degrades to an independent retried WR ([on_page_error i] on
     permanent failure). *)

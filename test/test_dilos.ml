@@ -390,6 +390,78 @@ let loader_hooks () =
       Dilos.Loader.fire_hook l "unrelated" 7L;
       Alcotest.(check (list int64)) "hooks fired in order" [ -5L; 5L ] !seen)
 
+(* The hit path's re-validation (Dilos.Cpu): a store hits the TLB, its
+   charge crosses the flush cap, and while the core sleeps off the
+   pending time another fiber forces reclaim, which evicts the very
+   page. The store must notice its slot is gone, fault the page back in
+   through the kernel's fill, and land in the new frame — using the
+   cached offset would write into a freed frame and the store would be
+   lost. Whether reclaim reaches the page inside the ~10 us window
+   depends on how close to the low watermark the pool is, so the test
+   sweeps the pre-pressure [k]: every run must read the store back, and
+   at least one must have refilled the page during the store. *)
+let revalidate_run system k =
+  let pages = 48 and target = 47 in
+  let out = ref None in
+  ignore
+    (Apps.Harness.run system ~local_mem:(32 * page) ~cores:2
+       ~remote_size:(Int64.shift_left 1L 30) (fun ctx ->
+         let module M = Apps.Memif in
+         let stats = ctx.Apps.Harness.stats and eng = ctx.Apps.Harness.eng in
+         let m0 = ctx.Apps.Harness.mem ~core:0
+         and m1 = ctx.Apps.Harness.mem ~core:1 in
+         let r = m0.M.malloc (pages * page) in
+         for i = 0 to pages - 1 do
+           m0.M.write_u64_at r (i * page) (Int64.of_int i)
+         done;
+         m0.M.flush ();
+         Sim.Engine.sleep eng (Sim.Time.ms 1);
+         (* Core 1 drains the free pool with first touches: [k] now, the
+            rest during the store's flush. *)
+         let fresh = m1.M.malloc (128 * page) in
+         let drain lo hi =
+           for j = lo to hi - 1 do
+             m1.M.touch (Int64.add fresh (Int64.of_int (j * page)))
+           done;
+           m1.M.flush ()
+         in
+         drain 0 k;
+         let a = Int64.add r (Int64.of_int (target * page)) in
+         (* Load the translation (a miss leaves the 20 ns fill
+            pending), then bring the pending time to 1 ns under the cap
+            without yielding: the store below is a TLB hit whose
+            charges flush. *)
+         m0.M.flush ();
+         ignore (m0.M.read_u64 a);
+         m0.M.compute (Dilos.Cpu.pending_cap_ns - 21);
+         Sim.Engine.spawn eng (fun () -> drain k (k + 64));
+         let faults0 = Sim.Stats.get stats "major_faults" in
+         m0.M.write_u64 a 0xFEEDL;
+         let refilled = Sim.Stats.get stats "major_faults" - faults0 > 0 in
+         Sim.Engine.sleep eng (Sim.Time.ms 1);
+         (* Push the page out again so the read below comes from the
+            memory node. *)
+         for i = 0 to pages - 2 do
+           ignore (m0.M.read_u64_at r (i * page))
+         done;
+         out := Some (refilled, m0.M.read_u64 a)));
+  match !out with Some o -> o | None -> Alcotest.fail "scenario did not run"
+
+let store_revalidates_after_sleeping_charge () =
+  List.iter
+    (fun system ->
+      let name = Apps.Harness.system_name system in
+      let refills = ref 0 in
+      for k = 0 to 40 do
+        let refilled, v = revalidate_run system k in
+        if refilled then incr refills;
+        check_i64 (Printf.sprintf "%s k=%d: store survives" name k) 0xFEEDL v
+      done;
+      check_bool
+        (Printf.sprintf "%s: some store refilled its page (%d)" name !refills)
+        true (!refills > 0))
+    [ Apps.Harness.Dilos Dilos.Kernel.No_prefetch; Apps.Harness.Fastswap ]
+
 let suite =
   [
     quick "roundtrip within cache" roundtrip_within_cache;
@@ -399,6 +471,8 @@ let suite =
     quick "zero-fill reads zero" zero_fill_reads_zero;
     quick "bulk roundtrip cross page" bulk_roundtrip_cross_page;
     quick "scalar straddle rejected" scalar_straddle_rejected;
+    quick "store re-validates after a sleeping charge"
+      store_revalidates_after_sleeping_charge;
     quick "fault latency reasonable" fault_latency_reasonable;
     quick "prefetch reduces major faults" prefetch_reduces_major_faults;
     quick "prefetched pages wait not refetch" prefetched_pages_wait_not_refetch;

@@ -367,6 +367,58 @@ let test_report_byte_identity () =
   let a = render () and b = render () in
   Alcotest.(check string) "same seed, same bytes" a b
 
+(* Every RDMA op lands in both views: the run's Stats counters and the
+   per-QP labeled registry series. A readahead window posted as one
+   page extent ([Rdma.Qp.post_read_pages]) used to bump only Stats. *)
+let registry_op_sum reg family op =
+  List.fold_left
+    (fun acc f ->
+      if String.equal f.Obs.Registry.f_name family then
+        List.fold_left
+          (fun acc s ->
+            match
+              (List.assoc_opt "op" s.Obs.Registry.s_labels, s.Obs.Registry.s_value ())
+            with
+            | Some o, Obs.Registry.V n when String.equal o op -> acc + n
+            | _ -> acc)
+          acc f.Obs.Registry.f_series
+      else acc)
+    0 (Obs.Registry.families reg)
+
+let test_rdma_registry_matches_stats () =
+  List.iter
+    (fun (system, fault_spec, fault_name) ->
+      let reg = Obs.Registry.create () in
+      let r =
+        Apps.Harness.run system ~local_mem:(1024 * 1024)
+          ~remote_size:(Int64.shift_left 1L 30) ?fault_spec ~obs:reg
+          (fun ctx ->
+            ignore
+              (Apps.Seq.run ctx ~size_bytes:(4 * 1024 * 1024)
+                 ~mode:Apps.Seq.Write))
+      in
+      let name = Apps.Harness.system_name system ^ "/" ^ fault_name in
+      let stat = Sim.Stats.get r.Apps.Harness.run_stats in
+      check_bool (name ^ ": reads happened") true (stat "rdma_reads" > 0);
+      List.iter
+        (fun (counter, family, op) ->
+          check_int
+            (Printf.sprintf "%s: %s = %s{op=%s}" name counter family op)
+            (stat counter)
+            (registry_op_sum reg family op))
+        [
+          ("rdma_reads", "rdma_qp_ops", "read");
+          ("rdma_read_bytes", "rdma_qp_bytes", "read");
+          ("rdma_writes", "rdma_qp_ops", "write");
+          ("rdma_write_bytes", "rdma_qp_bytes", "write");
+        ])
+    [
+      (Apps.Harness.Dilos Dilos.Kernel.Readahead, None, "clean");
+      (Apps.Harness.Dilos Dilos.Kernel.Readahead, Some Faults.Spec.flaky, "flaky");
+      (Apps.Harness.Fastswap, None, "clean");
+      (Apps.Harness.Fastswap, Some Faults.Spec.flaky, "flaky");
+    ]
+
 let suite =
   [
     quick "registry-basics" test_registry_basics;
@@ -391,4 +443,5 @@ let suite =
     quick "matrix-profile-reconciles" test_matrix_reconciles;
     quick "matrix-shard-labels" test_matrix_shard_labels;
     quick "report-byte-identity" test_report_byte_identity;
+    quick "rdma-registry-matches-stats" test_rdma_registry_matches_stats;
   ]

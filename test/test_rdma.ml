@@ -231,96 +231,6 @@ let qp_stats_counted () =
       check_int "writes" 1 (Sim.Stats.get stats "rdma_writes");
       check_int "write bytes" 128 (Sim.Stats.get stats "rdma_write_bytes"))
 
-let qp_batch_matches_back_to_back_singles () =
-  (* Batched posting must reproduce the exact completion instants and
-     order of posting the same WRs back-to-back at one instant: the
-     doorbell is only ever the limiter for the first WR. *)
-  let completions post =
-    run_sim (fun eng ->
-        let _s, fabric = mk_fabric eng () in
-        let qp = Rdma.Fabric.qp fabric ~name:"t" in
-        let log = ref [] in
-        let buf = Sim.Bigbuf.create 4096 in
-        post eng qp buf log;
-        Sim.Engine.sleep eng (Sim.Time.ms 1);
-        List.rev !log)
-  in
-  let seg i =
-    { Rdma.Qp.raddr = Int64.of_int (i * 4096); loff = 0; len = 4096 }
-  in
-  let singles =
-    completions (fun eng qp buf log ->
-        for i = 0 to 7 do
-          Rdma.Qp.post_read qp ~segs:[ seg i ] ~buf ~on_complete:(fun () ->
-              log := (i, Sim.Engine.now eng) :: !log)
-        done)
-  in
-  let batched =
-    completions (fun eng qp buf log ->
-        Rdma.Qp.post_read_batch qp
-          (List.init 8 (fun i ->
-               {
-                 Rdma.Qp.r_segs = [ seg i ];
-                 r_buf = buf;
-                 r_on_complete =
-                   (fun () -> log := (i, Sim.Engine.now eng) :: !log);
-                 r_on_error = None;
-               })))
-  in
-  check_int "all completed" 8 (List.length batched);
-  Alcotest.(check (list (pair int int64)))
-    "same completion order and instants" singles batched
-
-let qp_batch_reads_data () =
-  run_sim (fun eng ->
-      let _s, fabric = mk_fabric eng () in
-      let qp = Rdma.Fabric.qp fabric ~name:"t" in
-      Rdma.Qp.write qp ~raddr:0x1000L ~buf:(bb "left") ~off:0 ~len:4;
-      Rdma.Qp.write qp ~raddr:0x2000L ~buf:(bb "rite") ~off:0 ~len:4;
-      let a = Sim.Bigbuf.create 4 and b = Sim.Bigbuf.create 4 in
-      let remaining = ref 2 in
-      Rdma.Qp.post_read_batch qp
-        [
-          {
-            Rdma.Qp.r_segs = [ { Rdma.Qp.raddr = 0x1000L; loff = 0; len = 4 } ];
-            r_buf = a;
-            r_on_complete = (fun () -> decr remaining);
-            r_on_error = None;
-          };
-          {
-            Rdma.Qp.r_segs = [ { Rdma.Qp.raddr = 0x2000L; loff = 0; len = 4 } ];
-            r_buf = b;
-            r_on_complete = (fun () -> decr remaining);
-            r_on_error = None;
-          };
-        ];
-      Sim.Engine.sleep eng (Sim.Time.ms 1);
-      check_int "both completed" 0 !remaining;
-      Alcotest.(check string) "first buffer" "left" (bb_str a);
-      Alcotest.(check string) "second buffer" "rite" (bb_str b))
-
-let qp_batch_counters () =
-  run_sim (fun eng ->
-      let stats = Sim.Stats.create () in
-      let _s, fabric = mk_fabric eng ~stats () in
-      let qp = Rdma.Fabric.qp fabric ~name:"t" in
-      Rdma.Qp.post_read_batch qp [];
-      check_int "empty batch is a no-op" 0 (Sim.Stats.get stats "rdma_read_batches");
-      let buf = Sim.Bigbuf.create 4096 in
-      Rdma.Qp.post_read_batch qp
-        (List.init 3 (fun i ->
-             {
-               Rdma.Qp.r_segs =
-                 [ { Rdma.Qp.raddr = Int64.of_int (i * 4096); loff = 0; len = 4096 } ];
-               r_buf = buf;
-               r_on_complete = ignore;
-               r_on_error = None;
-             }));
-      Sim.Engine.sleep eng (Sim.Time.ms 1);
-      check_int "one batch" 1 (Sim.Stats.get stats "rdma_read_batches");
-      check_int "three ops" 3 (Sim.Stats.get stats "rdma_reads");
-      check_int "bytes per op" (3 * 4096) (Sim.Stats.get stats "rdma_read_bytes"))
-
 (* ------------------------------------------------------------------ *)
 (* Bandwidth meter *)
 
@@ -385,9 +295,6 @@ let suite =
     quick "qp tcp emulation delay" qp_tcp_emulation_delay;
     quick "qp protection enforced" qp_protection_enforced;
     quick "qp stats counted" qp_stats_counted;
-    quick "qp batch matches singles" qp_batch_matches_back_to_back_singles;
-    quick "qp batch reads data" qp_batch_reads_data;
-    quick "qp batch counters" qp_batch_counters;
     quick "bandwidth meter buckets" bandwidth_buckets;
     quick "page store zero fill" store_zero_fill;
     quick "page store cross-block" store_cross_block;

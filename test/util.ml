@@ -21,22 +21,10 @@ let plan_of ?fault_spec ?(fault_seed = 1) () =
 
 (* Memory node for the [with_*] helpers: single instance by default, a
    replica group when the test asks for shards/replication (or the
-   fault spec scripts a shard kill). *)
-let make_server ~eng ?faults ?fault_spec ?(shards = 1) ?(replication = 1) () =
-  let size = Int64.shift_left 1L 33 in
-  let has_drill =
-    match fault_spec with Some s -> Faults.Spec.has_drill s | None -> false
-  in
-  if shards > 1 || replication > 1 || has_drill then
-    Memnode.Server.create_replicated ~eng ~size
-      ~config:
-        {
-          Memnode.Replica_group.default_config with
-          shards = Int.max shards replication;
-          replication;
-        }
-      ?faults ()
-  else Memnode.Server.create ~eng ~size ?faults ()
+   fault plan scripts a shard kill). *)
+let make_server ~eng ?faults ?shards ?replication () =
+  Memnode.Server.of_topology ~eng ~size:(Int64.shift_left 1L 33) ?shards
+    ?replication ?faults ()
 
 (* Small DiLOS instance for kernel-level tests. *)
 let with_dilos ?(local_mem = 1024 * 1024) ?(prefetch = Dilos.Kernel.No_prefetch)
@@ -44,7 +32,7 @@ let with_dilos ?(local_mem = 1024 * 1024) ?(prefetch = Dilos.Kernel.No_prefetch)
     f =
   run_sim (fun eng ->
       let faults = plan_of ?fault_spec ?fault_seed () in
-      let server = make_server ~eng ?faults ?fault_spec ?shards ?replication () in
+      let server = make_server ~eng ?faults ?shards ?replication () in
       let k =
         Dilos.Kernel.boot ~eng ~server
           {
@@ -63,7 +51,7 @@ let with_fastswap ?(local_mem = 1024 * 1024) ?(readahead = true) ?fault_spec
     ?fault_seed ?shards ?replication f =
   run_sim (fun eng ->
       let faults = plan_of ?fault_spec ?fault_seed () in
-      let server = make_server ~eng ?faults ?fault_spec ?shards ?replication () in
+      let server = make_server ~eng ?faults ?shards ?replication () in
       let k =
         Fastswap.Kernel.boot ~eng ~server
           { Fastswap.Kernel.local_mem_bytes = local_mem; cores = 1; readahead }
