@@ -170,7 +170,7 @@ let instance_shutdown = function
   | I_fastswap k -> Fastswap.Kernel.shutdown k
   | I_aifm k -> Aifm.Runtime.shutdown k
 
-let run system ~local_mem ?(cores = 1) ?remote_size ?bw_bucket:_ ?fault_spec
+let run system ~local_mem ?(cores = 1) ?remote_size ?fault_spec
     ?(fault_seed = 1) ?shards ?replication ?obs ?observe f =
   let eng = Sim.Engine.create () in
   (* The Observatory registry must be ambient BEFORE boot: QPs, shards
@@ -185,9 +185,7 @@ let run system ~local_mem ?(cores = 1) ?remote_size ?bw_bucket:_ ?fault_spec
   let faults =
     Option.map (fun spec -> Faults.Plan.make ~seed:fault_seed spec) fault_spec
   in
-  let server =
-    Memnode.Server.of_topology ~eng ~size ?shards ?replication ?faults ()
-  in
+  let server = Memnode.Server.create ~eng ~size ?shards ?replication ?faults () in
   let instance = boot system ~eng ~server ~local_mem ~cores in
   let stats = instance_stats instance in
   let bw = Rdma.Fabric.bandwidth (instance_fabric instance) in

@@ -41,7 +41,6 @@ val run :
   local_mem:int ->
   ?cores:int ->
   ?remote_size:int64 ->
-  ?bw_bucket:Sim.Time.t ->
   ?fault_spec:Faults.Spec.t ->
   ?fault_seed:int ->
   ?shards:int ->
@@ -54,16 +53,15 @@ val run :
     shut down, and report. [elapsed] excludes boot. [fault_spec] (with
     [fault_seed], default 1) attaches a deterministic fault-injection
     campaign to the fabric — see {!Faults.Spec.parse} for the scenario
-    language. [shards] / [replication] (default 1/1) put a
-    {!Memnode.Replica_group} behind the memory node; the group is also
-    engaged automatically when [fault_spec] carries a kill/recover
-    drill schedule. The plain single-node path is untouched otherwise,
-    keeping golden outputs bit-identical. [obs] installs an Observatory
-    registry for the whole run — BEFORE boot, because QPs, shards and
-    kernels resolve their labeled handles in their constructors — and
-    uninstalls it on return. [observe] runs between boot and workload
-    start, with the run's engine and stats in hand — the attach point
-    for a tracer, metrics sampler or health monitor. *)
+    language. [shards] / [replication] (default 1/1) size the
+    {!Memnode.Replica_group} behind the memory node (see
+    {!Memnode.Server.create}); a kill/recover drill in [fault_spec] is
+    armed on it. [obs] installs an Observatory registry for the whole
+    run — BEFORE boot, because QPs, shards and kernels resolve their
+    labeled handles in their constructors — and uninstalls it on
+    return. [observe] runs between boot and workload start, with the
+    run's engine and stats in hand — the attach point for a tracer,
+    metrics sampler or health monitor. *)
 
 val set_redis_guide : ctx -> Dilos.Guide.prefetch_guide -> unit
 (** Install an app-aware prefetch guide if (and only if) the instance

@@ -49,6 +49,7 @@ let hot_modules =
     "fastswap/kernel.ml";
     "aifm/runtime.ml";
     "rdma/qp.ml";
+    "memnode/replica_group.ml";
   ]
 
 let is_hot ctx = ctx.root = Lib && List.mem ctx.rel hot_modules

@@ -14,7 +14,8 @@ let id = "stats-handle"
 
 let doc =
   "string-keyed Stats.incr/Stats.add are banned in hot modules \
-   (core/kernel, core/page_manager, fastswap/kernel, aifm/runtime, rdma/qp); \
+   (core/cpu, core/kernel, core/page_manager, fastswap/kernel, aifm/runtime, \
+   rdma/qp, memnode/replica_group); \
    resolve a handle at boot with Stats.counter and use cincr/cadd"
 
 let is_string_stats p =

@@ -102,6 +102,7 @@ type t = {
   nic : Rdma.Nic.t;  (* prices mirror/backup wire time (accounting) *)
   scratch : Buf.t;  (* one page, for diff bases and resync copies *)
   mutable stats : hstats option;
+  drill : bool;  (* the fault plan scripts kills or recovers *)
   mutable timers : Sim.Engine.timer list;
   mutable interval_resync : int;  (* bytes resynced in the current interval *)
   mutable max_interval_resync : int;
@@ -118,24 +119,28 @@ let alive t i = t.shards.(i).alive
 let syncing t i = t.shards.(i).syncing
 let max_resync_bytes_per_interval t = t.max_interval_resync
 
+(* The [repl_*] counters exist only where they can move. A lone shard
+   with no scripted kill or recover never fails over, mirrors or
+   resyncs, so it leaves the single memory node's Stats key set alone. *)
 let attach_stats t st =
-  t.stats <-
-    Some
-      {
-        c_kills = Sim.Stats.counter st "repl_kills";
-        c_recovers = Sim.Stats.counter st "repl_recovers";
-        c_failover_reads = Sim.Stats.counter st "repl_failover_reads";
-        c_failover_ns = Sim.Stats.counter st "repl_failover_latency_ns";
-        c_mirror_writes = Sim.Stats.counter st "repl_mirror_writes";
-        c_mirror_bytes = Sim.Stats.counter st "repl_mirror_bytes";
-        c_mirror_ns = Sim.Stats.counter st "repl_mirror_ns";
-        c_granules_dirty = Sim.Stats.counter st "repl_granules_dirty";
-        c_granules_clean = Sim.Stats.counter st "repl_granules_clean";
-        c_resync_pages = Sim.Stats.counter st "repl_resync_pages";
-        c_resync_bytes = Sim.Stats.counter st "repl_resync_bytes";
-        c_recovery_ns = Sim.Stats.counter st "repl_recovery_ns";
-        c_lost_pages = Sim.Stats.counter st "repl_lost_pages";
-      }
+  if t.cfg.shards > 1 || t.drill then
+    t.stats <-
+      Some
+        {
+          c_kills = Sim.Stats.counter st "repl_kills";
+          c_recovers = Sim.Stats.counter st "repl_recovers";
+          c_failover_reads = Sim.Stats.counter st "repl_failover_reads";
+          c_failover_ns = Sim.Stats.counter st "repl_failover_latency_ns";
+          c_mirror_writes = Sim.Stats.counter st "repl_mirror_writes";
+          c_mirror_bytes = Sim.Stats.counter st "repl_mirror_bytes";
+          c_mirror_ns = Sim.Stats.counter st "repl_mirror_ns";
+          c_granules_dirty = Sim.Stats.counter st "repl_granules_dirty";
+          c_granules_clean = Sim.Stats.counter st "repl_granules_clean";
+          c_resync_pages = Sim.Stats.counter st "repl_resync_pages";
+          c_resync_bytes = Sim.Stats.counter st "repl_resync_bytes";
+          c_recovery_ns = Sim.Stats.counter st "repl_recovery_ns";
+          c_lost_pages = Sim.Stats.counter st "repl_lost_pages";
+        }
 
 let scount t sel =
   match t.stats with None -> () | Some h -> Sim.Stats.cincr (sel h)
@@ -154,34 +159,33 @@ let replica t vpn i = t.shards.((vpn + i) mod t.cfg.shards)
    while resyncing, only pages already re-copied qualify. *)
 let serves s vpn = s.alive && ((not s.syncing) || not (Hashtbl.mem s.missed vpn))
 
-(* First live synced replica of [vpn], recording failover telemetry
-   for every freshly-dead shard the walk has to skip. *)
-let serving_replica t vpn addr ~is_read =
-  let rec go i =
-    if i >= t.cfg.replication then raise (Rdma.Qp.Unreachable addr)
-    else begin
-      let s = replica t vpn i in
-      if serves s vpn then begin
-        if i > 0 && is_read then begin
-          scount t (fun h -> h.c_failover_reads);
-          Obs.Registry.cincr s.ob_failover_reads
-        end;
-        s
-      end
-      else begin
-        if s.failover_pending then begin
-          (* First request redirected past this corpse: the gap since
-             the kill is the observed failover latency. *)
-          s.failover_pending <- false;
-          sadd t
-            (fun h -> h.c_failover_ns)
-            (Int64.to_int (Sim.Time.sub (Sim.Engine.now t.eng) s.killed_at))
-        end;
-        go (i + 1)
-      end
+(* First live synced replica of [vpn] from replica [i] on, recording
+   failover telemetry for every freshly-dead shard the walk has to
+   skip. Top-level rather than a local closure: every RDMA completion
+   routes through here. *)
+let rec serving_replica t vpn addr ~is_read i =
+  if i >= t.cfg.replication then raise (Rdma.Qp.Unreachable addr)
+  else begin
+    let s = replica t vpn i in
+    if serves s vpn then begin
+      if i > 0 && is_read then begin
+        scount t (fun h -> h.c_failover_reads);
+        Obs.Registry.cincr s.ob_failover_reads
+      end;
+      s
     end
-  in
-  go 0
+    else begin
+      if s.failover_pending then begin
+        (* First request redirected past this corpse: the gap since
+           the kill is the observed failover latency. *)
+        s.failover_pending <- false;
+        sadd t
+          (fun h -> h.c_failover_ns)
+          (Int64.to_int (Sim.Time.sub (Sim.Engine.now t.eng) s.killed_at))
+      end;
+      serving_replica t vpn addr ~is_read (i + 1)
+    end
+  end
 
 (* -- kill / recover ----------------------------------------------- *)
 
@@ -331,36 +335,36 @@ let check t addr len =
     invalid_arg
       (Printf.sprintf "Replica_group: range [0x%Lx,+%d) out of bounds" addr len)
 
-(* Split [addr, addr+len) at page boundaries and apply [f addr off len]
-   to each in-page chunk. *)
-let iter_chunks addr len off f =
-  let rec go addr off len =
-    if len > 0 then begin
-      let in_page = page_size - Int64.to_int (Int64.logand addr 4095L) in
-      let n = Int.min len in_page in
-      f addr off n;
-      go (Int64.add addr (Int64.of_int n)) (off + n) (len - n)
-    end
-  in
-  go addr off len
+(* Apply [f t addr buf off n] to each in-page chunk of
+   [addr, addr+len). [f] is a top-level function, so a single-page
+   access allocates nothing. *)
+let rec each_page f t addr buf off len =
+  if len > 0 then begin
+    let n = Int.min len (page_size - Int64.to_int (Int64.logand addr 4095L)) in
+    f t addr buf off n;
+    if len > n then
+      each_page f t (Int64.add addr (Int64.of_int n)) buf (off + n) (len - n)
+  end
+
+let read_chunk t addr dst off len =
+  let s = serving_replica t (vpn_of addr) addr ~is_read:true 0 in
+  Obs.Registry.cincr s.ob_reads;
+  if Trace.enabled cat_memnode then
+    Trace.instant cat_memnode ~name:"page_read" ~track:s.trk
+      ~args:[ ("len", Trace.I len) ]
+      ();
+  Page_store.read s.store ~addr ~dst ~off ~len
 
 let read t addr dst off len =
   check t addr len;
-  iter_chunks addr len off (fun addr off len ->
-      let s = serving_replica t (vpn_of addr) addr ~is_read:true in
-      Obs.Registry.cincr s.ob_reads;
-      if Trace.enabled cat_memnode then
-        Trace.instant cat_memnode ~name:"page_read" ~track:s.trk
-          ~args:[ ("len", Trace.I len) ]
-          ();
-      Page_store.read s.store ~addr ~dst ~off ~len)
+  each_page read_chunk t addr dst off len
 
 (* One in-page write chunk: diff against the authoritative copy in
    granule units, apply only dirty runs to every live synced replica,
    and account the backup traffic. *)
 let write_chunk t addr src off len =
   let vpn = vpn_of addr in
-  let auth = serving_replica t vpn addr ~is_read:false in
+  let auth = serving_replica t vpn addr ~is_read:false 0 in
   Obs.Registry.cincr auth.ob_writes;
   if Trace.enabled cat_memnode then
     Trace.instant cat_memnode ~name:"page_write" ~track:auth.trk
@@ -444,7 +448,7 @@ let write_chunk t addr src off len =
 
 let write t addr src off len =
   check t addr len;
-  iter_chunks addr len off (fun addr off len -> write_chunk t addr src off len)
+  each_page write_chunk t addr src off len
 
 let target t =
   {
@@ -496,6 +500,10 @@ let create ~eng ~size ?(config = default_config) ?faults () =
       nic = Rdma.Nic.create ();
       scratch = Buf.create page_size;
       stats = None;
+      drill =
+        (match faults with
+        | Some plan -> Faults.Spec.has_drill (Faults.Plan.spec plan)
+        | None -> false);
       timers = [];
       interval_resync = 0;
       max_interval_resync = 0;

@@ -49,7 +49,9 @@ val target : t -> Rdma.Qp.target
 
 val attach_stats : t -> Sim.Stats.t -> unit
 (** Resolve the [repl_*] counters against a stats sink (normally the
-    kernel's, at connect time). *)
+    kernel's, at connect time) — but only if they can move: the group
+    has more than one shard, or its fault plan scripts a drill. A
+    one-shard group without a drill adds no key to the sink. *)
 
 val size : t -> int64
 val shards : t -> int

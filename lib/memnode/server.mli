@@ -7,10 +7,10 @@
     one-sided RDMA served by the (simulated) RNIC against the
     {!Page_store}.
 
-    A server is either one addressable shard instance ({!create},
-    which takes the shard's id) or the connect point for a whole
-    {!Replica_group} ({!create_replicated}) — the computing node dials
-    the same way in both cases and sees one flat address space. *)
+    Every server is the connect point of a {!Replica_group}: the
+    computing node dials it and sees one flat address space. The
+    paper's single memory node is the one-shard group with one copy
+    per page. *)
 
 type t
 
@@ -18,60 +18,31 @@ val create :
   eng:Sim.Engine.t ->
   size:int64 ->
   ?huge_pages:bool ->
-  ?shard_id:int ->
-  ?faults:Faults.Plan.t ->
-  unit ->
-  t
-(** One shard instance. [size] is the amount of remote memory
-    exported, in bytes. [shard_id] (default 0) names the instance in
-    traces ("memnode" for shard 0, "memnode/shardN" otherwise).
-    [faults] attaches a deterministic fault campaign to every fabric
-    this server hands out (see {!Faults.Plan}). *)
-
-val create_replicated :
-  eng:Sim.Engine.t ->
-  size:int64 ->
-  ?huge_pages:bool ->
-  ?config:Replica_group.config ->
-  ?faults:Faults.Plan.t ->
-  unit ->
-  t
-(** A replica group behind one connect point: [config.shards] shard
-    instances with [config.replication] copies per page. [faults]
-    additionally arms the plan's scripted [kill-shard] /
-    [recover-shard] schedule on the group. *)
-
-val of_topology :
-  eng:Sim.Engine.t ->
-  size:int64 ->
   ?shards:int ->
   ?replication:int ->
   ?faults:Faults.Plan.t ->
   unit ->
   t
-(** The memory node of one run: a single instance ({!create}) unless
-    [shards > 1], [replication > 1] or [faults] scripts a shard
-    kill/recover drill; then a {!create_replicated} group of
-    [max shards replication] shards. [shards] and [replication]
-    default to 1. *)
+(** A group of [max shards replication] shards, each exporting [size]
+    bytes of remote memory, with [replication] copies per page.
+    [shards] and [replication] default to 1: the single memory node.
+    [faults] attaches a deterministic fault campaign to every fabric
+    this server hands out (see {!Faults.Plan}) and arms the plan's
+    scripted [kill-shard] / [recover-shard] drill on the group. *)
 
 val connect :
   t ->
   ?nic_config:Rdma.Nic.config ->
   ?extra_completion_delay:Sim.Time.t ->
   ?stats:Sim.Stats.t ->
-  ?bw_bucket:Sim.Time.t ->
   unit ->
   Rdma.Fabric.t
 (** Perform connection setup (control path) and return the fabric the
-    computing node uses from then on. On a replicated server, [stats]
-    also resolves the group's [repl_*] counters. *)
+    computing node uses from then on. [stats] also receives the
+    group's [repl_*] counters when the group can move them: more than
+    one shard, or a scripted drill (see {!Replica_group.attach_stats}). *)
 
 val store : t -> Page_store.t
-(** The single shard's store; on a replicated server, shard 0's. *)
+(** Shard 0's store: on the single memory node, its only one. *)
 
 val size : t -> int64
-val shard_id : t -> int
-
-val group : t -> Replica_group.t option
-(** The replica group behind {!create_replicated} servers. *)

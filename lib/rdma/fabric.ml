@@ -15,11 +15,10 @@ type t = {
 let setup_cost = Sim.Time.us 350
 
 let connect ~eng ?nic_config ?faults ?(huge_pages = true)
-    ?(extra_completion_delay = Sim.Time.zero) ?stats
-    ?bw_bucket ~target ~size () =
+    ?(extra_completion_delay = Sim.Time.zero) ?stats ~target ~size () =
   let nic = Nic.create ?config:nic_config ?faults () in
   let stats = match stats with Some s -> s | None -> Sim.Stats.create () in
-  let bw = Bandwidth.create ?bucket:bw_bucket eng in
+  let bw = Bandwidth.create eng in
   let rkey = 0x1EAF in
   let region = Region.make ~rkey ~base:0L ~len:size in
   { eng; nic; bw; stats; target; region; rkey; huge_pages; extra_completion_delay }

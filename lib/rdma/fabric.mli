@@ -17,7 +17,6 @@ val connect :
   ?huge_pages:bool ->
   ?extra_completion_delay:Sim.Time.t ->
   ?stats:Sim.Stats.t ->
-  ?bw_bucket:Sim.Time.t ->
   target:Qp.target ->
   size:int64 ->
   unit ->

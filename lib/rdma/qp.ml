@@ -115,13 +115,6 @@ and extent = {
   mutable e_fn : unit -> unit;
 }
 
-(* Reference-path switch for the extent equivalence suite: with
-   coalescing off, [post_read_pages] degrades to the per-page posting
-   loop (one engine event per page), which must produce bit-identical
-   counters, traces and timings. *)
-let coalescing = ref true
-let set_coalescing v = coalescing := v
-
 let create ~eng ~nic ~target ~region ~rkey ?bw ?stats ?(huge_pages = true)
     ?(extra_completion_delay = Sim.Time.zero) ~name () =
   let hstats =
@@ -642,16 +635,17 @@ let note_read_batch t ~wrs =
 
 (* A contiguous run of full-page READs as ONE chained engine event.
 
-   Equivalence to the per-page path, which the goldens pin down:
-   identical full-page WRs posted back-to-back at one instant have
-   start_i = start_0 + i*occ (WR i>0 is never doorbell-limited), hence
-   completion_i = completion_0 + i*occ, and [next_free] ends at
-   start_0 + count*occ — all reproduced arithmetically. Counters are
+   Equivalence to [count] back-to-back one-page [post_read]s, which
+   the extent tests pin down: identical full-page WRs posted at one
+   instant have start_i = start_0 + i*occ (WR i>0 is never
+   doorbell-limited), hence completion_i = completion_0 + i*occ, and
+   [next_free] ends at start_0 + count*occ — all reproduced
+   arithmetically. Counters are
    bumped at post time with count/count*4096 (the same sums the
-   per-page loop accumulates at the same instant). Engine sequence
+   [count] posts accumulate at the same instant). Engine sequence
    numbers for all [count] completions are reserved up front
    ([Engine.reserve_seqs]), so every per-page completion fires at the
-   exact (time, seq) slot the uncoalesced path would have used: the
+   exact (time, seq) slot the one-page posts would have used: the
    global event order is bit-identical, and per-page observers
    (mapping broadcasts, io_done waiters, traces, bandwidth meter)
    see exactly what they used to.
@@ -697,59 +691,27 @@ let post_read_pages t ~raddr0 ~buf ~offs ~count ~on_page ~on_page_error =
         Nic.latency t.nic Nic.Read ~bytes_:page_size ~segments:1
           ~huge_pages:t.huge_pages
       in
-      if not !coalescing then
-        (* Reference path: one engine event per page, exactly what
-           [count] back-to-back [post_read]s would schedule. *)
-        for i = 0 to count - 1 do
-          let raddr = Int64.add raddr0 (Int64.of_int (i * page_size)) in
-          let start = Sim.Time.max posted t.next_free in
-          t.next_free <- Sim.Time.add start occ;
-          let completion =
-            Sim.Time.add (Sim.Time.add start latency) t.extra_completion_delay
-          in
-          t.inflight <- t.inflight + 1;
-          count_ops t Nic.Read ~ops:1 page_size;
-          let c = comp_take t in
-          c.c_op <- Nic.Read;
-          c.c_bytes <- page_size;
-          c.c_segments <- 1;
-          c.c_segs <- [ { raddr; loff = offs.(i); len = page_size } ];
-          c.c_buf <- buf;
-          c.c_snap <- empty_buf;
-          c.c_snap_base <- 0;
-          c.c_release_snap <- false;
-          c.c_t0 <- now;
-          c.c_on_complete <- (fun () -> on_page i);
-          (c.c_on_error <-
-             (match on_page_error with
-             | None -> None
-             | Some f -> Some (fun () -> f i)));
-          Sim.Engine.at t.eng completion c.c_fn
-        done
-      else begin
-        let start0 = Sim.Time.max posted t.next_free in
-        t.next_free <-
-          Sim.Time.add start0 (Int64.mul occ (Int64.of_int count));
-        let comp0 =
-          Sim.Time.add (Sim.Time.add start0 latency) t.extra_completion_delay
-        in
-        t.inflight <- t.inflight + count;
-        count_ops t Nic.Read ~ops:count (count * page_size);
-        let seq0 = Sim.Engine.reserve_seqs t.eng count in
-        let e = ext_take t in
-        e.e_raddr0 <- raddr0;
-        e.e_buf <- buf;
-        e.e_offs <- offs;
-        e.e_count <- count;
-        e.e_idx <- 0;
-        e.e_comp <- comp0;
-        e.e_occ <- occ;
-        e.e_seq0 <- seq0;
-        e.e_t0 <- now;
-        e.e_on_page <- on_page;
-        e.e_on_err <- on_page_error;
-        Sim.Engine.at_reserved t.eng ~seq:seq0 comp0 e.e_fn
-      end
+      let start0 = Sim.Time.max posted t.next_free in
+      t.next_free <- Sim.Time.add start0 (Int64.mul occ (Int64.of_int count));
+      let comp0 =
+        Sim.Time.add (Sim.Time.add start0 latency) t.extra_completion_delay
+      in
+      t.inflight <- t.inflight + count;
+      count_ops t Nic.Read ~ops:count (count * page_size);
+      let seq0 = Sim.Engine.reserve_seqs t.eng count in
+      let e = ext_take t in
+      e.e_raddr0 <- raddr0;
+      e.e_buf <- buf;
+      e.e_offs <- offs;
+      e.e_count <- count;
+      e.e_idx <- 0;
+      e.e_comp <- comp0;
+      e.e_occ <- occ;
+      e.e_seq0 <- seq0;
+      e.e_t0 <- now;
+      e.e_on_page <- on_page;
+      e.e_on_err <- on_page_error;
+      Sim.Engine.at_reserved t.eng ~seq:seq0 comp0 e.e_fn
 
 let post_write ?on_error t ~segs ~buf ~on_complete =
   validate t segs buf;

@@ -127,11 +127,6 @@ val post_read_pages :
     page degrades to an independent retried WR ([on_page_error i] on
     permanent failure). *)
 
-val set_coalescing : bool -> unit
-(** Test hook: [set_coalescing false] makes {!post_read_pages} post
-    one engine event per page (the reference path the equivalence
-    suite compares against). Default [true]. *)
-
 val read : t -> raddr:int64 -> buf:Sim.Bigbuf.t -> off:int -> len:int -> unit
 (** Synchronous single-segment READ (blocks the calling fiber). *)
 

@@ -7,10 +7,12 @@
 
    - Extent-coalescing equivalence: [Rdma.Qp.post_read_pages] carried
      by one chained engine event must be indistinguishable — payloads,
-     completion instants, every counter — from the reference
-     one-event-per-page path ([set_coalescing false]), at the QP level
-     and through four full workload kernels, on clean and flaky
-     fabrics. *)
+     completion instants, every counter — from one-event-per-page
+     posting, on clean and flaky fabrics. At the QP level the
+     reference is [count] back-to-back one-page [Rdma.Qp.post_read]s;
+     through four full workload kernels it is the counter dump and
+     elapsed time each kernel produced when every extent was still
+     posted one page per engine event. *)
 
 open Util
 module H = Apps.Harness
@@ -132,46 +134,64 @@ let bigbuf_sub_view () =
 (* ------------------------------------------------------------------ *)
 (* Extent coalescing: QP level *)
 
-let with_coalescing v f =
-  Rdma.Qp.set_coalescing v;
-  Fun.protect ~finally:(fun () -> Rdma.Qp.set_coalescing true) f
-
-(* One post_read_pages extent against a patterned store: returns the
-   per-page completion instants, the landed payload, the counter dump
-   and the final sim time. *)
+(* One extent's worth of full-page READs against a patterned store,
+   posted either as one [post_read_pages] extent or as [count]
+   back-to-back one-page [post_read]s, then one more READ at the same
+   instant (its start shows where the extent left the send queue):
+   returns the per-page completion instants, the landed payload, the
+   counter dump and the final sim time. *)
 let qp_extent_run ~coalesce ~count ~fault_spec =
-  with_coalescing coalesce (fun () ->
-      run_sim (fun eng ->
-          let faults = plan_of ?fault_spec () in
-          let server =
-            Memnode.Server.create ~eng ~size:(Int64.of_int (1 lsl 24)) ?faults ()
-          in
-          let stats = Sim.Stats.create () in
-          let fabric = Memnode.Server.connect server ~stats () in
-          let qp = Rdma.Fabric.qp fabric ~name:"extent-test" in
-          (* Pattern the remote pages. *)
-          let page = 4096 in
-          let src = Bigbuf.create (count * page) in
-          for i = 0 to count - 1 do
-            Bigbuf.set_u64_le src (i * page) (Int64.of_int (0x1000 + i))
-          done;
-          Rdma.Qp.write qp ~raddr:0L ~buf:src ~off:0 ~len:(count * page);
-          let dst = Bigbuf.create (count * page) in
-          (* Land pages in reverse slab order to exercise offs. *)
-          let offs = Array.init count (fun i -> (count - 1 - i) * page) in
-          let completions = ref [] in
-          let done_ = ref 0 in
-          Rdma.Qp.post_read_pages qp ~raddr0:0L ~buf:dst ~offs ~count
-            ~on_page:(fun i ->
-              completions := (i, Sim.Engine.now eng) :: !completions;
-              incr done_)
-            ~on_page_error:None;
-          while !done_ < count do
-            Sim.Engine.sleep eng (Sim.Time.us 1)
-          done;
-          let payload = Bigbuf.to_bytes dst ~off:0 ~len:(count * page) in
-          (List.rev !completions, payload, Sim.Stats.counters stats,
-           Sim.Engine.now eng)))
+  run_sim (fun eng ->
+      let faults = plan_of ?fault_spec () in
+      let server =
+        Memnode.Server.create ~eng ~size:(Int64.of_int (1 lsl 24)) ?faults ()
+      in
+      let stats = Sim.Stats.create () in
+      let fabric = Memnode.Server.connect server ~stats () in
+      let qp = Rdma.Fabric.qp fabric ~name:"extent-test" in
+      (* Pattern the remote pages. *)
+      let page = 4096 in
+      let src = Bigbuf.create (count * page) in
+      for i = 0 to count - 1 do
+        Bigbuf.set_u64_le src (i * page) (Int64.of_int (0x1000 + i))
+      done;
+      Rdma.Qp.write qp ~raddr:0L ~buf:src ~off:0 ~len:(count * page);
+      let dst = Bigbuf.create ((count + 1) * page) in
+      (* Land pages in reverse slab order to exercise offs. *)
+      let offs = Array.init count (fun i -> (count - 1 - i) * page) in
+      let completions = ref [] in
+      let done_ = ref 0 in
+      let on_page i =
+        completions := (i, Sim.Engine.now eng) :: !completions;
+        incr done_
+      in
+      if coalesce then
+        Rdma.Qp.post_read_pages qp ~raddr0:0L ~buf:dst ~offs ~count ~on_page
+          ~on_page_error:None
+      else
+        for i = 0 to count - 1 do
+          Rdma.Qp.post_read qp
+            ~segs:
+              [
+                {
+                  Rdma.Qp.raddr = Int64.of_int (i * page);
+                  loff = offs.(i);
+                  len = page;
+                };
+              ]
+            ~buf:dst
+            ~on_complete:(fun () -> on_page i)
+        done;
+      Rdma.Qp.post_read qp
+        ~segs:[ { Rdma.Qp.raddr = 0L; loff = count * page; len = page } ]
+        ~buf:dst
+        ~on_complete:(fun () -> on_page count);
+      while !done_ <= count do
+        Sim.Engine.sleep eng (Sim.Time.us 1)
+      done;
+      let payload = Bigbuf.to_bytes dst ~off:0 ~len:((count + 1) * page) in
+      (List.rev !completions, payload, Sim.Stats.counters stats,
+       Sim.Engine.now eng))
 
 let qp_extent_equivalence ~count ~fault_spec name =
   let c1, p1, s1, t1 = qp_extent_run ~coalesce:true ~count ~fault_spec in
@@ -184,10 +204,11 @@ let qp_extent_equivalence ~count ~fault_spec name =
   (* The landed pattern is the source pattern, reversed into offs. *)
   List.iter
     (fun (i, _) ->
-      check_i64
-        (Printf.sprintf "%s: page %d payload" name i)
-        (Int64.of_int (0x1000 + i))
-        (Bytes.get_int64_le p1 ((count - 1 - i) * 4096)))
+      if i < count then
+        check_i64
+          (Printf.sprintf "%s: page %d payload" name i)
+          (Int64.of_int (0x1000 + i))
+          (Bytes.get_int64_le p1 ((count - 1 - i) * 4096)))
     c1
 
 let qp_extent_clean () = qp_extent_equivalence ~count:13 ~fault_spec:None "clean"
@@ -203,24 +224,148 @@ let qp_extent_flaky () =
    Four workload kernels spanning the fetch paths that feed extents —
    sequential readahead windows (seq), sort-driven strided windows
    (quicksort), fastswap's swap-cache readahead, and the guided LRANGE
-   chain — each run clean and flaky. Per-page and coalesced runs must
-   agree on every counter and on total simulated time. *)
+   chain — each run clean and flaky. Each run must reproduce, counter
+   for counter and to the nanosecond of elapsed time, the golden below,
+   recorded with every page extent posted as one engine event per
+   page. *)
 
-let workload_counters system ~local_mem ~fault_spec f =
-  let r = H.run system ~local_mem ?fault_spec ~fault_seed:3 f in
-  (Sim.Stats.counters r.H.run_stats, r.H.elapsed)
+let per_page_goldens =
+  [
+    ( "seqread/clean",
+      ( 939_330L,
+        [ ("evictions", 990); ("fault_fetch_retries", 0); ("fetch_waits", 389);
+          ("major_faults", 60); ("ph_alloc_ns", 5400);
+          ("ph_exception_ns", 34_200); ("ph_fetch_ns", 172_680);
+          ("ph_pte_ns", 6000); ("ph_reclaim_ns", 0); ("prefetch_aborted", 0);
+          ("prefetch_issued", 452); ("rdma_comp_errors", 0);
+          ("rdma_dup_completions", 0); ("rdma_perm_failures", 0);
+          ("rdma_read_batches", 59); ("rdma_read_bytes", 2_097_152);
+          ("rdma_reads", 512); ("rdma_retrans_delays", 0); ("rdma_retries", 0);
+          ("rdma_timeouts", 0); ("rdma_write_bytes", 2_097_152);
+          ("rdma_writes", 512); ("reclaim_gave_up", 0);
+          ("reclaim_stall_ns", 38_116); ("reclaim_stalls", 155);
+          ("subpage_bytes", 0); ("subpage_fetches", 0);
+          ("writeback_failures", 0); ("writebacks", 512);
+          ("zero_fill_faults", 512) ] ) );
+    ( "quicksort/clean",
+      ( 8_833_562L,
+        [ ("evictions", 1458); ("fault_fetch_retries", 0); ("fetch_waits", 5);
+          ("major_faults", 403); ("ph_alloc_ns", 36_270);
+          ("ph_exception_ns", 229_710); ("ph_fetch_ns", 1_159_834);
+          ("ph_pte_ns", 40_300); ("ph_reclaim_ns", 0); ("prefetch_aborted", 0);
+          ("prefetch_issued", 957); ("rdma_comp_errors", 0);
+          ("rdma_dup_completions", 0); ("rdma_perm_failures", 0);
+          ("rdma_read_batches", 385); ("rdma_read_bytes", 5_570_560);
+          ("rdma_reads", 1360); ("rdma_retrans_delays", 0);
+          ("rdma_retries", 0); ("rdma_timeouts", 0);
+          ("rdma_write_bytes", 6_586_368); ("rdma_writes", 1608);
+          ("reclaim_gave_up", 7); ("reclaim_stall_ns", 0);
+          ("reclaim_stalls", 0); ("subpage_bytes", 0); ("subpage_fetches", 0);
+          ("writeback_failures", 0); ("writebacks", 1608);
+          ("zero_fill_faults", 118) ] ) );
+    ( "fastswap/clean",
+      ( 3_993_026L,
+        [ ("direct_reclaims", 363); ("evictions", 972);
+          ("fault_fetch_retries", 0); ("major_faults", 76);
+          ("minor_faults", 437); ("ph_alloc_ns", 19_760);
+          ("ph_exception_ns", 43_320); ("ph_fetch_ns", 220_342);
+          ("ph_other_ns", 14_440); ("ph_reclaim_ns", 646_140);
+          ("ph_swapcache_ns", 39_520); ("ra_aborted", 0); ("ra_dropped", 2);
+          ("rdma_comp_errors", 0); ("rdma_dup_completions", 0);
+          ("rdma_perm_failures", 0); ("rdma_read_batches", 69);
+          ("rdma_read_bytes", 2_105_344); ("rdma_reads", 514);
+          ("rdma_retrans_delays", 0); ("rdma_retries", 0);
+          ("rdma_timeouts", 0); ("rdma_write_bytes", 2_097_152);
+          ("rdma_writes", 512); ("readahead_pages", 438); ("writebacks", 512);
+          ("zero_fill_faults", 512) ] ) );
+    ( "lrange/clean",
+      ( 933_823L,
+        [ ("evictions", 761); ("fault_fetch_retries", 0); ("fetch_waits", 234);
+          ("major_faults", 6); ("ph_alloc_ns", 540); ("ph_exception_ns", 3420);
+          ("ph_fetch_ns", 15_471); ("ph_pte_ns", 600); ("ph_reclaim_ns", 0);
+          ("prefetch_aborted", 0); ("prefetch_issued", 275);
+          ("rdma_comp_errors", 0); ("rdma_dup_completions", 0);
+          ("rdma_perm_failures", 0); ("rdma_read_batches", 5);
+          ("rdma_read_bytes", 1_127_904); ("rdma_reads", 292);
+          ("rdma_retrans_delays", 0); ("rdma_retries", 0);
+          ("rdma_timeouts", 0); ("rdma_write_bytes", 2_523_808);
+          ("rdma_writes", 625); ("reclaim_gave_up", 0);
+          ("reclaim_stall_ns", 1991); ("reclaim_stalls", 3);
+          ("subpage_bytes", 352); ("subpage_fetches", 11);
+          ("writeback_failures", 0); ("writebacks", 625);
+          ("zero_fill_faults", 514) ] ) );
+    ( "seqread/flaky",
+      ( 1_300_128L,
+        [ ("evictions", 974); ("fault_fetch_retries", 0); ("fetch_waits", 327);
+          ("major_faults", 61); ("ph_alloc_ns", 5490);
+          ("ph_exception_ns", 34_770); ("ph_fetch_ns", 255_089);
+          ("ph_pte_ns", 6100); ("ph_reclaim_ns", 312); ("prefetch_aborted", 0);
+          ("prefetch_issued", 455); ("rdma_comp_errors", 20);
+          ("rdma_dup_completions", 15); ("rdma_perm_failures", 0);
+          ("rdma_read_batches", 60); ("rdma_read_bytes", 2_150_400);
+          ("rdma_reads", 525); ("rdma_retrans_delays", 43);
+          ("rdma_retries", 20); ("rdma_timeouts", 0);
+          ("rdma_write_bytes", 2_142_208); ("rdma_writes", 523);
+          ("reclaim_gave_up", 0); ("reclaim_stall_ns", 47_996);
+          ("reclaim_stalls", 144); ("subpage_bytes", 0);
+          ("subpage_fetches", 0); ("writeback_failures", 0);
+          ("writebacks", 512); ("zero_fill_faults", 512) ] ) );
+    ( "quicksort/flaky",
+      ( 10_038_499L,
+        [ ("evictions", 1480); ("fault_fetch_retries", 0); ("fetch_waits", 51);
+          ("major_faults", 412); ("ph_alloc_ns", 37_080);
+          ("ph_exception_ns", 234_840); ("ph_fetch_ns", 1_690_813);
+          ("ph_pte_ns", 41_200); ("ph_reclaim_ns", 0); ("prefetch_aborted", 0);
+          ("prefetch_issued", 971); ("rdma_comp_errors", 57);
+          ("rdma_dup_completions", 38); ("rdma_perm_failures", 0);
+          ("rdma_read_batches", 383); ("rdma_read_bytes", 5_799_936);
+          ("rdma_reads", 1416); ("rdma_retrans_delays", 153);
+          ("rdma_retries", 57); ("rdma_timeouts", 0);
+          ("rdma_write_bytes", 6_893_568); ("rdma_writes", 1683);
+          ("reclaim_gave_up", 7); ("reclaim_stall_ns", 0);
+          ("reclaim_stalls", 0); ("subpage_bytes", 0); ("subpage_fetches", 0);
+          ("writeback_failures", 0); ("writebacks", 1659);
+          ("zero_fill_faults", 118) ] ) );
+    ( "fastswap/flaky",
+      ( 4_619_812L,
+        [ ("direct_reclaims", 369); ("evictions", 985);
+          ("fault_fetch_retries", 0); ("major_faults", 82);
+          ("minor_faults", 431); ("ph_alloc_ns", 21_320);
+          ("ph_exception_ns", 46_740); ("ph_fetch_ns", 292_205);
+          ("ph_other_ns", 15_580); ("ph_reclaim_ns", 656_820);
+          ("ph_swapcache_ns", 42_640); ("ra_aborted", 0); ("ra_dropped", 1);
+          ("rdma_comp_errors", 23); ("rdma_dup_completions", 16);
+          ("rdma_perm_failures", 0); ("rdma_read_batches", 77);
+          ("rdma_read_bytes", 2_142_208); ("rdma_reads", 523);
+          ("rdma_retrans_delays", 35); ("rdma_retries", 23);
+          ("rdma_timeouts", 0); ("rdma_write_bytes", 2_150_400);
+          ("rdma_writes", 525); ("readahead_pages", 431); ("writebacks", 512);
+          ("zero_fill_faults", 512) ] ) );
+    ( "lrange/flaky",
+      ( 1_147_767L,
+        [ ("evictions", 743); ("fault_fetch_retries", 0); ("fetch_waits", 222);
+          ("major_faults", 4); ("ph_alloc_ns", 360); ("ph_exception_ns", 2280);
+          ("ph_fetch_ns", 9715); ("ph_pte_ns", 400); ("ph_reclaim_ns", 0);
+          ("prefetch_aborted", 0); ("prefetch_issued", 259);
+          ("rdma_comp_errors", 17); ("rdma_dup_completions", 17);
+          ("rdma_perm_failures", 0); ("rdma_read_batches", 4);
+          ("rdma_read_bytes", 1_070_464); ("rdma_reads", 275);
+          ("rdma_retrans_delays", 41); ("rdma_retries", 17);
+          ("rdma_timeouts", 0); ("rdma_write_bytes", 2_589_568);
+          ("rdma_writes", 640); ("reclaim_gave_up", 0);
+          ("reclaim_stall_ns", 9900); ("reclaim_stalls", 3);
+          ("subpage_bytes", 256); ("subpage_fetches", 8);
+          ("writeback_failures", 0); ("writebacks", 627);
+          ("zero_fill_faults", 514) ] ) );
+  ]
 
 let kernel_equivalence name system ~local_mem ~fault_spec f () =
-  let s1, t1 =
-    with_coalescing true (fun () ->
-        workload_counters system ~local_mem ~fault_spec f)
-  in
-  let s0, t0 =
-    with_coalescing false (fun () ->
-        workload_counters system ~local_mem ~fault_spec f)
-  in
-  Test_determinism.check_counter_lists name s0 s1;
-  check_i64 (name ^ ": elapsed") t0 t1
+  let fname = if Option.is_some fault_spec then "flaky" else "clean" in
+  let elapsed, counters = List.assoc (name ^ "/" ^ fname) per_page_goldens in
+  let r = H.run system ~local_mem ?fault_spec ~fault_seed:3 f in
+  Test_determinism.check_counter_lists name counters
+    (Sim.Stats.counters r.H.run_stats);
+  check_i64 (name ^ ": elapsed") elapsed r.H.elapsed
 
 let seq_kernel ctx = ignore (Apps.Seq.run ctx ~size_bytes:(2 * 1024 * 1024) ~mode:Apps.Seq.Read)
 let sort_kernel ctx = ignore (Apps.Quicksort.run ctx ~n:120_000 ~seed:42)

@@ -448,6 +448,77 @@ let replicated_group_agrees_with_bytes_model =
           check_range 0 q_size;
           true))
 
+(* ------------------------------------------------------------------ *)
+(* The memory node contract: a single node is a one-shard group whose
+   Stats key set is the plain node's, and whose per-shard series count
+   every page it serves. *)
+
+let seq_run ?fault_spec ?shards ?replication ?obs () =
+  Apps.Harness.run (Apps.Harness.Dilos Dilos.Kernel.Readahead)
+    ~local_mem:(256 * 1024) ~remote_size:(Int64.shift_left 1L 30) ?fault_spec
+    ?shards ?replication ?obs (fun ctx ->
+      ignore (Apps.Seq.run ctx ~size_bytes:(1024 * 1024) ~mode:Apps.Seq.Read))
+
+let repl_keys (r : _ Apps.Harness.result) =
+  List.filter
+    (fun (k, _) -> String.starts_with ~prefix:"repl_" k)
+    (Sim.Stats.counters r.Apps.Harness.run_stats)
+
+let repl_keys_only_where_they_move () =
+  check_int "single node: no repl_* counter" 0
+    (List.length (repl_keys (seq_run ())));
+  let drill = seq_run ~fault_spec:(parse_ok "recover-shard=0@1us") () in
+  check_bool "single node + drill: repl_* counters" true
+    (repl_keys drill <> []);
+  check_bool "2 shards x RF2: repl_* counters" true
+    (repl_keys (seq_run ~shards:2 ~replication:2 ()) <> [])
+
+let shard_series reg family shard =
+  match
+    List.find_opt
+      (fun f -> String.equal f.Obs.Registry.f_name family)
+      (Obs.Registry.families reg)
+  with
+  | None -> Alcotest.failf "no %s family" family
+  | Some f -> (
+      match
+        List.find_opt
+          (fun s -> List.assoc_opt "shard" s.Obs.Registry.s_labels = Some shard)
+          f.Obs.Registry.f_series
+      with
+      | Some { Obs.Registry.s_value; _ } -> (
+          match s_value () with
+          | Obs.Registry.V n -> n
+          | Obs.Registry.H _ -> Alcotest.failf "%s is a histogram" family)
+      | None -> Alcotest.failf "no %s{shard=%S}" family shard)
+
+let single_node_counts_pages_served () =
+  let reg = Obs.Registry.create () in
+  let r = seq_run ~obs:reg () in
+  let pages = Sim.Stats.get r.Apps.Harness.run_stats "rdma_read_bytes" / page in
+  check_bool "the run fetched pages" true (pages > 0);
+  check_int "repl_shard_reads{shard=\"0\"} = pages read" pages
+    (shard_series reg "repl_shard_reads" "0");
+  (* Straight through the server: a segment spanning pages counts once
+     per page it touches, reads and writes alike. *)
+  let reg = Obs.Registry.create () in
+  Obs.Registry.install reg;
+  Fun.protect ~finally:Obs.Registry.uninstall (fun () ->
+      run_sim (fun eng ->
+          let server =
+            Memnode.Server.create ~eng ~size:(Int64.of_int (16 * page)) ()
+          in
+          let qp =
+            Rdma.Fabric.qp (Memnode.Server.connect server ()) ~name:"contract"
+          in
+          let buf = Buf.create (3 * page) in
+          Rdma.Qp.write qp ~raddr:0L ~buf ~off:0 ~len:(3 * page);
+          Rdma.Qp.read qp ~raddr:0L ~buf ~off:0 ~len:(3 * page);
+          Rdma.Qp.read qp ~raddr:(Int64.of_int (page - 8)) ~buf ~off:0 ~len:16));
+  check_int "writes: one per page" 3 (shard_series reg "repl_shard_writes" "0");
+  check_int "reads: one per page touched" 5
+    (shard_series reg "repl_shard_reads" "0")
+
 let suite =
   [
     quick "drill tokens parse and schedule in time order" drill_tokens_parse;
@@ -475,5 +546,9 @@ let suite =
       recover_is_idempotent_while_alive;
     quick "scripted drill fires on schedule" scripted_drill_fires_on_schedule;
     quick "cancel_drill disarms pending timers" cancel_drill_disarms_timers;
+    quick "repl_* counters only where they can move"
+      repl_keys_only_where_they_move;
+    quick "single node counts every page it serves"
+      single_node_counts_pages_served;
     QCheck_alcotest.to_alcotest replicated_group_agrees_with_bytes_model;
   ]

@@ -19,11 +19,10 @@ let check_i64 name a b = Alcotest.(check int64) name a b
 let plan_of ?fault_spec ?(fault_seed = 1) () =
   Option.map (fun spec -> Faults.Plan.make ~seed:fault_seed spec) fault_spec
 
-(* Memory node for the [with_*] helpers: single instance by default, a
-   replica group when the test asks for shards/replication (or the
-   fault plan scripts a shard kill). *)
+(* Memory node for the [with_*] helpers: the single node by default,
+   more shards or copies when the test asks for them. *)
 let make_server ~eng ?faults ?shards ?replication () =
-  Memnode.Server.of_topology ~eng ~size:(Int64.shift_left 1L 33) ?shards
+  Memnode.Server.create ~eng ~size:(Int64.shift_left 1L 33) ?shards
     ?replication ?faults ()
 
 (* Small DiLOS instance for kernel-level tests. *)
