@@ -165,36 +165,28 @@ let targets : (string * (unit -> result)) list =
 (* ------------------------------------------------------------------ *)
 (* Paper-scale targets (BENCH_paperscale.json).
 
-   The paper's evaluation dims from Apps.Scale: 20 GiB working sets
-   against 8 GiB of local DRAM. These take minutes to hours of wall
-   clock, so they are NOT part of the default matrix — run them by
-   name:
+   The paper's evaluation dims from Apps.Catalog: 20 GiB working sets
+   against 8 GiB of local DRAM, run through the catalog's runners.
+   These take minutes to hours of wall clock, so they are NOT part of
+   the default matrix — run them by name:
 
      dune exec bench/main.exe -- --json BENCH_paperscale.json \
        paperscale_dataframe paperscale_quicksort *)
 
-let paper_dims name =
-  match Apps.Scale.dims Apps.Scale.Paper name with
-  | Some d -> d
-  | None -> invalid_arg ("no paper dims for " ^ name)
+let paperscale workload ~seed =
+  let name = "paperscale_" ^ workload in
+  let e =
+    List.find (fun e -> String.equal e.Apps.Catalog.name workload) Apps.Catalog.entries
+  in
+  let d = Apps.Catalog.dims Apps.Catalog.Paper e in
+  ( name,
+    fun () ->
+      timed name (fun () ->
+          H.run (H.Dilos Dilos.Kernel.Readahead) ~local_mem:d.Apps.Catalog.local_mem
+            (fun ctx -> e.Apps.Catalog.run ctx ~scale:d.Apps.Catalog.scale ~seed ~cores:1)) )
 
 let paperscale_targets : (string * (unit -> result)) list =
-  [
-    ( "paperscale_dataframe",
-      fun () ->
-        let d = paper_dims "dataframe" in
-        timed "paperscale_dataframe" (fun () ->
-            H.run (H.Dilos Dilos.Kernel.Readahead) ~local_mem:d.Apps.Scale.local_mem
-              (fun ctx ->
-                let df = Apps.Dataframe.create ctx ~rows:d.Apps.Scale.scale ~seed:17 in
-                Apps.Dataframe.run_workload df)) );
-    ( "paperscale_quicksort",
-      fun () ->
-        let d = paper_dims "quicksort" in
-        timed "paperscale_quicksort" (fun () ->
-            H.run (H.Dilos Dilos.Kernel.Readahead) ~local_mem:d.Apps.Scale.local_mem
-              (fun ctx -> Apps.Quicksort.run ctx ~n:d.Apps.Scale.scale ~seed:42)) );
-  ]
+  [ paperscale "dataframe" ~seed:17; paperscale "quicksort" ~seed:42 ]
 
 (* ------------------------------------------------------------------ *)
 (* Allocation-regression smoke (`--alloc-smoke`).

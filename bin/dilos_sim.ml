@@ -10,105 +10,127 @@
 open Cmdliner
 module H = Apps.Harness
 
-type sys_choice =
-  | S_dilos
-  | S_dilos_guided
-  | S_dilos_tcp
-  | S_fastswap
-  | S_aifm
-  | S_aifm_rdma
+(* ------------------------------------------------------------------ *)
+(* The shared option set: every flag that more than one subcommand
+   takes is declared once here, and the subcommands below are composed
+   from these terms. A bad value is a usage error naming the flag,
+   raised while parsing — before any system boots. *)
 
-let system_conv =
-  Arg.enum
+let checked conv what ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when not (ok v) ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s what))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let pos_int = checked Arg.int "a positive integer" (fun n -> n > 0)
+
+let pos_float =
+  checked Arg.float "a finite positive number" (fun x -> Float.is_finite x && x > 0.)
+
+let fraction = checked Arg.float "a fraction in [0,1]" (fun x -> x >= 0. && x <= 1.)
+
+(* One term for --system and --prefetch; the prefetcher applies to the
+   DiLOS systems only. *)
+let system =
+  let ra = Dilos.Kernel.Readahead in
+  let systems =
     [
-      ("dilos", S_dilos);
-      ("dilos-guided", S_dilos_guided);
-      ("dilos-tcp", S_dilos_tcp);
-      ("fastswap", S_fastswap);
-      ("aifm", S_aifm);
-      ("aifm-rdma", S_aifm_rdma);
+      ("dilos", H.Dilos ra);
+      ("dilos-guided", H.Dilos_guided ra);
+      ("dilos-tcp", H.Dilos_tcp ra);
+      ("fastswap", H.Fastswap);
+      ("aifm", H.Aifm);
+      ("aifm-rdma", H.Aifm_rdma);
     ]
+  in
+  let prefetchers =
+    Dilos.Kernel.[ ("none", No_prefetch); ("readahead", Readahead); ("trend", Trend_based) ]
+  in
+  let sys =
+    Arg.(
+      value & opt (enum systems) (H.Dilos ra) & info [ "s"; "system" ] ~doc:"Memory system.")
+  in
+  let prefetch =
+    Arg.(
+      value & opt (enum prefetchers) ra
+      & info [ "p"; "prefetch" ] ~doc:"DiLOS prefetcher (none|readahead|trend).")
+  in
+  let with_prefetch sys p =
+    match sys with
+    | H.Dilos _ -> H.Dilos p
+    | H.Dilos_guided _ -> H.Dilos_guided p
+    | H.Dilos_tcp _ -> H.Dilos_tcp p
+    | (H.Fastswap | H.Fastswap_no_ra | H.Aifm | H.Aifm_rdma) as s -> s
+  in
+  Term.(const with_prefetch $ sys $ prefetch)
 
-let prefetch_conv =
-  Arg.enum
-    [
-      ("none", Dilos.Kernel.No_prefetch);
-      ("readahead", Dilos.Kernel.Readahead);
-      ("trend", Dilos.Kernel.Trend_based);
-    ]
+let local_mb default =
+  Arg.(value & opt pos_int default & info [ "local-mb" ] ~doc:"Local DRAM budget in MiB.")
 
-type workload =
-  | W_seq_read
-  | W_seq_write
-  | W_quicksort
-  | W_kmeans
-  | W_snappy
-  | W_dataframe
-  | W_pagerank
-  | W_bc
-  | W_redis_get
-  | W_redis_lrange
+let seed ~doc = Arg.(value & opt int 42 & info [ "seed" ] ~doc)
 
-let workload_conv =
-  Arg.enum
-    [
-      ("seq-read", W_seq_read);
-      ("seq-write", W_seq_write);
-      ("quicksort", W_quicksort);
-      ("kmeans", W_kmeans);
-      ("snappy", W_snappy);
-      ("dataframe", W_dataframe);
-      ("pagerank", W_pagerank);
-      ("bc", W_bc);
-      ("redis-get", W_redis_get);
-      ("redis-lrange", W_redis_lrange);
-    ]
+let scale ~doc = Arg.(value & opt (some pos_int) None & info [ "scale" ] ~doc)
 
-let workload_name = function
-  | W_seq_read -> "seq-read"
-  | W_seq_write -> "seq-write"
-  | W_quicksort -> "quicksort"
-  | W_kmeans -> "kmeans"
-  | W_snappy -> "snappy"
-  | W_dataframe -> "dataframe"
-  | W_pagerank -> "pagerank"
-  | W_bc -> "bc"
-  | W_redis_get -> "redis-get"
-  | W_redis_lrange -> "redis-lrange"
+(* A parsed --faults campaign; [text] is the spec as given, which the
+   serve report echoes verbatim. *)
+type faults = { spec : Faults.Spec.t; text : string; fault_seed : int }
 
-let to_system sys prefetch =
-  match sys with
-  | S_dilos -> H.Dilos prefetch
-  | S_dilos_guided -> H.Dilos_guided prefetch
-  | S_dilos_tcp -> H.Dilos_tcp prefetch
-  | S_fastswap -> H.Fastswap
-  | S_aifm -> H.Aifm
-  | S_aifm_rdma -> H.Aifm_rdma
+let faults =
+  let spec =
+    let parse text = Result.map (fun spec -> (text, spec)) (Faults.Spec.parse text) in
+    let print ppf (text, _) = Format.pp_print_string ppf text in
+    Arg.(
+      value
+      & opt (some (conv' (parse, print))) None
+      & info [ "faults" ]
+          ~docv:"SPEC"
+          ~doc:
+            "Deterministic fault-injection scenario for the RDMA data path. \
+             A comma-separated list of presets (flaky|lossy|blackout|meltdown) \
+             and key=value settings: err=RATE, nack=RATE, dup=RATE, \
+             nack-delay=DUR, timeout=DUR, retries=N, backoff=DUR, \
+             backoff-max=DUR, blackout=LEN@START, blackout-every=DUR, \
+             blackout-len=DUR. Durations take ns/us/ms/s suffixes. Example: \
+             --faults flaky,err=0.05,blackout-every=10ms.")
+  in
+  let fault_seed =
+    Arg.(
+      value & opt int 1
+      & info [ "fault-seed" ]
+          ~doc:"Seed for the fault campaign RNG (same seed, same faults).")
+  in
+  Term.(
+    const (fun spec fault_seed ->
+        Option.map (fun (text, spec) -> { spec; text; fault_seed }) spec)
+    $ spec $ fault_seed)
 
-let parse_fault_spec faults =
-  match faults with
-  | None -> None
-  | Some s -> (
-      match Faults.Spec.parse s with
-      | Ok spec -> Some spec
-      | Error msg ->
-          Printf.eprintf "dilos_sim: bad --faults spec: %s\n" msg;
-          exit 2)
+(* [Harness.run] under the --faults campaign, if any. *)
+let run_system ?cores ?obs ?observe faults system ~local_mem f =
+  H.run system ~local_mem ?cores ?obs ?observe
+    ?fault_spec:(Option.map (fun f -> f.spec) faults)
+    ?fault_seed:(Option.map (fun f -> f.fault_seed) faults)
+    f
 
-let print_fault_summary fault_spec fault_seed stats =
-  match fault_spec with
-  | None -> ()
-  | Some spec ->
-      let g k = Sim.Stats.get stats k in
-      Printf.printf "faults:    %s (seed %d)\n"
-        (Format.asprintf "%a" Faults.Spec.pp spec)
-        fault_seed;
-      Printf.printf
-        "           comp-errors %d, timeouts %d, retries %d, nack-delays %d, \
-         dup-cqes %d, perm-failures %d\n"
-        (g "rdma_comp_errors") (g "rdma_timeouts") (g "rdma_retries")
-        (g "rdma_retrans_delays") (g "rdma_dup_completions")
-        (g "rdma_perm_failures")
+let breakdown =
+  Arg.(
+    value & flag
+    & info [ "breakdown" ]
+        ~doc:
+          "Attribute every major fault's latency to \
+           kernel/queueing/wire/backoff components (the paper's Fig. 9) and \
+           print the per-component histogram table (per point under serve).")
+
+let json_file what =
+  let doc = Printf.sprintf "Write the %s as JSON. Same seed, byte-identical file." what in
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+
+let verbose ~doc = Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
+
+let drill_app ~default ~docv ~doc =
+  Arg.(value & opt string default & info [ "a"; "app" ] ~docv ~doc)
 
 let print_breakdown stats =
   let rows = Trace.breakdown stats in
@@ -140,25 +162,63 @@ let print_breakdown stats =
       (total_mean /. 1e3) (mean_fault /. 1e3)
   end
 
-let run_workload workload sys prefetch local_mb scale scale_preset app_aware
-    cores seed faults fault_seed trace_file trace_cats trace_validate
+(* Footer shared by run and serve: the fault summary, then [artifacts]
+   (run's trace/metrics/obs lines), the breakdown and the counters. *)
+let print_footer ?(artifacts = ignore) ?counters_title faults ~breakdown
+    ~verbose stats =
+  (match faults with
+  | None -> ()
+  | Some f ->
+      let g k = Sim.Stats.get stats k in
+      Printf.printf "faults:    %s (seed %d)\n"
+        (Format.asprintf "%a" Faults.Spec.pp f.spec)
+        f.fault_seed;
+      Printf.printf
+        "           comp-errors %d, timeouts %d, retries %d, nack-delays %d, \
+         dup-cqes %d, perm-failures %d\n"
+        (g "rdma_comp_errors") (g "rdma_timeouts") (g "rdma_retries")
+        (g "rdma_retrans_delays") (g "rdma_dup_completions")
+        (g "rdma_perm_failures"));
+  artifacts ();
+  if breakdown then print_breakdown stats;
+  if verbose then begin
+    Option.iter print_endline counters_title;
+    List.iter
+      (fun (k, v) -> Printf.printf "  %-28s %d\n" k v)
+      (Sim.Stats.counters stats)
+  end
+
+(* Flags that are valid one by one but that this workload, on this
+   system, would silently ignore. A guide hooks Redis and needs a
+   DiLOS kernel to host it. *)
+let check_run (w : Apps.Catalog.entry) system cores app_aware =
+  let error fmt = Printf.ksprintf (fun msg -> `Error (true, msg)) fmt in
+  let dilos =
+    match system with
+    | H.Dilos _ | H.Dilos_guided _ | H.Dilos_tcp _ -> true
+    | H.Fastswap | H.Fastswap_no_ra | H.Aifm | H.Aifm_rdma -> false
+  in
+  if cores > 1 && not w.Apps.Catalog.multicore then
+    error "--cores %d: %s is single-threaded" cores w.Apps.Catalog.name
+  else if app_aware && not (w.Apps.Catalog.guide && dilos) then
+    error
+      "--app-aware: no guide for %s on %s (only redis-get and redis-lrange \
+       on dilos, dilos-guided or dilos-tcp)"
+      w.Apps.Catalog.name (H.system_name system)
+  else `Ok ()
+
+let run_workload (w : Apps.Catalog.entry) system local_mb scale scale_preset
+    app_aware cores seed faults trace_file trace_cats trace_validate
     metrics_file metrics_interval_us obs_out breakdown verbose =
-  let system = to_system sys prefetch in
-  (* A preset pins both knobs to the canonical table (Apps.Scale);
-     explicit --scale/--local-mb are ignored when one is given. *)
+  (* A preset pins both knobs to the catalog's dims; explicit
+     --scale/--local-mb are ignored when one is given. *)
   let scale, local_mem =
     match scale_preset with
-    | None -> (scale, local_mb * 1024 * 1024)
-    | Some preset -> (
-        match Apps.Scale.dims preset (workload_name workload) with
-        | Some d -> (d.Apps.Scale.scale, d.Apps.Scale.local_mem)
-        | None ->
-            Printf.eprintf "dilos_sim: no %s preset for workload %s\n"
-              (Apps.Scale.preset_name preset)
-              (workload_name workload);
-            exit 2)
+    | None -> (Option.value scale ~default:500_000, local_mb * 1024 * 1024)
+    | Some preset ->
+        let d = Apps.Catalog.dims preset w in
+        (d.Apps.Catalog.scale, d.Apps.Catalog.local_mem)
   in
-  let fault_spec = parse_fault_spec faults in
   (* Attribution histograms are resolved at boot, so the flag must be
      set before the harness boots the kernel. *)
   if breakdown then Trace.set_attribution true;
@@ -184,184 +244,76 @@ let run_workload workload sys prefetch local_mb scale scale_preset app_aware
                ~interval:(Sim.Time.us metrics_interval_us)
                ())
   in
-  let h_run ?cores system ~local_mem f =
-    H.run system ~local_mem ?cores ?fault_spec ~fault_seed ?obs:obs_reg
-      ~observe f
-  in
-  let with_guide ctx =
-    if app_aware then ignore (Apps.Redis_guide.install ctx)
-  in
-  let describe, result =
-    match workload with
-    | W_seq_read ->
-        let r =
-          h_run system ~local_mem (fun ctx ->
-              Apps.Seq.run ctx ~size_bytes:(scale * 4096) ~mode:Apps.Seq.Read)
-        in
-        ( Printf.sprintf "%.2f GB/s" r.H.value.Apps.Seq.gbps,
-          H.{ r with value = () } )
-    | W_seq_write ->
-        let r =
-          h_run system ~local_mem (fun ctx ->
-              Apps.Seq.run ctx ~size_bytes:(scale * 4096) ~mode:Apps.Seq.Write)
-        in
-        (Printf.sprintf "%.2f GB/s" r.H.value.Apps.Seq.gbps, H.{ r with value = () })
-    | W_quicksort ->
-        let r =
-          h_run system ~local_mem (fun ctx -> Apps.Quicksort.run ctx ~n:scale ~seed)
-        in
-        ( Printf.sprintf "sorted=%b in %.2f ms" r.H.value.Apps.Quicksort.checked
-            (Sim.Time.to_ms r.H.value.Apps.Quicksort.sort_time),
-          H.{ r with value = () } )
-    | W_kmeans ->
-        let r =
-          h_run system ~local_mem (fun ctx ->
-              Apps.Kmeans.run ctx ~n:scale ~k:10 ~iters:3 ~seed)
-        in
-        ( Printf.sprintf "%.2f ms (inertia %.3g)"
-            (Sim.Time.to_ms r.H.value.Apps.Kmeans.cluster_time)
-            r.H.value.Apps.Kmeans.inertia,
-          H.{ r with value = () } )
-    | W_snappy ->
-        let r =
-          h_run system ~local_mem (fun ctx ->
-              Apps.Snappy.run_compress ctx ~files:4 ~file_bytes:(scale * 1024) ~seed)
-        in
-        ( Printf.sprintf "%.2f ms (%d -> %d bytes)"
-            (Sim.Time.to_ms r.H.value.Apps.Snappy.time)
-            r.H.value.Apps.Snappy.input_bytes r.H.value.Apps.Snappy.output_bytes,
-          H.{ r with value = () } )
-    | W_dataframe ->
-        let r =
-          h_run system ~local_mem (fun ctx ->
-              let df = Apps.Dataframe.create ctx ~rows:scale ~seed in
-              Apps.Dataframe.run_workload df)
-        in
-        ( Printf.sprintf "%.2f ms" (Sim.Time.to_ms r.H.value.Apps.Dataframe.total_time),
-          H.{ r with value = () } )
-    | W_pagerank ->
-        let r =
-          h_run system ~local_mem ~cores (fun ctx ->
-              let g = Apps.Graph.generate ctx ~n:scale ~avg_deg:16 ~seed in
-              Apps.Graph.pagerank ctx g ~iters:5 ~threads:cores)
-        in
-        ( Printf.sprintf "%.2f ms (score sum %.4f)"
-            (Sim.Time.to_ms r.H.value.Apps.Graph.pr_time)
-            r.H.value.Apps.Graph.score_sum,
-          H.{ r with value = () } )
-    | W_bc ->
-        let r =
-          h_run system ~local_mem ~cores (fun ctx ->
-              let g = Apps.Graph.generate ctx ~n:scale ~avg_deg:16 ~seed in
-              Apps.Graph.betweenness ctx g ~sources:8 ~threads:cores ~seed)
-        in
-        ( Printf.sprintf "%.2f ms (max centrality %.1f)"
-            (Sim.Time.to_ms r.H.value.Apps.Graph.bc_time)
-            r.H.value.Apps.Graph.max_centrality,
-          H.{ r with value = () } )
-    | W_redis_get ->
-        let r =
-          h_run system ~local_mem (fun ctx ->
-              with_guide ctx;
-              Apps.Redis_bench.run_get ctx ~keys:scale
-                ~size:(Apps.Redis_bench.Fixed 4096) ~queries:scale ~seed)
-        in
-        ( Printf.sprintf "%.0f req/s, p99 %.0f us"
-            r.H.value.Apps.Redis_bench.throughput_rps r.H.value.Apps.Redis_bench.p99_us,
-          H.{ r with value = () } )
-    | W_redis_lrange ->
-        let r =
-          h_run system ~local_mem (fun ctx ->
-              with_guide ctx;
-              Apps.Redis_bench.run_lrange ctx ~lists:(scale / 100)
-                ~elements:scale ~elem_size:256 ~queries:(scale / 100) ~range:100
-                ~seed)
-        in
-        ( Printf.sprintf "%.0f req/s, p99 %.0f us"
-            r.H.value.Apps.Redis_bench.throughput_rps r.H.value.Apps.Redis_bench.p99_us,
-          H.{ r with value = () } )
+  let result =
+    run_system ~cores ?obs:obs_reg ~observe faults system ~local_mem (fun ctx ->
+        if app_aware then ignore (Apps.Redis_guide.install ctx);
+        w.Apps.Catalog.run ctx ~scale ~seed ~cores)
   in
   Printf.printf "system:    %s%s\n" (H.system_name system)
     (if app_aware then " + app-aware guide" else "");
   Printf.printf "local mem: %d MiB\n" (local_mem / (1024 * 1024));
-  Printf.printf "result:    %s\n" describe;
+  Printf.printf "result:    %s\n" result.H.value;
   Printf.printf "simulated: %.3f ms\n" (Sim.Time.to_ms result.H.elapsed);
   Printf.printf "traffic:   rx %.2f MB, tx %.2f MB\n"
     (float_of_int result.H.rx_bytes /. 1e6)
     (float_of_int result.H.tx_bytes /. 1e6);
-  print_fault_summary fault_spec fault_seed result.H.run_stats;
-  (match (trace_file, !tracer) with
-  | Some file, Some tr ->
-      Trace.write_json tr file;
-      Printf.printf "trace:     %s (%d events, %d dropped)\n" file
-        (Trace.recorded tr) (Trace.dropped tr);
-      Trace.uninstall ();
-      if trace_validate then begin
-        let text =
-          In_channel.with_open_bin file (fun ic -> In_channel.input_all ic)
-        in
-        match Trace.Json.parse text with
-        | Ok v ->
-            let events =
-              match Trace.Json.member "traceEvents" v with
-              | Some (Trace.Json.Arr l) -> List.length l
-              | Some _ | None ->
-                  Printf.eprintf "dilos_sim: trace has no traceEvents array\n";
-                  exit 1
-            in
-            Printf.printf "trace-validate: ok (%d JSON events)\n" events
-        | Error msg ->
-            Printf.eprintf "dilos_sim: trace JSON invalid: %s\n" msg;
-            exit 1
-      end
-  | (Some _ | None), _ -> ());
-  (match (metrics_file, !sampler) with
-  | Some file, Some s ->
-      Trace.Sampler.write_csv s file;
-      Printf.printf "metrics:   %s (%d intervals of %d us)\n" file
-        (Trace.Sampler.rows s) metrics_interval_us
-  | (Some _ | None), _ -> ());
-  (match (obs_out, obs_reg) with
-  | Some file, Some reg ->
-      Obs.Openmetrics.write ~stats:result.H.run_stats reg file;
-      Printf.printf "obs:       %s (OpenMetrics)\n" file
-  | _ -> ());
-  if breakdown then print_breakdown result.H.run_stats;
-  if verbose then begin
-    print_endline "counters:";
-    List.iter
-      (fun (k, v) -> Printf.printf "  %-28s %d\n" k v)
-      (Sim.Stats.counters result.H.run_stats)
-  end
+  let artifacts () =
+    (match (trace_file, !tracer) with
+    | Some file, Some tr ->
+        Trace.write_json tr file;
+        Printf.printf "trace:     %s (%d events, %d dropped)\n" file
+          (Trace.recorded tr) (Trace.dropped tr);
+        Trace.uninstall ();
+        if trace_validate then begin
+          let text =
+            In_channel.with_open_bin file (fun ic -> In_channel.input_all ic)
+          in
+          match Trace.Json.parse text with
+          | Ok v ->
+              let events =
+                match Trace.Json.member "traceEvents" v with
+                | Some (Trace.Json.Arr l) -> List.length l
+                | Some _ | None ->
+                    Printf.eprintf "dilos_sim: trace has no traceEvents array\n";
+                    exit 1
+              in
+              Printf.printf "trace-validate: ok (%d JSON events)\n" events
+          | Error msg ->
+              Printf.eprintf "dilos_sim: trace JSON invalid: %s\n" msg;
+              exit 1
+        end
+    | (Some _ | None), _ -> ());
+    (match (metrics_file, !sampler) with
+    | Some file, Some s ->
+        Trace.Sampler.write_csv s file;
+        Printf.printf "metrics:   %s (%d intervals of %d us)\n" file
+          (Trace.Sampler.rows s) metrics_interval_us
+    | (Some _ | None), _ -> ());
+    (match (obs_out, obs_reg) with
+    | Some file, Some reg ->
+        Obs.Openmetrics.write ~stats:result.H.run_stats reg file;
+        Printf.printf "obs:       %s (OpenMetrics)\n" file
+    | _ -> ())
+  in
+  print_footer ~artifacts ~counters_title:"counters:" faults ~breakdown ~verbose
+    result.H.run_stats
 
 let run_cmd, run_term =
   let workload =
+    let names = List.map (fun e -> (e.Apps.Catalog.name, e)) Apps.Catalog.entries in
+    let print ppf e = Format.pp_print_string ppf e.Apps.Catalog.name in
     Arg.(
       required
-      & opt (some workload_conv) None
-      & info [ "w"; "workload"; "app" ] ~doc:"Workload to run.")
-  in
-  let system =
-    Arg.(value & opt system_conv S_dilos & info [ "s"; "system" ] ~doc:"Memory system.")
-  in
-  let prefetch =
-    Arg.(
-      value
-      & opt prefetch_conv Dilos.Kernel.Readahead
-      & info [ "p"; "prefetch" ] ~doc:"DiLOS prefetcher (none|readahead|trend).")
-  in
-  let local_mb =
-    Arg.(value & opt int 1 & info [ "local-mb" ] ~doc:"Local DRAM budget in MiB.")
-  in
-  let scale =
-    Arg.(
-      value & opt int 500_000
-      & info [ "scale" ] ~doc:"Workload size (elements/rows/keys/pages).")
+      & opt (some (conv (conv_parser (enum names), print))) None
+      & info [ "w"; "workload"; "app" ] ~docv:"WORKLOAD"
+          ~doc:("Workload to run: " ^ doc_alts_enum names ^ "."))
   in
   let scale_preset =
     Arg.(
       value
-      & opt (some (enum [ ("paper", Apps.Scale.Paper); ("reduced", Apps.Scale.Reduced) ])) None
+      & opt
+          (some (enum Apps.Catalog.[ ("paper", Paper); ("reduced", Reduced) ]))
+          None
       & info [ "scale-preset" ]
           ~docv:"PRESET"
           ~doc:
@@ -373,30 +325,15 @@ let run_cmd, run_term =
   let app_aware =
     Arg.(
       value & flag
-      & info [ "app-aware" ] ~doc:"Install the Redis app-aware prefetch guide.")
-  in
-  let cores = Arg.(value & opt int 1 & info [ "cores" ] ~doc:"Simulated cores.") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
-  let faults =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "faults" ]
-          ~docv:"SPEC"
+      & info [ "app-aware" ]
           ~doc:
-            "Deterministic fault-injection scenario for the RDMA data path. \
-             A comma-separated list of presets (flaky|lossy|blackout|meltdown) \
-             and key=value settings: err=RATE, nack=RATE, dup=RATE, \
-             nack-delay=DUR, timeout=DUR, retries=N, backoff=DUR, \
-             backoff-max=DUR, blackout=LEN\\@START, blackout-every=DUR, \
-             blackout-len=DUR. Durations take ns/us/ms/s suffixes. Example: \
-             --faults flaky,err=0.05,blackout-every=10ms.")
+            "Install the Redis app-aware prefetch guide (redis-get and \
+             redis-lrange on the dilos systems only).")
   in
-  let fault_seed =
+  let cores =
     Arg.(
-      value & opt int 1
-      & info [ "fault-seed" ]
-          ~doc:"Seed for the fault campaign RNG (same seed, same faults).")
+      value & opt pos_int 1
+      & info [ "cores" ] ~doc:"Simulated cores (multi-threaded workloads only).")
   in
   let trace_file =
     Arg.(
@@ -436,7 +373,7 @@ let run_cmd, run_term =
   in
   let metrics_interval_us =
     Arg.(
-      value & opt int 100
+      value & opt pos_int 100
       & info [ "metrics-interval-us" ] ~docv:"N"
           ~doc:"Sampling interval for --metrics, in simulated microseconds.")
   in
@@ -451,22 +388,16 @@ let run_cmd, run_term =
              (Prometheus text) exposition. Deterministic: same seed, \
              byte-identical file.")
   in
-  let breakdown =
-    Arg.(
-      value & flag
-      & info [ "breakdown" ]
-          ~doc:
-            "Attribute every major fault's latency to \
-             kernel/queueing/wire/backoff components (the paper's Fig. 9) and \
-             print the per-component histogram table.")
-  in
-  let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Dump counters.") in
+  let valid = Term.(ret (const check_run $ workload $ system $ cores $ app_aware)) in
   let term =
     Term.(
-      const run_workload $ workload $ system $ prefetch $ local_mb $ scale
-      $ scale_preset $ app_aware $ cores $ seed $ faults $ fault_seed
-      $ trace_file $ trace_cats $ trace_validate $ metrics_file
-      $ metrics_interval_us $ obs_out $ breakdown $ verbose)
+      const (fun () -> run_workload)
+      $ valid $ workload $ system $ local_mb 1
+      $ scale ~doc:"Workload size (elements/rows/keys/pages); default 500000."
+      $ scale_preset $ app_aware $ cores
+      $ seed ~doc:"RNG seed." $ faults $ trace_file $ trace_cats $ trace_validate
+      $ metrics_file $ metrics_interval_us $ obs_out $ breakdown
+      $ verbose ~doc:"Dump counters.")
   in
   (Cmd.v (Cmd.info "run" ~doc:"Run one workload on one system") term, term)
 
@@ -492,27 +423,6 @@ let value_size_conv =
 let arrival_conv =
   Arg.enum
     [ ("poisson", Workload.Arrival.Poisson); ("fixed", Workload.Arrival.Fixed) ]
-
-let parse_sweep s =
-  let parts = String.split_on_char ',' s in
-  let rates =
-    List.filter_map
-      (fun p ->
-        let p = String.trim p in
-        if String.length p = 0 then None
-        else
-          match float_of_string_opt p with
-          | Some r when r > 0. -> Some r
-          | Some _ | None ->
-              Printf.eprintf "dilos_sim: bad --sweep rate %S\n" p;
-              exit 2)
-      parts
-  in
-  if rates = [] then begin
-    Printf.eprintf "dilos_sim: --sweep needs at least one rate\n";
-    exit 2
-  end;
-  rates
 
 (* Deterministic JSON: fixed field order, fixed float precision, no
    wall-clock anywhere — the same seed must produce a byte-identical
@@ -561,14 +471,10 @@ let serve_json oc ~system_name ~local_mb ~seed ~fault_desc
     points;
   p "  ]\n}\n"
 
-let run_serve sys prefetch local_mb seed keys value_size arrival rate zipf
-    rw_mix duration_s requests phases workers sweep json_file faults fault_seed
-    breakdown verbose =
-  let system = to_system sys prefetch in
+let run_serve system local_mb seed keys value_size arrival rates zipf rw_mix
+    duration_s requests phases workers json_file faults breakdown verbose =
   let local_mem = local_mb * 1024 * 1024 in
-  let fault_spec = parse_fault_spec faults in
   if breakdown then Trace.set_attribution true;
-  let rates = match sweep with None -> [ rate ] | Some s -> parse_sweep s in
   let point offered =
     let n =
       if requests > 0 then requests
@@ -586,8 +492,7 @@ let run_serve sys prefetch local_mb seed keys value_size arrival rate zipf
       }
     in
     let cfg = { Apps.Serving.stream = scfg; requests = n; phases; workers } in
-    H.run system ~local_mem ?fault_spec ~fault_seed (fun ctx ->
-        Apps.Serving.run ctx cfg)
+    run_system faults system ~local_mem (fun ctx -> Apps.Serving.run ctx cfg)
   in
   Printf.printf "system:    %s\n" (H.system_name system);
   Printf.printf "local mem: %d MiB\n" (local_mem / (1024 * 1024));
@@ -623,12 +528,7 @@ let run_serve sys prefetch local_mb seed keys value_size arrival rate zipf
                 pr.Apps.Redis_bench.p99_us
                 ph.Apps.Serving.ph_service.Apps.Redis_bench.p99_us)
             r.Apps.Serving.phases;
-        print_fault_summary fault_spec fault_seed res.H.run_stats;
-        if breakdown then print_breakdown res.H.run_stats;
-        if verbose then
-          List.iter
-            (fun (k, v) -> Printf.printf "  %-28s %d\n" k v)
-            (Sim.Stats.counters res.H.run_stats);
+        print_footer faults ~breakdown ~verbose res.H.run_stats;
         (offered, r))
       rates
   in
@@ -637,26 +537,14 @@ let run_serve sys prefetch local_mb seed keys value_size arrival rate zipf
   | Some file ->
       let oc = open_out file in
       serve_json oc ~system_name:(H.system_name system) ~local_mb ~seed
-        ~fault_desc:faults results;
+        ~fault_desc:(Option.map (fun f -> f.text) faults)
+        results;
       close_out oc;
       Printf.printf "report:    %s\n" file
 
 let serve_cmd =
-  let system =
-    Arg.(value & opt system_conv S_dilos & info [ "s"; "system" ] ~doc:"Memory system.")
-  in
-  let prefetch =
-    Arg.(
-      value
-      & opt prefetch_conv Dilos.Kernel.Readahead
-      & info [ "p"; "prefetch" ] ~doc:"DiLOS prefetcher (none|readahead|trend).")
-  in
-  let local_mb =
-    Arg.(value & opt int 4 & info [ "local-mb" ] ~doc:"Local DRAM budget in MiB.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Workload seed.") in
   let keys =
-    Arg.(value & opt int 4096 & info [ "keys" ] ~doc:"Keyspace size.")
+    Arg.(value & opt pos_int 4096 & info [ "keys" ] ~doc:"Keyspace size.")
   in
   let value_size =
     Arg.(
@@ -673,11 +561,15 @@ let serve_cmd =
       & opt arrival_conv Workload.Arrival.Poisson
       & info [ "arrival" ] ~doc:"Arrival process (poisson|fixed).")
   in
-  let rate =
+  let rates =
     Arg.(
-      value & opt float 50_000.
-      & info [ "arrival-rate" ] ~docv:"RPS"
-          ~doc:"Offered load in requests per second of simulated time.")
+      value
+      & opt (list pos_float) [ 50_000. ]
+      & info [ "arrival-rate" ] ~docv:"RPS[,RPS...]"
+          ~doc:
+            "Offered load in requests per second of simulated time. A \
+             comma-separated list runs one fresh system per rate, for an \
+             offered-vs-achieved knee curve.")
   in
   let zipf =
     Arg.(
@@ -687,13 +579,13 @@ let serve_cmd =
   in
   let rw_mix =
     Arg.(
-      value & opt float 0.95
+      value & opt fraction 0.95
       & info [ "rw-mix" ] ~docv:"READ_FRACTION"
           ~doc:"Fraction of requests that are GETs (rest are SETs).")
   in
   let duration_s =
     Arg.(
-      value & opt float 0.25
+      value & opt pos_float 0.25
       & info [ "duration-s" ]
           ~doc:
             "Simulated seconds of offered load per point; the request count \
@@ -707,56 +599,22 @@ let serve_cmd =
   in
   let phases =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "phases" ] ~doc:"Report percentiles per N equal-count phases.")
   in
   let workers =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "workers" ]
           ~doc:"Server fibers draining the queue (1 = single-threaded Redis).")
   in
-  let sweep =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "sweep" ] ~docv:"R1,R2,..."
-          ~doc:
-            "Comma-separated offered loads (rps); runs one fresh system per \
-             point for an offered-vs-achieved knee curve. Overrides \
-             --arrival-rate.")
-  in
-  let json_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write the sweep report as JSON. Deterministic: same seed, \
-             byte-identical file.")
-  in
-  let faults =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "faults" ] ~docv:"SPEC"
-          ~doc:"Fault-injection scenario (same language as `run --faults`).")
-  in
-  let fault_seed =
-    Arg.(value & opt int 1 & info [ "fault-seed" ] ~doc:"Fault campaign seed.")
-  in
-  let breakdown =
-    Arg.(
-      value & flag
-      & info [ "breakdown" ]
-          ~doc:"Print the per-fault latency attribution for every point.")
-  in
-  let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Dump counters.") in
   let term =
     Term.(
-      const run_serve $ system $ prefetch $ local_mb $ seed $ keys $ value_size
-      $ arrival $ rate $ zipf $ rw_mix $ duration_s $ requests $ phases
-      $ workers $ sweep $ json_file $ faults $ fault_seed $ breakdown $ verbose)
+      const run_serve $ system $ local_mb 4 $ seed ~doc:"Workload seed." $ keys
+      $ value_size $ arrival $ rates $ zipf $ rw_mix $ duration_s $ requests
+      $ phases $ workers
+      $ json_file "sweep report"
+      $ faults $ breakdown $ verbose ~doc:"Dump counters.")
   in
   Cmd.v
     (Cmd.info "serve"
@@ -787,9 +645,8 @@ let drill_apps_of_string s =
             exit 2)
       (String.split_on_char ',' s)
 
-let run_drill sys prefetch app_str local_mb scale seed shards replication
-    kill_shard detect_us recover_after_us json_file verbose =
-  let system = to_system sys prefetch in
+let run_drill system app_str local_mb scale seed shards replication kill_shard
+    detect_us recover_after_us json_file verbose =
   let apps = drill_apps_of_string app_str in
   if replication < 1 || shards < replication then begin
     Printf.eprintf "dilos_sim: need 1 <= replication <= shards\n";
@@ -842,38 +699,6 @@ let run_drill sys prefetch app_str local_mb scale seed shards replication
   end
 
 let drill_cmd =
-  let system =
-    Arg.(value & opt system_conv S_dilos & info [ "s"; "system" ] ~doc:"Memory system.")
-  in
-  let prefetch =
-    Arg.(
-      value
-      & opt prefetch_conv Dilos.Kernel.Readahead
-      & info [ "p"; "prefetch" ] ~doc:"DiLOS prefetcher (none|readahead|trend).")
-  in
-  let app_arg =
-    Arg.(
-      value & opt string "all"
-      & info [ "a"; "app" ] ~docv:"APPS"
-          ~doc:
-            "Comma-separated drill kernels (seq|quicksort|kmeans|redis), or \
-             $(b,all).")
-  in
-  let local_mb =
-    Arg.(value & opt int 1 & info [ "local-mb" ] ~doc:"Local DRAM budget in MiB.")
-  in
-  let scale =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "scale" ] ~doc:"Workload size override (per-app default otherwise).")
-  in
-  let seed =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ]
-          ~doc:"Drives the workload, the kill instant and the fault RNG.")
-  in
   let shards =
     Arg.(value & opt int 2 & info [ "shards" ] ~doc:"Memnode shard instances.")
   in
@@ -900,23 +725,19 @@ let drill_cmd =
             "Also restart the killed shard this many simulated microseconds \
              after the kill and re-replicate in the background.")
   in
-  let json_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write the drill report as JSON. Deterministic: same seed, \
-             byte-identical file (CI cmps a double run).")
-  in
-  let verbose =
-    Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print per-app JSON.")
-  in
   let term =
     Term.(
-      const run_drill $ system $ prefetch $ app_arg $ local_mb $ scale $ seed
+      const run_drill $ system
+      $ drill_app ~default:"all" ~docv:"APPS"
+          ~doc:
+            "Comma-separated drill kernels (seq|quicksort|kmeans|redis), or \
+             $(b,all)."
+      $ local_mb 1
+      $ scale ~doc:"Workload size override (per-app default otherwise)."
+      $ seed ~doc:"Drives the workload, the kill instant and the fault RNG."
       $ shards $ replication $ kill_shard $ detect_us $ recover_after_us
-      $ json_file $ verbose)
+      $ json_file "drill report"
+      $ verbose ~doc:"Print per-app JSON.")
   in
   Cmd.v
     (Cmd.info "drill"
@@ -934,9 +755,8 @@ let drill_cmd =
    flamegraph collapsed-stack artifacts. Exit codes: 0 ok, 1 health
    signature or reconciliation failure, 2 usage. *)
 
-let run_report sys prefetch app_str local_mb scale seed json_file om_file
+let run_report system app_str local_mb scale seed json_file om_file
     folded_file check verbose =
-  let system = to_system sys prefetch in
   let app =
     match Apps.Drill.app_of_string app_str with
     | Some a -> a
@@ -1029,46 +849,6 @@ let run_report sys prefetch app_str local_mb scale seed json_file om_file
   end
 
 let report_cmd =
-  let system =
-    Arg.(value & opt system_conv S_dilos & info [ "s"; "system" ] ~doc:"Memory system.")
-  in
-  let prefetch =
-    Arg.(
-      value
-      & opt prefetch_conv Dilos.Kernel.Readahead
-      & info [ "p"; "prefetch" ] ~doc:"DiLOS prefetcher (none|readahead|trend).")
-  in
-  let app_arg =
-    Arg.(
-      value & opt string "seq"
-      & info [ "a"; "app" ] ~docv:"APP"
-          ~doc:"Drill kernel for the fault scenarios (seq|quicksort|kmeans|redis).")
-  in
-  let local_mb =
-    Arg.(value & opt int 1 & info [ "local-mb" ] ~doc:"Local DRAM budget in MiB.")
-  in
-  let scale =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "scale" ] ~doc:"Workload size override (per-app default otherwise).")
-  in
-  let seed =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ]
-          ~doc:"Drives the workloads, the kill instant and the fault RNG.")
-  in
-  let json_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write the structured run-report (per-scenario labeled metrics, \
-             health events, flame profile). Deterministic: same seed, \
-             byte-identical file (CI cmps a double run).")
-  in
   let om_file =
     Arg.(
       value
@@ -1095,13 +875,18 @@ let report_cmd =
              fire somewhere in the matrix, and every scenario's flame profile \
              reconciles exactly with its fault-attribution sums.")
   in
-  let verbose =
-    Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print the JSON report.")
-  in
   let term =
     Term.(
-      const run_report $ system $ prefetch $ app_arg $ local_mb $ scale $ seed
-      $ json_file $ om_file $ folded_file $ check $ verbose)
+      const run_report $ system
+      $ drill_app ~default:"seq" ~docv:"APP"
+          ~doc:"Drill kernel for the fault scenarios (seq|quicksort|kmeans|redis)."
+      $ local_mb 1
+      $ scale ~doc:"Workload size override (per-app default otherwise)."
+      $ seed ~doc:"Drives the workloads, the kill instant and the fault RNG."
+      $ json_file
+          "run-report (per-scenario labeled metrics, health events, flame profile)"
+      $ om_file $ folded_file $ check
+      $ verbose ~doc:"Print the JSON report.")
   in
   Cmd.v
     (Cmd.info "report"

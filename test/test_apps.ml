@@ -205,6 +205,47 @@ let barrier_synchronizes () =
       check_i64 "second phase at +3us" (Sim.Time.us 33) second
   | l -> Alcotest.fail (Printf.sprintf "expected 2 release instants, got %d" (List.length l))
 
+(* ------------------------------------------------------------------ *)
+(* Workload catalog *)
+
+(* Every runner at `dilos_sim run`'s defaults (DiLOS/readahead, 1 MiB
+   local, seed 42) and --scale 2000, two cores where the workload takes
+   them. The expected lines are what `dilos_sim run -w W --scale 2000`
+   (with --cores 2 for pagerank and bc) prints as its result. *)
+let catalog_result_lines () =
+  let expected =
+    [
+      ("seq-read", "3.81 GB/s");
+      ("seq-write", "3.81 GB/s");
+      ("quicksort", "sorted=true in 0.08 ms");
+      ("kmeans", "0.30 ms (inertia 1.71e+12)");
+      ("snappy", "18.34 ms (8192000 -> 2536073 bytes)");
+      ("dataframe", "0.16 ms");
+      ("pagerank", "0.56 ms (score sum 1.0000)");
+      ("bc", "1.16 ms (max centrality 1065.1)");
+      ("redis-get", "217006 req/s, p99 8 us");
+      ("redis-lrange", "24079 req/s, p99 96 us");
+    ]
+  in
+  let line (e : Apps.Catalog.entry) =
+    let cores = if e.Apps.Catalog.multicore then 2 else 1 in
+    let r =
+      Apps.Harness.run (Apps.Harness.Dilos Dilos.Kernel.Readahead)
+        ~local_mem:(1024 * 1024) ~cores ~remote_size:(Int64.shift_left 1L 30)
+        (fun ctx -> e.Apps.Catalog.run ctx ~scale:2000 ~seed:42 ~cores)
+    in
+    (e.Apps.Catalog.name, r.Apps.Harness.value)
+  in
+  Alcotest.(check (list (pair string string)))
+    "result lines" expected
+    (List.map line Apps.Catalog.entries);
+  List.iter
+    (fun (e : Apps.Catalog.entry) ->
+      check_bool (e.Apps.Catalog.name ^ ": paper dims exceed reduced") true
+        (e.Apps.Catalog.paper.Apps.Catalog.ws_bytes
+         > e.Apps.Catalog.reduced.Apps.Catalog.ws_bytes))
+    Apps.Catalog.entries
+
 let suite =
   [
     quick "snappy roundtrip text" snappy_roundtrip_text;
@@ -226,4 +267,5 @@ let suite =
     quick "pagerank multithreaded matches" pagerank_multithreaded_matches;
     quick "bc finds central vertices" bc_finds_central_vertices;
     quick "barrier synchronizes" barrier_synchronizes;
+    quick "catalog: every workload's result line" catalog_result_lines;
   ]
