@@ -18,7 +18,7 @@ let list_experiments () =
   List.iter (fun (n, _) -> Printf.printf "  %s\n" n) Perf.targets;
   print_endline "paper-scale perf targets (by explicit name only):";
   List.iter (fun (n, _) -> Printf.printf "  %s\n" n) Perf.paperscale_targets;
-  print_endline "  --alloc-smoke   assert the fault path's allocation budget";
+  print_endline "  --alloc-smoke   assert each kernel's fault- and hit-path allocation budgets";
   print_endline
     "  --regress FILE  re-run a committed BENCH_*.json and fail on counter \
      drift or wall-clock regression"

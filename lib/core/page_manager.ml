@@ -1,13 +1,3 @@
-(* Int-keyed tables: monomorphic equality and an inline multiplicative
-   hash, so a lookup calls neither [compare_val] nor [caml_hash]. None
-   of them is ever iterated. *)
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash x = (x * 0x9E3779B1) lsr 16
-end)
-
 (* The LRU clock: a FIFO ring of VPNs. [queued] maps each queued VPN to
    its push sequence number shifted left one bit; the low bit is the
    VPN's flag, set while it has a live candidate in the dirty index.
@@ -19,32 +9,39 @@ module Clock = struct
     mutable head : int;
     mutable len : int;
     mutable next_seq : int;
-    queued : int Int_tbl.t;
+    queued : int Sim.Int_table.t;
   }
 
   let create () =
-    { data = Array.make 256 0; head = 0; len = 0; next_seq = 0; queued = Int_tbl.create 256 }
+    {
+      data = Array.make 256 0;
+      head = 0;
+      len = 0;
+      next_seq = 0;
+      queued = Sim.Int_table.create 256;
+    }
 
   let length t = t.len
 
-  let slot t vpn = match Int_tbl.find t.queued vpn with s -> s | exception Not_found -> -1
+  let slot t vpn =
+    match Sim.Int_table.find t.queued vpn with s -> s | exception Not_found -> -1
 
   (* Set [vpn]'s flag and return its sequence number; -1 when it is not
      queued or already flagged. *)
   let flag t vpn =
     let s = slot t vpn in
     if s >= 0 && s land 1 = 0 then begin
-      Int_tbl.replace t.queued vpn (s lor 1);
+      Sim.Int_table.replace t.queued vpn (s lor 1);
       s lsr 1
     end
     else -1
 
   (* [vpn] is still queued under [seq], with its flag set. *)
   let flagged t vpn seq = slot t vpn = (seq lsl 1) lor 1
-  let unflag t vpn seq = Int_tbl.replace t.queued vpn (seq lsl 1)
+  let unflag t vpn seq = Sim.Int_table.replace t.queued vpn (seq lsl 1)
 
   let push t vpn =
-    if not (Int_tbl.mem t.queued vpn) then begin
+    if not (Sim.Int_table.mem t.queued vpn) then begin
       let cap = Array.length t.data in
       if t.len = cap then begin
         let nd = Array.make (cap * 2) 0 in
@@ -56,7 +53,7 @@ module Clock = struct
       end;
       t.data.((t.head + t.len) mod Array.length t.data) <- vpn;
       t.len <- t.len + 1;
-      Int_tbl.replace t.queued vpn (t.next_seq lsl 1);
+      Sim.Int_table.replace t.queued vpn (t.next_seq lsl 1);
       t.next_seq <- t.next_seq + 1
     end
 
@@ -66,7 +63,7 @@ module Clock = struct
       let vpn = t.data.(t.head) in
       t.head <- (t.head + 1) mod Array.length t.data;
       t.len <- t.len - 1;
-      Int_tbl.remove t.queued vpn;
+      Sim.Int_table.remove t.queued vpn;
       Some vpn
     end
 
@@ -142,12 +139,12 @@ type t = {
   evict_qp : Rdma.Qp.t;
   reclaim_guide : Guide.reclaim_guide option;
   clock : Clock.t;
-  vector_log : (int * int) list Int_tbl.t;
+  vector_log : (int * int) list Sim.Int_table.t;
   mutable next_log_id : int;
   (* Invariant: every [Local] dirty page on the clock has exactly one
      live candidate here; stale ones are discarded when popped. *)
   dirty : Dirty_index.t;
-  wb_inflight : unit Int_tbl.t;
+  wb_inflight : unit Sim.Int_table.t;
   mutable invalidate : int -> unit;
   frames_avail : Sim.Condvar.t;
   reclaim_work : Sim.Condvar.t;
@@ -187,10 +184,10 @@ let create ~eng ~stats ~pt ~frames ~evict_qp ?reclaim_guide () =
     evict_qp;
     reclaim_guide;
     clock = Clock.create ();
-    vector_log = Int_tbl.create 64;
+    vector_log = Sim.Int_table.create 64;
     next_log_id = 1;
     dirty = Dirty_index.create ();
-    wb_inflight = Int_tbl.create 16;
+    wb_inflight = Sim.Int_table.create 16;
     invalidate = (fun _ -> ());
     frames_avail = Sim.Condvar.create eng;
     reclaim_work = Sim.Condvar.create eng;
@@ -222,19 +219,19 @@ let enqueue t vpn =
 
 let note_mapped = enqueue
 let clock_order t = Clock.to_list t.clock
-let writeback_in_flight t vpn = Int_tbl.mem t.wb_inflight vpn
+let writeback_in_flight t vpn = Sim.Int_table.mem t.wb_inflight vpn
 
 let vector_segments t ~payload =
-  match Int_tbl.find_opt t.vector_log payload with
+  match Sim.Int_table.find_opt t.vector_log payload with
   | Some segs ->
-      Int_tbl.remove t.vector_log payload;
+      Sim.Int_table.remove t.vector_log payload;
       segs
   | None -> invalid_arg "Page_manager.vector_segments: unknown payload"
 
 let log_vector t segs =
   let id = t.next_log_id in
   t.next_log_id <- t.next_log_id + 1;
-  Int_tbl.replace t.vector_log id segs;
+  Sim.Int_table.replace t.vector_log id segs;
   id
 
 let guide_segments t vpn =
@@ -275,9 +272,9 @@ let drop_without_write t vpn pte =
    clean-then-drop path from the periodic cleaner (which leaves the
    page mapped). *)
 let writeback t vpn pte ~then_evict =
-  if not (Int_tbl.mem t.wb_inflight vpn) then begin
+  if not (Sim.Int_table.mem t.wb_inflight vpn) then begin
     let frame = Vmem.Pte.frame pte in
-    Int_tbl.replace t.wb_inflight vpn ();
+    Sim.Int_table.replace t.wb_inflight vpn ();
     (* Clear dirty before the copy is snapshotted: a store racing with
        the write-back must re-dirty the page so we notice. *)
     Vmem.Page_table.update t.pt vpn Vmem.Pte.clear_dirty;
@@ -316,7 +313,7 @@ let writeback t vpn pte ~then_evict =
        back on the clock for a later attempt. Reclaim skips wb_inflight
        pages, so nobody can have dropped the frame meanwhile. *)
     let on_error () =
-      Int_tbl.remove t.wb_inflight vpn;
+      Sim.Int_table.remove t.wb_inflight vpn;
       Sim.Stats.cincr t.hot.c_wb_failures;
       (match Vmem.Pte.tag (Vmem.Page_table.get t.pt vpn) with
       | Vmem.Pte.Local ->
@@ -328,7 +325,7 @@ let writeback t vpn pte ~then_evict =
       Sim.Condvar.broadcast t.wb_done
     in
     Rdma.Qp.post_write ~on_error t.evict_qp ~segs ~buf ~on_complete:(fun () ->
-        Int_tbl.remove t.wb_inflight vpn;
+        Sim.Int_table.remove t.wb_inflight vpn;
         Sim.Stats.cincr t.hot.c_writebacks;
         (if then_evict then
            let pte' = Vmem.Page_table.get t.pt vpn in
@@ -368,7 +365,7 @@ let clock_step t =
           enqueue t vpn;
           false
       | Vmem.Pte.Local ->
-          if Int_tbl.mem t.wb_inflight vpn then begin
+          if Sim.Int_table.mem t.wb_inflight vpn then begin
             enqueue t vpn;
             false
           end
@@ -398,7 +395,7 @@ let reclaim_until t target =
     else begin
       incr no_progress;
       if !no_progress > Clock.length t.clock + 1 then
-        if Int_tbl.length t.wb_inflight > 0 then begin
+        if Sim.Int_table.length t.wb_inflight > 0 then begin
           (* Everything evictable is already being written back; wait
              for a completion rather than spinning. *)
           Sim.Condvar.wait t.wb_done;
@@ -435,7 +432,7 @@ let clean_batch t =
       let pte = Vmem.Page_table.get t.pt vpn in
       match Vmem.Pte.tag pte with
       | Vmem.Pte.Local when Vmem.Pte.dirty pte ->
-          if Int_tbl.mem t.wb_inflight vpn || no_live_data t vpn then
+          if Sim.Int_table.mem t.wb_inflight vpn || no_live_data t vpn then
             kept := (seq, vpn) :: !kept
           else begin
             Clock.unflag t.clock vpn seq;
@@ -500,4 +497,4 @@ let release_frame t frame =
   Sim.Condvar.broadcast t.frames_avail
 
 let quiesce t =
-  Sim.Condvar.wait_for t.wb_done (fun () -> Int_tbl.length t.wb_inflight = 0)
+  Sim.Condvar.wait_for t.wb_done (fun () -> Sim.Int_table.length t.wb_inflight = 0)

@@ -57,8 +57,8 @@ type t = {
   cache : Swap_cache.t;
   qps : Rdma.Qp.t array; (* one per core: faults + readahead share it *)
   lru : int Queue.t; (* mapped-page reclaim scan order *)
-  queued : (int, unit) Hashtbl.t;
-  swap_backed : (int, unit) Hashtbl.t;
+  queued : unit Sim.Int_table.t;
+  swap_backed : unit Sim.Int_table.t;
       (* pages that came back from swap and still hold a swap slot:
          their first re-dirtying pays the slot-release/wp cost *)
   io_done : Sim.Condvar.t;
@@ -85,9 +85,9 @@ let swap_cache_size t = Swap_cache.size t.cache
 let invalidate t vpn = Dilos.Cpu.invalidate t.cpus vpn
 
 let lru_push t vpn =
-  if not (Hashtbl.mem t.queued vpn) then begin
+  if not (Sim.Int_table.mem t.queued vpn) then begin
     Queue.push vpn t.lru;
-    Hashtbl.replace t.queued vpn ()
+    Sim.Int_table.replace t.queued vpn ()
   end
 
 (* One reclaim step over the unified LRU: a popped VPN may be a
@@ -102,7 +102,7 @@ let rec evict_one t ~qp ~budget =
     match Queue.take_opt t.lru with
     | None -> false
     | Some vpn -> (
-        Hashtbl.remove t.queued vpn;
+        Sim.Int_table.remove t.queued vpn;
         match Swap_cache.find t.cache vpn with
         | Some e when not e.Swap_cache.io_inflight ->
             (* Never-used readahead page: clean, just drop it. *)
@@ -164,7 +164,7 @@ let rec evict_one t ~qp ~budget =
                      then begin
                        Vmem.Page_table.set t.pt vpn (Vmem.Pte.make_remote ());
                        invalidate t vpn;
-                       Hashtbl.remove t.swap_backed vpn;
+                       Sim.Int_table.remove t.swap_backed vpn;
                        Vmem.Frame.free t.frames frame;
                        Sim.Stats.cincr t.hot.c_evictions;
                        Sim.Condvar.broadcast t.frames_avail;
@@ -349,7 +349,7 @@ let map_from_cache t vpn entry =
   Swap_cache.remove t.cache vpn;
   Vmem.Page_table.set t.pt vpn
     (Vmem.Pte.make_local ~frame:entry.Swap_cache.frame ~writable:true);
-  Hashtbl.replace t.swap_backed vpn ();
+  Sim.Int_table.replace t.swap_backed vpn ();
   lru_push t vpn
 
 let rec major_fault t cs vpn refetches =
@@ -515,8 +515,8 @@ and handle_fault_inner t cs vpn refetches =
    and goes through write-protect handling; pages that never swapped
    pay nothing extra (see Params.fastswap_dirty_write_ns). *)
 let charge_dirtying t cs vpn =
-  if Hashtbl.mem t.swap_backed vpn then begin
-    Hashtbl.remove t.swap_backed vpn;
+  if Sim.Int_table.mem t.swap_backed vpn then begin
+    Sim.Int_table.remove t.swap_backed vpn;
     Dilos.Cpu.charge cs Dilos.Params.fastswap_dirty_write_ns
   end
 
@@ -595,8 +595,8 @@ let boot ~eng ~server (cfg : config) =
         Array.init cfg.cores (fun i ->
             Rdma.Fabric.qp fabric ~name:(Printf.sprintf "swap.%d" i));
       lru = Queue.create ();
-      queued = Hashtbl.create 1024;
-      swap_backed = Hashtbl.create 1024;
+      queued = Sim.Int_table.create 1024;
+      swap_backed = Sim.Int_table.create 1024;
       io_done = Sim.Condvar.create eng;
       frames_avail = Sim.Condvar.create eng;
       reclaim_work = Sim.Condvar.create eng;

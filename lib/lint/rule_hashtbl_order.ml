@@ -1,4 +1,5 @@
-(* R3 hashtbl-order: Hashtbl.iter/fold enumerate buckets in an order
+(* R3 hashtbl-order: Hashtbl.iter/fold (and Sim.Int_table.fold)
+   enumerate buckets in an order
    that depends on insertion history and the hash function — any sim
    decision or report derived from it drifts silently when keys change.
    The rule demands that a function using Hashtbl.iter/fold also sorts
@@ -26,6 +27,9 @@ let is_iter_fold p =
   match p with
   | [ "Hashtbl"; ("iter" | "fold") ] -> true
   | [ _; "Hashtbl"; ("iter" | "fold") ] -> true (* e.g. MoreLabels.Hashtbl *)
+  (* Sim.Int_table visits slots in an order set by insertion history
+     and its hash, exactly like Hashtbl's buckets. *)
+  | [ "Int_table"; "fold" ] | [ _; "Int_table"; "fold" ] -> true
   | _ -> false
 
 let is_sort p =

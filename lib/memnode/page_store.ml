@@ -20,12 +20,17 @@ let create ~size =
   if Int64.compare size 0L < 0 then invalid_arg "Page_store.create: negative size";
   let bytes_ = Int64.to_int size in
   let blocks = (bytes_ + block_size - 1) / block_size in
-  {
-    size;
-    slab = Sim.Bigbuf.create bytes_;
-    touched = Bytes.make ((blocks + 7) / 8) '\000';
-    resident = 0;
-  }
+  (* The slab before the bitmap: it is the request a host refuses. *)
+  let slab =
+    try Sim.Bigbuf.create bytes_
+    with Out_of_memory ->
+      failwith
+        (Printf.sprintf
+           "Page_store.create: cannot reserve %d bytes for the memory node's \
+            page store; lower Server.create ~size (Harness.run ?remote_size)"
+           bytes_)
+  in
+  { size; slab; touched = Bytes.make ((blocks + 7) / 8) '\000'; resident = 0 }
 
 let size t = t.size
 

@@ -14,7 +14,9 @@ val block_size : int
 (** Granularity of the residency diagnostic (4 KiB). *)
 
 val create : size:int64 -> t
-(** [create ~size] serves addresses \[0, size). *)
+(** [create ~size] serves addresses \[0, size).
+    @raise Failure naming the size and the parameter to lower when the
+    host refuses the slab. *)
 
 val size : t -> int64
 

@@ -144,6 +144,11 @@ type t = {
   queue : Eheap.t;
   ready : Ring.t;
   mutable failure : (exn * Printexc.raw_backtrace) option;
+  (* [true] while fiber code runs (not a callback, not the loop). *)
+  mutable in_fiber : bool;
+  (* [max_time] of the running [run_until_idle] ([max_int] under [run]):
+     the loop stops before any event past it. *)
+  mutable horizon : int;
 }
 
 let create () =
@@ -153,6 +158,8 @@ let create () =
     queue = Eheap.create ();
     ready = Ring.create ();
     failure = None;
+    in_fiber = false;
+    horizon = max_int;
   }
 
 let now t = t.now
@@ -223,11 +230,13 @@ type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 
 let fiber_handler t (f : unit -> unit) () =
   let open Effect.Deep in
+  t.in_fiber <- true;
   match_with f ()
     {
-      retc = (fun () -> ());
+      retc = (fun () -> t.in_fiber <- false);
       exnc =
         (fun e ->
+          t.in_fiber <- false;
           if t.failure = None then
             t.failure <- Some (e, Printexc.get_raw_backtrace ()));
       effc =
@@ -236,26 +245,48 @@ let fiber_handler t (f : unit -> unit) () =
           | Suspend register ->
               Some
                 (fun (k : (a, unit) continuation) ->
+                  t.in_fiber <- false;
                   let woken = ref false in
                   let wake () =
                     if !woken then invalid_arg "Engine: double wake of a fiber";
                     woken := true;
-                    Ring.push t.ready (fun () -> continue k ())
+                    Ring.push t.ready (fun () ->
+                        t.in_fiber <- true;
+                        continue k ())
                   in
                   (* An exception inside [register] belongs to the
                      suspending fiber, not to the engine loop. *)
                   match register wake with
                   | () -> ()
-                  | exception e -> discontinue k e)
+                  | exception e ->
+                      t.in_fiber <- true;
+                      discontinue k e)
           | _ -> None);
     }
 
 let spawn t ?name:_ f = Ring.push t.ready (fiber_handler t f)
 let suspend _t register = Effect.perform (Suspend register)
 
+(* In-place clock advance. A sleep is uncontended when its wake would
+   be the very next event: the caller is a fiber, the ready ring is
+   empty, every heap event is due strictly after [time], and [time] is
+   within the running loop's horizon. Parking would then push the wake
+   at (time, seq + 1), pop it straight away (nothing else is due
+   first, and nothing runs in between to schedule anything), and
+   resume the fiber with [now = time]. Consuming the same seq and
+   setting the clock is that, minus the park. *)
 let sleep_until t time =
-  if Int64.compare time t.now > 0 then
-    Effect.perform (Suspend (fun wake -> at t time wake))
+  if Int64.compare time t.now > 0 then begin
+    let ti = Int64.to_int time in
+    if
+      t.in_fiber && t.ready.Ring.len = 0 && ti <= t.horizon
+      && (t.queue.Eheap.size = 0 || Eheap.top_time t.queue > ti)
+    then begin
+      t.seq <- t.seq + 1;
+      t.now <- time
+    end
+    else Effect.perform (Suspend (fun wake -> at t time wake))
+  end
 
 let sleep t delay = sleep_until t (Time.add t.now delay)
 let yield t = Effect.perform (Suspend (fun wake -> at t t.now wake))
@@ -289,6 +320,7 @@ let check_failure t =
   | None -> ()
 
 let run t =
+  t.horizon <- max_int;
   while t.failure = None && step t do
     ()
   done;
@@ -305,6 +337,7 @@ let next_time t =
   else None
 
 let run_until_idle t ~max_time =
+  t.horizon <- Int64.to_int (Int64.min max_time (Int64.of_int max_int));
   let continue_ = ref true in
   while !continue_ && t.failure = None do
     match next_time t with

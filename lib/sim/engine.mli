@@ -66,12 +66,21 @@ val timer_pending : timer -> bool
 (** [true] until the timer fires or is cancelled. *)
 
 val sleep : t -> Time.t -> unit
-(** Block the calling fiber for a simulated duration. Must be called
-    from inside a fiber. *)
+(** [sleep t d] is [sleep_until t (now t + d)]. Must be called from
+    inside a fiber. *)
 
 val sleep_until : t -> Time.t -> unit
 (** Block the calling fiber until an absolute simulated time (no-op if
-    the time has already passed). *)
+    the time has already passed). Must be called from inside a fiber;
+    from a callback it raises [Effect.Unhandled].
+
+    When the wake would be the very next event — the ready queue is
+    empty, every queued event is due strictly after the target, and
+    the target is within the running {!run_until_idle}'s [max_time] —
+    the fiber does not park: the call consumes the sequence number its
+    wake event would have taken, sets the clock and returns. The
+    global (time, seq) order, and so every simulated result, is the
+    same as if it had parked. *)
 
 val suspend : t -> ((unit -> unit) -> unit) -> unit
 (** [suspend t register] parks the calling fiber. [register] receives

@@ -14,9 +14,21 @@ type t = {
 
 let create ~frames =
   if frames <= 0 then invalid_arg "Frame.create: need at least one frame";
+  (* The slab before the per-frame arrays: it is the request a host
+     refuses. *)
+  let bytes_ = frames * Addr.page_size in
+  let slab =
+    try Sim.Bigbuf.create bytes_
+    with Out_of_memory ->
+      failwith
+        (Printf.sprintf
+           "Frame.create: cannot reserve %d bytes for %d local frames; lower \
+            the local memory size (local_mem_bytes, Harness.run ~local_mem)"
+           bytes_ frames)
+  in
   {
     total = frames;
-    slab = Sim.Bigbuf.create (frames * Addr.page_size);
+    slab;
     free_stack = Array.init frames (fun i -> frames - 1 - i);
     free_top = frames;
     in_use = Bytes.make frames '\000';

@@ -11,6 +11,9 @@
 type t
 
 val create : frames:int -> t
+(** @raise Failure naming the size and the parameter to lower when the
+    host refuses the slab. *)
+
 val total : t -> int
 val free_count : t -> int
 val used_count : t -> int

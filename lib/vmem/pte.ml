@@ -1,50 +1,50 @@
-type t = int64
+type t = int
 type tag = Unmapped | Local | Remote | Fetching | Action
 
-let zero = 0L
-let bit_present = 0x1L
-let bit_write = 0x2L
-let bit_user = 0x4L
-let bit_accessed = 0x20L
-let bit_dirty = 0x40L
-let low_mask = 0x7L
+let zero = 0
+let bit_present = 0x1
+let bit_write = 0x2
+let bit_user = 0x4
+let bit_accessed = 0x20
+let bit_dirty = 0x40
+let low_mask = 0x7
 
 let tag t =
-  if t = 0L then Unmapped
-  else if Int64.logand t bit_present <> 0L then Local
+  if t = 0 then Unmapped
+  else if t land bit_present <> 0 then Local
   else
-    match Int64.logand t low_mask with
-    | 0x2L -> Remote
-    | 0x4L -> Fetching
-    | 0x6L -> Action
+    match t land low_mask with
+    | 0x2 -> Remote
+    | 0x4 -> Fetching
+    | 0x6 -> Action
     | _ -> Unmapped
 
 let make_local ~frame ~writable =
-  let t = Int64.logor (Int64.shift_left (Int64.of_int frame) 12) bit_present in
-  if writable then Int64.logor t bit_write else t
+  let t = (frame lsl 12) lor bit_present in
+  if writable then t lor bit_write else t
 
 let make_remote () = bit_write
 let make_fetching () = bit_user
 
 let make_action ~payload =
   if payload < 0 then invalid_arg "Pte.make_action: negative payload";
-  Int64.logor (Int64.shift_left (Int64.of_int payload) 12) (Int64.logor bit_write bit_user)
+  (payload lsl 12) lor bit_write lor bit_user
 
 let frame t =
   assert (tag t = Local);
-  Int64.to_int (Int64.shift_right_logical t 12)
+  t lsr 12
 
 let payload t =
   assert (tag t = Action);
-  Int64.to_int (Int64.shift_right_logical t 12)
+  t lsr 12
 
-let writable t = Int64.logand t bit_write <> 0L && Int64.logand t bit_present <> 0L
-let accessed t = Int64.logand t bit_accessed <> 0L
-let dirty t = Int64.logand t bit_dirty <> 0L
-let set_accessed t = Int64.logor t bit_accessed
-let set_dirty t = Int64.logor t bit_dirty
-let clear_accessed t = Int64.logand t (Int64.lognot bit_accessed)
-let clear_dirty t = Int64.logand t (Int64.lognot bit_dirty)
+let writable t = t land bit_write <> 0 && t land bit_present <> 0
+let accessed t = t land bit_accessed <> 0
+let dirty t = t land bit_dirty <> 0
+let set_accessed t = t lor bit_accessed
+let set_dirty t = t lor bit_dirty
+let clear_accessed t = t land lnot bit_accessed
+let clear_dirty t = t land lnot bit_dirty
 
 let pp ppf t =
   let name =

@@ -17,9 +17,11 @@
                  action payload (e.g. an index into the vector log for
                  guided paging).
 
-    An all-zero entry is unmapped. *)
+    An all-zero entry is unmapped. An entry is an immediate [int] (63
+    bits hold the 36-bit frame number and every flag), so storing one
+    in a page-table leaf neither allocates nor needs a write barrier. *)
 
-type t = int64
+type t = int
 
 type tag = Unmapped | Local | Remote | Fetching | Action
 

@@ -8,3 +8,6 @@ let pairs tbl =
 
 let dump tbl =
   List.iter (fun (k, v) -> Printf.printf "%d %d\n" k v) (pairs tbl)
+
+let keys tbl =
+  Sim.Int_table.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort Int.compare

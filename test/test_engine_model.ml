@@ -1,0 +1,436 @@
+(* Engine ordering model. Random programs of fibers and callbacks run
+   on [Sim.Engine] and on a naive reference scheduler that parks a fiber
+   on every sleep; the firing trace (each event and the clock when it
+   ran), the sequence numbers [reserve_seqs] hands out, the final clock
+   and the queue length must agree. *)
+
+open Util
+
+(* The operations a program uses, on int nanoseconds. *)
+module type ENGINE = sig
+  type t
+  type timer
+
+  val create : unit -> t
+  val now : t -> int
+  val at : t -> int -> (unit -> unit) -> unit
+  val after : t -> int -> (unit -> unit) -> unit
+  val reserve_seqs : t -> int -> int
+  val at_reserved : t -> seq:int -> int -> (unit -> unit) -> unit
+  val timer_at : t -> int -> (unit -> unit) -> timer
+  val cancel : timer -> unit
+  val spawn : t -> (unit -> unit) -> unit
+  val sleep : t -> int -> unit
+  val sleep_until : t -> int -> unit
+  val yield : t -> unit
+  val suspend : t -> ((unit -> unit) -> unit) -> unit
+  val run : t -> unit
+  val run_until_idle : t -> max_time:int -> unit
+  val pending : t -> int
+end
+
+module Real : ENGINE = struct
+  module E = Sim.Engine
+
+  type t = E.t
+  type timer = E.timer
+
+  let ns = Sim.Time.ns
+  let create = E.create
+  let now t = Int64.to_int (E.now t)
+  let at t time fn = E.at t (ns time) fn
+  let after t d fn = E.after t (ns d) fn
+  let reserve_seqs = E.reserve_seqs
+  let at_reserved t ~seq time fn = E.at_reserved t ~seq (ns time) fn
+  let timer_at t time fn = E.timer_at t (ns time) fn
+  let cancel = E.cancel
+  let spawn t f = E.spawn t f
+  let sleep t d = E.sleep t (ns d)
+  let sleep_until t time = E.sleep_until t (ns time)
+  let yield = E.yield
+  let suspend = E.suspend
+  let run = E.run
+  let run_until_idle t ~max_time = E.run_until_idle t ~max_time:(ns max_time)
+  let pending = E.pending
+end
+
+(* The documented semantics, written for clarity: future events in a
+   list sorted by (time, seq), same-instant events in a FIFO queue,
+   future events at [now] before the queue, and every blocking call
+   parks the fiber. *)
+module Reference : ENGINE = struct
+  type t = {
+    mutable now : int;
+    mutable seq : int;
+    mutable future : (int * int * (unit -> unit)) list;
+    ready : (unit -> unit) Queue.t;
+  }
+
+  type timer = { mutable state : [ `Pending | `Fired | `Cancelled ] }
+  type _ Effect.t += Park : ((unit -> unit) -> unit) -> unit Effect.t
+
+  let create () = { now = 0; seq = 0; future = []; ready = Queue.create () }
+  let now t = t.now
+
+  let insert t time seq fn =
+    let rec go = function
+      | ((tm, sq, _) as ev) :: rest when tm < time || (tm = time && sq < seq) ->
+          ev :: go rest
+      | l -> (time, seq, fn) :: l
+    in
+    t.future <- go t.future
+
+  let at t time fn =
+    if time < t.now then invalid_arg "Reference.at: past"
+    else if time = t.now then Queue.push fn t.ready
+    else begin
+      t.seq <- t.seq + 1;
+      insert t time t.seq fn
+    end
+
+  let after t d fn = at t (t.now + d) fn
+
+  let reserve_seqs t n =
+    let first = t.seq + 1 in
+    t.seq <- t.seq + n;
+    first
+
+  let at_reserved t ~seq time fn = insert t time seq fn
+
+  let timer_at t time fn =
+    let tm = { state = `Pending } in
+    at t time (fun () ->
+        if tm.state = `Pending then begin
+          tm.state <- `Fired;
+          fn ()
+        end);
+    tm
+
+  let cancel tm = if tm.state = `Pending then tm.state <- `Cancelled
+
+  let spawn t f =
+    Queue.push
+      (fun () ->
+        Effect.Deep.match_with f ()
+          {
+            retc = (fun () -> ());
+            exnc = raise;
+            effc =
+              (fun (type a) (eff : a Effect.t) ->
+                match eff with
+                | Park register ->
+                    Some
+                      (fun (k : (a, unit) Effect.Deep.continuation) ->
+                        register (fun () ->
+                            Queue.push (fun () -> Effect.Deep.continue k ()) t.ready))
+                | _ -> None);
+          })
+      t.ready
+
+  let suspend _ register = Effect.perform (Park register)
+
+  let sleep_until t time =
+    if time > t.now then suspend t (fun wake -> at t time wake)
+
+  let sleep t d = sleep_until t (t.now + d)
+  let yield t = suspend t (fun wake -> at t t.now wake)
+
+  let next_time t =
+    match t.future with
+    | (time, _, _) :: _ when time = t.now -> Some t.now
+    | _ when not (Queue.is_empty t.ready) -> Some t.now
+    | (time, _, _) :: _ -> Some time
+    | [] -> None
+
+  let step t =
+    match t.future with
+    | (time, _, fn) :: rest when time = t.now ->
+        t.future <- rest;
+        fn ()
+    | _ when not (Queue.is_empty t.ready) -> (Queue.pop t.ready) ()
+    | (time, _, fn) :: rest ->
+        t.future <- rest;
+        t.now <- time;
+        fn ()
+    | [] -> ()
+
+  let run t =
+    while next_time t <> None do
+      step t
+    done
+
+  let run_until_idle t ~max_time =
+    let rec go () =
+      match next_time t with
+      | Some time when time <= max_time ->
+          step t;
+          go ()
+      | Some _ | None -> ()
+    in
+    go ()
+
+  let pending t = List.length t.future + Queue.length t.ready
+end
+
+(* ------------------------------------------------------------------ *)
+(* Programs *)
+
+let channels = 3
+
+type cb = { cid : int; body : cop list }
+
+and cop =
+  | At of int * cb
+  | After of int * cb
+  | Timer of int * cb * int option (* cancel after this delay; 0 = now *)
+  | Reserved of (int * cb) list (* delays >= 1 *)
+  | Spawn of fiber
+  | Signal of int
+
+and fiber = { fid : int; steps : fop list }
+
+and fop =
+  | Sleep of int
+  | Sleep_until of int
+  | Yield
+  | Wait of int
+  | Do of cop
+
+type mode = Run | Until of int * bool (* max_time, then [run] *)
+type program = { top : cop list; mode : mode }
+
+let rec pp_cop b = function
+  | At (d, cb) -> Printf.bprintf b "at+%d %a" d pp_cb cb
+  | After (d, cb) -> Printf.bprintf b "after %d %a" d pp_cb cb
+  | Timer (d, cb, c) ->
+      Printf.bprintf b "timer+%d%s %a" d
+        (match c with None -> "" | Some c -> Printf.sprintf "/cancel+%d" c)
+        pp_cb cb
+  | Reserved hops ->
+      Printf.bprintf b "reserved[";
+      List.iter (fun (d, cb) -> Printf.bprintf b "+%d %a;" d pp_cb cb) hops;
+      Printf.bprintf b "]"
+  | Spawn f -> pp_fiber b f
+  | Signal c -> Printf.bprintf b "signal %d" c
+
+and pp_cb b cb =
+  Printf.bprintf b "c%d{" cb.cid;
+  List.iter (fun op -> Printf.bprintf b "%a; " pp_cop op) cb.body;
+  Printf.bprintf b "}"
+
+and pp_fiber b f =
+  Printf.bprintf b "f%d(" f.fid;
+  List.iter
+    (fun op ->
+      (match op with
+      | Sleep d -> Printf.bprintf b "sleep %d" d
+      | Sleep_until t -> Printf.bprintf b "sleep_until %d" t
+      | Yield -> Printf.bprintf b "yield"
+      | Wait c -> Printf.bprintf b "wait %d" c
+      | Do op -> pp_cop b op);
+      Printf.bprintf b "; ")
+    f.steps;
+  Printf.bprintf b ")"
+
+let print_program p =
+  let b = Buffer.create 256 in
+  List.iter (fun op -> Printf.bprintf b "%a\n" pp_cop op) p.top;
+  (match p.mode with
+  | Run -> Buffer.add_string b "run"
+  | Until (m, again) ->
+      Printf.bprintf b "run_until_idle %d%s" m (if again then "; run" else ""));
+  Buffer.contents b
+
+(* Small delays, so same-instant ties and exact-target collisions are
+   common. *)
+let gen_program =
+  let open QCheck.Gen in
+  let ids = ref 0 in
+  let fresh () =
+    incr ids;
+    !ids
+  in
+  let delay = int_range 0 4 in
+  let rec gen_cop depth =
+    let leaf = map (fun c -> Signal c) (int_bound (channels - 1)) in
+    if depth = 0 then leaf
+    else
+      frequency
+        [
+          (3, map2 (fun d cb -> At (d, cb)) delay (gen_cb (depth - 1)));
+          (2, map2 (fun d cb -> After (d, cb)) delay (gen_cb (depth - 1)));
+          ( 2,
+            map3
+              (fun d cb c -> Timer (d, cb, c))
+              delay (gen_cb (depth - 1))
+              (opt (int_range 0 5)) );
+          ( 1,
+            map
+              (fun hops -> Reserved hops)
+              (list_size (int_range 1 3)
+                 (pair (int_range 1 5) (gen_cb (depth - 1)))) );
+          (3, map (fun f -> Spawn f) (gen_fiber (depth - 1)));
+          (1, leaf);
+        ]
+  and gen_cb depth =
+    map
+      (fun body -> { cid = fresh (); body })
+      (list_size (int_range 0 2) (gen_cop depth))
+  and gen_fiber depth =
+    let fop =
+      frequency
+        [
+          (5, map (fun d -> Sleep d) (int_range 0 6));
+          (2, map (fun t -> Sleep_until t) (int_range 0 30));
+          (2, return Yield);
+          (1, map (fun c -> Wait c) (int_bound (channels - 1)));
+          (2, map (fun op -> Do op) (gen_cop depth));
+        ]
+    in
+    map (fun steps -> { fid = fresh (); steps }) (list_size (int_range 1 8) fop)
+  in
+  let mode =
+    frequency
+      [
+        (1, return Run);
+        (2, map2 (fun m again -> Until (m, again)) (int_range 0 30) bool);
+      ]
+  in
+  map2
+    (fun top mode -> { top; mode })
+    (list_size (int_range 1 5) (gen_cop 3))
+    mode
+
+(* Trace of one program on one engine. *)
+module Exec (E : ENGINE) = struct
+  let exec p =
+    let e = E.create () in
+    let log = ref [] in
+    let note s = log := Printf.sprintf "%s@%d" s (E.now e) :: !log in
+    let waiters = Array.make channels [] in
+    let rec cop = function
+      | At (d, cb) -> E.at e (E.now e + d) (fun () -> fire cb)
+      | After (d, cb) -> E.after e d (fun () -> fire cb)
+      | Timer (d, cb, cancel) -> (
+          let tm = E.timer_at e (E.now e + d) (fun () -> fire cb) in
+          match cancel with
+          | None -> ()
+          | Some 0 -> E.cancel tm
+          | Some c -> E.after e c (fun () -> E.cancel tm))
+      | Reserved hops ->
+          let first = E.reserve_seqs e (List.length hops) in
+          note (Printf.sprintf "seq%d" first);
+          List.iteri
+            (fun i (d, cb) ->
+              E.at_reserved e ~seq:(first + i) (E.now e + d) (fun () -> fire cb))
+            hops
+      | Spawn f -> E.spawn e (fun () -> fiber f)
+      | Signal c ->
+          let ws = List.rev waiters.(c) in
+          waiters.(c) <- [];
+          List.iter (fun wake -> wake ()) ws
+    and fire cb =
+      note (Printf.sprintf "c%d" cb.cid);
+      List.iter cop cb.body
+    and fiber f =
+      note (Printf.sprintf "f%d" f.fid);
+      List.iteri
+        (fun i op ->
+          (match op with
+          | Sleep d -> E.sleep e d
+          | Sleep_until t -> E.sleep_until e t
+          | Yield -> E.yield e
+          | Wait c -> E.suspend e (fun wake -> waiters.(c) <- wake :: waiters.(c))
+          | Do op -> cop op);
+          note (Printf.sprintf "f%d.%d" f.fid i))
+        f.steps
+    in
+    List.iter cop p.top;
+    let snapshot tag =
+      note (Printf.sprintf "%s pending=%d" tag (E.pending e))
+    in
+    (match p.mode with
+    | Run -> E.run e
+    | Until (m, again) ->
+        E.run_until_idle e ~max_time:m;
+        snapshot "idle";
+        if again then E.run e);
+    snapshot "end";
+    List.rev !log
+end
+
+module Exec_real = Exec (Real)
+module Exec_ref = Exec (Reference)
+
+let engine_matches_reference =
+  QCheck.Test.make ~name:"engine trace equals the always-park reference"
+    ~count:1000
+    (QCheck.make gen_program ~print:print_program)
+    (fun p ->
+      let real = Exec_real.exec p and reference = Exec_ref.exec p in
+      if real = reference then true
+      else
+        QCheck.Test.fail_reportf "engine:    %s\nreference: %s"
+          (String.concat " " real)
+          (String.concat " " reference))
+
+(* ------------------------------------------------------------------ *)
+(* The in-place advance's edges *)
+
+let sleep_past_max_time_stays_parked () =
+  let eng = Sim.Engine.create () in
+  let after_first = ref false and after_second = ref false in
+  Sim.Engine.spawn eng (fun () ->
+      Sim.Engine.sleep eng (Sim.Time.us 5);
+      after_first := true;
+      Sim.Engine.sleep eng (Sim.Time.us 100);
+      after_second := true);
+  Sim.Engine.run_until_idle eng ~max_time:(Sim.Time.us 50);
+  check_bool "first sleep done" true !after_first;
+  check_bool "second sleep still parked" false !after_second;
+  check_bool "clock within max_time" true
+    (Int64.compare (Sim.Engine.now eng) (Sim.Time.us 50) <= 0);
+  check_i64 "clock at the last event" (Sim.Time.us 5) (Sim.Engine.now eng);
+  check_int "wake still queued" 1 (Sim.Engine.pending eng);
+  Sim.Engine.run eng;
+  check_bool "resumes under run" true !after_second;
+  check_i64 "clock" (Sim.Time.us 105) (Sim.Engine.now eng)
+
+let sleep_to_max_time_exactly () =
+  let eng = Sim.Engine.create () in
+  let woke = ref false in
+  Sim.Engine.spawn eng (fun () ->
+      Sim.Engine.sleep_until eng (Sim.Time.us 50);
+      woke := true);
+  Sim.Engine.run_until_idle eng ~max_time:(Sim.Time.us 50);
+  check_bool "wakes at max_time" true !woke;
+  check_i64 "clock" (Sim.Time.us 50) (Sim.Engine.now eng);
+  check_int "nothing queued" 0 (Sim.Engine.pending eng)
+
+let heap_event_at_target_fires_first () =
+  let eng = Sim.Engine.create () in
+  let log = ref [] in
+  Sim.Engine.at eng (Sim.Time.us 10) (fun () -> log := "callback" :: !log);
+  Sim.Engine.spawn eng (fun () ->
+      Sim.Engine.sleep_until eng (Sim.Time.us 10);
+      log := "sleeper" :: !log);
+  Sim.Engine.run eng;
+  Alcotest.(check (list string))
+    "callback first" [ "callback"; "sleeper" ] (List.rev !log)
+
+let sleep_in_callback_still_fails () =
+  let eng = Sim.Engine.create () in
+  Sim.Engine.at eng (Sim.Time.us 5) (fun () -> Sim.Engine.sleep eng (Sim.Time.us 1));
+  match Sim.Engine.run eng with
+  | () -> Alcotest.fail "sleep outside a fiber must not return"
+  | exception Effect.Unhandled _ ->
+      check_i64 "clock stays at the callback" (Sim.Time.us 5) (Sim.Engine.now eng)
+
+let suite =
+  [
+    QCheck_alcotest.to_alcotest engine_matches_reference;
+    quick "sleep past max_time stays parked" sleep_past_max_time_stays_parked;
+    quick "sleep to max_time exactly" sleep_to_max_time_exactly;
+    quick "heap event at the target fires first" heap_event_at_target_fires_first;
+    quick "sleep in a callback still fails" sleep_in_callback_still_fails;
+  ]

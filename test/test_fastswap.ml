@@ -109,6 +109,38 @@ let swap_cache_drains () =
       done;
       check_bool "cache bounded" true (Fastswap.Kernel.swap_cache_size k < 16))
 
+(* Whatever the insertion and removal history, [iter] visits keys in
+   ascending order, and skips a key an earlier callback removed. *)
+let swap_cache_iter_ascending () =
+  let c = Fastswap.Swap_cache.create () in
+  let rng = Sim.Rng.create 11 in
+  let live = Hashtbl.create 64 in
+  for _ = 1 to 400 do
+    let vpn = Sim.Rng.int rng 300 in
+    if Fastswap.Swap_cache.mem c vpn then begin
+      Fastswap.Swap_cache.remove c vpn;
+      Hashtbl.remove live vpn
+    end
+    else begin
+      Fastswap.Swap_cache.insert c vpn { Fastswap.Swap_cache.frame = vpn; io_inflight = false };
+      Hashtbl.replace live vpn ()
+    end
+  done;
+  let expect = List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) live []) in
+  let seen = ref [] in
+  Fastswap.Swap_cache.iter c (fun vpn e ->
+      check_int "entry" vpn e.Fastswap.Swap_cache.frame;
+      seen := vpn :: !seen);
+  Alcotest.(check (list int)) "ascending" expect (List.rev !seen);
+  let seen = ref [] in
+  Fastswap.Swap_cache.iter c (fun vpn _ ->
+      seen := vpn :: !seen;
+      Fastswap.Swap_cache.remove c (vpn + 1));
+  let seen = List.rev !seen in
+  check_bool "still ascending" true (List.sort Int.compare seen = seen);
+  check_bool "removed keys skipped" true
+    (List.for_all (fun v -> not (List.mem (v + 1) seen)) seen)
+
 let heap_reuse () =
   with_fastswap (fun _eng k ->
       let a = Fastswap.Kernel.malloc k ~core:0 1000 in
@@ -131,6 +163,7 @@ let suite =
     quick "no readahead -> all major" no_readahead_all_major;
     quick "major fault slower than dilos" major_fault_slower_than_dilos;
     quick "swap cache drains" swap_cache_drains;
+    quick "swap cache iter ascending" swap_cache_iter_ascending;
     quick "heap reuse" heap_reuse;
     quick "segfault" segfault;
   ]

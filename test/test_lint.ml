@@ -70,8 +70,8 @@ let r2_fixed_quiet () =
 (* R3 hashtbl-order *)
 
 let r3_fires () =
-  check_sites "unsorted iter and fold"
-    [ (4, r3); (5, r3) ]
+  check_sites "unsorted iter and fold, Hashtbl and Int_table"
+    [ (4, r3); (5, r3); (6, r3) ]
     (Lint.Driver.lint_file (fx "r3_hashtbl_order_bad.ml"))
 
 let r3_fixed_quiet () =
@@ -199,11 +199,6 @@ let fsites fs =
 let check_fsites name expected findings =
   Alcotest.(check (list (pair string (pair int string))))
     name expected (fsites findings)
-
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.equal (String.sub s i n) sub || go (i + 1)) in
-  go 0
 
 let xproj_program_findings () =
   check_fsites

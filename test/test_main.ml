@@ -2,6 +2,7 @@ let () =
   Alcotest.run "dilos-repro"
     [
       ("sim", Test_sim.suite);
+      ("engine-model", Test_engine_model.suite);
       ("rdma", Test_rdma.suite);
       ("vmem", Test_vmem.suite);
       ("dilos", Test_dilos.suite);

@@ -280,6 +280,12 @@ let store_bounds () =
     (Invalid_argument "Page_store: range [0x1000,+8) out of bounds") (fun () ->
       Memnode.Page_store.read_bytes s ~addr:4096L ~dst:b ~off:0 ~len:8)
 
+(* 2^50 bytes is past the x86-64 user address space, so every host
+   refuses it. *)
+let store_oversized_names_the_knob () =
+  check_failure_mentions "page store" [ "1125899906842624"; "Server.create ~size" ]
+    (fun () -> Memnode.Page_store.create ~size:(Int64.shift_left 1L 50))
+
 let suite =
   [
     quick "nic monotone in size" nic_monotone_in_size;
@@ -298,5 +304,6 @@ let suite =
     quick "bandwidth meter buckets" bandwidth_buckets;
     quick "page store zero fill" store_zero_fill;
     quick "page store cross-block" store_cross_block;
+    quick "page store oversized names the knob" store_oversized_names_the_knob;
     quick "page store bounds" store_bounds;
   ]

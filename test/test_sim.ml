@@ -41,6 +41,72 @@ let heap_qcheck =
       drain [] = List.sort compare xs)
 
 (* ------------------------------------------------------------------ *)
+(* Int_table vs Hashtbl *)
+
+type itbl_op = Replace of int * int | Remove of int | Find of int | Mem of int
+
+(* Keys from a small pool, so operations hit the same keys often. The
+   [lsl 47] family shares one home slot in every table below 2^31
+   slots, forcing long probe runs and backward shifts across them. *)
+let itbl_key_pool =
+  Array.init 48 (fun i -> if i < 24 then i * 7 else 5 + ((i - 23) lsl 47))
+
+let itbl_op_gen =
+  let open QCheck.Gen in
+  let key = map (fun i -> itbl_key_pool.(i)) (int_bound (Array.length itbl_key_pool - 1)) in
+  frequency
+    [
+      (4, map2 (fun k v -> Replace (k, v)) key small_int);
+      (3, map (fun k -> Remove k) key);
+      (2, map (fun k -> Find k) key);
+      (1, map (fun k -> Mem k) key);
+    ]
+
+let itbl_op_print = function
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Find k -> Printf.sprintf "find %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+
+let int_table_qcheck =
+  QCheck.Test.make ~name:"int_table agrees with Hashtbl" ~count:500
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 0 200) itbl_op_gen)
+       ~print:(fun l -> String.concat "; " (List.map itbl_op_print l)))
+    (fun ops ->
+      (* Created for one entry, so a run grows it several times. *)
+      let t = Sim.Int_table.create 1 in
+      let model = Hashtbl.create 16 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Replace (k, v) ->
+              Sim.Int_table.replace t k v;
+              Hashtbl.replace model k v;
+              true
+          | Remove k ->
+              Sim.Int_table.remove t k;
+              Hashtbl.remove model k;
+              true
+          | Find k ->
+              Sim.Int_table.find_opt t k = Hashtbl.find_opt model k
+              && (match Sim.Int_table.find t k with
+                 | v -> Hashtbl.find_opt model k = Some v
+                 | exception Not_found -> not (Hashtbl.mem model k))
+          | Mem k -> Sim.Int_table.mem t k = Hashtbl.mem model k)
+          && Sim.Int_table.length t = Hashtbl.length model)
+        ops
+      &&
+      let sorted l = List.sort compare l in
+      sorted (Sim.Int_table.fold (fun k v acc -> (k, v) :: acc) t [])
+      = sorted (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []))
+
+let int_table_rejects_min_int () =
+  let t = Sim.Int_table.create 4 in
+  Alcotest.check_raises "min_int key" (Invalid_argument "Int_table: min_int key")
+    (fun () -> Sim.Int_table.replace t min_int 0)
+
+(* ------------------------------------------------------------------ *)
 (* Rng *)
 
 let rng_deterministic () =
@@ -570,6 +636,8 @@ let suite =
     quick "heap empty" heap_empty;
     quick "heap sorted drain" heap_sorted_drain;
     QCheck_alcotest.to_alcotest heap_qcheck;
+    QCheck_alcotest.to_alcotest int_table_qcheck;
+    quick "int_table rejects min_int" int_table_rejects_min_int;
     quick "rng deterministic" rng_deterministic;
     quick "rng bounds" rng_bounds;
     quick "rng float range" rng_float_range;

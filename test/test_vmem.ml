@@ -129,6 +129,12 @@ let frame_double_free_rejected () =
   Alcotest.check_raises "double free" (Invalid_argument "Frame.free: double free")
     (fun () -> Vmem.Frame.free f a)
 
+(* 2^50 bytes of frames is past the x86-64 user address space, so
+   every host refuses it. *)
+let frame_oversized_names_the_knob () =
+  check_failure_mentions "frame pool" [ "1125899906842624"; "local memory size" ]
+    (fun () -> Vmem.Frame.create ~frames:(1 lsl 50 / Vmem.Addr.page_size))
+
 let frame_recycled_dirty () =
   (* Frames recycle WITHOUT zeroing: every fetch path overwrites the
      bytes it maps, and the zero-fill fault path clears explicitly via
@@ -215,6 +221,7 @@ let suite =
     quick "frame exhaustion" frame_exhaustion;
     quick "frame double free rejected" frame_double_free_rejected;
     quick "frame recycled dirty" frame_recycled_dirty;
+    quick "frame pool oversized names the knob" frame_oversized_names_the_knob;
     quick "mmu sets A/D bits" mmu_access_sets_bits;
     quick "mmu faults on remote" mmu_fault_on_remote;
     quick "aspace mmap layout" aspace_mmap_layout;

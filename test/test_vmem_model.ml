@@ -45,7 +45,7 @@ let page_table_model_qcheck =
       let pt = Vmem.Page_table.create () in
       let model : (int, Vmem.Pte.t) Hashtbl.t = Hashtbl.create 16 in
       let model_set vpn pte =
-        if Int64.equal pte Vmem.Pte.zero then Hashtbl.remove model vpn
+        if Int.equal pte Vmem.Pte.zero then Hashtbl.remove model vpn
         else Hashtbl.replace model vpn pte
       in
       List.iter
@@ -78,7 +78,7 @@ let page_table_model_qcheck =
             | Some p -> p
             | None -> Vmem.Pte.zero
           in
-          Int64.equal (Vmem.Page_table.get pt vpn) expect)
+          Int.equal (Vmem.Page_table.get pt vpn) expect)
         vpn_pool
       (* ...and the mapped-entry census matches. *)
       && Vmem.Page_table.count_mapped pt = Hashtbl.length model)
@@ -146,7 +146,7 @@ let mmu_faults_do_not_touch_pte () =
     (Vmem.Pte.accessed pte || Vmem.Pte.dirty pte);
   match Vmem.Mmu.access pt ~vpn:99 ~write:false with
   | Vmem.Mmu.Fault pte -> check_bool "unmapped faults as zero" true
-      (Int64.equal pte Vmem.Pte.zero)
+      (Int.equal pte Vmem.Pte.zero)
   | Vmem.Mmu.Frame _ -> Alcotest.fail "unmapped page must fault"
 
 (* ------------------------------------------------------------------ *)

@@ -15,6 +15,22 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_i64 name a b = Alcotest.(check int64) name a b
 
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.equal (String.sub s i n) sub || go (i + 1)) in
+  go 0
+
+(* [f ()] must raise [Failure] with a message containing each of
+   [parts]. *)
+let check_failure_mentions name parts f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Failure" name
+  | exception Failure msg ->
+      List.iter
+        (fun sub ->
+          check_bool (Printf.sprintf "%s: %S mentions %S" name msg sub) true (contains ~sub msg))
+        parts
+
 (* Fault campaign for the [?fault_spec]-taking helpers below. *)
 let plan_of ?fault_spec ?(fault_seed = 1) () =
   Option.map (fun spec -> Faults.Plan.make ~seed:fault_seed spec) fault_spec
