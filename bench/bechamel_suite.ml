@@ -21,14 +21,6 @@ let page_table_update =
     Vmem.Page_table.set pt vpn (Vmem.Pte.make_remote ());
     ignore (Vmem.Page_table.get pt vpn)
 
-let heap_churn =
-  let h = Sim.Heap.create ~cmp:Int.compare in
-  let i = ref 0 in
-  fun () ->
-    incr i;
-    Sim.Heap.push h ((!i * 7919) land 0xFFFF);
-    if Sim.Heap.length h > 256 then ignore (Sim.Heap.pop h)
-
 let histogram_add =
   let h = Sim.Histogram.create () in
   let i = ref 0 in
@@ -66,7 +58,6 @@ let tests =
     [
       Test.make ~name:"pte_roundtrip" (Staged.stage pte_roundtrip);
       Test.make ~name:"page_table_set_get" (Staged.stage page_table_update);
-      Test.make ~name:"event_heap_push_pop" (Staged.stage heap_churn);
       Test.make ~name:"histogram_add" (Staged.stage histogram_add);
       Test.make ~name:"rng_next64" (Staged.stage rng_next);
       Test.make ~name:"readahead_decide" (Staged.stage readahead_decide);

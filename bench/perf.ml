@@ -163,12 +163,13 @@ let targets : (string * (unit -> result)) list =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Paper-scale targets (BENCH_paperscale.json).
+(* Paper-scale targets.
 
    The paper's evaluation dims from Apps.Catalog: 20 GiB working sets
    against 8 GiB of local DRAM, run through the catalog's runners.
    These take minutes to hours of wall clock, so they are NOT part of
-   the default matrix — run them by name:
+   the default matrix and their results are recorded offline, not
+   committed — run them by name:
 
      dune exec bench/main.exe -- --json BENCH_paperscale.json \
        paperscale_dataframe paperscale_quicksort *)
@@ -201,8 +202,8 @@ let paperscale_targets : (string * (unit -> result)) list =
      data path proper is allocation-free (immediate PTEs, int-keyed
      open-addressing tables); what remains is fiber machinery for the
      sleeps that do park (effect continuations, wake closures, condvar
-     waits). As of this commit DiLOS measures ~290 words/fault and
-     Fastswap ~276 words/fault. The budgets leave headroom for
+     waits). DiLOS measures ~280 words/fault and Fastswap ~266
+     words/fault. The budgets leave headroom for
      scheduler tweaks, yet each fails loudly if every sleep parks again
      (~567 and ~454 words/fault) or a per-fault [Bytes.create] (513
      words for a 4 KiB page) comes back.

@@ -100,30 +100,33 @@ let set_prefetch_guide t g = t.prefetch_guide <- g
 (* ------------------------------------------------------------------ *)
 (* Page fault handling                                                 *)
 
-let full_page_segs base = [ { Rdma.Qp.raddr = base; loff = 0; len = Vmem.Addr.page_size } ]
+(* READ segments for the page at remote [base], landing at byte
+   offset [foff] of the destination buffer. *)
+let full_page_segs ~base ~foff =
+  [ { Rdma.Qp.raddr = base; loff = foff; len = Vmem.Addr.page_size } ]
 
-let action_segs t ~payload ~base =
+let action_segs t ~payload ~base ~foff =
   Page_manager.vector_segments t.pm ~payload
   |> List.map (fun (off, len) ->
-         { Rdma.Qp.raddr = Int64.add base (Int64.of_int off); loff = off; len })
+         {
+           Rdma.Qp.raddr = Int64.add base (Int64.of_int off);
+           loff = foff + off;
+           len;
+         })
 
 let map_fetched t vpn frame =
   Vmem.Page_table.set t.pt vpn (Vmem.Pte.make_local ~frame ~writable:true);
   Page_manager.note_mapped t.pm vpn;
   Sim.Condvar.broadcast t.mapping_changed
 
-(* A prefetch candidate that survived [prepare_prefetch]: either a
-   whole-page fetch (coalescible into a page extent when its vpn run
-   is contiguous) or an Action-vector scatter WR that must go out as
-   its own scatter/gather chain element. *)
-type pf_prepared =
-  | Pf_page of { vpn : int; frame : int }
-  | Pf_wr of {
-      segs : Rdma.Qp.seg list;
-      buf : Sim.Bigbuf.t;
-      on_complete : unit -> unit;
-      on_error : unit -> unit;
-    }
+(* A prefetch candidate that survived [prepare_prefetch]: one READ
+   WR — a whole page or an Action-vector scatter list — landing at its
+   frame's slab offset. *)
+type pf_wr = {
+  segs : Rdma.Qp.seg list;
+  on_complete : unit -> unit;
+  on_error : unit -> unit;
+}
 
 let prefetch_finish t ~flow ~p_t0 vpn frame =
   map_fetched t vpn frame;
@@ -174,103 +177,50 @@ let prepare_prefetch t ?(flow = 0) vpn =
               Vmem.Page_table.set t.pt vpn (Vmem.Pte.make_fetching ());
               Sim.Stats.cincr t.hot.c_prefetch_issued;
               let p_t0 = Sim.Engine.now t.eng in
-              match tag with
-              | Vmem.Pte.Action -> (
-                  (* Partial-page fetch: the vector's dead ranges stay
-                     whatever the recycled frame held, so clear them
-                     (host-side only, no simulated charge). *)
-                  Vmem.Frame.fill_page t.frames frame '\000';
-                  let segs =
-                    action_segs t ~payload:(Vmem.Pte.payload pte) ~base
-                  in
-                  match segs with
-                  | [] ->
-                      prefetch_finish t ~flow ~p_t0 vpn frame;
-                      None
-                  | segs ->
-                      Some
-                        (Pf_wr
-                           {
-                             segs;
-                             buf = Vmem.Frame.sub_view t.frames frame;
-                             on_complete =
-                               (fun () -> prefetch_finish t ~flow ~p_t0 vpn frame);
-                             on_error = (fun () -> prefetch_abort t vpn frame);
-                           }))
-              | _ -> Some (Pf_page { vpn; frame }))
+              let foff = Vmem.Frame.offset t.frames frame in
+              let segs =
+                match tag with
+                | Vmem.Pte.Action ->
+                    (* Partial-page fetch: the vector's dead ranges stay
+                       whatever the recycled frame held, so clear them
+                       (host-side only, no simulated charge). *)
+                    Vmem.Frame.fill_page t.frames frame '\000';
+                    action_segs t ~payload:(Vmem.Pte.payload pte) ~base ~foff
+                | _ -> full_page_segs ~base ~foff
+              in
+              match segs with
+              | [] ->
+                  prefetch_finish t ~flow ~p_t0 vpn frame;
+                  None
+              | segs ->
+                  Some
+                    {
+                      segs;
+                      on_complete =
+                        (fun () -> prefetch_finish t ~flow ~p_t0 vpn frame);
+                      on_error = (fun () -> prefetch_abort t vpn frame);
+                    })
     end
     else None
   end
   else None
 
+let post_pf t qp { segs; on_complete; on_error } =
+  Rdma.Qp.post_read ~on_error qp ~segs ~buf:t.slab ~on_complete
+
 (* Post one fault's surviving prefetch candidates as a single chain:
-   one doorbell, per-op service unchanged. Maximal runs of
-   consecutive-vpn whole-page fetches ride one coalesced page extent
-   each (one chained engine event instead of one per page, see
-   {!Rdma.Qp.post_read_pages}); Action-vector WRs post individually at
-   the same instant, preserving the chain's WR order and therefore the
-   exact event sequence of the uncoalesced path. *)
-let post_prefetch_window t ~core ~flow prepared =
-  match prepared with
-  | [] -> ()
-  | prepared ->
-      let qp = Comm.prefetch_qp t.comm ~core in
-      let arr = Array.of_list prepared in
-      let n = Array.length arr in
-      Rdma.Qp.note_read_batch qp ~wrs:n;
-      let p_t0 = Sim.Engine.now t.eng in
-      let i = ref 0 in
-      while !i < n do
-        match arr.(!i) with
-        | Pf_wr { segs; buf; on_complete; on_error } ->
-            Rdma.Qp.post_read ~on_error qp ~segs ~buf ~on_complete;
-            incr i
-        | Pf_page { vpn = vpn0; frame = _ } ->
-            let count = ref 1 in
-            while
-              !i + !count < n
-              && (match arr.(!i + !count) with
-                 | Pf_page { vpn; _ } -> vpn = vpn0 + !count
-                 | Pf_wr _ -> false)
-            do
-              incr count
-            done;
-            let count = !count in
-            let offs = Array.make count 0 in
-            let frames_run = Array.make count 0 in
-            for k = 0 to count - 1 do
-              match arr.(!i + k) with
-              | Pf_page { frame; _ } ->
-                  offs.(k) <- Vmem.Frame.offset t.frames frame;
-                  frames_run.(k) <- frame
-              | Pf_wr _ -> assert false
-            done;
-            Rdma.Qp.post_read_pages qp ~raddr0:(Vmem.Addr.base vpn0)
-              ~buf:(Vmem.Frame.slab t.frames) ~offs ~count
-              ~on_page:(fun k ->
-                prefetch_finish t ~flow ~p_t0 (vpn0 + k) frames_run.(k))
-              ~on_page_error:
-                (Some (fun k -> prefetch_abort t (vpn0 + k) frames_run.(k)));
-            i := !i + count
-      done
+   one doorbell, then one WR per candidate in order, per-op service
+   unchanged. *)
+let post_prefetch_window t ~core prepared =
+  let qp = Comm.prefetch_qp t.comm ~core in
+  Rdma.Qp.note_read_batch qp ~wrs:(List.length prepared);
+  List.iter (post_pf t qp) prepared
 
 (* Asynchronous page prefetch; also the guide's pf_prefetch. *)
 let issue_prefetch t ~core vpn =
   match prepare_prefetch t vpn with
   | None -> ()
-  | Some (Pf_wr { segs; buf; on_complete; on_error }) ->
-      Rdma.Qp.post_read ~on_error (Comm.prefetch_qp t.comm ~core) ~segs ~buf
-        ~on_complete
-  | Some (Pf_page { vpn; frame }) ->
-      let p_t0 = Sim.Engine.now t.eng in
-      Rdma.Qp.post_read_pages
-        (Comm.prefetch_qp t.comm ~core)
-        ~raddr0:(Vmem.Addr.base vpn)
-        ~buf:(Vmem.Frame.slab t.frames)
-        ~offs:[| Vmem.Frame.offset t.frames frame |]
-        ~count:1
-        ~on_page:(fun _ -> prefetch_finish t ~flow:0 ~p_t0 vpn frame)
-        ~on_page_error:(Some (fun _ -> prefetch_abort t vpn frame))
+  | Some wr -> post_pf t (Comm.prefetch_qp t.comm ~core) wr
 
 let prefetch_ops t ~core =
   {
@@ -322,8 +272,9 @@ let major_fault t cs vpn pte =
   let partial = Vmem.Pte.tag pte = Vmem.Pte.Action in
   let segs =
     match Vmem.Pte.tag pte with
-    | Vmem.Pte.Action -> action_segs t ~payload:(Vmem.Pte.payload pte) ~base
-    | Vmem.Pte.Remote -> full_page_segs base
+    | Vmem.Pte.Action ->
+        action_segs t ~payload:(Vmem.Pte.payload pte) ~base ~foff:0
+    | Vmem.Pte.Remote -> full_page_segs ~base ~foff:0
     | Vmem.Pte.Local | Vmem.Pte.Unmapped | Vmem.Pte.Fetching -> assert false
   in
   Vmem.Page_table.set t.pt vpn (Vmem.Pte.make_fetching ());
@@ -408,13 +359,12 @@ let major_fault t cs vpn pte =
        triggered (0 = tracing off = no flow). *)
     let flow = if Trace.enabled cat_prefetch then Trace.flow () else 0 in
     (* All surviving candidates go out as one WR chain: one doorbell,
-       per-op service unchanged; contiguous page runs additionally
-       collapse into single chained events (see post_prefetch_window). *)
+       per-op service unchanged (see post_prefetch_window). *)
     match List.filter_map (prepare_prefetch t ~flow) wanted with
     | [] -> ()
     | prepared ->
         pf_flow := flow;
-        post_prefetch_window t ~core:(Cpu.id cs) ~flow prepared
+        post_prefetch_window t ~core:(Cpu.id cs) prepared
   end;
   let refetches = ref 0 in
   let rec await () =

@@ -265,6 +265,16 @@ let ra_page_error t vpn e =
   | Some _ | None -> ());
   Sim.Condvar.broadcast t.io_done
 
+(* The one-page READ of [vpn]'s remote copy into [frame]. *)
+let page_segs t vpn frame =
+  [
+    {
+      Rdma.Qp.raddr = Vmem.Addr.base vpn;
+      loff = Vmem.Frame.offset t.frames frame;
+      len = Vmem.Addr.page_size;
+    };
+  ]
+
 let swapin_cluster t cs vpn_fault =
   (* Aligned cluster readahead: fetch the 8-page cluster containing
      the fault. The faulted page's IO is posted first; the rest queue
@@ -272,14 +282,11 @@ let swapin_cluster t cs vpn_fault =
   let qp = t.qps.((Dilos.Cpu.id cs)) in
   let win = t.ra_window in
   let start = vpn_fault land lnot (win - 1) in
-  (* Swap-cache insertion happens per page, up front; the surviving
-     fetches then go out as one chain: single doorbell, and each
-     maximal run of consecutive pages rides one coalesced extent
-     (one chained engine event — see Qp.post_read_pages). *)
+  (* Each surviving page gets its swap-cache entry and its one-page
+     WR in turn; the window is then announced as one chain with a
+     single doorbell. Posting emits no trace event, so the doorbell's
+     bookkeeping can follow the WRs. *)
   if t.cfg.readahead && win > 1 then begin
-    let vpns = Array.make win 0 in
-    let frames_ra = Array.make win 0 in
-    let entries = Array.make win None in
     let n = ref 0 in
     for vpn = start to start + win - 1 do
       let pte = Vmem.Page_table.get t.pt vpn in
@@ -296,9 +303,14 @@ let swapin_cluster t cs vpn_fault =
             Swap_cache.insert t.cache vpn e;
             lru_push t vpn;
             Sim.Stats.cincr t.hot.c_readahead_pages;
-            vpns.(!n) <- vpn;
-            frames_ra.(!n) <- frame;
-            entries.(!n) <- Some e;
+            Rdma.Qp.post_read
+              ~on_error:(fun () -> ra_page_error t vpn e)
+              qp
+              ~segs:(page_segs t vpn frame)
+              ~buf:t.slab
+              ~on_complete:(fun () ->
+                e.Swap_cache.io_inflight <- false;
+                Sim.Condvar.broadcast t.io_done);
             incr n
     done;
     let n = !n in
@@ -307,40 +319,7 @@ let swapin_cluster t cs vpn_fault =
         Trace.instant cat_swap ~name:"readahead" ~track:(Dilos.Cpu.track cs)
           ~args:[ ("vpn", Trace.I vpn_fault); ("pages", Trace.I n) ]
           ();
-      Rdma.Qp.note_read_batch qp ~wrs:n;
-      let entry k =
-        match entries.(k) with Some e -> e | None -> assert false
-      in
-      let i = ref 0 in
-      while !i < n do
-        let first = !i in
-        let vpn0 = vpns.(first) in
-        let count = ref 1 in
-        while
-          first + !count < n && vpns.(first + !count) = vpn0 + !count
-        do
-          incr count
-        done;
-        let count = !count in
-        (* [offs] must stay immutable until the window's last page
-           completes (Qp.post_read_pages contract) and windows overlap
-           in flight, so a fresh array per window is the correct
-           ownership — pooling it would be a use-after-repost bug. *)
-        let offs =
-          (Array.init count (fun k ->
-               Vmem.Frame.offset t.frames frames_ra.(first + k))
-          [@lint.allow "hot-alloc"])
-        in
-        Rdma.Qp.post_read_pages qp ~raddr0:(Vmem.Addr.base vpn0) ~buf:t.slab
-          ~offs ~count
-          ~on_page:(fun k ->
-            let e = entry (first + k) in
-            e.Swap_cache.io_inflight <- false;
-            Sim.Condvar.broadcast t.io_done)
-          ~on_page_error:
-            (Some (fun k -> ra_page_error t (vpn0 + k) (entry (first + k))));
-        i := first + count
-      done
+      Rdma.Qp.note_read_batch qp ~wrs:n
     end
   end
 
@@ -403,14 +382,7 @@ let rec major_fault t cs vpn refetches =
       (match !waiter with Some wake -> wake () | None -> ());
       Sim.Condvar.broadcast t.io_done)
     t.qps.((Dilos.Cpu.id cs))
-    ~segs:
-      [
-        {
-          Rdma.Qp.raddr = Vmem.Addr.base vpn;
-          loff = Vmem.Frame.offset t.frames frame;
-          len = Vmem.Addr.page_size;
-        };
-      ]
+    ~segs:(page_segs t vpn frame)
     ~buf:t.slab
     ~on_complete:(fun () ->
       e.Swap_cache.io_inflight <- false;

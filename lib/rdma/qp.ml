@@ -24,7 +24,6 @@ type seg = { raddr : int64; loff : int; len : int }
 
 let page_size = 4096
 let empty_buf : Buf.t = Buf.create 0
-let ignore_page (_ : int) = ()
 
 (* Counter cells resolved once at [create]; posting is per-fault /
    per-prefetch hot path and must not hash counter names. *)
@@ -46,10 +45,8 @@ type hstats = {
 (* The steady-state fault path must not allocate per completion, so
    the healthy-path completion callback is not a closure: it is a
    [comp] record recycled through a per-QP free list, carrying a
-   permanent [c_fn] thunk scheduled on the engine. Likewise [extent]
-   records stand in for a whole contiguous run of page READs (one
-   chained engine event instead of [count] heap entries), and write
-   snapshots are pooled page-sized slabs. *)
+   permanent [c_fn] thunk scheduled on the engine. Write snapshots are
+   pooled page-sized slabs. *)
 type t = {
   eng : Sim.Engine.t;
   nic : Nic.t;
@@ -74,11 +71,8 @@ type t = {
   name : string;
   trk : int; (* trace track: one timeline row per QP *)
   mutable next_free : Sim.Time.t;
-  mutable inflight : int;
   mutable comp_pool : comp array;
   mutable comp_len : int;
-  mutable ext_pool : extent array;
-  mutable ext_len : int;
   mutable snap_pool : Buf.t array;
   mutable snap_len : int;
 }
@@ -97,22 +91,6 @@ and comp = {
   mutable c_on_complete : unit -> unit;
   mutable c_on_error : (unit -> unit) option;
   mutable c_fn : unit -> unit;
-}
-
-and extent = {
-  e_qp : t;
-  mutable e_raddr0 : int64;
-  mutable e_buf : Buf.t;
-  mutable e_offs : int array;
-  mutable e_count : int;
-  mutable e_idx : int;
-  mutable e_comp : Sim.Time.t; (* completion instant of page [e_idx] *)
-  mutable e_occ : Sim.Time.t; (* per-page service (occupancy) delta *)
-  mutable e_seq0 : int; (* engine seq reserved for page 0 *)
-  mutable e_t0 : Sim.Time.t; (* post instant, for per-page spans *)
-  mutable e_on_page : int -> unit;
-  mutable e_on_err : (int -> unit) option;
-  mutable e_fn : unit -> unit;
 }
 
 let create ~eng ~nic ~target ~region ~rkey ?bw ?stats ?(huge_pages = true)
@@ -164,17 +142,13 @@ let create ~eng ~nic ~target ~region ~rkey ?bw ?stats ?(huge_pages = true)
     name;
     trk = Trace.track name;
     next_free = Sim.Time.zero;
-    inflight = 0;
     comp_pool = [||];
     comp_len = 0;
-    ext_pool = [||];
-    ext_len = 0;
     snap_pool = [||];
     snap_len = 0;
   }
 
 let name t = t.name
-let inflight t = t.inflight
 
 let total_len segs = List.fold_left (fun acc s -> acc + s.len) 0 segs
 
@@ -192,14 +166,25 @@ let occupancy t ~bytes_ ~segments =
     (wr_overhead_ns + seg_extra + long_extra
     + int_of_float (c.Nic.per_byte_ns *. float_of_int bytes_))
 
-let validate t segs buf =
-  if segs = [] then invalid_arg "Qp: empty segment list";
-  List.iter
-    (fun s ->
+(* Top-level recursions, not [List.iter] closures: every READ walks
+   its segments twice (validate, land), and a closure allocates. *)
+let rec check_segs t buf = function
+  | [] -> ()
+  | s :: rest ->
       Region.check t.region ~rkey:t.rkey ~addr:s.raddr ~len:s.len;
       if s.loff < 0 || s.loff + s.len > Buf.length buf then
-        invalid_arg "Qp: segment outside local buffer")
-    segs
+        invalid_arg "Qp: segment outside local buffer";
+      check_segs t buf rest
+
+let validate t segs buf =
+  if segs = [] then invalid_arg "Qp: empty segment list";
+  check_segs t buf segs
+
+let rec land_reads t buf = function
+  | [] -> ()
+  | s :: rest ->
+      t.target.t_read s.raddr buf s.loff s.len;
+      land_reads t buf rest
 
 (* Every posted attempt bumps the run's Stats and the QP's labeled
    registry series alike, so the two views always agree. [ops] WRs of
@@ -257,15 +242,11 @@ let snap_release t b =
 
 let comp_fire c =
   let t = c.c_qp in
-  t.inflight <- t.inflight - 1;
   meter t c.c_op c.c_bytes;
   let unreachable =
     try
       (match c.c_op with
-      | Nic.Read ->
-          List.iter
-            (fun s -> t.target.t_read s.raddr c.c_buf s.loff s.len)
-            c.c_segs
+      | Nic.Read -> land_reads t c.c_buf c.c_segs
       | Nic.Write ->
           let snap = c.c_snap and base = c.c_snap_base in
           List.iter
@@ -335,90 +316,6 @@ let comp_take t =
     t.comp_pool.(t.comp_len)
   end
 
-let extent_fire e =
-  let t = e.e_qp in
-  let i = e.e_idx in
-  t.inflight <- t.inflight - 1;
-  meter t Nic.Read page_size;
-  let raddr = Int64.add e.e_raddr0 (Int64.of_int (i * page_size)) in
-  let unreachable =
-    (* A dead replica set fails only this page; the chained siblings
-       still complete, as independent WRs would. *)
-    try
-      t.target.t_read raddr e.e_buf e.e_offs.(i) page_size;
-      None
-    with Unreachable _ as exn -> (
-      match e.e_on_err with
-      | None -> raise exn
-      | Some _ ->
-          fcount t (fun h -> h.c_perm_failures);
-          if Trace.enabled cat_rdma then
-            Trace.instant cat_rdma ~name:"unreachable" ~track:t.trk ();
-          Some exn)
-  in
-  if Trace.enabled cat_rdma then
-    Trace.complete cat_rdma ~name:"read" ~track:t.trk ~t0:e.e_t0 ~async:true
-      ~args:[ ("bytes", Trace.I page_size); ("segments", Trace.I 1) ]
-      ();
-  let next = i + 1 in
-  if next < e.e_count then begin
-    e.e_idx <- next;
-    (* Identical WRs back-to-back on one send engine complete exactly
-       one occupancy apart (service starts at [next_free] for every WR
-       after the first), so the chained hop re-arms arithmetically. *)
-    e.e_comp <- Sim.Time.add e.e_comp e.e_occ;
-    Sim.Engine.at_reserved t.eng ~seq:(e.e_seq0 + next) e.e_comp e.e_fn;
-    match unreachable with
-    | None -> e.e_on_page i
-    | Some _ -> ( match e.e_on_err with Some f -> f i | None -> ())
-  end
-  else begin
-    let k = e.e_on_page in
-    let kerr = e.e_on_err in
-    e.e_buf <- empty_buf;
-    e.e_offs <- [||];
-    e.e_on_page <- ignore_page;
-    e.e_on_err <- None;
-    let cap = Array.length t.ext_pool in
-    if t.ext_len = cap then begin
-      let np = Array.make (if cap = 0 then 4 else cap * 2) e in
-      Array.blit t.ext_pool 0 np 0 t.ext_len;
-      t.ext_pool <- np
-    end;
-    t.ext_pool.(t.ext_len) <- e;
-    t.ext_len <- t.ext_len + 1;
-    match unreachable with
-    | None -> k i
-    | Some _ -> ( match kerr with Some f -> f i | None -> ())
-  end
-
-let ext_take t =
-  if t.ext_len = 0 then begin
-    let e =
-      {
-        e_qp = t;
-        e_raddr0 = 0L;
-        e_buf = empty_buf;
-        e_offs = [||];
-        e_count = 0;
-        e_idx = 0;
-        e_comp = Sim.Time.zero;
-        e_occ = Sim.Time.zero;
-        e_seq0 = 0;
-        e_t0 = Sim.Time.zero;
-        e_on_page = ignore_page;
-        e_on_err = None;
-        e_fn = ignore;
-      }
-    in
-    e.e_fn <- (fun () -> extent_fire e);
-    e
-  end
-  else begin
-    t.ext_len <- t.ext_len - 1;
-    t.ext_pool.(t.ext_len)
-  end
-
 (* -- posting ----------------------------------------------------- *)
 
 (* One service attempt of a work request under a fault plan. Each
@@ -459,7 +356,6 @@ let rec attempt t plan op ~bytes_ ~segments ~transfer ~on_complete ~on_error
         if Trace.enabled cat_rdma then
           Trace.instant cat_rdma ~name:"perm_failure" ~track:t.trk
             ~args:[ ("try", Trace.I try_no) ] ();
-        t.inflight <- t.inflight - 1;
         fail ()
     | Some _ | None ->
         fcount t (fun h -> h.c_retries);
@@ -502,7 +398,6 @@ let rec attempt t plan op ~bytes_ ~segments ~transfer ~on_complete ~on_error
           fail_attempt ~ended:w.Faults.Plan.w_completion ~reason:"comp_error"
         end
         else begin
-          t.inflight <- t.inflight - 1;
           meter t op bytes_;
           match
             try
@@ -560,8 +455,7 @@ let post ?on_error ?fa t op ~segs ~buf ~snap ~snap_base ~release_snap
   | Some plan ->
       let transfer () =
         match op with
-        | Nic.Read ->
-            List.iter (fun s -> t.target.t_read s.raddr buf s.loff s.len) segs
+        | Nic.Read -> land_reads t buf segs
         | Nic.Write ->
             List.iter
               (fun s -> t.target.t_write s.raddr snap (s.loff - snap_base) s.len)
@@ -581,7 +475,6 @@ let post ?on_error ?fa t op ~segs ~buf ~snap ~snap_base ~release_snap
                 f ())
         | other -> other
       in
-      t.inflight <- t.inflight + 1;
       attempt t plan op ~bytes_ ~segments ~transfer ~on_complete ~on_error ~fa
         ~posted ~try_no:1
   | None ->
@@ -593,7 +486,6 @@ let post ?on_error ?fa t op ~segs ~buf ~snap ~snap_base ~release_snap
       let completion =
         Sim.Time.add (Sim.Time.add start latency) t.extra_completion_delay
       in
-      t.inflight <- t.inflight + 1;
       count_ops t op ~ops:1 bytes_;
       (match fa with
       | Some a ->
@@ -619,9 +511,9 @@ let post_read ?on_error ?fa t ~segs ~buf ~on_complete =
   post ?on_error ?fa t Nic.Read ~segs ~buf ~snap:empty_buf ~snap_base:0
     ~release_snap:false ~on_complete
 
-(* Batch bookkeeping for a fetch window posted as one chain through
-   [post_read_pages] / [post_read]: one doorbell's worth of counter +
-   trace for the whole window. *)
+(* Batch bookkeeping for a fetch window posted as one chain of
+   one-page [post_read]s: one doorbell's worth of counter + trace for
+   the whole window. *)
 let note_read_batch t ~wrs =
   if wrs > 0 then begin
     (match t.hstats with
@@ -633,85 +525,27 @@ let note_read_batch t ~wrs =
         ()
   end
 
-(* A contiguous run of full-page READs as ONE chained engine event.
-
-   Equivalence to [count] back-to-back one-page [post_read]s, which
-   the extent tests pin down: identical full-page WRs posted at one
-   instant have start_i = start_0 + i*occ (WR i>0 is never
-   doorbell-limited), hence completion_i = completion_0 + i*occ, and
-   [next_free] ends at start_0 + count*occ — all reproduced
-   arithmetically. Counters are
-   bumped at post time with count/count*4096 (the same sums the
-   [count] posts accumulate at the same instant). Engine sequence
-   numbers for all [count] completions are reserved up front
-   ([Engine.reserve_seqs]), so every per-page completion fires at the
-   exact (time, seq) slot the one-page posts would have used: the
-   global event order is bit-identical, and per-page observers
-   (mapping broadcasts, io_done waiters, traces, bandwidth meter)
-   see exactly what they used to.
-
-   [offs] gives each page's destination byte offset in [buf] (frames
-   are not contiguous even when remote pages are); the array must stay
-   untouched by the caller until the last page completes. Under a
-   fault plan pages fall back to independent per-WR attempts with
-   bounded retry. *)
+(* [count] one-page READs, all validated before any is posted, so a
+   bad page leaves the QP, its counters and the engine untouched. *)
 let post_read_pages t ~raddr0 ~buf ~offs ~count ~on_page ~on_page_error =
   if count <= 0 then invalid_arg "Qp.post_read_pages: count must be positive";
   if count > Array.length offs then
     invalid_arg "Qp.post_read_pages: count exceeds offs";
   let blen = Buf.length buf in
+  let raddr i = Int64.add raddr0 (Int64.of_int (i * page_size)) in
   for i = 0 to count - 1 do
-    let raddr = Int64.add raddr0 (Int64.of_int (i * page_size)) in
-    Region.check t.region ~rkey:t.rkey ~addr:raddr ~len:page_size;
-    let off = Array.unsafe_get offs i in
+    Region.check t.region ~rkey:t.rkey ~addr:(raddr i) ~len:page_size;
+    let off = offs.(i) in
     if off < 0 || off + page_size > blen then
       invalid_arg "Qp.post_read_pages: page outside local buffer"
   done;
-  let now = Sim.Engine.now t.eng in
-  let posted = Sim.Time.add now (Nic.doorbell t.nic) in
-  match t.faults with
-  | Some plan ->
-      for i = 0 to count - 1 do
-        let raddr = Int64.add raddr0 (Int64.of_int (i * page_size)) in
-        let off = offs.(i) in
-        let transfer () = t.target.t_read raddr buf off page_size in
-        let on_error =
-          match on_page_error with
-          | None -> None
-          | Some f -> Some (fun () -> f i)
-        in
-        t.inflight <- t.inflight + 1;
-        attempt t plan Nic.Read ~bytes_:page_size ~segments:1 ~transfer
-          ~on_complete:(fun () -> on_page i)
-          ~on_error ~fa:None ~posted ~try_no:1
-      done
-  | None ->
-      let occ = occupancy t ~bytes_:page_size ~segments:1 in
-      let latency =
-        Nic.latency t.nic Nic.Read ~bytes_:page_size ~segments:1
-          ~huge_pages:t.huge_pages
-      in
-      let start0 = Sim.Time.max posted t.next_free in
-      t.next_free <- Sim.Time.add start0 (Int64.mul occ (Int64.of_int count));
-      let comp0 =
-        Sim.Time.add (Sim.Time.add start0 latency) t.extra_completion_delay
-      in
-      t.inflight <- t.inflight + count;
-      count_ops t Nic.Read ~ops:count (count * page_size);
-      let seq0 = Sim.Engine.reserve_seqs t.eng count in
-      let e = ext_take t in
-      e.e_raddr0 <- raddr0;
-      e.e_buf <- buf;
-      e.e_offs <- offs;
-      e.e_count <- count;
-      e.e_idx <- 0;
-      e.e_comp <- comp0;
-      e.e_occ <- occ;
-      e.e_seq0 <- seq0;
-      e.e_t0 <- now;
-      e.e_on_page <- on_page;
-      e.e_on_err <- on_page_error;
-      Sim.Engine.at_reserved t.eng ~seq:seq0 comp0 e.e_fn
+  for i = 0 to count - 1 do
+    let on_error = Option.map (fun f () -> f i) on_page_error in
+    post_read ?on_error t
+      ~segs:[ { raddr = raddr i; loff = offs.(i); len = page_size } ]
+      ~buf
+      ~on_complete:(fun () -> on_page i)
+  done
 
 let post_write ?on_error t ~segs ~buf ~on_complete =
   validate t segs buf;
@@ -734,25 +568,10 @@ let post_write ?on_error t ~segs ~buf ~on_complete =
   post ?on_error t Nic.Write ~segs ~buf ~snap ~snap_base:base ~release_snap
     ~on_complete
 
-let sync t post_fn ~segs ~buf =
-  Sim.Engine.suspend t.eng (fun wake ->
-      post_fn t ~segs ~buf ~on_complete:wake)
-
-let read_sync_v t ~segs ~buf =
-  sync t (fun t ~segs ~buf ~on_complete -> post_read t ~segs ~buf ~on_complete)
-    ~segs ~buf
-
-let write_sync_v t ~segs ~buf =
-  sync t (fun t ~segs ~buf ~on_complete -> post_write t ~segs ~buf ~on_complete)
-    ~segs ~buf
-
 let read t ~raddr ~buf ~off ~len =
-  read_sync_v t ~segs:[ { raddr; loff = off; len } ] ~buf
+  Sim.Engine.suspend t.eng (fun wake ->
+      post_read t ~segs:[ { raddr; loff = off; len } ] ~buf ~on_complete:wake)
 
 let write t ~raddr ~buf ~off ~len =
-  write_sync_v t ~segs:[ { raddr; loff = off; len } ] ~buf
-
-let queue_delay t =
-  let now = Sim.Engine.now t.eng in
-  if Int64.compare t.next_free now > 0 then Sim.Time.sub t.next_free now
-  else Sim.Time.zero
+  Sim.Engine.suspend t.eng (fun wake ->
+      post_write t ~segs:[ { raddr; loff = off; len } ] ~buf ~on_complete:wake)

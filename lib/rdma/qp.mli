@@ -1,4 +1,5 @@
-(** Queue pairs: one-sided READ / WRITE / scatter-gather verbs.
+(** Queue pairs: one-sided READ / WRITE verbs with scatter-gather
+    segments.
 
     Service model: each work request occupies the QP's send engine for
     its serialization time (payload bytes at link rate plus a
@@ -14,8 +15,10 @@
     so page movement never materializes intermediate heap buffers.
     Completion dispatch on the healthy path is allocation-free —
     completion records and write snapshots recycle through per-QP free
-    lists, and contiguous page runs ride one chained engine event
-    ({!post_read_pages}). *)
+    lists. Every READ completes through one path: a {!post_read} work
+    request with its own engine event. A prefetch window is one
+    {!note_read_batch} doorbell followed by one {!post_read} per
+    page. *)
 
 type target = {
   t_read : int64 -> Sim.Bigbuf.t -> int -> int -> unit;
@@ -56,7 +59,6 @@ val create :
   t
 
 val name : t -> string
-val inflight : t -> int
 
 val post_read :
   ?on_error:(unit -> unit) ->
@@ -103,8 +105,8 @@ val post_write :
 
 val note_read_batch : t -> wrs:int -> unit
 (** Batch-level bookkeeping for a window of [wrs] READs posted as one
-    chain (one doorbell) through {!post_read_pages} / {!post_read}: one
-    [rdma_read_batches] bump + trace instant. No-op when [wrs = 0]. *)
+    chain (one doorbell) of {!post_read}s: one [rdma_read_batches]
+    bump + trace instant. No-op when [wrs = 0]. *)
 
 val post_read_pages :
   t ->
@@ -115,26 +117,16 @@ val post_read_pages :
   on_page:(int -> unit) ->
   on_page_error:(int -> unit) option ->
   unit
-(** A contiguous extent of [count] full-page READs — remote page [i]
-    at [raddr0 + i*4096], landing at byte offset [offs.(i)] of [buf] —
-    posted with one doorbell and, on a healthy fabric, carried by ONE
-    chained engine event instead of [count] heap entries. [on_page i]
-    fires at page [i]'s exact completion instant (after its payload
-    transfer); sequence numbers are pre-reserved so the global event
-    order, every counter, and every trace span are bit-identical to
-    [count] back-to-back {!post_read}s. [offs] must not be
-    mutated until the last page completes. Under a fault plan each
-    page degrades to an independent retried WR ([on_page_error i] on
-    permanent failure). *)
+(** [count] full-page READs — remote page [i] at [raddr0 + i*4096],
+    landing at byte offset [offs.(i)] of [buf] — each posted as its
+    own one-page {!post_read}, so events, counters and trace spans are
+    exactly those of [count] back-to-back posts. [on_page i] fires at
+    page [i]'s completion, [on_page_error i] on its permanent failure
+    (as [on_error] in {!post_read}). Every page is validated before
+    any is posted: a bad page raises [Invalid_argument] and posts
+    nothing. *)
 
 val read : t -> raddr:int64 -> buf:Sim.Bigbuf.t -> off:int -> len:int -> unit
 (** Synchronous single-segment READ (blocks the calling fiber). *)
 
 val write : t -> raddr:int64 -> buf:Sim.Bigbuf.t -> off:int -> len:int -> unit
-
-val read_sync_v : t -> segs:seg list -> buf:Sim.Bigbuf.t -> unit
-val write_sync_v : t -> segs:seg list -> buf:Sim.Bigbuf.t -> unit
-
-val queue_delay : t -> Sim.Time.t
-(** How long a request posted now would wait before service begins
-    (diagnostic; used by tests to verify pipelining). *)

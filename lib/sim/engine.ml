@@ -2,8 +2,7 @@
    for time and sequence number plus a closure array. Times are
    simulated nanoseconds, far below 2^62, so they live as immediate
    ints — a push/pop does only unboxed int compares and no allocation.
-   The generic [Sim.Heap] stays for other users; this copy exists
-   because the event queue is the simulator's single hottest
+   It is the simulator's only heap and its single hottest
    structure. *)
 module Eheap = struct
   type t = {
@@ -185,23 +184,6 @@ let at t time fn =
   end
 
 let after t delay fn = at t (Time.add t.now delay) fn
-
-(* Sequence-number reservation, for event sources that coalesce a
-   batch of k per-page completions into one chained in-flight event
-   (see [Rdma.Qp.post_read_pages]). Reserving k seqs at post time and
-   scheduling each chained hop with its pre-assigned seq reproduces
-   the exact (time, seq) pair every per-page event would have had if
-   all k had been pushed up front — so the global event order, and
-   therefore every golden, is bit-identical to the uncoalesced path. *)
-let reserve_seqs t n =
-  let first = t.seq + 1 in
-  t.seq <- t.seq + n;
-  first
-
-let at_reserved t ~seq time fn =
-  if Int64.compare time t.now <= 0 then
-    invalid_arg "Engine.at_reserved: time must be in the future";
-  Eheap.push t.queue (Int64.to_int time) seq fn
 
 (* Cancellable timers piggyback on [at]: the heap/ring slot stays
    occupied, but a cancelled timer's callback is a no-op. Leaving the

@@ -34,20 +34,6 @@ val at : t -> Time.t -> (unit -> unit) -> unit
 val after : t -> Time.t -> (unit -> unit) -> unit
 (** [after t delay f] is [at t (now t + delay) f]. *)
 
-val reserve_seqs : t -> int -> int
-(** [reserve_seqs t k] consumes the next [k] sequence numbers and
-    returns the first. A coalesced event source (one chained engine
-    event standing in for [k] logically independent ones) reserves its
-    seqs up front, then schedules each hop with {!at_reserved}; the
-    (time, seq) pairs — and hence the global event order — match what
-    [k] separate {!at} calls at the reservation point would have
-    produced. *)
-
-val at_reserved : t -> seq:int -> Time.t -> (unit -> unit) -> unit
-(** Like {!at} but with a pre-reserved sequence number from
-    {!reserve_seqs}. The time must be strictly in the future (a
-    reserved event always models a completion at positive delay). *)
-
 type timer
 (** A cancellable scheduled callback (e.g. an RDMA retransmission
     timeout racing a completion). Cancelling does not disturb the

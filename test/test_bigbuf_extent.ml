@@ -5,14 +5,15 @@
      operation sequences (so the Bigarray store is a drop-in for the
      bytes-per-page store it replaced).
 
-   - Extent-coalescing equivalence: [Rdma.Qp.post_read_pages] carried
-     by one chained engine event must be indistinguishable — payloads,
-     completion instants, every counter — from one-event-per-page
-     posting, on clean and flaky fabrics. At the QP level the
-     reference is [count] back-to-back one-page [Rdma.Qp.post_read]s;
-     through four full workload kernels it is the counter dump and
-     elapsed time each kernel produced when every extent was still
-     posted one page per engine event. *)
+   - Page-window equivalence: a window of page READs must be
+     indistinguishable — payloads, completion instants, every
+     counter — from one-event-per-page posting, on clean and flaky
+     fabrics. At the QP level [Rdma.Qp.post_read_pages] is checked
+     against [count] hand-posted one-page [Rdma.Qp.post_read]s, and
+     it must validate every page before posting any; through four
+     full workload kernels the reference is the counter dump and
+     elapsed time each kernel produced when every page of a window
+     rode its own engine event. *)
 
 open Util
 module H = Apps.Harness
@@ -132,7 +133,7 @@ let bigbuf_sub_view () =
   check_int "parent reads view write" 42 (Bigbuf.get_u32_le slab 4196)
 
 (* ------------------------------------------------------------------ *)
-(* Extent coalescing: QP level *)
+(* Page windows: QP level *)
 
 (* One extent's worth of full-page READs against a patterned store,
    posted either as one [post_read_pages] extent or as [count]
@@ -218,16 +219,53 @@ let qp_extent_flaky () =
     ~fault_spec:(Some Faults.Spec.flaky)
     "flaky"
 
-(* ------------------------------------------------------------------ *)
-(* Extent coalescing: whole-kernel equivalence
+(* [post_read_pages] validates every page before posting any: a bad
+   page [k] raises with nothing counted and nothing scheduled, not
+   after pages [0..k-1] are already on the wire. *)
+let qp_pages_validate_first () =
+  let page = 4096 and count = 4 and k = 2 in
+  let attempt name ~expect ~raddr0 ~offs =
+    let eng = Sim.Engine.create () in
+    let size = 16 * page in
+    let server = Memnode.Server.create ~eng ~size:(Int64.of_int size) () in
+    let stats = Sim.Stats.create () in
+    let fabric = Memnode.Server.connect server ~stats () in
+    let qp = Rdma.Fabric.qp fabric ~name:"validate-test" in
+    Sim.Engine.run eng;
+    let buf = Bigbuf.create (count * page) in
+    let raised =
+      try
+        Rdma.Qp.post_read_pages qp ~raddr0 ~buf ~offs ~count
+          ~on_page:(fun _ -> ())
+          ~on_page_error:None;
+        false
+      with exn -> expect exn
+    in
+    check_bool (name ^ ": raised") true raised;
+    check_int (name ^ ": rdma_reads") 0 (Sim.Stats.get stats "rdma_reads");
+    check_int (name ^ ": pending") 0 (Sim.Engine.pending eng)
+  in
+  let in_buf = Array.init count (fun i -> i * page) in
+  attempt "page outside region"
+    ~expect:(function Rdma.Region.Protection_fault _ -> true | _ -> false)
+    ~raddr0:(Int64.of_int ((16 - k) * page))
+    ~offs:in_buf;
+  attempt "page outside local buffer"
+    ~expect:(function Invalid_argument _ -> true | _ -> false)
+    ~raddr0:0L
+    ~offs:(Array.mapi (fun i o -> if i = k then count * page else o) in_buf)
 
-   Four workload kernels spanning the fetch paths that feed extents —
+(* ------------------------------------------------------------------ *)
+(* Page windows: whole-kernel equivalence
+
+   Four workload kernels spanning the fetch paths that post page
+   windows —
    sequential readahead windows (seq), sort-driven strided windows
    (quicksort), fastswap's swap-cache readahead, and the guided LRANGE
    chain — each run clean and flaky. Each run must reproduce, counter
    for counter and to the nanosecond of elapsed time, the golden below,
-   recorded with every page extent posted as one engine event per
-   page. *)
+   recorded with every page of a window posted as its own engine
+   event. *)
 
 let per_page_goldens =
   [
@@ -406,5 +444,6 @@ let suite =
     quick "bigbuf sub view aliases parent" bigbuf_sub_view;
     quick "qp extent == per-page posting (clean)" qp_extent_clean;
     quick "qp extent == per-page posting (flaky)" qp_extent_flaky;
+    quick "qp pages validated before any is posted" qp_pages_validate_first;
   ]
   @ kernel_cases

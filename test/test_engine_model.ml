@@ -1,8 +1,7 @@
 (* Engine ordering model. Random programs of fibers and callbacks run
    on [Sim.Engine] and on a naive reference scheduler that parks a fiber
    on every sleep; the firing trace (each event and the clock when it
-   ran), the sequence numbers [reserve_seqs] hands out, the final clock
-   and the queue length must agree. *)
+   ran), the final clock and the queue length must agree. *)
 
 open Util
 
@@ -15,8 +14,6 @@ module type ENGINE = sig
   val now : t -> int
   val at : t -> int -> (unit -> unit) -> unit
   val after : t -> int -> (unit -> unit) -> unit
-  val reserve_seqs : t -> int -> int
-  val at_reserved : t -> seq:int -> int -> (unit -> unit) -> unit
   val timer_at : t -> int -> (unit -> unit) -> timer
   val cancel : timer -> unit
   val spawn : t -> (unit -> unit) -> unit
@@ -40,8 +37,6 @@ module Real : ENGINE = struct
   let now t = Int64.to_int (E.now t)
   let at t time fn = E.at t (ns time) fn
   let after t d fn = E.after t (ns d) fn
-  let reserve_seqs = E.reserve_seqs
-  let at_reserved t ~seq time fn = E.at_reserved t ~seq (ns time) fn
   let timer_at t time fn = E.timer_at t (ns time) fn
   let cancel = E.cancel
   let spawn t f = E.spawn t f
@@ -89,13 +84,6 @@ module Reference : ENGINE = struct
     end
 
   let after t d fn = at t (t.now + d) fn
-
-  let reserve_seqs t n =
-    let first = t.seq + 1 in
-    t.seq <- t.seq + n;
-    first
-
-  let at_reserved t ~seq time fn = insert t time seq fn
 
   let timer_at t time fn =
     let tm = { state = `Pending } in
@@ -183,7 +171,6 @@ and cop =
   | At of int * cb
   | After of int * cb
   | Timer of int * cb * int option (* cancel after this delay; 0 = now *)
-  | Reserved of (int * cb) list (* delays >= 1 *)
   | Spawn of fiber
   | Signal of int
 
@@ -206,10 +193,6 @@ let rec pp_cop b = function
       Printf.bprintf b "timer+%d%s %a" d
         (match c with None -> "" | Some c -> Printf.sprintf "/cancel+%d" c)
         pp_cb cb
-  | Reserved hops ->
-      Printf.bprintf b "reserved[";
-      List.iter (fun (d, cb) -> Printf.bprintf b "+%d %a;" d pp_cb cb) hops;
-      Printf.bprintf b "]"
   | Spawn f -> pp_fiber b f
   | Signal c -> Printf.bprintf b "signal %d" c
 
@@ -264,11 +247,6 @@ let gen_program =
               (fun d cb c -> Timer (d, cb, c))
               delay (gen_cb (depth - 1))
               (opt (int_range 0 5)) );
-          ( 1,
-            map
-              (fun hops -> Reserved hops)
-              (list_size (int_range 1 3)
-                 (pair (int_range 1 5) (gen_cb (depth - 1)))) );
           (3, map (fun f -> Spawn f) (gen_fiber (depth - 1)));
           (1, leaf);
         ]
@@ -317,13 +295,6 @@ module Exec (E : ENGINE) = struct
           | None -> ()
           | Some 0 -> E.cancel tm
           | Some c -> E.after e c (fun () -> E.cancel tm))
-      | Reserved hops ->
-          let first = E.reserve_seqs e (List.length hops) in
-          note (Printf.sprintf "seq%d" first);
-          List.iteri
-            (fun i (d, cb) ->
-              E.at_reserved e ~seq:(first + i) (E.now e + d) (fun () -> fire cb))
-            hops
       | Spawn f -> E.spawn e (fun () -> fiber f)
       | Signal c ->
           let ws = List.rev waiters.(c) in

@@ -368,8 +368,7 @@ let test_report_byte_identity () =
   Alcotest.(check string) "same seed, same bytes" a b
 
 (* Every RDMA op lands in both views: the run's Stats counters and the
-   per-QP labeled registry series. A readahead window posted as one
-   page extent ([Rdma.Qp.post_read_pages]) used to bump only Stats. *)
+   per-QP labeled registry series, readahead windows included. *)
 let registry_op_sum reg family op =
   List.fold_left
     (fun acc f ->

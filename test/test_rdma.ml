@@ -116,22 +116,18 @@ let qp_vector_ops () =
   run_sim (fun eng ->
       let _store, fabric = mk_fabric eng () in
       let qp = Rdma.Fabric.qp fabric ~name:"t" in
+      let segs =
+        [
+          { Rdma.Qp.raddr = 0x100L; loff = 0; len = 4 };
+          { Rdma.Qp.raddr = 0x200L; loff = 8; len = 4 };
+        ]
+      in
       let buf = bb "0123456789abcdef" in
-      Rdma.Qp.write_sync_v qp
-        ~segs:
-          [
-            { Rdma.Qp.raddr = 0x100L; loff = 0; len = 4 };
-            { Rdma.Qp.raddr = 0x200L; loff = 8; len = 4 };
-          ]
-        ~buf;
+      Sim.Engine.suspend eng (fun wake ->
+          Rdma.Qp.post_write qp ~segs ~buf ~on_complete:wake);
       let dst = bb_make 16 '.' in
-      Rdma.Qp.read_sync_v qp
-        ~segs:
-          [
-            { Rdma.Qp.raddr = 0x100L; loff = 0; len = 4 };
-            { Rdma.Qp.raddr = 0x200L; loff = 8; len = 4 };
-          ]
-        ~buf:dst;
+      Sim.Engine.suspend eng (fun wake ->
+          Rdma.Qp.post_read qp ~segs ~buf:dst ~on_complete:wake);
       Alcotest.(check string) "scatter/gather" "0123....89ab...." (bb_str dst))
 
 let qp_single_read_latency () =

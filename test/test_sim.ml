@@ -1,46 +1,6 @@
 open Util
 
 (* ------------------------------------------------------------------ *)
-(* Heap *)
-
-let heap_basic () =
-  let h = Sim.Heap.create ~cmp:compare in
-  List.iter (Sim.Heap.push h) [ 5; 3; 8; 1; 9; 2 ];
-  check_int "len" 6 (Sim.Heap.length h);
-  check_int "min" 1 (Sim.Heap.pop_exn h);
-  check_int "next" 2 (Sim.Heap.pop_exn h);
-  Sim.Heap.push h 0;
-  check_int "reinserted min" 0 (Sim.Heap.pop_exn h)
-
-let heap_empty () =
-  let h = Sim.Heap.create ~cmp:compare in
-  Alcotest.(check (option int)) "peek empty" None (Sim.Heap.peek h);
-  Alcotest.(check (option int)) "pop empty" None (Sim.Heap.pop h);
-  check_bool "is_empty" true (Sim.Heap.is_empty h)
-
-let heap_sorted_drain () =
-  let rng = Sim.Rng.create 42 in
-  let h = Sim.Heap.create ~cmp:compare in
-  let input = List.init 500 (fun _ -> Sim.Rng.int rng 10_000) in
-  List.iter (Sim.Heap.push h) input;
-  let rec drain acc =
-    match Sim.Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  let out = drain [] in
-  Alcotest.(check (list int)) "heap sort" (List.sort compare input) out
-
-let heap_qcheck =
-  QCheck.Test.make ~name:"heap drains sorted" ~count:200
-    QCheck.(list small_int)
-    (fun xs ->
-      let h = Sim.Heap.create ~cmp:compare in
-      List.iter (Sim.Heap.push h) xs;
-      let rec drain acc =
-        match Sim.Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort compare xs)
-
-(* ------------------------------------------------------------------ *)
 (* Int_table vs Hashtbl *)
 
 type itbl_op = Replace of int * int | Remove of int | Find of int | Mem of int
@@ -632,10 +592,6 @@ let timer_cancel_preserves_order () =
 
 let suite =
   [
-    quick "heap basic" heap_basic;
-    quick "heap empty" heap_empty;
-    quick "heap sorted drain" heap_sorted_drain;
-    QCheck_alcotest.to_alcotest heap_qcheck;
     QCheck_alcotest.to_alcotest int_table_qcheck;
     quick "int_table rejects min_int" int_table_rejects_min_int;
     quick "rng deterministic" rng_deterministic;
