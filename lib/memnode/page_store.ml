@@ -1,38 +1,39 @@
-let block_size = 4096
-let block_shift = 12
+(* A sparse store: a two-level block directory over a small arena, so
+   memory grows with what was written, never with [~size].
 
-(* Dense off-heap slab instead of a hashtable of 4 KiB [bytes]
-   blocks. The slab is lazily committed by the kernel (fresh anonymous
-   mapping, see [Sim.Bigbuf.create]), so a paper-scale store costs
-   physical memory only for blocks actually written — the same
-   sparseness the hashtable bought, without per-block heap objects or
-   hashing on the transfer path. Reads of never-written memory still
-   observe zeros. [touched] tracks which blocks have been written
-   (1 bit per block) purely for the [resident_blocks] diagnostic. *)
+   - [top.(l)] is the leaf for the 2 MiB region [l], one entry per
+     4 KiB block. Regions never written share [absent_leaf], and [top]
+     grows to the highest region written.
+   - A leaf entry is [-1] (never written: reads as zeros) or the
+     block's place in the arena, packed as [offset lsl seg_bits lor
+     segment].
+   - The arena is a few uninitialised Bigarray segments that double in
+     size from 64 MiB; blocks are carved off the newest one. Each
+     Bigarray is charged to the major GC, so a segment per block would
+     cost far more collections than a handful of large ones.
+
+   The directory is the one record of what the node holds: residency
+   is a counter and [iter_touched] walks the leaves. *)
+
+let block_shift = 12
+let block_size = 1 lsl block_shift
+let leaf_shift = 9
+let leaf_mask = (1 lsl leaf_shift) - 1
+let seg_bits = 6
+let seg_mask = (1 lsl seg_bits) - 1
+let absent_leaf = Array.make (1 lsl leaf_shift) (-1)
+
 type t = {
   size : int64;
-  slab : Sim.Bigbuf.t;
-  touched : Bytes.t;
+  mutable top : int array array;
+  mutable segs : Sim.Bigbuf.t array;
+  mutable used : int;  (* bytes carved off the newest segment *)
   mutable resident : int;
 }
 
 let create ~size =
   if Int64.compare size 0L < 0 then invalid_arg "Page_store.create: negative size";
-  let bytes_ = Int64.to_int size in
-  let blocks = (bytes_ + block_size - 1) / block_size in
-  (* The slab before the bitmap: it is the request a host refuses. *)
-  let slab =
-    try Sim.Bigbuf.create bytes_
-    with Out_of_memory ->
-      failwith
-        (Printf.sprintf
-           "Page_store.create: cannot reserve %d bytes for the memory node's \
-            page store; lower Server.create ~size (Harness.run ?remote_size)"
-           bytes_)
-  in
-  { size; slab; touched = Bytes.make ((blocks + 7) / 8) '\000'; resident = 0 }
-
-let size t = t.size
+  { size; top = [||]; segs = [||]; used = 0; resident = 0 }
 
 let check t addr len =
   if len < 0 then invalid_arg "Page_store: negative length";
@@ -41,72 +42,84 @@ let check t addr len =
     || Int64.compare (Int64.add addr (Int64.of_int len)) t.size > 0
   then invalid_arg (Printf.sprintf "Page_store: range [0x%Lx,+%d) out of bounds" addr len)
 
-let mark_touched t ~addr ~len =
+let slot t blk =
+  let l = blk lsr leaf_shift in
+  if l < Array.length t.top then t.top.(l).(blk land leaf_mask) else -1
+
+(* First write to [blk]: carve a block off the newest segment, opening
+   one twice as large when it is full. A block that a partial write
+   allocates is zeroed; a whole-block write overwrites it anyway. *)
+let alloc t blk ~partial =
+  let n = Array.length t.segs in
+  if n = 0 || t.used = Sim.Bigbuf.length t.segs.(n - 1) then begin
+    let len = if n = 0 then 1 lsl 26 else 2 * Sim.Bigbuf.length t.segs.(n - 1) in
+    let seg = Bigarray.Array1.create Bigarray.char Bigarray.c_layout len in
+    t.segs <- Array.append t.segs [| seg |];
+    t.used <- 0
+  end;
+  let seg = Array.length t.segs - 1 in
+  if partial then Sim.Bigbuf.fill t.segs.(seg) ~off:t.used ~len:block_size '\000';
+  let e = (t.used lsl seg_bits) lor seg in
+  t.used <- t.used + block_size;
+  let l = blk lsr leaf_shift in
+  let n = Array.length t.top in
+  if l >= n then
+    t.top <- Array.append t.top (Array.make (Int.max n (l + 1 - n)) absent_leaf);
+  if t.top.(l) == absent_leaf then t.top.(l) <- Array.make (1 lsl leaf_shift) (-1);
+  t.top.(l).(blk land leaf_mask) <- e;
+  t.resident <- t.resident + 1;
+  e
+
+let rec read_blocks t a dst off len =
   if len > 0 then begin
-    let first = Int64.to_int (Int64.shift_right_logical addr block_shift) in
-    let last =
-      Int64.to_int
-        (Int64.shift_right_logical
-           (Int64.add addr (Int64.of_int (len - 1)))
-           block_shift)
-    in
-    for idx = first to last do
-      let byte = idx lsr 3 and bit = 1 lsl (idx land 7) in
-      let v = Char.code (Bytes.unsafe_get t.touched byte) in
-      if v land bit = 0 then begin
-        Bytes.unsafe_set t.touched byte (Char.unsafe_chr (v lor bit));
-        t.resident <- t.resident + 1
-      end
-    done
+    let inb = a land (block_size - 1) in
+    let n = Int.min len (block_size - inb) in
+    let e = slot t (a lsr block_shift) in
+    if e < 0 then Sim.Bigbuf.fill dst ~off ~len:n '\000'
+    else
+      Sim.Bigbuf.blit t.segs.(e land seg_mask) ~src_off:((e lsr seg_bits) + inb)
+        dst ~dst_off:off ~len:n;
+    read_blocks t (a + n) dst (off + n) (len - n)
+  end
+
+let rec write_blocks t a src off len =
+  if len > 0 then begin
+    let inb = a land (block_size - 1) in
+    let n = Int.min len (block_size - inb) in
+    let blk = a lsr block_shift in
+    let e = slot t blk in
+    let e = if e >= 0 then e else alloc t blk ~partial:(n < block_size) in
+    Sim.Bigbuf.blit src ~src_off:off t.segs.(e land seg_mask)
+      ~dst_off:((e lsr seg_bits) + inb) ~len:n;
+    write_blocks t (a + n) src (off + n) (len - n)
   end
 
 let read t ~addr ~dst ~off ~len =
   check t addr len;
-  Sim.Bigbuf.blit t.slab ~src_off:(Int64.to_int addr) dst ~dst_off:off ~len
+  read_blocks t (Int64.to_int addr) dst off len
 
 let write t ~addr ~src ~off ~len =
   check t addr len;
-  mark_touched t ~addr ~len;
-  Sim.Bigbuf.blit src ~src_off:off t.slab ~dst_off:(Int64.to_int addr) ~len
-
-let read_bytes t ~addr ~dst ~off ~len =
-  check t addr len;
-  Sim.Bigbuf.blit_to_bytes t.slab ~src_off:(Int64.to_int addr) dst ~dst_off:off
-    ~len
-
-let write_bytes t ~addr ~src ~off ~len =
-  check t addr len;
-  mark_touched t ~addr ~len;
-  Sim.Bigbuf.blit_from_bytes src ~src_off:off t.slab
-    ~dst_off:(Int64.to_int addr) ~len
+  write_blocks t (Int64.to_int addr) src off len
 
 let resident_blocks t = t.resident
 
-(* Model a shard process dying with its DRAM: zero only the touched
-   blocks (the slab's untouched extent is already zero) and forget
-   them, so a recovered shard starts from fresh memory and must be
-   re-replicated. *)
+(* A shard process dying with its DRAM: drop the directory and the
+   arena, so a recovered shard starts from fresh memory. *)
 let reset t =
-  let nbits = Bytes.length t.touched * 8 in
-  for idx = 0 to nbits - 1 do
-    let byte = idx lsr 3 and bit = 1 lsl (idx land 7) in
-    if Char.code (Bytes.unsafe_get t.touched byte) land bit <> 0 then begin
-      let off = idx * block_size in
-      let len = Int.min block_size (Int64.to_int t.size - off) in
-      Sim.Bigbuf.fill t.slab ~off ~len '\000'
-    end
-  done;
-  Bytes.fill t.touched 0 (Bytes.length t.touched) '\000';
+  t.top <- [||];
+  t.segs <- [||];
+  t.used <- 0;
   t.resident <- 0
 
 (* Ascending block order — deterministic, so resync queues built from
    it replay bit-identically. *)
 let iter_touched t f =
-  let nbits = Bytes.length t.touched * 8 in
-  for idx = 0 to nbits - 1 do
-    let byte = idx lsr 3 and bit = 1 lsl (idx land 7) in
-    if Char.code (Bytes.unsafe_get t.touched byte) land bit <> 0 then f idx
-  done
+  Array.iteri
+    (fun l leaf ->
+      if leaf != absent_leaf then
+        Array.iteri (fun i e -> if e >= 0 then f ((l lsl leaf_shift) lor i)) leaf)
+    t.top
 
 let target t =
   {

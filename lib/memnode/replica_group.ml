@@ -89,7 +89,7 @@ type shard = {
   missed_q : int Queue.t;  (* deterministic resync order *)
   mutable tombstones : int list;
       (* pages this shard held when it died, sorted ascending. Survivors'
-         bitmaps cannot reconstruct these at RF=1 (nobody else ever held
+         stores cannot reconstruct these at RF=1 (nobody else ever held
          them), and "nobody remembers the page" must read as loss, not as
          fresh zeros — so the corpse itself carries the list. *)
 }
@@ -282,8 +282,8 @@ let recover t idx =
     scount t (fun h -> h.c_recovers);
     if Trace.enabled cat_memnode then
       Trace.instant cat_memnode ~name:"shard_recover" ~track:s.trk ();
-    (* Everything this shard should hold lives on the survivors'
-       residency bitmaps (writes only ever land on replica members).
+    (* Everything this shard should hold is among the blocks the
+       survivors' stores hold (writes only ever land on replica members).
        Ascending shard then ascending block keeps the queue order — and
        hence resync completion times — deterministic. *)
     Array.iter

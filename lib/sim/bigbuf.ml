@@ -1,5 +1,5 @@
-(* Off-heap byte slabs backing frame stores and the memnode page
-   store. One Bigarray per pool instead of one [bytes] per page keeps
+(* Off-heap byte slabs backing the frame pool and the memnode page
+   store's arena. A few Bigarrays instead of one [bytes] per page keep
    the GC out of the paging hot path entirely: scans never walk page
    payloads, copies are [memcpy], and scalar access compiles to single
    loads/stores through the bigstring primitives below. *)
@@ -11,10 +11,11 @@ let length (t : t) = Bigarray.Array1.dim t
 
 (* glibc serves any request at or above its maximum dynamic mmap
    threshold (32 MiB) straight from a fresh anonymous mapping, which
-   the kernel zero-fills lazily. Above this size we rely on that: a
-   multi-GiB slab is virtual until touched, so a paper-scale (20 GB)
-   store costs only the pages actually written. Below it, malloc may
-   recycle dirty memory, so we memset explicitly. *)
+   the kernel zero-fills lazily. Above this size we rely on that, for
+   the frame pool only: a large pool is virtual until its frames are
+   touched. Below it, malloc may recycle dirty memory, so we memset
+   explicitly. The page store allocates its own uninitialised arena
+   segments and relies on neither. *)
 let mmap_zero_threshold = 1 lsl 26
 
 let create n =

@@ -1,11 +1,11 @@
 (** Off-heap byte slabs for page payloads.
 
     A [Bigbuf.t] is a flat [char] Bigarray used as backing store for
-    the frame pool and the memnode page store: one slab per pool,
-    addressed by byte offset, instead of one GC-tracked [bytes] per
-    page. Large slabs (>= 64 MiB) are backed by fresh anonymous
-    mappings, so a paper-scale (tens of GB) store is lazily committed
-    by the kernel and guaranteed zero until written.
+    the frame pool (one slab) and the memnode page store's arena
+    segments, addressed by byte offset, instead of one GC-tracked
+    [bytes] per page. Large slabs (>= 64 MiB) are backed by fresh
+    anonymous mappings, so a large frame pool is committed by the
+    kernel as frames are first touched.
 
     Scalar accessors are little-endian, mirroring the [Bytes.*_le]
     family they replace; [unsafe_*] variants skip bounds checks for

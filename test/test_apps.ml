@@ -231,7 +231,7 @@ let catalog_result_lines () =
     let cores = if e.Apps.Catalog.multicore then 2 else 1 in
     let r =
       Apps.Harness.run (Apps.Harness.Dilos Dilos.Kernel.Readahead)
-        ~local_mem:(1024 * 1024) ~cores ~remote_size:(Int64.shift_left 1L 30)
+        ~local_mem:(1024 * 1024) ~cores
         (fun ctx -> e.Apps.Catalog.run ctx ~scale:2000 ~seed:42 ~cores)
     in
     (e.Apps.Catalog.name, r.Apps.Harness.value)

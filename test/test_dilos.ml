@@ -404,8 +404,7 @@ let revalidate_run system k =
   let pages = 48 and target = 47 in
   let out = ref None in
   ignore
-    (Apps.Harness.run system ~local_mem:(32 * page) ~cores:2
-       ~remote_size:(Int64.shift_left 1L 30) (fun ctx ->
+    (Apps.Harness.run system ~local_mem:(32 * page) ~cores:2 (fun ctx ->
          let module M = Apps.Memif in
          let stats = ctx.Apps.Harness.stats and eng = ctx.Apps.Harness.eng in
          let m0 = ctx.Apps.Harness.mem ~core:0

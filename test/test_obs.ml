@@ -389,8 +389,7 @@ let test_rdma_registry_matches_stats () =
     (fun (system, fault_spec, fault_name) ->
       let reg = Obs.Registry.create () in
       let r =
-        Apps.Harness.run system ~local_mem:(1024 * 1024)
-          ~remote_size:(Int64.shift_left 1L 30) ?fault_spec ~obs:reg
+        Apps.Harness.run system ~local_mem:(1024 * 1024) ?fault_spec ~obs:reg
           (fun ctx ->
             ignore
               (Apps.Seq.run ctx ~size_bytes:(4 * 1024 * 1024)

@@ -252,35 +252,139 @@ let bandwidth_buckets () =
 (* ------------------------------------------------------------------ *)
 (* Page store *)
 
+module Ps = Memnode.Page_store
+
 let store_zero_fill () =
-  let s = Memnode.Page_store.create ~size:65536L in
-  let b = Bytes.make 16 'x' in
-  Memnode.Page_store.read_bytes s ~addr:100L ~dst:b ~off:0 ~len:16;
+  let s = Ps.create ~size:65536L in
+  let b = bb_make 16 'x' in
+  Ps.read s ~addr:100L ~dst:b ~off:0 ~len:16;
   Alcotest.(check string) "never-written reads zero" (String.make 16 '\000')
-    (Bytes.to_string b)
+    (bb_str b)
 
 let store_cross_block () =
-  let s = Memnode.Page_store.create ~size:65536L in
-  let src = Bytes.init 100 (fun i -> Char.chr (i land 0xFF)) in
+  let s = Ps.create ~size:65536L in
+  let src = bb (String.init 100 (fun i -> Char.chr (i land 0xFF))) in
   (* Write a range straddling the 4 KiB block boundary. *)
-  Memnode.Page_store.write_bytes s ~addr:4070L ~src ~off:0 ~len:100;
-  let dst = Bytes.create 100 in
-  Memnode.Page_store.read_bytes s ~addr:4070L ~dst ~off:0 ~len:100;
-  Alcotest.(check bytes) "cross-block roundtrip" src dst;
-  check_int "two blocks materialized" 2 (Memnode.Page_store.resident_blocks s)
+  Ps.write s ~addr:4070L ~src ~off:0 ~len:100;
+  let dst = Sim.Bigbuf.create 100 in
+  Ps.read s ~addr:4070L ~dst ~off:0 ~len:100;
+  Alcotest.(check string) "cross-block roundtrip" (bb_str src) (bb_str dst);
+  check_int "two blocks materialized" 2 (Ps.resident_blocks s)
 
 let store_bounds () =
-  let s = Memnode.Page_store.create ~size:4096L in
-  let b = Bytes.create 8 in
+  let s = Ps.create ~size:4096L in
+  let b = Sim.Bigbuf.create 8 in
   Alcotest.(check_raises) "oob"
     (Invalid_argument "Page_store: range [0x1000,+8) out of bounds") (fun () ->
-      Memnode.Page_store.read_bytes s ~addr:4096L ~dst:b ~off:0 ~len:8)
+      Ps.read s ~addr:4096L ~dst:b ~off:0 ~len:8)
 
-(* 2^50 bytes is past the x86-64 user address space, so every host
-   refuses it. *)
-let store_oversized_names_the_knob () =
-  check_failure_mentions "page store" [ "1125899906842624"; "Server.create ~size" ]
-    (fun () -> Memnode.Page_store.create ~size:(Int64.shift_left 1L 50))
+let touched s =
+  let l = ref [] in
+  Ps.iter_touched s (fun blk -> l := blk :: !l);
+  List.rev !l
+
+(* 2^50 bytes is past the x86-64 user address space: the store must
+   hold only what was written, not reserve its size. *)
+let store_is_sparse () =
+  let s = Ps.create ~size:(Int64.shift_left 1L 50) in
+  let at = Int64.shift_left 1L 36 in
+  let page = bb_make 4096 'p' in
+  Ps.write s ~addr:at ~src:page ~off:0 ~len:4096;
+  let back = bb_make 4096 'x' in
+  Ps.read s ~addr:at ~dst:back ~off:0 ~len:4096;
+  Alcotest.(check string) "page at 64 GiB round-trips" (bb_str page) (bb_str back);
+  check_int "one block resident" 1 (Ps.resident_blocks s);
+  Alcotest.(check (list int)) "touched" [ 1 lsl 24 ] (touched s);
+  List.iter
+    (fun addr ->
+      let b = bb_make 4096 'x' in
+      Ps.read s ~addr ~dst:b ~off:0 ~len:4096;
+      Alcotest.(check string)
+        (Printf.sprintf "unwritten 0x%Lx reads zero" addr)
+        (String.make 4096 '\000') (bb_str b))
+    [
+      0L;
+      Int64.sub at 4096L;
+      Int64.add at 4096L;
+      Int64.sub (Int64.shift_left 1L 50) 4096L;
+    ]
+
+(* Random write/read/reset sequences against a [Bytes] reference. The
+   store spans three 2 MiB leaves, and ranges start near block and leaf
+   boundaries, so they are often partial, cross a block or cross a
+   leaf. *)
+type store_op = Write of int * int * int | Read of int * int | Reset
+
+let leaf = 2 lsl 20
+let store_size = 3 * leaf
+
+let store_op_gen =
+  let open QCheck.Gen in
+  let addr =
+    map2
+      (fun anchor delta -> Int.max 0 (Int.min (store_size - 1) (anchor + delta)))
+      (oneof
+         [
+           map (fun k -> k * 4096) (int_bound (store_size / 4096));
+           oneofl [ leaf; 2 * leaf ];
+         ])
+      (frequency [ (2, return 0); (3, int_range (-5000) 5000) ])
+  in
+  let range =
+    map2 (fun a len -> (a, Int.min len (store_size - a))) addr (int_bound 10000)
+  in
+  frequency
+    [
+      (6, map2 (fun (a, len) seed -> Write (a, len, seed)) range (int_bound 255));
+      (4, map (fun (a, len) -> Read (a, len)) range);
+      (1, return Reset);
+    ]
+
+let print_store_op = function
+  | Write (a, len, seed) -> Printf.sprintf "Write(%#x,+%d,%d)" a len seed
+  | Read (a, len) -> Printf.sprintf "Read(%#x,+%d)" a len
+  | Reset -> "Reset"
+
+let page_store_model =
+  QCheck.Test.make ~name:"page store matches Bytes reference model" ~count:100
+    (QCheck.make
+       ~print:QCheck.Print.(list print_store_op)
+       QCheck.Gen.(list_size (int_range 1 40) store_op_gen))
+    (fun ops ->
+      let s = Ps.create ~size:(Int64.of_int store_size) in
+      let ref_ = Bytes.make store_size '\000' in
+      let written = Array.make (store_size / 4096) false in
+      List.for_all
+        (fun op ->
+          let read_ok =
+            match op with
+            | Write (a, len, seed) ->
+                let src = Sim.Bigbuf.create len in
+                for i = 0 to len - 1 do
+                  let c = Char.chr ((seed + (i * 7)) land 0xFF) in
+                  Sim.Bigbuf.set_u8 src i (Char.code c);
+                  Bytes.set ref_ (a + i) c;
+                  written.((a + i) / 4096) <- true
+                done;
+                Ps.write s ~addr:(Int64.of_int a) ~src ~off:0 ~len;
+                true
+            | Read (a, len) ->
+                let dst = bb_make len 'x' in
+                Ps.read s ~addr:(Int64.of_int a) ~dst ~off:0 ~len;
+                String.equal (bb_str dst) (Bytes.sub_string ref_ a len)
+            | Reset ->
+                Ps.reset s;
+                Bytes.fill ref_ 0 store_size '\000';
+                Array.fill written 0 (Array.length written) false;
+                true
+          in
+          let expect =
+            List.filter (fun b -> written.(b)) (List.init (Array.length written) Fun.id)
+          in
+          read_ok
+          && Int.equal (Ps.resident_blocks s) (List.length expect)
+          && List.equal Int.equal (touched s) expect)
+        ops)
 
 let suite =
   [
@@ -300,6 +404,7 @@ let suite =
     quick "bandwidth meter buckets" bandwidth_buckets;
     quick "page store zero fill" store_zero_fill;
     quick "page store cross-block" store_cross_block;
-    quick "page store oversized names the knob" store_oversized_names_the_knob;
+    quick "page store is sparse" store_is_sparse;
     quick "page store bounds" store_bounds;
+    QCheck_alcotest.to_alcotest page_store_model;
   ]

@@ -62,9 +62,9 @@ let check_pat name g ~seed ~addr ~len =
   done
 
 let shard_bytes g i ~addr ~len =
-  let b = Bytes.create len in
-  Memnode.Page_store.read_bytes (Rg.store g i) ~addr:(Int64.of_int addr)
-    ~dst:b ~off:0 ~len;
+  let b = Buf.create len in
+  Memnode.Page_store.read (Rg.store g i) ~addr:(Int64.of_int addr) ~dst:b
+    ~off:0 ~len;
   b
 
 let stat st name = Sim.Stats.get st name
@@ -146,7 +146,7 @@ let writes_mirror_to_all_replicas () =
       for shard = 0 to 1 do
         let b = shard_bytes g shard ~addr:0 ~len:(2 * page) in
         for i = 0 to (2 * page) - 1 do
-          if not (Int.equal (Char.code (Bytes.get b i)) (pat 3 i)) then
+          if not (Int.equal (Buf.get_u8 b i) (pat 3 i)) then
             Alcotest.failf "shard %d missing mirrored byte %d" shard i
         done
       done;
@@ -264,7 +264,7 @@ let resync_restores_replication_factor () =
       (* Shard 0's own store holds its pages again... *)
       let b = shard_bytes g 0 ~addr:0 ~len:(16 * page) in
       for i = 0 to (16 * page) - 1 do
-        if not (Int.equal (Char.code (Bytes.get b i)) (pat 8 i)) then
+        if not (Int.equal (Buf.get_u8 b i) (pat 8 i)) then
           Alcotest.failf "resynced store lost byte %d" i
       done;
       (* ...and survives the OTHER shard dying. *)
@@ -455,8 +455,7 @@ let replicated_group_agrees_with_bytes_model =
 
 let seq_run ?fault_spec ?shards ?replication ?obs () =
   Apps.Harness.run (Apps.Harness.Dilos Dilos.Kernel.Readahead)
-    ~local_mem:(256 * 1024) ~remote_size:(Int64.shift_left 1L 30) ?fault_spec
-    ?shards ?replication ?obs (fun ctx ->
+    ~local_mem:(256 * 1024) ?fault_spec ?shards ?replication ?obs (fun ctx ->
       ignore (Apps.Seq.run ctx ~size_bytes:(1024 * 1024) ~mode:Apps.Seq.Read))
 
 let repl_keys (r : _ Apps.Harness.result) =
