@@ -7,6 +7,25 @@ cd "$(dirname "$0")"
 echo "== dune build"
 dune build
 
+echo "== release profile guard"
+# dune-workspace selects the release profile. dev passes -opaque to
+# ocamlopt, which stops the cross-module inlining of the TLB-hit path
+# (Memif closure -> Dilos.Cpu -> Sim.Bigbuf): no test fails without it,
+# the simulator just gets ~40% slower on sort. Check the compile rule
+# of lib/core/cpu.ml itself, so a lost profile cannot go unnoticed.
+cpu_rule=$(dune rules -m _build/default/lib/core/.dilos.objs/native/dilos__Cpu.cmx)
+case $cpu_rule in
+  *ocamlopt*) ;;
+  *) echo "check.sh: no native compile rule found for lib/core/cpu.ml" >&2
+     exit 1 ;;
+esac
+case $cpu_rule in
+  *-opaque*)
+    echo "check.sh: lib/core/cpu.ml is compiled with -opaque; dune-workspace" \
+      "must select (profile release) for cross-module inlining" >&2
+    exit 1 ;;
+esac
+
 echo "== dune build @lint"
 dune build @lint
 

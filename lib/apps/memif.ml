@@ -28,14 +28,15 @@ type t = {
   now : unit -> Sim.Time.t;
 }
 
-let read_i32 t addr =
+let[@inline] read_i32 t addr =
   let v = t.read_u32 addr in
   if v land 0x80000000 <> 0 then v - (1 lsl 32) else v
 
-let write_i32 t addr v = t.write_u32 addr (v land 0xFFFFFFFF)
+let[@inline] write_i32 t addr v = t.write_u32 addr (v land 0xFFFFFFFF)
 
-let read_i32_at t base off =
+let[@inline] read_i32_at t base off =
   let v = t.read_u32_at base off in
   if v land 0x80000000 <> 0 then v - (1 lsl 32) else v
 
-let write_i32_at t base off v = t.write_u32_at base off (v land 0xFFFFFFFF)
+let[@inline] write_i32_at t base off v =
+  t.write_u32_at base off (v land 0xFFFFFFFF)

@@ -57,14 +57,18 @@ let invalidate cpus vpn =
     if Array.unsafe_get c.tlb_vpn i = vpn then Array.unsafe_set c.tlb_vpn i (-1)
   done
 
-let flush c =
+(* The TLB-hit path below is [@inline] down to the slab access, so a
+   hit through a [Memif] closure makes no further call. What a hit
+   only rarely needs stays out of line: [flush] here, the kernel's
+   [fill] and [first_store] hooks. *)
+let[@inline never] flush c =
   if c.pending > 0 then begin
     let p = c.pending in
     c.pending <- 0;
     Sim.Engine.sleep c.eng (Sim.Time.ns p)
   end
 
-let charge c ns =
+let[@inline] charge c ns =
   c.pending <- c.pending + ns;
   if c.pending >= pending_cap_ns then flush c
 
@@ -74,7 +78,7 @@ let charge c ns =
    charge — returning the cached offset unconditionally would aim the
    access at a freed (or re-allocated) frame and the store would be
    silently lost when the page is next fetched. *)
-let page_off_for_read c vpn =
+let[@inline] page_off_for_read c vpn =
   let i = vpn land tlb_mask in
   if Array.unsafe_get c.tlb_vpn i = vpn then begin
     charge c Params.mem_access_ns;
@@ -83,7 +87,7 @@ let page_off_for_read c vpn =
   end
   else c.fill c vpn ~write:false
 
-let page_off_for_write c vpn =
+let[@inline] page_off_for_write c vpn =
   let i = vpn land tlb_mask in
   if Array.unsafe_get c.tlb_vpn i = vpn then begin
     if not (Array.unsafe_get c.tlb_written i) then begin
@@ -99,9 +103,9 @@ let page_off_for_write c vpn =
   end
   else c.fill c vpn ~write:true
 
-let split addr = (Vmem.Addr.vpn addr, Vmem.Addr.offset addr)
+let[@inline] split addr = (Vmem.Addr.vpn addr, Vmem.Addr.offset addr)
 
-let check_span off size =
+let[@inline] check_span off size =
   if off + size > Vmem.Addr.page_size then
     invalid_arg "Kernel: scalar access straddles a page boundary"
 
@@ -109,40 +113,40 @@ let check_span off size =
    span is valid by construction, and [check_span] bounds [off], so the
    unsafe slab accessors cannot escape the mapped frame. *)
 
-let read_u8 c addr =
+let[@inline] read_u8 c addr =
   let vpn, off = split addr in
   Sim.Bigbuf.unsafe_get_u8 c.slab (page_off_for_read c vpn + off)
 
-let read_u16 c addr =
+let[@inline] read_u16 c addr =
   let vpn, off = split addr in
   check_span off 2;
   Sim.Bigbuf.unsafe_get_u16_le c.slab (page_off_for_read c vpn + off)
 
-let read_u32 c addr =
+let[@inline] read_u32 c addr =
   let vpn, off = split addr in
   check_span off 4;
   Sim.Bigbuf.unsafe_get_u32_le c.slab (page_off_for_read c vpn + off)
 
-let read_u64 c addr =
+let[@inline] read_u64 c addr =
   let vpn, off = split addr in
   check_span off 8;
   Sim.Bigbuf.unsafe_get_u64_le c.slab (page_off_for_read c vpn + off)
 
-let write_u8 c addr v =
+let[@inline] write_u8 c addr v =
   let vpn, off = split addr in
   Sim.Bigbuf.unsafe_set_u8 c.slab (page_off_for_write c vpn + off) (v land 0xFF)
 
-let write_u16 c addr v =
+let[@inline] write_u16 c addr v =
   let vpn, off = split addr in
   check_span off 2;
   Sim.Bigbuf.unsafe_set_u16_le c.slab (page_off_for_write c vpn + off) v
 
-let write_u32 c addr v =
+let[@inline] write_u32 c addr v =
   let vpn, off = split addr in
   check_span off 4;
   Sim.Bigbuf.unsafe_set_u32_le c.slab (page_off_for_write c vpn + off) v
 
-let write_u64 c addr v =
+let[@inline] write_u64 c addr v =
   let vpn, off = split addr in
   check_span off 8;
   Sim.Bigbuf.unsafe_set_u64_le c.slab (page_off_for_write c vpn + off) v
@@ -152,49 +156,49 @@ let write_u64 c addr v =
    to index into an arena without constructing a boxed Int64 per
    access. *)
 
-let eff base off = Int64.to_int base + off
+let[@inline] eff base off = Int64.to_int base + off
 
-let read_u8_at c base off =
+let[@inline] read_u8_at c base off =
   let a = eff base off in
   Sim.Bigbuf.unsafe_get_u8 c.slab (page_off_for_read c (a lsr 12) + (a land 4095))
 
-let read_u16_at c base off =
+let[@inline] read_u16_at c base off =
   let a = eff base off in
   let o = a land 4095 in
   check_span o 2;
   Sim.Bigbuf.unsafe_get_u16_le c.slab (page_off_for_read c (a lsr 12) + o)
 
-let read_u32_at c base off =
+let[@inline] read_u32_at c base off =
   let a = eff base off in
   let o = a land 4095 in
   check_span o 4;
   Sim.Bigbuf.unsafe_get_u32_le c.slab (page_off_for_read c (a lsr 12) + o)
 
-let read_u64_at c base off =
+let[@inline] read_u64_at c base off =
   let a = eff base off in
   let o = a land 4095 in
   check_span o 8;
   Sim.Bigbuf.unsafe_get_u64_le c.slab (page_off_for_read c (a lsr 12) + o)
 
-let write_u8_at c base off v =
+let[@inline] write_u8_at c base off v =
   let a = eff base off in
   Sim.Bigbuf.unsafe_set_u8 c.slab
     (page_off_for_write c (a lsr 12) + (a land 4095))
     (v land 0xFF)
 
-let write_u16_at c base off v =
+let[@inline] write_u16_at c base off v =
   let a = eff base off in
   let o = a land 4095 in
   check_span o 2;
   Sim.Bigbuf.unsafe_set_u16_le c.slab (page_off_for_write c (a lsr 12) + o) v
 
-let write_u32_at c base off v =
+let[@inline] write_u32_at c base off v =
   let a = eff base off in
   let o = a land 4095 in
   check_span o 4;
   Sim.Bigbuf.unsafe_set_u32_le c.slab (page_off_for_write c (a lsr 12) + o) v
 
-let write_u64_at c base off v =
+let[@inline] write_u64_at c base off v =
   let a = eff base off in
   let o = a land 4095 in
   check_span o 8;

@@ -55,31 +55,32 @@ let set_u8 t off v =
   check t off 1;
   Bigarray.Array1.unsafe_set t off (Char.unsafe_chr (v land 0xFF))
 
-let unsafe_get_u8 t off = Char.code (Bigarray.Array1.unsafe_get t off)
+let[@inline] unsafe_get_u8 t off =
+  Char.code (Bigarray.Array1.unsafe_get t off)
 
-let unsafe_set_u8 t off v =
+let[@inline] unsafe_set_u8 t off v =
   Bigarray.Array1.unsafe_set t off (Char.unsafe_chr (v land 0xFF))
 
-let unsafe_get_u16_le t off =
+let[@inline] unsafe_get_u16_le t off =
   let v = unsafe_get16 t off in
   if Sys.big_endian then swap16 v else v
 
-let unsafe_set_u16_le t off v =
+let[@inline] unsafe_set_u16_le t off v =
   unsafe_set16 t off (if Sys.big_endian then swap16 v else v)
 
-let unsafe_get_u32_le t off =
+let[@inline] unsafe_get_u32_le t off =
   let v = unsafe_get32 t off in
   Int32.to_int (if Sys.big_endian then swap32 v else v) land 0xFFFFFFFF
 
-let unsafe_set_u32_le t off v =
+let[@inline] unsafe_set_u32_le t off v =
   let v = Int32.of_int v in
   unsafe_set32 t off (if Sys.big_endian then swap32 v else v)
 
-let unsafe_get_u64_le t off =
+let[@inline] unsafe_get_u64_le t off =
   let v = unsafe_get64 t off in
   if Sys.big_endian then swap64 v else v
 
-let unsafe_set_u64_le t off v =
+let[@inline] unsafe_set_u64_le t off v =
   unsafe_set64 t off (if Sys.big_endian then swap64 v else v)
 
 let get_u16_le t off =

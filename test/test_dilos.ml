@@ -79,12 +79,6 @@ let bulk_roundtrip_cross_page () =
       Dilos.Kernel.read_bytes k ~core:0 (Int64.add a 100L) dst 0 6000;
       Alcotest.(check bytes) "bulk crosses pages" src dst)
 
-let scalar_straddle_rejected () =
-  with_dilos (fun _eng k ->
-      let a = Dilos.Kernel.mmap k ~len:(2 * page) ~ddc:true () in
-      Alcotest.check_raises "straddle"
-        (Invalid_argument "Kernel: scalar access straddles a page boundary")
-        (fun () -> ignore (Dilos.Kernel.read_u64 k ~core:0 (Int64.add a 4090L))))
 
 let fault_latency_reasonable () =
   (* Major fault should land near the calibrated ~3.4us, far below
@@ -390,17 +384,28 @@ let loader_hooks () =
       Dilos.Loader.fire_hook l "unrelated" 7L;
       Alcotest.(check (list int64)) "hooks fired in order" [ -5L; 5L ] !seen)
 
-(* The hit path's re-validation (Dilos.Cpu): a store hits the TLB, its
-   charge crosses the flush cap, and while the core sleeps off the
+(* The hit path's re-validation (Dilos.Cpu): an access hits the TLB,
+   its charge crosses the flush cap, and while the core sleeps off the
    pending time another fiber forces reclaim, which evicts the very
-   page. The store must notice its slot is gone, fault the page back in
-   through the kernel's fill, and land in the new frame — using the
-   cached offset would write into a freed frame and the store would be
-   lost. Whether reclaim reaches the page inside the ~10 us window
-   depends on how close to the low watermark the pool is, so the test
-   sweeps the pre-pressure [k]: every run must read the store back, and
-   at least one must have refilled the page during the store. *)
-let revalidate_run system k =
+   page. The access must notice its slot is gone, fault the page back in
+   through the kernel's fill, and use the new frame. A store through the
+   cached offset would write into a freed frame and be lost when the
+   page is next fetched; a load would return the recycled frame's bytes.
+   Whether reclaim reaches the page inside the ~10 us window depends on
+   how close to the low watermark the pool is, so the test sweeps the
+   pre-pressure [k]: every run must see the right value, and at least
+   one must have refilled the page during the access. *)
+type access = Write_u64 | Write_u32_at | Write_u64_at | Read_u32_at
+
+let access_name = function
+  | Write_u64 -> "write_u64"
+  | Write_u32_at -> "write_u32_at"
+  | Write_u64_at -> "write_u64_at"
+  | Read_u32_at -> "read_u32_at"
+
+let revalidated = 0xFEED
+
+let revalidate_run system access k =
   let pages = 48 and target = 47 in
   let out = ref None in
   ignore
@@ -410,13 +415,17 @@ let revalidate_run system k =
          let m0 = ctx.Apps.Harness.mem ~core:0
          and m1 = ctx.Apps.Harness.mem ~core:1 in
          let r = m0.M.malloc (pages * page) in
+         (* A load must find [revalidated] already in the target page;
+            a store must find something else there, or a lost store
+            would go unnoticed. *)
          for i = 0 to pages - 1 do
-           m0.M.write_u64_at r (i * page) (Int64.of_int i)
+           let v = if i = target && access = Read_u32_at then revalidated else i in
+           m0.M.write_u64_at r (i * page) (Int64.of_int v)
          done;
          m0.M.flush ();
          Sim.Engine.sleep eng (Sim.Time.ms 1);
          (* Core 1 drains the free pool with first touches: [k] now, the
-            rest during the store's flush. *)
+            rest during the access's flush. *)
          let fresh = m1.M.malloc (128 * page) in
          let drain lo hi =
            for j = lo to hi - 1 do
@@ -425,40 +434,113 @@ let revalidate_run system k =
            m1.M.flush ()
          in
          drain 0 k;
-         let a = Int64.add r (Int64.of_int (target * page)) in
+         let off = target * page in
+         let a = Int64.add r (Int64.of_int off) in
          (* Load the translation (a miss leaves the 20 ns fill
             pending), then bring the pending time to 1 ns under the cap
-            without yielding: the store below is a TLB hit whose
+            without yielding: the access below is a TLB hit whose
             charges flush. *)
          m0.M.flush ();
          ignore (m0.M.read_u64 a);
          m0.M.compute (Dilos.Cpu.pending_cap_ns - 21);
          Sim.Engine.spawn eng (fun () -> drain k (k + 64));
          let faults0 = Sim.Stats.get stats "major_faults" in
-         m0.M.write_u64 a 0xFEEDL;
+         let loaded =
+           match access with
+           | Write_u64 ->
+               m0.M.write_u64 a (Int64.of_int revalidated);
+               None
+           | Write_u32_at ->
+               m0.M.write_u32_at r off revalidated;
+               None
+           | Write_u64_at ->
+               m0.M.write_u64_at r off (Int64.of_int revalidated);
+               None
+           | Read_u32_at -> Some (m0.M.read_u32_at r off)
+         in
          let refilled = Sim.Stats.get stats "major_faults" - faults0 > 0 in
-         Sim.Engine.sleep eng (Sim.Time.ms 1);
-         (* Push the page out again so the read below comes from the
-            memory node. *)
-         for i = 0 to pages - 2 do
-           ignore (m0.M.read_u64_at r (i * page))
-         done;
-         out := Some (refilled, m0.M.read_u64 a)));
+         let v =
+           match loaded with
+           | Some v -> Int64.of_int v
+           | None ->
+               Sim.Engine.sleep eng (Sim.Time.ms 1);
+               (* Push the page out again so the read below comes from
+                  the memory node. *)
+               for i = 0 to pages - 2 do
+                 ignore (m0.M.read_u64_at r (i * page))
+               done;
+               m0.M.read_u64 a
+         in
+         out := Some (refilled, v)));
   match !out with Some o -> o | None -> Alcotest.fail "scenario did not run"
 
-let store_revalidates_after_sleeping_charge () =
+let revalidates_after_sleeping_charge accesses () =
   List.iter
     (fun system ->
-      let name = Apps.Harness.system_name system in
-      let refills = ref 0 in
-      for k = 0 to 40 do
-        let refilled, v = revalidate_run system k in
-        if refilled then incr refills;
-        check_i64 (Printf.sprintf "%s k=%d: store survives" name k) 0xFEEDL v
-      done;
-      check_bool
-        (Printf.sprintf "%s: some store refilled its page (%d)" name !refills)
-        true (!refills > 0))
+      List.iter
+        (fun access ->
+          let name =
+            Apps.Harness.system_name system ^ " " ^ access_name access
+          in
+          let refills = ref 0 in
+          for k = 0 to 40 do
+            let refilled, v = revalidate_run system access k in
+            if refilled then incr refills;
+            check_i64
+              (Printf.sprintf "%s k=%d: value survives" name k)
+              (Int64.of_int revalidated) v
+          done;
+          check_bool
+            (Printf.sprintf "%s: some access refilled its page (%d)" name
+               !refills)
+            true (!refills > 0))
+        accesses)
+    [ Apps.Harness.Dilos Dilos.Kernel.No_prefetch; Apps.Harness.Fastswap ]
+
+(* Every scalar width rejects an access that would cross into the next
+   page, through the kernel's accessors and both [Memif] forms, on both
+   paging kernels; the same width ending exactly at the boundary is
+   fine. *)
+let scalar_straddle_rejected () =
+  let module M = Apps.Memif in
+  let straddle = "Kernel: scalar access straddles a page boundary" in
+  with_dilos (fun _eng k ->
+      let a = Dilos.Kernel.mmap k ~len:(2 * page) ~ddc:true () in
+      Alcotest.check_raises "Kernel.read_u64 at 4090"
+        (Invalid_argument straddle) (fun () ->
+          ignore (Dilos.Kernel.read_u64 k ~core:0 (Int64.add a 4090L))));
+  List.iter
+    (fun system ->
+      let sys = Apps.Harness.system_name system in
+      ignore
+        (Apps.Harness.run system ~local_mem:(32 * page) (fun ctx ->
+             let m = ctx.Apps.Harness.mem ~core:0 in
+             let r = m.M.malloc (2 * page) in
+             let at off = Int64.add r (Int64.of_int off) in
+             let accesses =
+               [
+                 (2, "read_u16", fun off -> ignore (m.M.read_u16 (at off)));
+                 (4, "read_u32", fun off -> ignore (m.M.read_u32 (at off)));
+                 (8, "read_u64", fun off -> ignore (m.M.read_u64 (at off)));
+                 (2, "write_u16", fun off -> m.M.write_u16 (at off) 1);
+                 (4, "write_u32", fun off -> m.M.write_u32 (at off) 1);
+                 (8, "write_u64", fun off -> m.M.write_u64 (at off) 1L);
+                 (2, "read_u16_at", fun off -> ignore (m.M.read_u16_at r off));
+                 (4, "read_u32_at", fun off -> ignore (m.M.read_u32_at r off));
+                 (8, "read_u64_at", fun off -> ignore (m.M.read_u64_at r off));
+                 (2, "write_u16_at", fun off -> m.M.write_u16_at r off 1);
+                 (4, "write_u32_at", fun off -> m.M.write_u32_at r off 1);
+                 (8, "write_u64_at", fun off -> m.M.write_u64_at r off 1L);
+               ]
+             in
+             List.iter
+               (fun (width, name, go) ->
+                 go (page - width);
+                 Alcotest.check_raises
+                   (Printf.sprintf "%s %s at %d" sys name (page - width + 1))
+                   (Invalid_argument straddle)
+                   (fun () -> go (page - width + 1)))
+               accesses)))
     [ Apps.Harness.Dilos Dilos.Kernel.No_prefetch; Apps.Harness.Fastswap ]
 
 let suite =
@@ -471,7 +553,10 @@ let suite =
     quick "bulk roundtrip cross page" bulk_roundtrip_cross_page;
     quick "scalar straddle rejected" scalar_straddle_rejected;
     quick "store re-validates after a sleeping charge"
-      store_revalidates_after_sleeping_charge;
+      (revalidates_after_sleeping_charge
+         [ Write_u64; Write_u32_at; Write_u64_at ]);
+    quick "load re-validates after a sleeping charge"
+      (revalidates_after_sleeping_charge [ Read_u32_at ]);
     quick "fault latency reasonable" fault_latency_reasonable;
     quick "prefetch reduces major faults" prefetch_reduces_major_faults;
     quick "prefetched pages wait not refetch" prefetched_pages_wait_not_refetch;
