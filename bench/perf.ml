@@ -311,30 +311,19 @@ let alloc_smoke () =
     ];
   if not !ok then exit 1
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let write_json ~file ~tag results =
   let oc = open_out file in
   let p fmt = Printf.fprintf oc fmt in
-  p "{\n  \"tag\": \"%s\",\n  \"experiments\": [\n" (json_escape tag);
+  p "{\n  \"tag\": \"%s\",\n  \"experiments\": [\n" (Json.escape tag);
   List.iteri
     (fun i r ->
-      p "    {\n      \"name\": \"%s\",\n" (json_escape r.name);
+      p "    {\n      \"name\": \"%s\",\n" (Json.escape r.name);
       p "      \"wall_s\": %.3f,\n" r.wall_s;
       p "      \"sim_ms\": %.6f,\n" r.sim_ms;
       p "      \"counters\": {";
       List.iteri
         (fun j (k, v) ->
-          p "%s\"%s\": %d" (if j = 0 then "" else ", ") (json_escape k) v)
+          p "%s\"%s\": %d" (if j = 0 then "" else ", ") (Json.escape k) v)
         r.counters;
       p "},\n      \"histograms\": {";
       List.iteri
@@ -343,7 +332,7 @@ let write_json ~file ~tag results =
             "%s\"%s\": {\"count\": %d, \"mean_ns\": %.1f, \"p50_ns\": %d, \
              \"p99_ns\": %d}"
             (if j = 0 then "" else ", ")
-            (json_escape h.h_name) h.h_count h.h_mean h.h_p50 h.h_p99)
+            (Json.escape h.h_name) h.h_count h.h_mean h.h_p50 h.h_p99)
         r.histos;
       p "}\n    }%s\n" (if i = List.length results - 1 then "" else ",")
     )

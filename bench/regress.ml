@@ -16,7 +16,7 @@
 
    Exit codes: 0 trajectory holds, 1 drift, 2 unreadable baseline. *)
 
-module J = Trace.Json
+module J = Json
 
 let wall_slack = 3.0
 

@@ -207,6 +207,25 @@ let check_run (w : Apps.Catalog.entry) system cores app_aware =
       w.Apps.Catalog.name (H.system_name system)
   else `Ok ()
 
+(* [rows] are a health monitor's ticks, newest first: (time, counter
+   deltas). The columns are the counters of the last tick's snapshot;
+   an earlier row reads 0 for a counter created after it. *)
+let write_metrics_csv file rows =
+  let names = match rows with (_, last) :: _ -> List.map fst last | [] -> [] in
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc (String.concat "," ("t_us" :: names));
+      output_char oc '\n';
+      List.iter
+        (fun (t, deltas) ->
+          Printf.fprintf oc "%Ld.%03Ld" (Int64.div t 1000L) (Int64.rem t 1000L);
+          List.iter
+            (fun n ->
+              Printf.fprintf oc ",%d"
+                (Option.value (List.assoc_opt n deltas) ~default:0))
+            names;
+          output_char oc '\n')
+        (List.rev rows))
+
 let run_workload (w : Apps.Catalog.entry) system local_mb scale scale_preset
     app_aware cores seed faults trace_file trace_cats trace_validate
     metrics_file metrics_interval_us obs_out breakdown verbose =
@@ -226,7 +245,14 @@ let run_workload (w : Apps.Catalog.entry) system local_mb scale scale_preset
      ambient before the kernel and QPs resolve their handles. *)
   let obs_reg = Option.map (fun _ -> Obs.Registry.create ()) obs_out in
   let tracer = ref None in
-  let sampler = ref None in
+  (* --metrics rides on a health monitor whose one rule keeps each
+     tick's (time, counter deltas) and never fires. *)
+  let monitor = ref None in
+  let rows = ref [] in
+  let keep_row v =
+    rows := (v.Obs.Health.v_now, v.Obs.Health.v_deltas) :: !rows;
+    []
+  in
   let observe ctx =
     (match trace_file with
     | None -> ()
@@ -238,10 +264,11 @@ let run_workload (w : Apps.Catalog.entry) system local_mb scale scale_preset
     match metrics_file with
     | None -> ()
     | Some _ ->
-        sampler :=
+        monitor :=
           Some
-            (Trace.Sampler.start ~eng:ctx.H.eng ~stats:ctx.H.stats
+            (Obs.Health.start ~eng:ctx.H.eng ~stats:ctx.H.stats
                ~interval:(Sim.Time.us metrics_interval_us)
+               ~rules:[ Obs.Health.rule ~id:"metrics" ~severity:Info keep_row ]
                ())
   in
   let result =
@@ -268,11 +295,11 @@ let run_workload (w : Apps.Catalog.entry) system local_mb scale scale_preset
           let text =
             In_channel.with_open_bin file (fun ic -> In_channel.input_all ic)
           in
-          match Trace.Json.parse text with
+          match Json.parse text with
           | Ok v ->
               let events =
-                match Trace.Json.member "traceEvents" v with
-                | Some (Trace.Json.Arr l) -> List.length l
+                match Json.member "traceEvents" v with
+                | Some (Json.Arr l) -> List.length l
                 | Some _ | None ->
                     Printf.eprintf "dilos_sim: trace has no traceEvents array\n";
                     exit 1
@@ -283,11 +310,11 @@ let run_workload (w : Apps.Catalog.entry) system local_mb scale scale_preset
               exit 1
         end
     | (Some _ | None), _ -> ());
-    (match (metrics_file, !sampler) with
-    | Some file, Some s ->
-        Trace.Sampler.write_csv s file;
+    (match (metrics_file, !monitor) with
+    | Some file, Some m ->
+        write_metrics_csv file !rows;
         Printf.printf "metrics:   %s (%d intervals of %d us)\n" file
-          (Trace.Sampler.rows s) metrics_interval_us
+          (Obs.Health.ticks m) metrics_interval_us
     | (Some _ | None), _ -> ());
     (match (obs_out, obs_reg) with
     | Some file, Some reg ->

@@ -200,7 +200,7 @@ let run system ~local_mem ?(cores = 1) ?remote_size ?fault_spec
     }
   in
   (* Observability hook: runs after boot, before the workload fiber is
-     spawned — the window where a tracer or metrics sampler can attach
+     spawned — the window where a tracer or health monitor can attach
      to the engine and stats of this run. *)
   (match observe with None -> () | Some obs -> obs ctx);
   let out = ref None in
@@ -221,8 +221,3 @@ let run system ~local_mem ?(cores = 1) ?remote_size ?fault_spec
         rx_bytes = Rdma.Bandwidth.total bw Rdma.Bandwidth.Rx;
         tx_bytes = Rdma.Bandwidth.total bw Rdma.Bandwidth.Tx;
       }
-
-let set_redis_guide ctx guide =
-  match ctx.instance with
-  | I_dilos k -> Dilos.Kernel.set_prefetch_guide k (Some guide)
-  | I_fastswap _ | I_aifm _ -> ()

@@ -60,10 +60,6 @@ val run :
     run — BEFORE boot, because QPs, shards and kernels resolve their
     labeled handles in their constructors — and uninstalls it on
     return. [observe] runs between boot and workload start, with the
-    run's engine and stats in hand — the attach point for a tracer,
-    metrics sampler or health monitor. *)
+    run's engine and stats in hand — the attach point for a tracer or
+    a health monitor. *)
 
-val set_redis_guide : ctx -> Dilos.Guide.prefetch_guide -> unit
-(** Install an app-aware prefetch guide if (and only if) the instance
-    is DiLOS; silently ignored on baselines, which cannot host
-    guides. *)

@@ -28,12 +28,6 @@ type t = {
   now : unit -> Sim.Time.t;
 }
 
-let[@inline] read_i32 t addr =
-  let v = t.read_u32 addr in
-  if v land 0x80000000 <> 0 then v - (1 lsl 32) else v
-
-let[@inline] write_i32 t addr v = t.write_u32 addr (v land 0xFFFFFFFF)
-
 let[@inline] read_i32_at t base off =
   let v = t.read_u32_at base off in
   if v land 0x80000000 <> 0 then v - (1 lsl 32) else v

@@ -45,11 +45,6 @@ type t = {
   now : unit -> Sim.Time.t;
 }
 
-val read_i32 : t -> int64 -> int
-(** Sign-extending 32-bit read (helper over [read_u32]). *)
-
-val write_i32 : t -> int64 -> int -> unit
-
 val read_i32_at : t -> int64 -> int -> int
 (** Sign-extending 32-bit read at [base + off] (helper over
     [read_u32_at]). *)

@@ -209,15 +209,15 @@ let report_json ~system ~seed outcomes =
   in
   Buffer.add_string b "{\"schema\": \"dilos-obs-report/1\",\n";
   Printf.bprintf b " \"system\": \"%s\", \"seed\": %d,\n"
-    (Obs.Report.json_escape (Harness.system_name system))
+    (Json.escape (Harness.system_name system))
     seed;
   Buffer.add_string b " \"scenarios\": [\n";
   List.iteri
     (fun i o ->
       if i > 0 then Buffer.add_string b ",\n";
       Printf.bprintf b "  {\"name\": \"%s\", \"fault_spec\": \"%s\",\n"
-        (Obs.Report.json_escape o.o_name)
-        (Obs.Report.json_escape o.o_fault_spec);
+        (Json.escape o.o_name)
+        (Json.escape o.o_fault_spec);
       Printf.bprintf b "   \"elapsed_ns\": %d, \"health_ticks\": %d,\n"
         o.o_elapsed_ns o.o_ticks;
       (match o.o_digest with

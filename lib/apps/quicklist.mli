@@ -34,5 +34,4 @@ val range : Memif.t -> t -> count:int -> ?on_node:(int64 -> unit) -> unit -> byt
     [on_node] fires as each node is reached (application hook point
     for the prefetch guide). *)
 
-val iter_nodes : Memif.t -> t -> (int64 -> unit) -> unit
 val free : Memif.t -> t -> unit

@@ -89,5 +89,3 @@ let lrange t ~key ~count =
         Quicklist.range t.m (robj_ptr t o) ~count
           ~on_node:(fun node -> t.fire hook_lrange_node node)
           ()
-
-let dbsize t = Dict.count t.dict

@@ -18,7 +18,6 @@ val get : t -> bytes -> bytes option
 val del : t -> bytes -> bool
 val rpush : t -> key:bytes -> bytes -> unit
 val lrange : t -> key:bytes -> count:int -> bytes list
-val dbsize : t -> int
 
 (** Hook names (documented for guides). *)
 

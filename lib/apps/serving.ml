@@ -106,8 +106,8 @@ let run (ctx : Harness.ctx) cfg =
   let ph_seen = Array.make cfg.phases false in
   (* Mirror the end-to-end histograms into the run's stats so the perf
      trajectory (BENCH_*.json) can track them across commits. *)
-  let stats_resp = Sim.Stats.histo ctx.Harness.stats "serve_response_ns" in
-  let stats_svc = Sim.Stats.histo ctx.Harness.stats "serve_service_ns" in
+  let stats_resp = Sim.Stats.histogram ctx.Harness.stats "serve_response_ns" in
+  let stats_svc = Sim.Stats.histogram ctx.Harness.stats "serve_service_ns" in
   (* Completion progress as a counter: the worker-starvation health
      rule watches its per-interval delta flatline while the queue-depth
      gauge below stays positive. *)

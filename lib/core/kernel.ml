@@ -556,8 +556,8 @@ let boot ~eng ~server ?nic_config (cfg : config) =
       c_ph_alloc = Sim.Stats.counter stats "ph_alloc_ns";
       c_ph_reclaim = Sim.Stats.counter stats "ph_reclaim_ns";
       c_ph_fetch = Sim.Stats.counter stats "ph_fetch_ns";
-      h_fault = Sim.Stats.histo stats "fault_ns";
-      h_fetch_wait = Sim.Stats.histo stats "fetch_wait_ns";
+      h_fault = Sim.Stats.histogram stats "fault_ns";
+      h_fetch_wait = Sim.Stats.histogram stats "fetch_wait_ns";
       ob_major_faults =
         Obs.Registry.counter ~name:"kernel_major_faults"
           ~labels:[ ("system", "dilos") ]

@@ -17,9 +17,6 @@ let create () =
   List.iter (fun (o, r) -> Hashtbl.replace t.symbols o r) default_patches;
   t
 
-let patch_symbol t ~original ~replacement =
-  Hashtbl.replace t.symbols original replacement
-
 let resolve t name =
   match Hashtbl.find_opt t.symbols name with Some r -> r | None -> name
 
@@ -35,5 +32,3 @@ let fire_hook t name arg =
   match Hashtbl.find_opt t.hooks name with
   | None -> ()
   | Some fns -> List.iter (fun f -> f arg) fns
-
-let has_hook t name = Hashtbl.mem t.hooks name

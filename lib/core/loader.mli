@@ -15,8 +15,6 @@ val create : unit -> t
 (** Comes with the default patches installed: [malloc], [free],
     [calloc], [realloc], [posix_memalign] → their [ddc_] versions. *)
 
-val patch_symbol : t -> original:string -> replacement:string -> unit
-
 val resolve : t -> string -> string
 (** Where a symbol actually points after patching (identity for
     unpatched symbols). *)
@@ -30,5 +28,3 @@ val fire_hook : t -> string -> int64 -> unit
 (** Invoked by (instrumented) application code; calls every registered
     callback with the argument, oldest first. No-op when nothing is
     registered — unhooked applications run unchanged. *)
-
-val has_hook : t -> string -> bool

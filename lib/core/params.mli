@@ -8,11 +8,9 @@
 
 (** {1 CPU} *)
 
-val cpu_ghz : float
-(** Testbed CPU: Xeon E5-2670 v3 @ 2.3 GHz (paper §6, Testbed). *)
-
 val cycles : int -> Sim.Time.t
-(** Convert CPU cycles to simulated time at {!cpu_ghz}. *)
+(** Convert CPU cycles to simulated time at the testbed's 2.3 GHz
+    (Xeon E5-2670 v3, paper §6, Testbed). *)
 
 val mem_access_ns : int
 (** Cost of one cache/DRAM access on the application fast path. *)

@@ -538,8 +538,8 @@ let boot ~eng ~server (cfg : config) =
       c_ph_fetch = Sim.Stats.counter stats "ph_fetch_ns";
       c_ph_other = Sim.Stats.counter stats "ph_other_ns";
       c_ph_reclaim = Sim.Stats.counter stats "ph_reclaim_ns";
-      h_fault = Sim.Stats.histo stats "fault_ns";
-      h_minor_fault = Sim.Stats.histo stats "minor_fault_ns";
+      h_fault = Sim.Stats.histogram stats "fault_ns";
+      h_minor_fault = Sim.Stats.histogram stats "minor_fault_ns";
       ob_major_faults =
         Obs.Registry.counter ~name:"kernel_major_faults"
           ~labels:[ ("system", "fastswap") ]

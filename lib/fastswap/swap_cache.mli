@@ -23,8 +23,4 @@ val remove : t -> int -> unit
 val mem : t -> int -> bool
 val size : t -> int
 
-val pop_idle : t -> (int * entry) option
-(** Oldest entry whose IO has completed — a reclaim victim among
-    never-used readahead pages. Removes it from the cache. *)
-
 val iter : t -> (int -> entry -> unit) -> unit

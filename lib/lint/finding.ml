@@ -37,23 +37,10 @@ let dedup_sorted fs =
   in
   go (List.sort by_site fs)
 
-(* Same minimal escaping as bench/perf.ml's JSON writer: the fields are
-   paths, rule ids and ASCII messages. *)
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json f =
   Printf.sprintf
     "{\"file\": \"%s\", \"line\": %d, \"col\": %d, \"rule\": \"%s\", \"message\": \"%s\"}"
-    (json_escape f.file) f.line f.col (json_escape f.rule) (json_escape f.msg)
+    (Json.escape f.file) f.line f.col (Json.escape f.rule) (Json.escape f.msg)
 
 (* Mirrors the shape of bench/main.exe --json: a top-level object with a
    summary field and an array of records. *)

@@ -17,6 +17,7 @@ type event = {
 type view = {
   v_now : Sim.Time.t;
   v_delta : string -> int;
+  v_deltas : (string * int) list;
   v_total : string -> int;
   v_gauge : string -> (string * int) list;
 }
@@ -153,6 +154,7 @@ and tick m =
       {
         v_now = Sim.Engine.now m.eng;
         v_delta = lookup deltas;
+        v_deltas = deltas;
         v_total = lookup cur;
         v_gauge =
           (fun fam ->
@@ -193,9 +195,8 @@ and tick m =
     m.active <- !now_active;
     m.prev <- cur;
     m.ticks <- m.ticks + 1;
-    (* Mirror the interval sampler: re-arm only while the simulation
-       still has other work, so the monitor never keeps Engine.run
-       alive spinning an idle clock. *)
+    (* Re-arm only while the simulation still has other work, so the
+       monitor never keeps Engine.run alive spinning an idle clock. *)
     if Sim.Engine.pending m.eng > 0 then arm m
   end
 

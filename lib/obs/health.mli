@@ -3,9 +3,11 @@
     A rule engine evaluated on periodic sim-time snapshots of the run's
     counters and gauges — the thing that {e watches} a run for
     anomalies instead of leaving them to post-hoc eyeballing. Paced by
-    [Sim.Engine.after] like the interval sampler: no wall clock, no
-    randomness, and the tick stops re-arming once the simulation has no
-    other pending work, so a monitor never keeps [Engine.run] alive.
+    [Sim.Engine.after]: no wall clock, no randomness, and the tick stops
+    re-arming once the simulation has no other pending work, so a
+    monitor never keeps [Engine.run] alive. It is the project's one
+    interval ticker: [dilos_sim run --metrics] writes its per-interval
+    CSV from a rule that never fires (see {!view.v_deltas}).
 
     Rules see an interval {e view} (counter deltas, cumulative totals,
     registry gauge series) and report {e firings}. The monitor applies
@@ -37,6 +39,9 @@ type event = {
 type view = {
   v_now : Sim.Time.t;
   v_delta : string -> int;  (** counter delta over the last interval *)
+  v_deltas : (string * int) list;
+      (** every counter's delta over the last interval, name-sorted
+          ([Sim.Stats.diff] of this tick's snapshot against the last) *)
   v_total : string -> int;  (** cumulative counter value *)
   v_gauge : string -> (string * int) list;
       (** gauge family → per-series (label-string, value); [[]] when

@@ -1,24 +1,8 @@
 (* JSON fragments for the structured run-report. See report.mli. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let str b s =
   Buffer.add_char b '"';
-  Buffer.add_string b (json_escape s);
+  Buffer.add_string b (Json.escape s);
   Buffer.add_char b '"'
 
 let histo_obj b h =

@@ -5,8 +5,6 @@
     --obs-out] into one document. All integers, fixed field order,
     sorted collections — byte-identical per seed by construction. *)
 
-val json_escape : string -> string
-
 val metrics : Buffer.t -> Registry.t -> unit
 (** Appends a JSON array: one object per family
     [{"name","type","help","series":[{"labels":{..},"value"|"histogram":{..}}]}]. *)

@@ -40,7 +40,6 @@ let histogram t name =
       Hashtbl.add t.histos name h;
       h
 
-let histo = histogram
 let record t name v = Histogram.add (histogram t name) v
 
 let counters t =
@@ -63,8 +62,8 @@ let reset t =
 [@@lint.allow "hashtbl-order"]
 
 (* Snapshots: an immutable, name-sorted copy of the counter table.
-   The interval sampler takes one per tick and diffs consecutive pairs
-   into per-interval rates. *)
+   A health monitor takes one per tick and diffs consecutive pairs into
+   per-interval rates. *)
 type snapshot = (string * int) list
 
 let snapshot = counters

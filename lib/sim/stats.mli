@@ -9,7 +9,7 @@
 
     - the string API ([incr], [add], [record], ...) hashes the name on
       every call — fine for cold paths, setup and reporting;
-    - the handle API resolves a name once ([counter] / [histo], e.g.
+    - the handle API resolves a name once ([counter] / [histogram], e.g.
       at boot) and then updates through the handle ([cincr], [cadd],
       [Histogram.add]) with no hashing — required on per-fault /
       per-RDMA-op hot paths. *)
@@ -31,10 +31,6 @@ val cincr : counter -> unit
 val cadd : counter -> int -> unit
 val cget : counter -> int
 
-val histo : t -> string -> Histogram.t
-(** Alias of {!histogram}, named for symmetry with {!counter}: resolve
-    once, then record via [Histogram.add]. *)
-
 (** {2 String API (cold paths, reporting)} *)
 
 val incr : t -> string -> unit
@@ -45,7 +41,8 @@ val get : t -> string -> int
 val set : t -> string -> int -> unit
 
 val histogram : t -> string -> Histogram.t
-(** The named histogram, created on first use. *)
+(** The named histogram, created on first use. It is also the handle
+    API's resolver: resolve once, then record via [Histogram.add]. *)
 
 val record : t -> string -> int -> unit
 (** [record t name v] adds a sample to histogram [name]. *)

@@ -41,7 +41,6 @@ let category name =
       c
 
 let cat_none = category "(none)"
-let cat_name c = c.c_name
 let enabled c = c.c_on
 
 (* ------------------------------------------------------------------ *)
@@ -208,8 +207,7 @@ type span = {
   s_t0 : Sim.Time.t;
   s_async : bool;
   s_flow_in : int;
-  mutable s_flow_out : int;
-  mutable s_args : (string * arg) list;
+  s_args : (string * arg) list;
 }
 
 let null_span =
@@ -221,7 +219,6 @@ let null_span =
     s_t0 = Sim.Time.zero;
     s_async = false;
     s_flow_in = 0;
-    s_flow_out = 0;
     s_args = [];
   }
 
@@ -239,12 +236,8 @@ let begin_ cat ~name ~track ?(async = false) ?(flow_in = 0) ?(args = []) () =
           s_t0 = Sim.Engine.now t.eng;
           s_async = async;
           s_flow_in = flow_in;
-          s_flow_out = 0;
           s_args = args;
         }
-
-let add_arg s key v = if s.s_live then s.s_args <- s.s_args @ [ (key, v) ]
-let set_flow_out s id = if s.s_live then s.s_flow_out <- id
 
 let end_ s ?(args = []) () =
   if s.s_live then begin
@@ -263,15 +256,13 @@ let end_ s ?(args = []) () =
             ev_t1 = Sim.Engine.now t.eng;
             ev_args = s.s_args @ args;
             ev_flow_in = s.s_flow_in;
-            ev_flow_out = s.s_flow_out;
+            ev_flow_out = 0;
           }
   end
 
 let span cat ~name ~track ?async ?flow_in ?args f =
   let s = begin_ cat ~name ~track ?async ?flow_in ?args () in
   Fun.protect ~finally:(fun () -> end_ s ()) f
-
-let with_span = span
 
 (* Retrospective emission: record an already-closed span with explicit
    start (and optionally end) times. The natural shape for completion
@@ -320,22 +311,6 @@ let instant cat ~name ~track ?(args = []) () =
 (* ------------------------------------------------------------------ *)
 (* Chrome / Perfetto trace_event JSON export *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Timestamps are microseconds in trace_event JSON; print ns-exact
    fixed-point instead of going through floats. *)
 let ts_us ns =
@@ -346,10 +321,10 @@ let add_args b args =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":" (json_escape k));
+      Buffer.add_string b (Printf.sprintf "\"%s\":" (Json.escape k));
       match v with
       | I n -> Buffer.add_string b (string_of_int n)
-      | S s -> Buffer.add_string b (Printf.sprintf "\"%s\"" (json_escape s)))
+      | S s -> Buffer.add_string b (Printf.sprintf "\"%s\"" (Json.escape s)))
     args;
   Buffer.add_char b '}'
 
@@ -357,7 +332,7 @@ let add_event_json b ev =
   let head ph ts =
     Buffer.add_string b
       (Printf.sprintf "{\"ph\":\"%s\",\"pid\":1,\"tid\":%d,\"name\":\"%s\",\"cat\":\"%s\",\"ts\":%s"
-         ph ev.ev_track (json_escape ev.ev_name) (json_escape ev.ev_cat)
+         ph ev.ev_track (Json.escape ev.ev_name) (Json.escape ev.ev_cat)
          (ts_us ts))
   in
   let sep () = Buffer.add_string b ",\n" in
@@ -389,14 +364,14 @@ let add_event_json b ev =
     Buffer.add_string b
       (Printf.sprintf
          "{\"ph\":\"s\",\"pid\":1,\"tid\":%d,\"name\":\"flow\",\"cat\":\"%s\",\"id\":%d,\"ts\":%s}"
-         ev.ev_track (json_escape ev.ev_cat) ev.ev_flow_out (ts_us ev.ev_t1))
+         ev.ev_track (Json.escape ev.ev_cat) ev.ev_flow_out (ts_us ev.ev_t1))
   end;
   if ev.ev_flow_in <> 0 then begin
     sep ();
     Buffer.add_string b
       (Printf.sprintf
          "{\"ph\":\"f\",\"bp\":\"e\",\"pid\":1,\"tid\":%d,\"name\":\"flow\",\"cat\":\"%s\",\"id\":%d,\"ts\":%s}"
-         ev.ev_track (json_escape ev.ev_cat) ev.ev_flow_in (ts_us ev.ev_t0))
+         ev.ev_track (Json.escape ev.ev_cat) ev.ev_flow_in (ts_us ev.ev_t0))
   end
 
 let to_json t =
@@ -417,7 +392,7 @@ let to_json t =
         (Printf.sprintf
            "{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}}"
            id
-           (json_escape (track_name id))))
+           (Json.escape (track_name id))))
     track_ids;
   List.iter
     (fun ev ->
@@ -469,10 +444,10 @@ module Attr = struct
     else
       Some
         {
-          h_kernel = Sim.Stats.histo stats attr_kernel;
-          h_queue = Sim.Stats.histo stats attr_queue;
-          h_wire = Sim.Stats.histo stats attr_wire;
-          h_backoff = Sim.Stats.histo stats attr_backoff;
+          h_kernel = Sim.Stats.histogram stats attr_kernel;
+          h_queue = Sim.Stats.histogram stats attr_queue;
+          h_wire = Sim.Stats.histogram stats attr_wire;
+          h_backoff = Sim.Stats.histogram stats attr_backoff;
         }
 
   (* Fold one closed fault into the four component histograms. The
@@ -519,265 +494,3 @@ let breakdown stats =
       ("wire", attr_wire);
       ("backoff", attr_backoff);
     ]
-
-(* ------------------------------------------------------------------ *)
-(* Interval metrics sampler *)
-
-module Sampler = struct
-  type row = {
-    r_t : Sim.Time.t;
-    r_deltas : (string * int) list;
-    r_gauges : int list;
-  }
-
-  type s = {
-    eng : Sim.Engine.t;
-    stats : Sim.Stats.t;
-    interval : Sim.Time.t;
-    gauges : (string * (unit -> int)) list;
-    mutable prev : Sim.Stats.snapshot;
-    mutable rows : row list; (* newest first *)
-    mutable running : bool;
-  }
-
-  let rec arm s =
-    Sim.Engine.after s.eng s.interval (fun () -> tick s)
-
-  and tick s =
-    if s.running then begin
-      let cur = Sim.Stats.snapshot s.stats in
-      let row =
-        {
-          r_t = Sim.Engine.now s.eng;
-          r_deltas = Sim.Stats.diff ~base:s.prev cur;
-          r_gauges = List.map (fun (_, f) -> f ()) s.gauges;
-        }
-      in
-      s.prev <- cur;
-      s.rows <- row :: s.rows;
-      (* Re-arm only while the simulation still has work: with nothing
-         else pending, no fiber can ever run again and sampling further
-         would only spin the clock forever. *)
-      if Sim.Engine.pending s.eng > 0 then arm s
-    end
-
-  let start ~eng ~stats ~interval ?(gauges = []) () =
-    if Sim.Time.compare interval (Sim.Time.ns 1) < 0 then
-      invalid_arg "Sampler.start: interval < 1ns";
-    let s =
-      {
-        eng;
-        stats;
-        interval;
-        gauges;
-        prev = Sim.Stats.snapshot stats;
-        rows = [];
-        running = true;
-      }
-    in
-    arm s;
-    s
-
-  let stop s = s.running <- false
-  let rows s = List.length s.rows
-
-  (* CSV of per-interval counter deltas plus gauge values. Columns are
-     the union of counter names (taken from the latest snapshot —
-     counters only ever accumulate) in sorted order, so the header is
-     deterministic. *)
-  let csv s =
-    let names = List.map fst s.prev in
-    let b = Buffer.create 1024 in
-    Buffer.add_string b "t_us";
-    List.iter (fun n -> Buffer.add_string b (Printf.sprintf ",%s" n)) names;
-    List.iter
-      (fun (g, _) -> Buffer.add_string b (Printf.sprintf ",%s" g))
-      s.gauges;
-    Buffer.add_char b '\n';
-    List.iter
-      (fun row ->
-        Buffer.add_string b (ts_us row.r_t);
-        List.iter
-          (fun n ->
-            let v =
-              match List.assoc_opt n row.r_deltas with Some v -> v | None -> 0
-            in
-            Buffer.add_string b (Printf.sprintf ",%d" v))
-          names;
-        List.iter
-          (fun g -> Buffer.add_string b (Printf.sprintf ",%d" g))
-          row.r_gauges;
-        Buffer.add_char b '\n')
-      (List.rev s.rows);
-    Buffer.contents b
-
-  let write_csv s file =
-    let oc = open_out file in
-    output_string oc (csv s);
-    close_out oc
-end
-
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON reader (validation only: tests and the CLI's
-   --trace-validate parse exported traces back with it) *)
-
-module Json = struct
-  type v =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of v list
-    | Obj of (string * v) list
-
-  exception Bad of string
-
-  let parse (s : string) : (v, string) result =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-          advance ();
-          skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some x when x = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected '%c'" c)
-    in
-    let literal word v =
-      String.iter (fun c -> expect c) word;
-      v
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' -> (
-            advance ();
-            match peek () with
-            | Some '"' -> Buffer.add_char b '"'; advance (); go ()
-            | Some '\\' -> Buffer.add_char b '\\'; advance (); go ()
-            | Some '/' -> Buffer.add_char b '/'; advance (); go ()
-            | Some 'n' -> Buffer.add_char b '\n'; advance (); go ()
-            | Some 't' -> Buffer.add_char b '\t'; advance (); go ()
-            | Some 'r' -> Buffer.add_char b '\r'; advance (); go ()
-            | Some 'b' -> Buffer.add_char b '\b'; advance (); go ()
-            | Some 'f' -> Buffer.add_char b '\012'; advance (); go ()
-            | Some 'u' ->
-                advance ();
-                if !pos + 4 > n then fail "bad \\u escape";
-                let hex = String.sub s !pos 4 in
-                pos := !pos + 4;
-                (match int_of_string_opt ("0x" ^ hex) with
-                | Some code when code < 128 -> Buffer.add_char b (Char.chr code)
-                | Some _ -> Buffer.add_char b '?'
-                | None -> fail "bad \\u escape");
-                go ()
-            | _ -> fail "bad escape")
-        | Some c ->
-            Buffer.add_char b c;
-            advance ();
-            go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let parse_number () =
-      let start = !pos in
-      let is_num_char c =
-        (c >= '0' && c <= '9')
-        || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-      in
-      let rec go () =
-        match peek () with
-        | Some c when is_num_char c ->
-            advance ();
-            go ()
-        | _ -> ()
-      in
-      go ();
-      let tok = String.sub s start (!pos - start) in
-      match float_of_string_opt tok with
-      | Some f -> Num f
-      | None -> fail (Printf.sprintf "bad number %S" tok)
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some '}' then begin
-            advance ();
-            Obj []
-          end
-          else begin
-            let rec members acc =
-              skip_ws ();
-              let k = parse_string () in
-              skip_ws ();
-              expect ':';
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  members ((k, v) :: acc)
-              | Some '}' ->
-                  advance ();
-                  Obj (List.rev ((k, v) :: acc))
-              | _ -> fail "expected ',' or '}'"
-            in
-            members []
-          end
-      | Some '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some ']' then begin
-            advance ();
-            Arr []
-          end
-          else begin
-            let rec elements acc =
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  elements (v :: acc)
-              | Some ']' ->
-                  advance ();
-                  Arr (List.rev (v :: acc))
-              | _ -> fail "expected ',' or ']'"
-            in
-            elements []
-          end
-      | Some '"' -> Str (parse_string ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> parse_number ()
-    in
-    match
-      let v = parse_value () in
-      skip_ws ();
-      if !pos <> n then fail "trailing garbage";
-      v
-    with
-    | v -> Ok v
-    | exception Bad msg -> Error msg
-
-  let member key = function
-    | Obj fields -> List.assoc_opt key fields
-    | _ -> None
-end

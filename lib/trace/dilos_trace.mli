@@ -24,8 +24,6 @@ type cat
 val category : string -> cat
 (** Intern a category by name (idempotent). *)
 
-val cat_name : cat -> string
-
 val enabled : cat -> bool
 (** [true] iff a tracer is installed and its filter admits this
     category. Use to guard arg computation that is itself costly. *)
@@ -109,7 +107,7 @@ val begin_ :
     use for operations that interleave (RDMA ops in flight). Every
     [begin_] must reach exactly one [end_] (lint rule
     [trace-span-hygiene] flags functions that open without closing —
-    prefer {!with_span}, or use {!complete} from callbacks). *)
+    prefer {!span}, or use {!complete} from callbacks). *)
 
 val end_ : span -> ?args:(string * arg) list -> unit -> unit
 
@@ -123,17 +121,6 @@ val span :
   (unit -> 'a) ->
   'a
 (** Scoped form: open, run, close (exception-safe). *)
-
-val with_span :
-  cat ->
-  name:string ->
-  track:int ->
-  ?async:bool ->
-  ?flow_in:int ->
-  ?args:(string * arg) list ->
-  (unit -> 'a) ->
-  'a
-(** Alias of {!span}. *)
 
 val complete :
   cat ->
@@ -155,9 +142,6 @@ val complete :
 val instant :
   cat -> name:string -> track:int -> ?args:(string * arg) list -> unit -> unit
 (** Zero-duration marker. *)
-
-val add_arg : span -> string -> arg -> unit
-val set_flow_out : span -> int -> unit
 
 val flow : unit -> int
 (** Fresh flow id (an arrow in the viewer linking a producing span to
@@ -235,50 +219,3 @@ val breakdown : Sim.Stats.t -> breakdown_row list
 (** Reporting view of the attribution histograms (kernel, queueing,
     wire, backoff — rows with no samples omitted). Read-only: does not
     create histograms. *)
-
-(** {1 Interval metrics sampler}
-
-    A periodic sim-time callback snapshotting [Sim.Stats] every
-    [interval] and recording per-interval counter deltas (plus optional
-    gauge probes) — time-series of fetch rate, fault rate, backoff
-    state. Stops re-arming by itself once the simulation has no other
-    pending work, so it never keeps [Engine.run] alive. *)
-
-module Sampler : sig
-  type s
-
-  val start :
-    eng:Sim.Engine.t ->
-    stats:Sim.Stats.t ->
-    interval:Sim.Time.t ->
-    ?gauges:(string * (unit -> int)) list ->
-    unit ->
-    s
-
-  val stop : s -> unit
-  val rows : s -> int
-
-  val csv : s -> string
-  (** Header [t_us,<counter...>,<gauge...>] (counters name-sorted),
-      one row per elapsed interval. *)
-
-  val write_csv : s -> string -> unit
-end
-
-(** {1 Minimal JSON reader}
-
-    Just enough JSON to parse exported traces back for validation
-    (tests, [--trace-validate]). Not a general-purpose parser. *)
-
-module Json : sig
-  type v =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of v list
-    | Obj of (string * v) list
-
-  val parse : string -> (v, string) result
-  val member : string -> v -> v option
-end

@@ -36,7 +36,6 @@ let create ~frames =
 
 let total t = t.total
 let free_count t = t.free_top
-let used_count t = t.total - t.free_top
 
 (* Frames are handed out dirty: every consumer either fills the page
    from the fetch path or zeroes it explicitly on the zero-fill-fault
@@ -70,15 +69,9 @@ let offset t f =
   f * Addr.page_size
 
 let sub_view t f = Sim.Bigbuf.sub t.slab ~off:(offset t f) ~len:Addr.page_size
-let data = sub_view
 let fill_page t f c = Sim.Bigbuf.fill t.slab ~off:(offset t f) ~len:Addr.page_size c
 
 let blit_to t f ~off ~dst ~dst_off ~len =
   if off < 0 || len < 0 || off + len > Addr.page_size then
     invalid_arg "Frame.blit_to: range outside page";
   Sim.Bigbuf.blit_to_bytes t.slab ~src_off:(offset t f + off) dst ~dst_off ~len
-
-let blit_from t f ~off ~src ~src_off ~len =
-  if off < 0 || len < 0 || off + len > Addr.page_size then
-    invalid_arg "Frame.blit_from: range outside page";
-  Sim.Bigbuf.blit_from_bytes src ~src_off t.slab ~dst_off:(offset t f + off) ~len

@@ -16,7 +16,6 @@ val create : frames:int -> t
 
 val total : t -> int
 val free_count : t -> int
-val used_count : t -> int
 
 val alloc : t -> int option
 (** Returns a frame number, or [None] when the pool is exhausted.
@@ -40,13 +39,7 @@ val sub_view : t -> int -> Sim.Bigbuf.t
 (** A 4 KiB view of an allocated frame (allocates a view descriptor —
     fine for writeback / test paths, avoid per memory access). *)
 
-val data : t -> int -> Sim.Bigbuf.t
-(** Alias of {!sub_view}. *)
-
 val fill_page : t -> int -> char -> unit
 
 val blit_to : t -> int -> off:int -> dst:Bytes.t -> dst_off:int -> len:int -> unit
 (** Copy out of an allocated frame's payload into heap bytes. *)
-
-val blit_from : t -> int -> off:int -> src:Bytes.t -> src_off:int -> len:int -> unit
-(** Copy heap bytes into an allocated frame's payload. *)

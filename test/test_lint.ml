@@ -313,6 +313,25 @@ let rendering () =
      \"no-wallclock\", \"message\": \"bad \\\"thing\\\"\"}"
     (Lint.Finding.to_json f)
 
+(* A message with a tab and a carriage return still renders as JSON a
+   strict parser accepts, and parses back to the same message. *)
+let json_control_chars () =
+  let msg = "col\tumn\rend" in
+  let f =
+    Lint.Finding.make ~file:"lib/x.ml" ~line:1 ~col:0 ~rule:"no-wallclock" ~msg
+  in
+  match Json.parse (Lint.Finding.json_of_list [ f ]) with
+  | Error e -> Alcotest.failf "lint JSON does not parse: %s" e
+  | Ok doc -> (
+      match Json.member "results" doc with
+      | Some (Json.Arr [ r ]) ->
+          Alcotest.(check (option string))
+            "message round-trips" (Some msg)
+            (match Json.member "message" r with
+            | Some (Json.Str m) -> Some m
+            | _ -> None)
+      | _ -> Alcotest.fail "results is not a one-element array")
+
 (* ------------------------------------------------------------------ *)
 (* The tree itself *)
 
@@ -385,4 +404,5 @@ let suite =
     quick "the tree is lint-clean" tree_is_clean;
     quick "suppression budget (<= 7 tree-wide, each justified)"
       suppression_budget;
+    quick "finding JSON escapes tab and CR" json_control_chars;
   ]

@@ -189,9 +189,9 @@ let test_profile_fold () =
   let cat = Dilos_trace.category "test" in
   let cpu = Dilos_trace.track "cpu0" in
   Sim.Engine.spawn eng (fun () ->
-      Dilos_trace.with_span cat ~name:"outer" ~track:cpu (fun () ->
+      Dilos_trace.span cat ~name:"outer" ~track:cpu (fun () ->
           Sim.Engine.sleep eng (Sim.Time.us 30);
-          Dilos_trace.with_span cat ~name:"inner" ~track:cpu (fun () ->
+          Dilos_trace.span cat ~name:"inner" ~track:cpu (fun () ->
               Sim.Engine.sleep eng (Sim.Time.us 30));
           Sim.Engine.sleep eng (Sim.Time.us 40)));
   Sim.Engine.run eng;
@@ -234,10 +234,30 @@ let test_stats_snapshot_sorted () =
     "snapshot same order" names (List.map fst snap)
 
 (* ------------------------------------------------------------------ *)
-(* Sampler composed with a drill (satellite: no negative deltas) *)
+(* Interval deltas across a kill/recover drill *)
 
-let test_sampler_with_drill () =
-  let sampler = ref None in
+(* A rule that never fires sees every tick's counter deltas. Counters
+   are monotonic, so snapshot-diffing them across a shard kill and its
+   recovery must never yield a negative delta; and the deltas must add
+   up to each counter's growth over the run (the last tick comes after
+   all other work, so nothing moves after it). *)
+let test_health_deltas_with_drill () =
+  let seen = ref 0 in
+  let negative = ref [] in
+  let summed = Hashtbl.create 64 in
+  let non_negative =
+    Obs.Health.rule ~id:"non-negative-deltas" ~severity:Info (fun v ->
+        incr seen;
+        List.iter
+          (fun (name, d) ->
+            if d < 0 then negative := (name, d) :: !negative;
+            let acc = Option.value (Hashtbl.find_opt summed name) ~default:0 in
+            Hashtbl.replace summed name (acc + d))
+          v.Obs.Health.v_deltas;
+        [])
+  in
+  let at_start = ref [] in
+  let monitor = ref None in
   let spec =
     match
       Faults.Spec.parse "kill-shard=0@200us,recover-shard=0@500us"
@@ -245,39 +265,38 @@ let test_sampler_with_drill () =
     | Ok s -> s
     | Error m -> Alcotest.fail m
   in
-  let _result =
+  let result =
     Apps.Harness.run
       (Apps.Harness.Dilos Dilos.Kernel.Readahead)
       ~local_mem:(256 * 1024) ~fault_spec:spec ~fault_seed:7 ~shards:2
       ~replication:2
       ~observe:(fun ctx ->
-        sampler :=
+        at_start := Sim.Stats.snapshot ctx.Apps.Harness.stats;
+        monitor :=
           Some
-            (Dilos_trace.Sampler.start ~eng:ctx.Apps.Harness.eng
-               ~stats:ctx.Apps.Harness.stats ~interval:(Sim.Time.us 50) ()))
+            (Obs.Health.start ~eng:ctx.Apps.Harness.eng
+               ~stats:ctx.Apps.Harness.stats ~interval:(Sim.Time.us 50)
+               ~rules:[ non_negative ] ()))
       (fun ctx ->
         Apps.Drill.kernel Apps.Drill.Seq
           (ctx.Apps.Harness.mem ~core:0)
           ~scale:256 ~seed:7)
   in
-  let s = Option.get !sampler in
-  check_bool "sampler ticked" true (Dilos_trace.Sampler.rows s > 0);
-  let csv = Dilos_trace.Sampler.csv s in
-  (* Monotonic counters snapshot-diffed across a kill/recover drill:
-     no delta may come out negative, nothing may render as NaN. *)
-  String.split_on_char '\n' csv
-  |> List.iteri (fun i line ->
-         if i > 0 && line <> "" then
-           String.split_on_char ',' line
-           |> List.iter (fun cell ->
-                  check_bool
-                    (Printf.sprintf "cell %S non-negative" cell)
-                    false
-                    (String.length cell > 0 && cell.[0] = '-');
-                  check_bool
-                    (Printf.sprintf "cell %S not NaN" cell)
-                    false
-                    (String.lowercase_ascii cell = "nan")))
+  let m = Option.get !monitor in
+  (* The drill spans the kill (200 us) and the recovery (500 us). *)
+  check_bool "ticked past the recovery" true (Obs.Health.ticks m > 10);
+  check_int "the rule saw every tick" (Obs.Health.ticks m) !seen;
+  Alcotest.(check (list (pair string int))) "no negative delta" [] !negative;
+  check_bool "the drill moved counters" true
+    (Sim.Stats.get result.Apps.Harness.run_stats "rdma_reads" > 0);
+  List.iter
+    (fun (name, final) ->
+      let start = Option.value (List.assoc_opt name !at_start) ~default:0 in
+      let sum = Option.value (Hashtbl.find_opt summed name) ~default:0 in
+      check_int (name ^ ": deltas sum to the run's growth") (final - start) sum)
+    (Sim.Stats.counters result.Apps.Harness.run_stats);
+  Alcotest.(check (list string)) "never fires" []
+    (List.map (fun e -> e.Obs.Health.he_rule) (Obs.Health.events m))
 
 (* ------------------------------------------------------------------ *)
 (* The scenario matrix *)
@@ -431,7 +450,7 @@ let suite =
     quick "profile-fold" test_profile_fold;
     quick "profile-folded-sorted" test_profile_folded_sorted;
     quick "stats-snapshot-sorted" test_stats_snapshot_sorted;
-    quick "sampler-with-drill" test_sampler_with_drill;
+    quick "health-deltas-with-drill" test_health_deltas_with_drill;
     quick "matrix-clean-quiet" test_matrix_clean_quiet;
     quick "matrix-flaky-retry-storm" test_matrix_flaky_storm;
     quick "matrix-kill-resync-backlog" test_matrix_kill_backlog;

@@ -535,7 +535,7 @@ let stats_reset_keeps_handles_valid () =
   let s = Sim.Stats.create () in
   let c = Sim.Stats.counter s "x" in
   Sim.Stats.cadd c 7;
-  let h = Sim.Stats.histo s "lat" in
+  let h = Sim.Stats.histogram s "lat" in
   Sim.Histogram.add h 42;
   Sim.Stats.reset s;
   check_int "counter zeroed in place" 0 (Sim.Stats.cget c);

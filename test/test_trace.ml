@@ -1,6 +1,6 @@
 (* The tracing subsystem (lib/trace): ring behavior, category
    filtering, span nesting and flow links, Perfetto JSON
-   well-formedness (parsed back with Trace.Json), golden trace
+   well-formedness (parsed back with Json), golden trace
    determinism across same-seed runs, and the zero-overhead-when-off
    contract (tracing must not move simulated results). *)
 
@@ -15,16 +15,16 @@ let with_tracer ?capacity ?cats eng f =
   Fun.protect ~finally:Trace.uninstall (fun () -> f t)
 
 let parse_events json =
-  match Trace.Json.parse json with
+  match Json.parse json with
   | Error e -> Alcotest.failf "trace JSON does not parse: %s" e
   | Ok v -> (
-      match Trace.Json.member "traceEvents" v with
-      | Some (Trace.Json.Arr evs) -> evs
+      match Json.member "traceEvents" v with
+      | Some (Json.Arr evs) -> evs
       | _ -> Alcotest.fail "traceEvents missing or not an array")
 
 let str_field name ev =
-  match Trace.Json.member name ev with
-  | Some (Trace.Json.Str s) -> Some s
+  match Json.member name ev with
+  | Some (Json.Str s) -> Some s
   | _ -> None
 
 (* Non-metadata events of one parsed trace. *)
@@ -160,8 +160,8 @@ let json_well_formed () =
     List.filter_map
       (fun e ->
         if str_field "ph" e = Some "M" then
-          match Trace.Json.member "tid" e with
-          | Some (Trace.Json.Num n) -> Some (int_of_float n)
+          match Json.member "tid" e with
+          | Some (Json.Num n) -> Some (int_of_float n)
           | _ -> None
         else None)
       evs
@@ -169,8 +169,8 @@ let json_well_formed () =
   List.iter
     (fun e ->
       if str_field "ph" e <> Some "M" then
-        match Trace.Json.member "tid" e with
-        | Some (Trace.Json.Num n) ->
+        match Json.member "tid" e with
+        | Some (Json.Num n) ->
             if not (List.mem (int_of_float n) named) then
               Alcotest.failf "event tid %d has no thread_name metadata"
                 (int_of_float n)
@@ -197,31 +197,20 @@ let golden_determinism () =
   check_bool "same seed, byte-identical trace" true (String.equal a b)
 
 (* ------------------------------------------------------------------ *)
-(* Sampler and attribution plumbing *)
+(* The JSON codec the exporter writes with *)
 
-let sampler_rows () =
-  let eng = Sim.Engine.create () in
-  let stats = Sim.Stats.create () in
-  let s =
-    Trace.Sampler.start ~eng ~stats ~interval:(Sim.Time.us 10)
-      ~gauges:[ ("g", fun () -> 5) ]
-      ()
-  in
-  Sim.Engine.spawn eng (fun () ->
-      for _ = 1 to 4 do
-        Sim.Stats.incr stats "ticks";
-        Sim.Engine.sleep eng (Sim.Time.us 10)
-      done);
-  Sim.Engine.run eng;
-  Trace.Sampler.stop s;
-  check_bool "sampled at least 3 intervals" true (Trace.Sampler.rows s >= 3);
-  let lines = String.split_on_char '\n' (String.trim (Trace.Sampler.csv s)) in
-  (match lines with
-  | header :: _ ->
-      Alcotest.(check string) "csv header" "t_us,ticks,g" header
-  | [] -> Alcotest.fail "empty csv");
-  check_int "one line per row + header"
-    (Trace.Sampler.rows s + 1) (List.length lines)
+(* Every 7-bit string survives escape-then-parse, control bytes
+   included: the writers' output is strict JSON whatever a name or
+   message holds. *)
+let json_escape_round_trip =
+  QCheck.Test.make ~name:"json escape round-trips through parse" ~count:500
+    (QCheck.string_gen (QCheck.Gen.map Char.chr (QCheck.Gen.int_range 0 0x7F)))
+    (fun s ->
+      match Json.parse ("\"" ^ Json.escape s ^ "\"") with
+      | Ok (Json.Str s') -> String.equal s s'
+      | Ok _ | Error _ -> false)
+
+(* Attribution plumbing *)
 
 let breakdown_sums () =
   (* Attribution components must tile each fault exactly: the sum of
@@ -252,6 +241,6 @@ let suite =
       json_well_formed;
     quick "golden trace determinism (same seed, same bytes)"
       golden_determinism;
-    quick "interval sampler: rows, header, gauges" sampler_rows;
+    QCheck_alcotest.to_alcotest json_escape_round_trip;
     quick "attribution components sum to fault latency" breakdown_sums;
   ]
