@@ -32,15 +32,8 @@ let mb n = n * 1024 * 1024
    plus the four trace-attribution components (present because
    [run_json] turns attribution on before any system boots). *)
 let tracked_histos =
-  [
-    "fault_ns";
-    Trace.attr_kernel;
-    Trace.attr_queue;
-    Trace.attr_wire;
-    Trace.attr_backoff;
-    "serve_response_ns";
-    "serve_service_ns";
-  ]
+  ("fault_ns" :: List.map snd Trace.attr_components)
+  @ [ "serve_response_ns"; "serve_service_ns" ]
 
 let histo_summaries stats =
   List.filter_map

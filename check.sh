@@ -39,13 +39,16 @@ echo "== dune runtest"
 dune runtest
 
 echo "== drill smoke"
-# Seeded recovery drill through the CLI, run twice: the digest must
-# match the failure-free run (exit code) and the JSON report must be
-# byte-identical across runs.
-dune exec bin/dilos_sim.exe -- drill --app seq --seed 42 \
-  --recover-after-us 200 --json drill_report.json > /dev/null
-dune exec bin/dilos_sim.exe -- drill --app seq --seed 42 \
-  --recover-after-us 200 --json drill_repeat.json > /dev/null
+# Seeded recovery drill through the CLI, run twice: kill a shard
+# mid-run on a 2-shard, RF-2 memory node; the digest must match the
+# failure-free run (exit 1 on mismatch, 4 on a lost page) and the JSON
+# report must be byte-identical across runs.
+dune exec bin/dilos_sim.exe -- drill --app seq,quicksort --seed 42 \
+  --shards 2 --replication 2 --recover-after-us 200 \
+  --json drill_report.json > /dev/null
+dune exec bin/dilos_sim.exe -- drill --app seq,quicksort --seed 42 \
+  --shards 2 --replication 2 --recover-after-us 200 \
+  --json drill_repeat.json > /dev/null
 cmp drill_report.json drill_repeat.json
 rm -f drill_repeat.json
 
@@ -54,9 +57,11 @@ echo "== observatory report"
 # expected health events (clean run quiet, retry-storm under flaky,
 # resync-backlog after kill-shard, queue ceiling under overload) and
 # profile/attribution reconciliation; the JSON must be byte-identical
-# across runs.
+# across runs. The first run also writes the flaky-kill scenario's
+# OpenMetrics and collapsed-stack artifacts.
 dune exec bin/dilos_sim.exe -- report --seed 42 --check \
-  --json obs_report.json > /dev/null
+  --json obs_report.json --openmetrics metrics.prom \
+  --folded profile.folded > /dev/null
 dune exec bin/dilos_sim.exe -- report --seed 42 \
   --json obs_repeat.json > /dev/null
 cmp obs_report.json obs_repeat.json

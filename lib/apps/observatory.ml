@@ -165,16 +165,13 @@ let run_matrix ?(system = Harness.Dilos Dilos.Kernel.Readahead)
 (* ---------------------------------------------------------------- *)
 (* Reconciliation                                                    *)
 
-let attr_names =
-  [ "attr_kernel_ns"; "attr_queue_ns"; "attr_wire_ns"; "attr_backoff_ns" ]
-
 let attr_sum stats =
   List.fold_left
-    (fun acc n ->
+    (fun acc (_, n) ->
       match Sim.Stats.histogram_opt stats n with
       | Some h -> acc + Sim.Histogram.sum h
       | None -> acc)
-    0 attr_names
+    0 Dilos_trace.attr_components
 
 (* The [fault] root of the flame profile is built from the attribution
    histograms, whose components tile each fault's end-to-end latency

@@ -443,11 +443,10 @@ let handle_fault t cs vpn _pte_at_trap =
          every swap-path access, not only misses). *)
       Hit_tracker.note_fault t.tracker vpn;
       let t0 = Sim.Engine.now t.eng in
-      let sp = Trace.begin_ cat_fault ~name:"fetch_wait" ~track:(Cpu.track cs) () in
       Sim.Condvar.wait_for t.mapping_changed (fun () ->
           Vmem.Pte.tag (Vmem.Page_table.get t.pt vpn) <> Vmem.Pte.Fetching);
       Sim.Engine.sleep t.eng (Sim.Time.ns Params.dilos_fetch_wait_poll_ns);
-      Trace.end_ sp ();
+      Trace.complete cat_fault ~name:"fetch_wait" ~track:(Cpu.track cs) ~t0 ();
       Sim.Histogram.add t.hot.h_fetch_wait (elapsed_ns t t0)
   | Vmem.Pte.Unmapped ->
       let addr = Vmem.Addr.base vpn in

@@ -141,14 +141,12 @@ let rec evict_one t ~qp ~budget =
                         below instead of silently lost. *)
                      Vmem.Page_table.update t.pt vpn Vmem.Pte.clear_dirty;
                      invalidate t vpn;
-                     let sp =
-                       Trace.begin_ cat_swap ~name:"swap_out" ~track:trk_reclaim
-                         ()
-                     in
+                     let t0 = Sim.Engine.now t.eng in
                      Rdma.Qp.write qp ~raddr:(Vmem.Addr.base vpn) ~buf:t.slab
                        ~off:(Vmem.Frame.offset t.frames frame)
                        ~len:Vmem.Addr.page_size;
-                     Trace.end_ sp ();
+                     Trace.complete cat_swap ~name:"swap_out" ~track:trk_reclaim
+                       ~t0 ();
                      Sim.Stats.cincr t.hot.c_writebacks
                    end);
                   (* Check-then-act: the PTE re-read and the unmap it

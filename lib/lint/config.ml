@@ -38,9 +38,9 @@ let classify path =
   | Some (root, rel) -> { root; rel = String.concat "/" rel }
   | None -> { root = Lib; rel = String.concat "/" segs }
 
-(* R4: modules on the fault / RDMA hot paths. The string-keyed Stats API
-   hashes its key on every call; these modules must use the boot-time
-   handle API (Stats.counter + cincr/cadd) instead. *)
+(* R7, R9, R11: modules on the fault / RDMA hot paths. Their steady
+   state must not allocate (R7, and R9 through their callees) nor
+   resolve Obs handles outside boot (R11). *)
 let hot_modules =
   [
     "core/cpu.ml";
@@ -77,7 +77,7 @@ let rule_enabled ctx rule_id =
   match rule_id with
   | "no-wallclock" | "nondet-taint" -> wallclock_checked ctx
   | "effect-hygiene" -> not (effect_allowed ctx)
-  | "stats-handle" | "hot-alloc" | "obs-boot-only" -> is_hot ctx
+  | "hot-alloc" | "obs-boot-only" -> is_hot ctx
   | _ -> true
 
 (* R9: functions whose transitive callees must not allocate, beyond

@@ -1,15 +1,12 @@
 (* Parse .ml files with ppxlib's Parsetree and walk them with
    Ast_traverse, applying the rule set under a suppression stack.
 
-   The walker keeps two pieces of scope state:
+   The walker keeps this scope state:
    - [allow_stack]: rule ids allowed by [@lint.allow]/[@@lint.allow]
      attributes on any enclosing expression / value binding / structure
      item; a finding inside a suppressed subtree is dropped.
    - [sort_depth]: > 0 while inside a value binding whose subtree
      applies a sort — rule R3's "sorted in the same function"
-     approximation.
-   - [span_end_depth]: > 0 while inside a value binding whose subtree
-     applies Trace.end_ — rule R6's "closed in the same function"
      approximation.
    - [cold_depth]: > 0 while inside a cold-constructor binding
      (boot/create/connect, make_ prefixes) — rule R7's "boot-time
@@ -42,7 +39,6 @@ class walker ~(ctx : Cfg.ctx) ~(emit : Finding.t -> unit) =
        nested module. *)
     val mutable floating_allows : string list = []
     val mutable sort_depth = 0
-    val mutable span_end_depth = 0
     val mutable cold_depth = 0
 
     method private suppressed rule =
@@ -71,26 +67,22 @@ class walker ~(ctx : Cfg.ctx) ~(emit : Finding.t -> unit) =
 
     method! value_binding vb =
       let has_sort = Rule_hashtbl_order.contains_sort vb.pvb_expr in
-      let has_end = Rule_trace_span.contains_end vb.pvb_expr in
       let is_cold =
         match vb.pvb_pat.ppat_desc with
         | Ppat_var { txt; _ } -> Rule_hot_alloc.cold_binding txt
         | _ -> false
       in
       if has_sort then sort_depth <- sort_depth + 1;
-      if has_end then span_end_depth <- span_end_depth + 1;
       if is_cold then cold_depth <- cold_depth + 1;
       self#with_allows (Suppress.allows vb.pvb_attributes) (fun () ->
           super#value_binding vb);
       if has_sort then sort_depth <- sort_depth - 1;
-      if has_end then span_end_depth <- span_end_depth - 1;
       if is_cold then cold_depth <- cold_depth - 1
 
     method! expression e =
       self#with_allows (Suppress.allows e.pexp_attributes) (fun () ->
           List.iter self#report
             (Rules.check_expression ~ctx ~sort_in_scope:(sort_depth > 0)
-               ~span_end_in_scope:(span_end_depth > 0)
                ~cold_in_scope:(cold_depth > 0) e);
           super#expression e)
 

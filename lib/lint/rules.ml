@@ -7,9 +7,7 @@ let all : Rule.t list =
     { Rule.id = Rule_wallclock.id; doc = Rule_wallclock.doc };
     { Rule.id = Rule_poly_compare.id; doc = Rule_poly_compare.doc };
     { Rule.id = Rule_hashtbl_order.id; doc = Rule_hashtbl_order.doc };
-    { Rule.id = Rule_stats_handle.id; doc = Rule_stats_handle.doc };
     { Rule.id = Rule_effect.id; doc = Rule_effect.doc };
-    { Rule.id = Rule_trace_span.id; doc = Rule_trace_span.doc };
     { Rule.id = Rule_hot_alloc.id; doc = Rule_hot_alloc.doc };
     { Rule.id = Rule_obs_boot.id; doc = Rule_obs_boot.doc };
     { Rule.id = Rule_nondet_taint.id; doc = Rule_nondet_taint.doc };
@@ -19,16 +17,13 @@ let all : Rule.t list =
 
 let ids = List.map (fun r -> r.Rule.id) all
 
-(* Expression-position checks (R1, R2, R3, R4, R6, R7). *)
-let check_expression ~ctx ~sort_in_scope ~span_end_in_scope ~cold_in_scope e :
-    Rule.site list =
+(* Expression-position checks (R1, R2, R3, R7, R11). *)
+let check_expression ~ctx ~sort_in_scope ~cold_in_scope e : Rule.site list =
   List.concat
     [
       Rule_wallclock.check ~ctx e;
       Rule_poly_compare.check ~ctx e;
       Rule_hashtbl_order.check ~ctx ~sort_in_scope e;
-      Rule_stats_handle.check ~ctx e;
-      Rule_trace_span.check ~ctx ~span_end_in_scope e;
       Rule_hot_alloc.check ~ctx ~cold_in_scope e;
       Rule_obs_boot.check ~ctx ~cold_in_scope e;
     ]

@@ -36,7 +36,8 @@ let rule ~id ~severity eval = { r_id = id; r_severity = severity; r_eval = eval 
 (* ------------------------------------------------------------------ *)
 (* Built-in rules *)
 
-let retry_storm ?(threshold = 5) () =
+let retry_storm () =
+  let threshold = 5 in
   rule ~id:"retry-storm" ~severity:Warn (fun v ->
       let d = v.v_delta "rdma_retries" in
       if d >= threshold then
@@ -82,7 +83,8 @@ let tombstone_serving () =
 let queue_depth v =
   List.fold_left (fun acc (_, d) -> acc + d) 0 (v.v_gauge "serve_queue_depth")
 
-let worker_starvation ?(min_queue = 1) () =
+let worker_starvation () =
+  let min_queue = 1 in
   rule ~id:"worker-starvation" ~severity:Crit (fun v ->
       let q = queue_depth v in
       if q >= min_queue && v.v_delta "serve_completed" = 0 then
@@ -96,7 +98,8 @@ let worker_starvation ?(min_queue = 1) () =
         ]
       else [])
 
-let queue_ceiling ?(threshold = 64) () =
+let queue_ceiling () =
+  let threshold = 64 in
   rule ~id:"queue-depth-ceiling" ~severity:Warn (fun v ->
       let q = queue_depth v in
       if q >= threshold then

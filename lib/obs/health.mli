@@ -61,30 +61,24 @@ val rule : id:string -> severity:severity -> (view -> firing list) -> rule
 
 (** {2 Built-in rules} *)
 
-val retry_storm : ?threshold:int -> unit -> rule
-(** [rdma_retries] delta ≥ threshold (default 5) within one interval:
-    the wire is flapping and backoff is doing real work. *)
+val retry_storm : unit -> rule
+(** [rdma_retries] delta ≥ 5 within one interval: the wire is flapping
+    and backoff is doing real work. *)
 
 val resync_backlog : unit -> rule
 (** A [repl_resync_backlog_pages] gauge series went positive: a shard
     is dead or resyncing and redundancy is below target. One event per
     shard (the gauge is labeled). *)
 
-val tombstone_serving : unit -> rule
-(** [repl_lost_pages] went positive: the group has tombstoned pages —
-    reads for them will raise [Page_lost]. *)
-
-val worker_starvation : ?min_queue:int -> unit -> rule
-(** Requests queued ([serve_queue_depth] ≥ min_queue, default 1) but
-    zero [serve_completed] progress for a full interval: workers are
-    alive-but-stuck (e.g. every in-flight fetch is in backoff). *)
-
-val queue_ceiling : ?threshold:int -> unit -> rule
-(** [serve_queue_depth] ≥ threshold (default 64): the open-loop
-    arrival process is outrunning service capacity (past the knee). *)
-
 val defaults : unit -> rule list
-(** All of the above with default thresholds. *)
+(** The two rules above, plus:
+    - [tombstone-serving]: [repl_lost_pages] went positive — the group
+      has tombstoned pages, and reads for them will raise [Page_lost];
+    - [worker-starvation]: requests queued ([serve_queue_depth] ≥ 1)
+      but zero [serve_completed] progress for a full interval — workers
+      are alive-but-stuck (e.g. every in-flight fetch is in backoff);
+    - [queue-depth-ceiling]: [serve_queue_depth] ≥ 64 — the open-loop
+      arrival process is outrunning service capacity (past the knee). *)
 
 (** {2 Monitor} *)
 

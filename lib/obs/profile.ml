@@ -83,22 +83,14 @@ let add_trace t tr =
 (* ------------------------------------------------------------------ *)
 (* Synthetic attribution stacks *)
 
-let attr_components =
-  [
-    (Dilos_trace.attr_kernel, "kernel");
-    (Dilos_trace.attr_queue, "queueing");
-    (Dilos_trace.attr_wire, "wire");
-    (Dilos_trace.attr_backoff, "backoff");
-  ]
-
 let add_attribution t stats =
   List.iter
-    (fun (histo_name, frame) ->
+    (fun (frame, histo_name) ->
       match Sim.Stats.histogram_opt stats histo_name with
       | Some h when Sim.Histogram.count h > 0 ->
           add t ~stack:("fault;" ^ frame) (Sim.Histogram.sum h)
       | _ -> ())
-    attr_components
+    Dilos_trace.attr_components
 
 (* ------------------------------------------------------------------ *)
 (* Output *)

@@ -145,9 +145,6 @@ type t = {
   mutable failure : (exn * Printexc.raw_backtrace) option;
   (* [true] while fiber code runs (not a callback, not the loop). *)
   mutable in_fiber : bool;
-  (* [max_time] of the running [run_until_idle] ([max_int] under [run]):
-     the loop stops before any event past it. *)
-  mutable horizon : int;
 }
 
 let create () =
@@ -158,7 +155,6 @@ let create () =
     ready = Ring.create ();
     failure = None;
     in_fiber = false;
-    horizon = max_int;
   }
 
 let now t = t.now
@@ -251,17 +247,16 @@ let suspend _t register = Effect.perform (Suspend register)
 
 (* In-place clock advance. A sleep is uncontended when its wake would
    be the very next event: the caller is a fiber, the ready ring is
-   empty, every heap event is due strictly after [time], and [time] is
-   within the running loop's horizon. Parking would then push the wake
-   at (time, seq + 1), pop it straight away (nothing else is due
-   first, and nothing runs in between to schedule anything), and
-   resume the fiber with [now = time]. Consuming the same seq and
-   setting the clock is that, minus the park. *)
+   empty and every heap event is due strictly after [time]. Parking
+   would then push the wake at (time, seq + 1), pop it straight away
+   (nothing else is due first, and nothing runs in between to schedule
+   anything), and resume the fiber with [now = time]. Consuming the
+   same seq and setting the clock is that, minus the park. *)
 let sleep_until t time =
   if Int64.compare time t.now > 0 then begin
     let ti = Int64.to_int time in
     if
-      t.in_fiber && t.ready.Ring.len = 0 && ti <= t.horizon
+      t.in_fiber && t.ready.Ring.len = 0
       && (t.queue.Eheap.size = 0 || Eheap.top_time t.queue > ti)
     then begin
       t.seq <- t.seq + 1;
@@ -302,29 +297,8 @@ let check_failure t =
   | None -> ()
 
 let run t =
-  t.horizon <- max_int;
   while t.failure = None && step t do
     ()
-  done;
-  check_failure t
-
-(* Time of the next event, honouring the same precedence as [step]. *)
-let next_time t =
-  if t.ready.Ring.len > 0
-     || (t.queue.Eheap.size > 0
-         && Eheap.top_time t.queue = Int64.to_int t.now)
-  then Some t.now
-  else if t.queue.Eheap.size > 0 then
-    Some (Int64.of_int (Eheap.top_time t.queue))
-  else None
-
-let run_until_idle t ~max_time =
-  t.horizon <- Int64.to_int (Int64.min max_time (Int64.of_int max_int));
-  let continue_ = ref true in
-  while !continue_ && t.failure = None do
-    match next_time t with
-    | Some time when Int64.compare time max_time <= 0 -> ignore (step t)
-    | Some _ | None -> continue_ := false
   done;
   check_failure t
 

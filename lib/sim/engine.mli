@@ -61,8 +61,7 @@ val sleep_until : t -> Time.t -> unit
     from a callback it raises [Effect.Unhandled].
 
     When the wake would be the very next event — the ready queue is
-    empty, every queued event is due strictly after the target, and
-    the target is within the running {!run_until_idle}'s [max_time] —
+    empty and every queued event is due strictly after the target —
     the fiber does not park: the call consumes the sequence number its
     wake event would have taken, sets the clock and returns. The
     global (time, seq) order, and so every simulated result, is the
@@ -81,10 +80,6 @@ val run : t -> unit
 (** Drain the event queue. Returns when no event remains (all fibers
     finished or are parked forever). Re-raises the first exception
     that escaped a fiber or callback. *)
-
-val run_until_idle : t -> max_time:Time.t -> unit
-(** Like {!run} but stops (leaving remaining events queued) once the
-    clock would exceed [max_time]. *)
 
 val pending : t -> int
 (** Number of queued events (diagnostic). *)

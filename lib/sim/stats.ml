@@ -15,22 +15,13 @@ let cell t name =
       Hashtbl.add t.counters name r;
       r
 
-(* Handle API: resolve the name once (boot time), bump an int ref per
-   event. The hot paths (fault handlers, RDMA post) go through these;
-   the string API below stays for cold paths and reporting. *)
+(* Resolve the name once (boot time), bump an int ref per event. *)
 let counter = cell
-let cincr (c : counter) = Stdlib.incr c
+let cincr (c : counter) = incr c
 let cadd (c : counter) n = c := !c + n
 let cget (c : counter) = !c
 
-let incr t name = Stdlib.incr (cell t name)
-
-let add t name n =
-  let c = cell t name in
-  c := !c + n
-
 let get t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
-let set t name v = cell t name := v
 
 let histogram t name =
   match Hashtbl.find_opt t.histos name with
@@ -39,8 +30,6 @@ let histogram t name =
       let h = Histogram.create () in
       Hashtbl.add t.histos name h;
       h
-
-let record t name v = Histogram.add (histogram t name) v
 
 let counters t =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []

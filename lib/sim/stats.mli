@@ -5,20 +5,17 @@
     histograms; the experiment harness reads them back at the end of
     the run.
 
-    Two APIs share the same cells:
-
-    - the string API ([incr], [add], [record], ...) hashes the name on
-      every call — fine for cold paths, setup and reporting;
-    - the handle API resolves a name once ([counter] / [histogram], e.g.
-      at boot) and then updates through the handle ([cincr], [cadd],
-      [Histogram.add]) with no hashing — required on per-fault /
-      per-RDMA-op hot paths. *)
+    Writes go through handles only: resolve a name once ([counter] /
+    [histogram], e.g. at boot), then update through the handle
+    ([cincr], [cadd], [Histogram.add]) with no hashing per event. The
+    read side ([get], [counters], [snapshot], ...) looks names up and
+    serves reporting. *)
 
 type t
 
 val create : unit -> t
 
-(** {2 Handle API (hot paths)} *)
+(** {2 Writing} *)
 
 type counter
 (** A pre-resolved counter cell. Stays valid across {!reset} (reset
@@ -31,21 +28,14 @@ val cincr : counter -> unit
 val cadd : counter -> int -> unit
 val cget : counter -> int
 
-(** {2 String API (cold paths, reporting)} *)
+val histogram : t -> string -> Histogram.t
+(** The named histogram, created on first use: resolve once, then
+    record via [Histogram.add]. *)
 
-val incr : t -> string -> unit
-val add : t -> string -> int -> unit
+(** {2 Reading} *)
+
 val get : t -> string -> int
 (** Missing counters read as 0. *)
-
-val set : t -> string -> int -> unit
-
-val histogram : t -> string -> Histogram.t
-(** The named histogram, created on first use. It is also the handle
-    API's resolver: resolve once, then record via [Histogram.add]. *)
-
-val record : t -> string -> int -> unit
-(** [record t name v] adds a sample to histogram [name]. *)
 
 val counters : t -> (string * int) list
 (** All counters, sorted by name with [String.compare] — a pure byte

@@ -40,7 +40,6 @@ let category name =
       cats := c :: !cats;
       c
 
-let cat_none = category "(none)"
 let enabled c = c.c_on
 
 (* ------------------------------------------------------------------ *)
@@ -124,9 +123,7 @@ let create ~eng ?(capacity = 1 lsl 16) ?cats () =
 let current : t option ref = ref None
 
 let apply_filter filter =
-  List.iter (fun c -> c.c_on <- filter_allows filter c.c_name) !cats;
-  (* The "(none)" pseudo-category backs null spans and must stay off. *)
-  cat_none.c_on <- false
+  List.iter (fun c -> c.c_on <- filter_allows filter c.c_name) !cats
 
 let install t =
   current := Some t;
@@ -199,71 +196,6 @@ let iter_events t f =
 (* ------------------------------------------------------------------ *)
 (* Span / instant API *)
 
-type span = {
-  mutable s_live : bool;
-  s_cat : cat;
-  s_name : string;
-  s_track : int;
-  s_t0 : Sim.Time.t;
-  s_async : bool;
-  s_flow_in : int;
-  s_args : (string * arg) list;
-}
-
-let null_span =
-  {
-    s_live = false;
-    s_cat = cat_none;
-    s_name = "";
-    s_track = 0;
-    s_t0 = Sim.Time.zero;
-    s_async = false;
-    s_flow_in = 0;
-    s_args = [];
-  }
-
-let begin_ cat ~name ~track ?(async = false) ?(flow_in = 0) ?(args = []) () =
-  if not cat.c_on then null_span
-  else
-    match !current with
-    | None -> null_span
-    | Some t ->
-        {
-          s_live = true;
-          s_cat = cat;
-          s_name = name;
-          s_track = track;
-          s_t0 = Sim.Engine.now t.eng;
-          s_async = async;
-          s_flow_in = flow_in;
-          s_args = args;
-        }
-
-let end_ s ?(args = []) () =
-  if s.s_live then begin
-    s.s_live <- false;
-    match !current with
-    | None -> ()
-    | Some t ->
-        push t
-          {
-            ev_id = fresh_id t;
-            ev_kind = (if s.s_async then Async else Sync);
-            ev_cat = s.s_cat.c_name;
-            ev_name = s.s_name;
-            ev_track = s.s_track;
-            ev_t0 = s.s_t0;
-            ev_t1 = Sim.Engine.now t.eng;
-            ev_args = s.s_args @ args;
-            ev_flow_in = s.s_flow_in;
-            ev_flow_out = 0;
-          }
-  end
-
-let span cat ~name ~track ?async ?flow_in ?args f =
-  let s = begin_ cat ~name ~track ?async ?flow_in ?args () in
-  Fun.protect ~finally:(fun () -> end_ s ()) f
-
 (* Retrospective emission: record an already-closed span with explicit
    start (and optionally end) times. The natural shape for completion
    callbacks — begin/end bookkeeping across async hops is replaced by
@@ -287,6 +219,17 @@ let complete cat ~name ~track ~t0 ?t1 ?(async = false) ?(flow_in = 0)
             ev_flow_in = flow_in;
             ev_flow_out = flow_out;
           }
+
+(* Scoped form: the interval from entry to exit of [f], emitted at exit
+   (also when [f] raises) exactly as [complete] emits it. *)
+let span cat ~name ~track ?async ?flow_in ?args f =
+  match !current with
+  | Some t when cat.c_on ->
+      let t0 = Sim.Engine.now t.eng in
+      Fun.protect
+        ~finally:(fun () -> complete cat ~name ~track ~t0 ?async ?flow_in ?args ())
+        f
+  | Some _ | None -> f ()
 
 let instant cat ~name ~track ?(args = []) () =
   if cat.c_on then
@@ -429,6 +372,14 @@ let attr_queue = "attr_queue_ns"
 let attr_wire = "attr_wire_ns"
 let attr_backoff = "attr_backoff_ns"
 
+let attr_components =
+  [
+    ("kernel", attr_kernel);
+    ("queueing", attr_queue);
+    ("wire", attr_wire);
+    ("backoff", attr_backoff);
+  ]
+
 module Attr = struct
   type a = {
     h_kernel : Sim.Histogram.t;
@@ -488,9 +439,4 @@ let breakdown stats =
       | Some h when Sim.Histogram.count h > 0 ->
           Some (breakdown_of_histo label h)
       | Some _ | None -> None)
-    [
-      ("kernel", attr_kernel);
-      ("queueing", attr_queue);
-      ("wire", attr_wire);
-      ("backoff", attr_backoff);
-    ]
+    attr_components

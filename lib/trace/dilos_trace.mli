@@ -86,31 +86,6 @@ val iter_events : t -> (event_view -> unit) -> unit
 
 type arg = I of int | S of string
 
-type span
-(** An open span. A value-type handle: [end_] closes it and pushes one
-    event. When tracing is off, [begin_] returns a shared null span and
-    [end_] on it is a no-op. *)
-
-val null_span : span
-
-val begin_ :
-  cat ->
-  name:string ->
-  track:int ->
-  ?async:bool ->
-  ?flow_in:int ->
-  ?args:(string * arg) list ->
-  unit ->
-  span
-(** Open a span at the current sim time. [~async:true] renders as an
-    async ("b"/"e") slice, allowed to overlap others on its track —
-    use for operations that interleave (RDMA ops in flight). Every
-    [begin_] must reach exactly one [end_] (lint rule
-    [trace-span-hygiene] flags functions that open without closing —
-    prefer {!span}, or use {!complete} from callbacks). *)
-
-val end_ : span -> ?args:(string * arg) list -> unit -> unit
-
 val span :
   cat ->
   name:string ->
@@ -120,7 +95,10 @@ val span :
   ?args:(string * arg) list ->
   (unit -> 'a) ->
   'a
-(** Scoped form: open, run, close (exception-safe). *)
+(** [span cat ~name ~track f] runs [f] and records the interval from its
+    entry to its exit, also when [f] raises. [~async:true] renders as an
+    async ("b"/"e") slice, allowed to overlap others on its track — use
+    for operations that interleave (RDMA ops in flight). *)
 
 val complete :
   cat ->
@@ -193,6 +171,10 @@ val attr_queue : string
 val attr_wire : string
 val attr_backoff : string
 (** Names of the attribution histograms in [Sim.Stats]. *)
+
+val attr_components : (string * string) list
+(** The four components as (label, histogram name), in report order:
+    kernel, queueing, wire, backoff. *)
 
 module Attr : sig
   type t

@@ -22,7 +22,6 @@ module type ENGINE = sig
   val yield : t -> unit
   val suspend : t -> ((unit -> unit) -> unit) -> unit
   val run : t -> unit
-  val run_until_idle : t -> max_time:int -> unit
   val pending : t -> int
 end
 
@@ -45,7 +44,6 @@ module Real : ENGINE = struct
   let yield = E.yield
   let suspend = E.suspend
   let run = E.run
-  let run_until_idle t ~max_time = E.run_until_idle t ~max_time:(ns max_time)
   let pending = E.pending
 end
 
@@ -147,16 +145,6 @@ module Reference : ENGINE = struct
       step t
     done
 
-  let run_until_idle t ~max_time =
-    let rec go () =
-      match next_time t with
-      | Some time when time <= max_time ->
-          step t;
-          go ()
-      | Some _ | None -> ()
-    in
-    go ()
-
   let pending t = List.length t.future + Queue.length t.ready
 end
 
@@ -183,8 +171,7 @@ and fop =
   | Wait of int
   | Do of cop
 
-type mode = Run | Until of int * bool (* max_time, then [run] *)
-type program = { top : cop list; mode : mode }
+type program = cop list
 
 let rec pp_cop b = function
   | At (d, cb) -> Printf.bprintf b "at+%d %a" d pp_cb cb
@@ -217,11 +204,8 @@ and pp_fiber b f =
 
 let print_program p =
   let b = Buffer.create 256 in
-  List.iter (fun op -> Printf.bprintf b "%a\n" pp_cop op) p.top;
-  (match p.mode with
-  | Run -> Buffer.add_string b "run"
-  | Until (m, again) ->
-      Printf.bprintf b "run_until_idle %d%s" m (if again then "; run" else ""));
+  List.iter (fun op -> Printf.bprintf b "%a\n" pp_cop op) p;
+  Buffer.add_string b "run";
   Buffer.contents b
 
 (* Small delays, so same-instant ties and exact-target collisions are
@@ -267,17 +251,7 @@ let gen_program =
     in
     map (fun steps -> { fid = fresh (); steps }) (list_size (int_range 1 8) fop)
   in
-  let mode =
-    frequency
-      [
-        (1, return Run);
-        (2, map2 (fun m again -> Until (m, again)) (int_range 0 30) bool);
-      ]
-  in
-  map2
-    (fun top mode -> { top; mode })
-    (list_size (int_range 1 5) (gen_cop 3))
-    mode
+  list_size (int_range 1 5) (gen_cop 3)
 
 (* Trace of one program on one engine. *)
 module Exec (E : ENGINE) = struct
@@ -316,17 +290,9 @@ module Exec (E : ENGINE) = struct
           note (Printf.sprintf "f%d.%d" f.fid i))
         f.steps
     in
-    List.iter cop p.top;
-    let snapshot tag =
-      note (Printf.sprintf "%s pending=%d" tag (E.pending e))
-    in
-    (match p.mode with
-    | Run -> E.run e
-    | Until (m, again) ->
-        E.run_until_idle e ~max_time:m;
-        snapshot "idle";
-        if again then E.run e);
-    snapshot "end";
+    List.iter cop p;
+    E.run e;
+    note (Printf.sprintf "end pending=%d" (E.pending e));
     List.rev !log
 end
 
@@ -347,36 +313,6 @@ let engine_matches_reference =
 
 (* ------------------------------------------------------------------ *)
 (* The in-place advance's edges *)
-
-let sleep_past_max_time_stays_parked () =
-  let eng = Sim.Engine.create () in
-  let after_first = ref false and after_second = ref false in
-  Sim.Engine.spawn eng (fun () ->
-      Sim.Engine.sleep eng (Sim.Time.us 5);
-      after_first := true;
-      Sim.Engine.sleep eng (Sim.Time.us 100);
-      after_second := true);
-  Sim.Engine.run_until_idle eng ~max_time:(Sim.Time.us 50);
-  check_bool "first sleep done" true !after_first;
-  check_bool "second sleep still parked" false !after_second;
-  check_bool "clock within max_time" true
-    (Int64.compare (Sim.Engine.now eng) (Sim.Time.us 50) <= 0);
-  check_i64 "clock at the last event" (Sim.Time.us 5) (Sim.Engine.now eng);
-  check_int "wake still queued" 1 (Sim.Engine.pending eng);
-  Sim.Engine.run eng;
-  check_bool "resumes under run" true !after_second;
-  check_i64 "clock" (Sim.Time.us 105) (Sim.Engine.now eng)
-
-let sleep_to_max_time_exactly () =
-  let eng = Sim.Engine.create () in
-  let woke = ref false in
-  Sim.Engine.spawn eng (fun () ->
-      Sim.Engine.sleep_until eng (Sim.Time.us 50);
-      woke := true);
-  Sim.Engine.run_until_idle eng ~max_time:(Sim.Time.us 50);
-  check_bool "wakes at max_time" true !woke;
-  check_i64 "clock" (Sim.Time.us 50) (Sim.Engine.now eng);
-  check_int "nothing queued" 0 (Sim.Engine.pending eng)
 
 let heap_event_at_target_fires_first () =
   let eng = Sim.Engine.create () in
@@ -400,8 +336,6 @@ let sleep_in_callback_still_fails () =
 let suite =
   [
     QCheck_alcotest.to_alcotest engine_matches_reference;
-    quick "sleep past max_time stays parked" sleep_past_max_time_stays_parked;
-    quick "sleep to max_time exactly" sleep_to_max_time_exactly;
     quick "heap event at the target fires first" heap_event_at_target_fires_first;
     quick "sleep in a callback still fails" sleep_in_callback_still_fails;
   ]

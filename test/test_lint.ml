@@ -1,9 +1,9 @@
 (* Golden tests for dilos-lint (lib/lint + bin/dilos_lint.exe).
 
-   Every per-file rule R1-R7 must (a) fire on its known-bad fixture at
-   pinned file:line sites, (b) stay quiet on the fixed version, and (c)
-   respect its path scoping (bench/ wall-clock exemption, hot-module
-   list, lib/sim/ effect allowance). The whole-program rules R8-R10 run
+   Every per-file rule (R1-R3, R5, R7, R11) must (a) fire on its
+   known-bad fixture at pinned file:line sites, (b) stay quiet on the
+   fixed version, and (c) respect its path scoping (bench/ wall-clock
+   exemption, hot-module list, lib/sim/ effect allowance). The whole-program rules R8-R10 run
    against fixture mini-projects (fixtures/xproj etc.) that the
    per-file rules demonstrably miss. On top of that the tree itself
    must be lint-clean, and the [@lint.allow] budget (each suppression
@@ -28,9 +28,7 @@ let check_sites name expected findings =
 let r1 = "no-wallclock"
 let r2 = "no-poly-compare"
 let r3 = "hashtbl-order"
-let r4 = "stats-handle"
 let r5 = "effect-hygiene"
-let r6 = "trace-span-hygiene"
 let r7 = "hot-alloc"
 let r8 = "nondet-taint"
 let r11 = "obs-boot-only"
@@ -79,30 +77,6 @@ let r3_fixed_quiet () =
     (Lint.Driver.lint_file (fx "r3_hashtbl_order_good.ml"))
 
 (* ------------------------------------------------------------------ *)
-(* R4 stats-handle *)
-
-let r4_fires_in_hot_module () =
-  check_sites "string Stats API in a hot module"
-    [ (6, r4); (7, r4) ]
-    (Lint.Driver.lint_file
-       ~ctx:(lib_ctx "core/kernel.ml")
-       (fx "r4_stats_handle_bad.ml"))
-
-let r4_fixed_quiet () =
-  check_sites "handle API in the same hot module" []
-    (Lint.Driver.lint_file
-       ~ctx:(lib_ctx "core/kernel.ml")
-       (fx "r4_stats_handle_good.ml"))
-
-let r4_cold_module_exempt () =
-  (* The string API is legal off the hot paths — reporting code reads
-     better with it. *)
-  check_sites "string Stats API in a cold module" []
-    (Lint.Driver.lint_file
-       ~ctx:(lib_ctx "core/guide.ml")
-       (fx "r4_stats_handle_bad.ml"))
-
-(* ------------------------------------------------------------------ *)
 (* R5 effect-hygiene *)
 
 let r5_fires () =
@@ -119,18 +93,6 @@ let r5_fixed_quiet () =
 let r5_sim_exempt () =
   check_sites "lib/sim/ may use effects" []
     (Lint.Driver.lint_file ~ctx:(lib_ctx "sim/engine.ml") (fx "r5_effect_bad.ml"))
-
-(* ------------------------------------------------------------------ *)
-(* R6 trace-span-hygiene *)
-
-let r6_fires () =
-  check_sites "begin_ stashed for a callback, and begin_ ignored"
-    [ (7, r6); (13, r6) ]
-    (Lint.Driver.lint_file (fx "r6_trace_span_bad.ml"))
-
-let r6_fixed_quiet () =
-  check_sites "lexical begin_/end_ pair, and retrospective complete" []
-    (Lint.Driver.lint_file (fx "r6_trace_span_good.ml"))
 
 (* ------------------------------------------------------------------ *)
 (* R7 hot-alloc *)
@@ -369,14 +331,9 @@ let suite =
     quick "R2 quiet on the fixed version" r2_fixed_quiet;
     quick "R3 fires on unsorted Hashtbl enumeration" r3_fires;
     quick "R3 quiet when sorted in the same function" r3_fixed_quiet;
-    quick "R4 fires on string Stats API in hot modules" r4_fires_in_hot_module;
-    quick "R4 quiet on the handle API" r4_fixed_quiet;
-    quick "R4 exempts cold modules" r4_cold_module_exempt;
     quick "R5 fires on effects outside lib/sim" r5_fires;
     quick "R5 quiet on the fixed version" r5_fixed_quiet;
     quick "R5 exempts lib/sim" r5_sim_exempt;
-    quick "R6 fires on begin_ without end_ in the same function" r6_fires;
-    quick "R6 quiet on lexical pairs and Trace.complete" r6_fixed_quiet;
     quick "R7 fires on steady-state allocation in hot modules"
       r7_fires_in_hot_module;
     quick "R7 quiet on the pooled version" r7_fixed_quiet;
@@ -402,7 +359,6 @@ let suite =
     quick "path classification" classification;
     quick "finding rendering (text + json)" rendering;
     quick "the tree is lint-clean" tree_is_clean;
-    quick "suppression budget (<= 7 tree-wide, each justified)"
-      suppression_budget;
+    quick "suppression budget <=7, justified" suppression_budget;
     quick "finding JSON escapes tab and CR" json_control_chars;
   ]

@@ -122,7 +122,7 @@ let test_health_rising_edge () =
   let retries = Sim.Stats.counter stats "rdma_retries" in
   let m =
     Obs.Health.start ~eng ~stats ~interval:(Sim.Time.us 10)
-      ~rules:[ Obs.Health.retry_storm ~threshold:5 () ]
+      ~rules:[ Obs.Health.retry_storm () ]
       ()
   in
   (* Storm for 3 intervals, then calm, then storm again: rising-edge

@@ -304,15 +304,6 @@ let engine_yield_round_robin () =
     [ 11; 21; 31; 12; 22; 32; 13; 23; 33 ]
     (List.rev !log)
 
-let engine_run_until_idle () =
-  let eng = Sim.Engine.create () in
-  let fired = ref 0 in
-  Sim.Engine.at eng (Sim.Time.us 1) (fun () -> incr fired);
-  Sim.Engine.at eng (Sim.Time.us 100) (fun () -> incr fired);
-  Sim.Engine.run_until_idle eng ~max_time:(Sim.Time.us 10);
-  check_int "only early event" 1 !fired;
-  check_int "late event still queued" 1 (Sim.Engine.pending eng)
-
 (* ------------------------------------------------------------------ *)
 (* Condvar *)
 
@@ -511,25 +502,24 @@ let histogram_quantile_extremes_single_sample () =
 let stats_counters () =
   let s = Sim.Stats.create () in
   check_int "missing reads 0" 0 (Sim.Stats.get s "x");
-  Sim.Stats.incr s "x";
-  Sim.Stats.add s "x" 4;
-  check_int "incr+add" 5 (Sim.Stats.get s "x");
-  Sim.Stats.record s "lat" 100;
+  let c = Sim.Stats.counter s "x" in
+  Sim.Stats.cincr c;
+  Sim.Stats.cadd c 4;
+  check_int "cincr+cadd" 5 (Sim.Stats.get s "x");
+  Sim.Histogram.add (Sim.Stats.histogram s "lat") 100;
   check_int "histo count" 1 (Sim.Histogram.count (Sim.Stats.histogram s "lat"));
   Sim.Stats.reset s;
   check_int "reset" 0 (Sim.Stats.get s "x")
 
-let stats_handles_share_cells_with_string_api () =
+let stats_handles_share_cells () =
   let s = Sim.Stats.create () in
   let c = Sim.Stats.counter s "x" in
   Sim.Stats.cincr c;
   Sim.Stats.cadd c 4;
-  check_int "handle updates visible to string API" 5 (Sim.Stats.get s "x");
-  Sim.Stats.incr s "x";
-  check_int "string updates visible through handle" 6 (Sim.Stats.cget c);
+  check_int "handle updates visible to get" 5 (Sim.Stats.get s "x");
   let c' = Sim.Stats.counter s "x" in
   Sim.Stats.cincr c';
-  check_int "re-resolving yields the same cell" 7 (Sim.Stats.cget c)
+  check_int "re-resolving yields the same cell" 6 (Sim.Stats.cget c)
 
 let stats_reset_keeps_handles_valid () =
   let s = Sim.Stats.create () in
@@ -614,7 +604,6 @@ let suite =
       engine_heap_precedes_ring_at_same_time;
     quick "engine ready ring fifo growth" engine_ready_ring_fifo_growth;
     quick "engine yield round robin" engine_yield_round_robin;
-    quick "engine run_until_idle" engine_run_until_idle;
     quick "condvar signal order" condvar_signal_order;
     quick "condvar signal wakes one, fifo" condvar_signal_wakes_one_fifo;
     quick "condvar broadcast wakes all, fifo" condvar_broadcast_wakes_all_fifo;
@@ -629,7 +618,7 @@ let suite =
     quick "histogram reset restores sentinels" histogram_reset_restores_sentinels;
     quick "histogram quantile extremes" histogram_quantile_extremes_single_sample;
     quick "stats counters" stats_counters;
-    quick "stats handles share cells" stats_handles_share_cells_with_string_api;
+    quick "stats handles share cells" stats_handles_share_cells;
     quick "stats reset keeps handles valid" stats_reset_keeps_handles_valid;
     quick "timer fires once" timer_fires;
     quick "timer cancel" timer_cancel;

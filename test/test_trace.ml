@@ -41,9 +41,9 @@ let off_means_null () =
   check_bool "no tracer installed" true (Trace.installed () = None);
   let cat = Trace.category "test-off" in
   check_bool "category reads disabled" false (Trace.enabled cat);
-  let sp = Trace.begin_ cat ~name:"x" ~track:(Trace.track "t") () in
-  check_bool "begin_ returns the null span" true (sp == Trace.null_span);
-  Trace.end_ sp ();
+  let trk = Trace.track "t" in
+  check_int "span runs its body" 7 (Trace.span cat ~name:"x" ~track:trk (fun () -> 7));
+  Trace.complete cat ~name:"y" ~track:trk ~t0:Sim.Time.zero ();
   check_int "flow is 0 when off" 0 (Trace.flow ())
 
 let zero_overhead () =
@@ -113,6 +113,9 @@ let nesting_and_flows () =
             Trace.span cat ~name:"inner" ~track:trk (fun () -> 7))
       in
       check_int "span returns its body's value" 7 v;
+      (match Trace.span cat ~name:"raises" ~track:trk (fun () -> raise Exit) with
+      | () -> Alcotest.fail "span must re-raise its body's exception"
+      | exception Exit -> ());
       let f = Trace.flow () in
       check_bool "flow ids are nonzero when tracing" true (f <> 0);
       let t0 = Sim.Engine.now eng in
@@ -120,7 +123,7 @@ let nesting_and_flows () =
       Trace.complete cat ~name:"consumer" ~track:trk ~t0 ~flow_in:f ();
       let evs = payload_events (Trace.to_json t) in
       (* Sync spans close inner-first: "inner" is emitted before
-         "outer". *)
+         "outer". A span whose body raises is still emitted. *)
       let xs =
         List.filter_map
           (fun e -> if str_field "ph" e = Some "X" then str_field "name" e else None)
@@ -128,7 +131,7 @@ let nesting_and_flows () =
       in
       Alcotest.(check (list string))
         "nested sync spans emit inner before outer"
-        [ "inner"; "outer"; "producer"; "consumer" ]
+        [ "inner"; "outer"; "raises"; "producer"; "consumer" ]
         xs;
       let phs = List.filter_map (str_field "ph") evs in
       check_bool "flow start emitted" true (List.mem "s" phs);
