@@ -702,7 +702,7 @@ let run_drill system app_str local_mb scale seed shards replication kill_shard
               ~detect:(Sim.Time.us detect_us)
               ?recover_after ()
           with
-          | Dilos.Kernel.Page_lost addr | Fastswap.Kernel.Page_lost addr ->
+          | Dilos.Cpu.Page_lost addr ->
             Printf.eprintf
               "dilos_sim: page at 0x%Lx irrecoverably lost (every replica \
                dead)\n"

@@ -8,32 +8,39 @@ let pending_cap_ns = 10_000
 (* The fill charge: a TLB refill after a page-table walk. *)
 let fill_ns = 20
 
+exception Segmentation_fault of int64
+exception Page_lost of int64
+
 type t = {
   id : int;
   trk : int; (* trace track for this core's fault timeline *)
   eng : Sim.Engine.t;
   pt : Vmem.Page_table.t;
+  frames : Vmem.Frame.t;
   slab : Sim.Bigbuf.t; (* the frame pool's backing slab *)
   tlb_vpn : int array;
   tlb_off : int array; (* slab byte offset of the cached page *)
   tlb_written : bool array;
   mutable pending : int;
-  fill : t -> int -> write:bool -> int;
+  fault : t -> int -> unit;
+  dirtied : t -> int -> unit;
   first_store : t -> int -> unit;
 }
 
-let create ~eng ~pt ~slab ~fill ~first_store id =
+let create ~eng ~pt ~frames ~fault ~dirtied ~first_store id =
   {
     id;
     trk = Trace.track (Printf.sprintf "cpu%d" id);
     eng;
     pt;
-    slab;
+    frames;
+    slab = Vmem.Frame.slab frames;
     tlb_vpn = Array.make tlb_entries (-1);
     tlb_off = Array.make tlb_entries 0;
     tlb_written = Array.make tlb_entries false;
     pending = 0;
-    fill;
+    fault;
+    dirtied;
     first_store;
   }
 
@@ -59,8 +66,8 @@ let invalidate cpus vpn =
 
 (* The TLB-hit path below is [@inline] down to the slab access, so a
    hit through a [Memif] closure makes no further call. What a hit
-   only rarely needs stays out of line: [flush] here, the kernel's
-   [fill] and [first_store] hooks. *)
+   only rarely needs stays out of line: [flush] and [fill] here, the
+   kernel's hooks. *)
 let[@inline never] flush c =
   if c.pending > 0 then begin
     let p = c.pending in
@@ -71,6 +78,25 @@ let[@inline never] flush c =
 let[@inline] charge c ns =
   c.pending <- c.pending + ns;
   if c.pending >= pending_cap_ns then flush c
+
+(* The slow path: walk the page table, faulting the page in as often
+   as it takes (each fault pays the exception delivery first), then
+   cache the translation. *)
+let[@inline never] fill c vpn ~write =
+  flush c;
+  let rec loop () =
+    match Vmem.Mmu.access c.pt ~vpn ~write with
+    | Vmem.Mmu.Frame f ->
+        let off = Vmem.Frame.offset c.frames f in
+        install c vpn ~off ~write;
+        if write then c.dirtied c vpn;
+        off
+    | Vmem.Mmu.Fault _ ->
+        Sim.Engine.sleep c.eng Vmem.Mmu.exception_cost;
+        c.fault c vpn;
+        loop ()
+  in
+  loop ()
 
 (* [charge] may flush the pending-time accumulator, which sleeps the
    fiber; the reclaimer can run in that window, evict the page, and
@@ -83,9 +109,9 @@ let[@inline] page_off_for_read c vpn =
   if Array.unsafe_get c.tlb_vpn i = vpn then begin
     charge c Params.mem_access_ns;
     if Array.unsafe_get c.tlb_vpn i = vpn then Array.unsafe_get c.tlb_off i
-    else c.fill c vpn ~write:false
+    else fill c vpn ~write:false
   end
-  else c.fill c vpn ~write:false
+  else fill c vpn ~write:false
 
 let[@inline] page_off_for_write c vpn =
   let i = vpn land tlb_mask in
@@ -99,9 +125,9 @@ let[@inline] page_off_for_write c vpn =
     end;
     charge c Params.mem_access_ns;
     if Array.unsafe_get c.tlb_vpn i = vpn then Array.unsafe_get c.tlb_off i
-    else c.fill c vpn ~write:true
+    else fill c vpn ~write:true
   end
-  else c.fill c vpn ~write:true
+  else fill c vpn ~write:true
 
 let[@inline] split addr = (Vmem.Addr.vpn addr, Vmem.Addr.offset addr)
 

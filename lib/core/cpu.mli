@@ -1,9 +1,9 @@
 (** One simulated core's access path, shared by the paging kernels.
 
-    DiLOS and Fastswap differ only in what happens on a miss (DiLOS's
+    DiLOS and Fastswap differ only in what a fault does (DiLOS's
     unified page table and fault handler, §4.2; Fastswap's swap path).
-    A load or store that hits a resident page is the same hardware TLB
-    hit in both, so it lives here once:
+    How a core takes a hit or a miss is the same in both, so it lives
+    here once:
 
     - a 64-entry direct-mapped software TLB caching each page's byte
       offset into the frame slab (a hit is two array loads and integer
@@ -12,35 +12,49 @@
       locally and flushed to the engine at faults and whenever it
       reaches 10 µs, so background fibers interleave realistically;
     - the hit protocol: TLB check → charge [mem_access_ns] (which may
-      sleep) → re-validate the slot → else the kernel's slow path.
+      sleep) → re-validate the slot → else the slow path;
+    - the slow path: flush → MMU walk → on a fault, sleep
+      {!Vmem.Mmu.exception_cost}, run the kernel's [fault] hook and
+      walk again → cache the translation (+20 ns) → on a store, run
+      the kernel's [dirtied] hook.
 
     The module knows nothing about either kernel. It calls one only
-    through two hooks given to {!create}, and neither runs on a TLB
-    hit:
+    through three hooks given to {!create}, and none runs on a TLB
+    hit. Each may sleep:
 
-    - [fill c vpn ~write] is the kernel's slow path. It must {!flush},
-      resolve the translation (MMU walk, fault handling), {!install}
-      it, and return the page's slab offset. It may sleep.
+    - [fault c vpn] resolves a fault on [vpn] (its PTE is not [Local])
+      or raises {!Segmentation_fault} / {!Page_lost}. It need not map
+      the page: the walk is retried until it hits.
+    - [dirtied c vpn] runs after a store's slow path has set the PTE
+      dirty bit and cached the translation.
     - [first_store c vpn] runs on a store through a read-loaded
       translation, after the PTE dirty bit and the slot's written flag
-      are set, before the access is charged. It may sleep.
+      are set, before the access is charged.
 
     Invariant: an accessor uses a cached offset only if the slot still
     maps the VPN after the last charge of that access; otherwise it
-    takes [fill]. *)
+    takes the slow path. *)
+
+exception Segmentation_fault of int64
+
+exception Page_lost of int64
+(** The demand fetch of this page failed {!Params.fault_refetch_max}
+    consecutive times (every replica of its shard is dead): data loss
+    surfaces instead of hanging the core. *)
 
 type t
 
 val create :
   eng:Sim.Engine.t ->
   pt:Vmem.Page_table.t ->
-  slab:Sim.Bigbuf.t ->
-  fill:(t -> int -> write:bool -> int) ->
+  frames:Vmem.Frame.t ->
+  fault:(t -> int -> unit) ->
+  dirtied:(t -> int -> unit) ->
   first_store:(t -> int -> unit) ->
   int ->
   t
-(** [create ~eng ~pt ~slab ~fill ~first_store id]: core [id] with an
-    empty TLB, translating into frames of [slab]. *)
+(** [create ~eng ~pt ~frames ~fault ~dirtied ~first_store id]: core
+    [id] with an empty TLB, translating through [pt] into [frames]. *)
 
 val id : t -> int
 val track : t -> int
@@ -49,12 +63,6 @@ val track : t -> int
 val now : t -> Sim.Time.t
 
 (** {1 Kernel side} *)
-
-val install : t -> int -> off:int -> write:bool -> unit
-(** [install c vpn ~off ~write] caches the translation of [vpn] to slab
-    offset [off] (evicting whatever shared its slot) and adds the
-    20 ns fill charge without flushing. [write] marks the PTE as
-    already dirtied through this entry. *)
 
 val invalidate : t array -> int -> unit
 (** TLB shoot-down of a VPN on every core. Kernels call it whenever a

@@ -17,14 +17,6 @@ let default_config =
     tcp_emulation = false;
   }
 
-exception Segmentation_fault of int64
-
-exception Page_lost of int64
-(* A demand fetch failed [Params.fault_refetch_max] consecutive times:
-   the bytes behind this address are gone (every replica of the
-   backing shard is dead). Raised instead of blocking the faulting
-   core forever — data loss must surface, not hang. *)
-
 (* Trace handles, resolved once at module init (mirrors the Stats
    handle discipline: the fault path never hashes a category name). *)
 let cat_fault = Trace.category "fault"
@@ -34,26 +26,14 @@ let trk_prefetch = Trace.track "prefetch"
 (* Stats cells the fault path touches, resolved once at [boot] so a
    fault never hashes a counter name (see Sim.Stats handle API). *)
 type hot_stats = {
-  c_major_faults : Sim.Stats.counter;
+  mf : Major_fault.t;
   c_fetch_waits : Sim.Stats.counter;
-  c_zero_fill : Sim.Stats.counter;
   c_prefetch_issued : Sim.Stats.counter;
   c_subpage_fetches : Sim.Stats.counter;
   c_subpage_bytes : Sim.Stats.counter;
-  c_fetch_retries : Sim.Stats.counter;
   c_prefetch_aborted : Sim.Stats.counter;
-  c_ph_exception : Sim.Stats.counter;
   c_ph_pte : Sim.Stats.counter;
-  c_ph_alloc : Sim.Stats.counter;
-  c_ph_reclaim : Sim.Stats.counter;
-  c_ph_fetch : Sim.Stats.counter;
-  h_fault : Sim.Histogram.t;
   h_fetch_wait : Sim.Histogram.t;
-  (* Observatory: the {system="dilos"} slice of the cross-kernel
-     labeled families, resolved at boot like every other cell here. *)
-  ob_major_faults : Obs.Registry.counter;
-  obh_fault : Sim.Histogram.t;
-  attr : Trace.Attr.t option; (* Fig. 9 latency attribution, when on *)
 }
 
 type t = {
@@ -294,11 +274,7 @@ let major_fault t cs vpn pte =
   let wake_fault () =
     match !waiter with Some wake -> wake () | None -> ()
   in
-  (* Latency-attribution accumulator for this fault's demand fetch
-     (allocated only when --breakdown resolved the histograms). *)
-  let fa =
-    match t.hot.attr with None -> None | Some _ -> Some (Trace.fetch_attrib ())
-  in
+  let fa = Major_fault.fetch_attrib t.hot.mf in
   (* The demand fetch must eventually succeed — the page stays Fetching
      and every other core queues behind it — so a permanent RDMA
      failure is answered by re-posting the same WR after a short pause
@@ -372,13 +348,13 @@ let major_fault t cs vpn pte =
       Sim.Engine.suspend t.eng (fun wake -> waiter := Some wake);
     waiter := None;
     if !failed then begin
-      Sim.Stats.cincr t.hot.c_fetch_retries;
+      Major_fault.retried t.hot.mf;
       failed := false;
       completed := false;
       incr refetches;
       (* Bounded: past the budget the page is declared lost (all
          replicas of its shard dead) rather than spinning forever. *)
-      if !refetches >= Params.fault_refetch_max then raise (Page_lost base);
+      if !refetches >= Params.fault_refetch_max then raise (Cpu.Page_lost base);
       Sim.Engine.sleep t.eng (Sim.Time.ns Params.fault_refetch_delay_ns);
       (* The pause before re-posting is retry overhead, same bucket as
          the QP's own backoff delays. *)
@@ -396,14 +372,13 @@ let major_fault t cs vpn pte =
   let fetch_end = Sim.Engine.now t.eng in
   Sim.Engine.sleep t.eng (Sim.Time.ns Params.dilos_map_ns);
   map_fetched t vpn frame;
-  Sim.Stats.cincr t.hot.c_major_faults;
-  Obs.Registry.cincr t.hot.ob_major_faults;
-  let total_ns = elapsed_ns t t_start in
-  Sim.Histogram.add t.hot.h_fault total_ns;
-  Sim.Histogram.add t.hot.obh_fault total_ns;
-  (match (t.hot.attr, fa) with
-  | Some attr, Some a -> Trace.Attr.record attr ~total_ns ~fetch:a
-  | (Some _ | None), _ -> ());
+  Major_fault.count t.hot.mf;
+  Major_fault.record t.hot.mf ~total_ns:(elapsed_ns t t_start)
+    ~alloc_ns:(Int.min alloc_ns Params.dilos_page_alloc_ns)
+    ~fetch_ns fa;
+  Major_fault.reclaimed t.hot.mf
+    (Int.max 0 (alloc_ns - Params.dilos_page_alloc_ns));
+  Sim.Stats.cadd t.hot.c_ph_pte (Params.dilos_pte_check_ns + Params.dilos_map_ns);
   if Trace.enabled cat_fault then begin
     let t_end = Sim.Engine.now t.eng in
     Trace.complete cat_fault ~name:"pte_check" ~track:(Cpu.track cs) ~t0:t_start
@@ -418,18 +393,12 @@ let major_fault t cs vpn pte =
       ~t1:t_end ~flow_out:!pf_flow
       ~args:[ ("vpn", Trace.I vpn); ("fetch_ns", Trace.I fetch_ns) ]
       ()
-  end;
-  Sim.Stats.cadd t.hot.c_ph_exception 570;
-  Sim.Stats.cadd t.hot.c_ph_pte (Params.dilos_pte_check_ns + Params.dilos_map_ns);
-  Sim.Stats.cadd t.hot.c_ph_alloc (Int.min alloc_ns Params.dilos_page_alloc_ns);
-  Sim.Stats.cadd t.hot.c_ph_reclaim
-    (Int.max 0 (alloc_ns - Params.dilos_page_alloc_ns));
-  Sim.Stats.cadd t.hot.c_ph_fetch fetch_ns
+  end
 
-let handle_fault t cs vpn _pte_at_trap =
-  Sim.Engine.sleep t.eng Vmem.Mmu.exception_cost;
-  (* Re-read after exception delivery: another core may have resolved
-     or started resolving this page meanwhile. *)
+(* The fault hook of {!Cpu}, run after exception delivery: another
+   core may have resolved or started resolving this page meanwhile,
+   so dispatch on the PTE as it is now. *)
+let fault t cs vpn =
   let pte = Vmem.Page_table.get t.pt vpn in
   match Vmem.Pte.tag pte with
   | Vmem.Pte.Local -> () (* raced with a concurrent mapping; retry *)
@@ -451,7 +420,7 @@ let handle_fault t cs vpn _pte_at_trap =
   | Vmem.Pte.Unmapped ->
       let addr = Vmem.Addr.base vpn in
       (match Vmem.Address_space.find t.aspace addr with
-      | None -> raise (Segmentation_fault addr)
+      | None -> raise (Cpu.Segmentation_fault addr)
       | Some vma ->
           (* First touch: anonymous zero-fill, no RDMA. alloc_frame can
              block, so re-check for a concurrent zero-fill afterwards. *)
@@ -469,7 +438,7 @@ let handle_fault t cs vpn _pte_at_trap =
               Vmem.Page_table.set t.pt vpn (Vmem.Pte.make_local ~frame ~writable:true);
               if vma.Vmem.Address_space.ddc then Page_manager.note_mapped t.pm vpn;
               Sim.Condvar.broadcast t.mapping_changed;
-              Sim.Stats.cincr t.hot.c_zero_fill;
+              Major_fault.zero_filled t.hot.mf;
               if Trace.enabled cat_fault then
                 Trace.instant cat_fault ~name:"zero_fill" ~track:(Cpu.track cs)
                   ~args:[ ("vpn", Trace.I vpn) ]
@@ -480,25 +449,6 @@ let handle_fault t cs vpn _pte_at_trap =
 
 (* ------------------------------------------------------------------ *)
 (* Data path                                                           *)
-
-(* The slow path of {!Cpu}: flush, walk the page table (faulting the
-   page in as often as it takes), cache the translation. *)
-let fill t cs vpn ~write =
-  Cpu.flush cs;
-  let rec loop () =
-    match Vmem.Mmu.access t.pt ~vpn ~write with
-    | Vmem.Mmu.Frame f ->
-        (* The MMU just set the dirty bit; tell the page manager (the
-           call is redundant, and free, when the page was dirty). *)
-        if write then Page_manager.note_dirtied t.pm vpn;
-        let off = Vmem.Frame.offset t.frames f in
-        Cpu.install cs vpn ~off ~write;
-        off
-    | Vmem.Mmu.Fault pte ->
-        handle_fault t cs vpn pte;
-        loop ()
-  in
-  loop ()
 
 (* A store through a read-loaded translation: {!Cpu} has just set the
    dirty bit, so the page becomes a cleaner candidate. *)
@@ -542,30 +492,14 @@ let boot ~eng ~server ?nic_config (cfg : config) =
   in
   let hot =
     {
-      c_major_faults = Sim.Stats.counter stats "major_faults";
+      mf = Major_fault.create ~system:"dilos" stats;
       c_fetch_waits = Sim.Stats.counter stats "fetch_waits";
-      c_zero_fill = Sim.Stats.counter stats "zero_fill_faults";
       c_prefetch_issued = Sim.Stats.counter stats "prefetch_issued";
       c_subpage_fetches = Sim.Stats.counter stats "subpage_fetches";
       c_subpage_bytes = Sim.Stats.counter stats "subpage_bytes";
-      c_fetch_retries = Sim.Stats.counter stats "fault_fetch_retries";
       c_prefetch_aborted = Sim.Stats.counter stats "prefetch_aborted";
-      c_ph_exception = Sim.Stats.counter stats "ph_exception_ns";
       c_ph_pte = Sim.Stats.counter stats "ph_pte_ns";
-      c_ph_alloc = Sim.Stats.counter stats "ph_alloc_ns";
-      c_ph_reclaim = Sim.Stats.counter stats "ph_reclaim_ns";
-      c_ph_fetch = Sim.Stats.counter stats "ph_fetch_ns";
-      h_fault = Sim.Stats.histogram stats "fault_ns";
       h_fetch_wait = Sim.Stats.histogram stats "fetch_wait_ns";
-      ob_major_faults =
-        Obs.Registry.counter ~name:"kernel_major_faults"
-          ~labels:[ ("system", "dilos") ]
-          ();
-      obh_fault =
-        Obs.Registry.histogram ~name:"kernel_fault_ns"
-          ~labels:[ ("system", "dilos") ]
-          ();
-      attr = Trace.Attr.create stats;
     }
   in
   let t =
@@ -593,9 +527,12 @@ let boot ~eng ~server ?nic_config (cfg : config) =
           (Int.min Params.prefetch_low_frames (Vmem.Frame.total frames / 64));
     }
   in
+  (* A store's slow path makes the page a cleaner candidate (the call
+     is redundant, and free, when the page was already dirty). *)
   t.cpus <-
     Array.init cfg.cores
-      (Cpu.create ~eng ~pt ~slab:t.slab ~fill:(fill t)
+      (Cpu.create ~eng ~pt ~frames ~fault:(fault t)
+         ~dirtied:(fun _ vpn -> Page_manager.note_dirtied pm vpn)
          ~first_store:(first_store t));
   Page_manager.set_invalidate pm (invalidate t);
   Page_manager.start pm;

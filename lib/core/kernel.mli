@@ -29,14 +29,6 @@ val default_config : config
 
 type t
 
-exception Segmentation_fault of int64
-
-exception Page_lost of int64
-(** A demand fetch for this address failed
-    {!Params.fault_refetch_max} consecutive times — e.g. every replica
-    of the page's shard is dead. Carries the faulting page's base
-    address. *)
-
 (** [boot ~eng ~server cfg] starts the LibOS. [nic_config] overrides
     the fabric's latency model — used by the NVMe-far-memory ablation
     (§5.1: "DiLOS' design would be valid for NVMe drives"). *)
@@ -66,8 +58,9 @@ val malloc_usable_size : t -> int64 -> int
 
 (** {1 Data path (call from a fiber)}
 
-    Every access runs on {!Cpu}, the hit path shared with Fastswap;
-    this kernel supplies its slow path (the fault handler above). *)
+    Every access runs on {!Cpu}, the hit and fault path shared with
+    Fastswap; this kernel supplies its fault handler (above), which
+    raises {!Cpu.Segmentation_fault} and {!Cpu.Page_lost}. *)
 
 val cpu : t -> core:int -> Cpu.t
 (** The core's access path. Raises [Invalid_argument] on a bad core. *)

@@ -3,13 +3,6 @@ type config = { local_mem_bytes : int; cores : int; readahead : bool }
 let default_config =
   { local_mem_bytes = 64 * 1024 * 1024; cores = 1; readahead = true }
 
-exception Segmentation_fault of int64
-
-exception Page_lost of int64
-(* Same contract as [Dilos.Kernel.Page_lost]: the demand fetch failed
-   [Dilos.Params.fault_refetch_max] consecutive times, so the page's
-   bytes are unreachable and re-faulting forever would hang. *)
-
 let cluster = 8 (* Linux page_cluster = 3 -> 2^3 pages per readahead *)
 
 (* Trace handles, resolved once at module init (Stats handle
@@ -19,29 +12,17 @@ let trk_reclaim = Trace.track "reclaim"
 
 (* Fault/reclaim-path stats cells, resolved once at [boot]. *)
 type hot_stats = {
-  c_major_faults : Sim.Stats.counter;
+  mf : Dilos.Major_fault.t;
   c_minor_faults : Sim.Stats.counter;
   c_evictions : Sim.Stats.counter;
   c_writebacks : Sim.Stats.counter;
   c_ra_dropped : Sim.Stats.counter;
   c_ra_aborted : Sim.Stats.counter;
   c_readahead_pages : Sim.Stats.counter;
-  c_fetch_retries : Sim.Stats.counter;
   c_direct_reclaims : Sim.Stats.counter;
-  c_zero_fill : Sim.Stats.counter;
-  c_ph_exception : Sim.Stats.counter;
   c_ph_swapcache : Sim.Stats.counter;
-  c_ph_alloc : Sim.Stats.counter;
-  c_ph_fetch : Sim.Stats.counter;
   c_ph_other : Sim.Stats.counter;
-  c_ph_reclaim : Sim.Stats.counter;
-  h_fault : Sim.Histogram.t;
   h_minor_fault : Sim.Histogram.t;
-  (* Observatory: the {system="fastswap"} slice of the cross-kernel
-     labeled families, resolved at boot like every other cell here. *)
-  ob_major_faults : Obs.Registry.counter;
-  obh_fault : Sim.Histogram.t;
-  attr : Trace.Attr.t option; (* Fig. 9 latency attribution, when on *)
 }
 
 type t = {
@@ -90,12 +71,24 @@ let lru_push t vpn =
     Sim.Int_table.replace t.queued vpn ()
   end
 
+(* The one-page transfer between [vpn]'s remote copy and [frame]. *)
+let page_segs t vpn frame =
+  [
+    {
+      Rdma.Qp.raddr = Vmem.Addr.base vpn;
+      loff = Vmem.Frame.offset t.frames frame;
+      len = Vmem.Addr.page_size;
+    };
+  ]
+
 (* One reclaim step over the unified LRU: a popped VPN may be a
    mapped page or an unconsumed swap-cache (readahead) page; both age
    in insertion order, approximating the kernel's inactive list. Dirty
    victims are swapped out with a synchronous frontswap store — cheap
    from the offload thread, expensive when this runs as direct reclaim
-   in a fault. Returns [true] if a frame was freed. *)
+   in a fault. A store that fails for good (every replica of the
+   page's shard dead) leaves the page dirty and resident, and the scan
+   moves on. Returns [true] if a frame was freed. *)
 let rec evict_one t ~qp ~budget =
   if budget = 0 then false
   else
@@ -142,12 +135,24 @@ let rec evict_one t ~qp ~budget =
                      Vmem.Page_table.update t.pt vpn Vmem.Pte.clear_dirty;
                      invalidate t vpn;
                      let t0 = Sim.Engine.now t.eng in
-                     Rdma.Qp.write qp ~raddr:(Vmem.Addr.base vpn) ~buf:t.slab
-                       ~off:(Vmem.Frame.offset t.frames frame)
-                       ~len:Vmem.Addr.page_size;
+                     let failed = ref false in
+                     Sim.Engine.suspend t.eng (fun wake ->
+                         Rdma.Qp.post_write qp
+                           ~on_error:(fun () ->
+                             failed := true;
+                             wake ())
+                           ~segs:(page_segs t vpn frame) ~buf:t.slab
+                           ~on_complete:wake);
                      Trace.complete cat_swap ~name:"swap_out" ~track:trk_reclaim
                        ~t0 ();
-                     Sim.Stats.cincr t.hot.c_writebacks
+                     if not !failed then Sim.Stats.cincr t.hot.c_writebacks
+                     else if
+                       Vmem.Pte.tag (Vmem.Page_table.get t.pt vpn)
+                       = Vmem.Pte.Local
+                     then
+                       (* Nothing reached the memory node: re-dirty for
+                          the store that never happened. *)
+                       Vmem.Page_table.update t.pt vpn Vmem.Pte.set_dirty
                    end);
                   (* Check-then-act: the PTE re-read and the unmap it
                      justifies must see no fiber interleaving (the PR 4
@@ -220,7 +225,7 @@ let direct_or_offloaded t =
 
 let direct_reclaim t cs =
   Sim.Stats.cincr t.hot.c_direct_reclaims;
-  Sim.Stats.cadd t.hot.c_ph_reclaim Dilos.Params.fastswap_reclaim_direct_ns;
+  Dilos.Major_fault.reclaimed t.hot.mf Dilos.Params.fastswap_reclaim_direct_ns;
   Sim.Engine.sleep t.eng (Sim.Time.ns Dilos.Params.fastswap_reclaim_direct_ns);
   ignore (evict_one t ~qp:t.qps.((Dilos.Cpu.id cs)))
 
@@ -262,16 +267,6 @@ let ra_page_error t vpn e =
       Sim.Condvar.broadcast t.frames_avail
   | Some _ | None -> ());
   Sim.Condvar.broadcast t.io_done
-
-(* The one-page READ of [vpn]'s remote copy into [frame]. *)
-let page_segs t vpn frame =
-  [
-    {
-      Rdma.Qp.raddr = Vmem.Addr.base vpn;
-      loff = Vmem.Frame.offset t.frames frame;
-      len = Vmem.Addr.page_size;
-    };
-  ]
 
 let swapin_cluster t cs vpn_fault =
   (* Aligned cluster readahead: fetch the 8-page cluster containing
@@ -331,8 +326,7 @@ let map_from_cache t vpn entry =
 
 let rec major_fault t cs vpn refetches =
   let t_start = Sim.Engine.now t.eng in
-  Sim.Stats.cincr t.hot.c_major_faults;
-  Obs.Registry.cincr t.hot.ob_major_faults;
+  Dilos.Major_fault.count t.hot.mf;
   (* Swap-cache management: radix tree insertion, swap slot lookup,
      cgroup charging... *)
   Sim.Engine.sleep t.eng (Sim.Time.ns Dilos.Params.fastswap_swapcache_ns);
@@ -348,7 +342,7 @@ let rec major_fault t cs vpn refetches =
        the page in. Release our frame and retry through the normal
        dispatch. *)
     Vmem.Frame.free t.frames frame;
-    handle_fault_inner t cs vpn 0
+    fault t cs vpn 0
   end
   else begin
   let e = { Swap_cache.frame; io_inflight = true } in
@@ -356,11 +350,7 @@ let rec major_fault t cs vpn refetches =
   let fetch_t0 = Sim.Engine.now t.eng in
   let waiter = ref None in
   let failed = ref false in
-  (* Latency-attribution accumulator for this fault's demand fetch
-     (allocated only when --breakdown resolved the histograms). *)
-  let fa =
-    match t.hot.attr with None -> None | Some _ -> Some (Trace.fetch_attrib ())
-  in
+  let fa = Dilos.Major_fault.fetch_attrib t.hot.mf in
   Rdma.Qp.post_read
     ?fa
     ~on_error:(fun () ->
@@ -390,13 +380,13 @@ let rec major_fault t cs vpn refetches =
   if e.Swap_cache.io_inflight then
     Sim.Engine.suspend t.eng (fun wake -> waiter := Some wake);
   if !failed then begin
-    Sim.Stats.cincr t.hot.c_fetch_retries;
+    Dilos.Major_fault.retried t.hot.mf;
     (* Bounded re-fault: past the budget the page is declared lost
        (all replicas of its shard dead) rather than spinning. *)
     if refetches + 1 >= Dilos.Params.fault_refetch_max then
-      raise (Page_lost (Vmem.Addr.base vpn));
+      raise (Dilos.Cpu.Page_lost (Vmem.Addr.base vpn));
     Sim.Engine.sleep t.eng (Sim.Time.ns Dilos.Params.fault_refetch_delay_ns);
-    handle_fault_inner t cs vpn (refetches + 1)
+    fault t cs vpn (refetches + 1)
   end
   else begin
   let fetch_end = Sim.Engine.now t.eng in
@@ -407,12 +397,12 @@ let rec major_fault t cs vpn refetches =
   (match Swap_cache.find t.cache vpn with
   | Some e' when e' == e -> map_from_cache t vpn e
   | Some _ | None -> ());
-  let total_ns = Int64.to_int (Sim.Time.sub (Sim.Engine.now t.eng) t_start) in
-  Sim.Histogram.add t.hot.h_fault total_ns;
-  Sim.Histogram.add t.hot.obh_fault total_ns;
-  (match (t.hot.attr, fa) with
-  | Some attr, Some a -> Trace.Attr.record attr ~total_ns ~fetch:a
-  | (Some _ | None), _ -> ());
+  Dilos.Major_fault.record t.hot.mf
+    ~total_ns:(Int64.to_int (Sim.Time.sub (Sim.Engine.now t.eng) t_start))
+    ~alloc_ns:(Int.min alloc_spent Dilos.Params.fastswap_page_alloc_ns)
+    ~fetch_ns fa;
+  Sim.Stats.cadd t.hot.c_ph_swapcache Dilos.Params.fastswap_swapcache_ns;
+  Sim.Stats.cadd t.hot.c_ph_other Dilos.Params.fastswap_other_ns;
   if Trace.enabled cat_swap then begin
     let t_end = Sim.Engine.now t.eng in
     Trace.complete cat_swap ~name:"fetch_window" ~track:(Dilos.Cpu.track cs) ~t0:fetch_t0
@@ -420,28 +410,20 @@ let rec major_fault t cs vpn refetches =
     Trace.complete cat_swap ~name:"swap_in" ~track:(Dilos.Cpu.track cs) ~t0:t_start ~t1:t_end
       ~args:[ ("vpn", Trace.I vpn); ("fetch_ns", Trace.I fetch_ns) ]
       ()
-  end;
-  Sim.Stats.cadd t.hot.c_ph_exception 570;
-  Sim.Stats.cadd t.hot.c_ph_swapcache Dilos.Params.fastswap_swapcache_ns;
-  Sim.Stats.cadd t.hot.c_ph_alloc
-    (Int.min alloc_spent Dilos.Params.fastswap_page_alloc_ns);
-  Sim.Stats.cadd t.hot.c_ph_fetch fetch_ns;
-  Sim.Stats.cadd t.hot.c_ph_other Dilos.Params.fastswap_other_ns
+  end
   end
   end
 
-and handle_fault t cs vpn _pte_at_trap =
-  Sim.Engine.sleep t.eng Vmem.Mmu.exception_cost;
-  handle_fault_inner t cs vpn 0
-
-and handle_fault_inner t cs vpn refetches =
+(* The fault hook of [Dilos.Cpu] (with [refetches = 0]), run after
+   exception delivery. *)
+and fault t cs vpn refetches =
   let pte = Vmem.Page_table.get t.pt vpn in
   match Vmem.Pte.tag pte with
   | Vmem.Pte.Local -> ()
   | Vmem.Pte.Fetching | Vmem.Pte.Action -> assert false (* DiLOS-only tags *)
   | Vmem.Pte.Unmapped -> (
       match Vmem.Address_space.find t.aspace (Vmem.Addr.base vpn) with
-      | None -> raise (Segmentation_fault (Vmem.Addr.base vpn))
+      | None -> raise (Dilos.Cpu.Segmentation_fault (Vmem.Addr.base vpn))
       | Some _ ->
           let frame = alloc_frame_fault t cs in
           Sim.Engine.sleep t.eng (Sim.Time.ns Dilos.Params.fastswap_page_alloc_ns);
@@ -453,7 +435,7 @@ and handle_fault_inner t cs vpn refetches =
             Vmem.Frame.fill_page t.frames frame '\000';
             Vmem.Page_table.set t.pt vpn (Vmem.Pte.make_local ~frame ~writable:true);
             lru_push t vpn;
-            Sim.Stats.cincr t.hot.c_zero_fill
+            Dilos.Major_fault.zero_filled t.hot.mf
           end)
   | Vmem.Pte.Remote -> (
       match Swap_cache.find t.cache vpn with
@@ -463,7 +445,8 @@ and handle_fault_inner t cs vpn refetches =
           t.ra_window <- Int.min cluster (t.ra_window * 2);
           let t0 = Sim.Engine.now t.eng in
           Sim.Engine.sleep t.eng
-            (Sim.Time.ns (Dilos.Params.fastswap_minor_fault_ns - 570));
+            (Sim.Time.ns
+               (Dilos.Params.fastswap_minor_fault_ns - Vmem.Mmu.exception_ns));
           if e.Swap_cache.io_inflight then
             Sim.Condvar.wait_for t.io_done (fun () ->
                 not e.Swap_cache.io_inflight);
@@ -478,7 +461,8 @@ and handle_fault_inner t cs vpn refetches =
               ~args:[ ("vpn", Trace.I vpn) ]
               ();
           Sim.Histogram.add t.hot.h_minor_fault
-            (Int64.to_int (Sim.Time.sub (Sim.Engine.now t.eng) t0) + 570)
+            (Int64.to_int (Sim.Time.sub (Sim.Engine.now t.eng) t0)
+            + Vmem.Mmu.exception_ns)
       | None -> major_fault t cs vpn refetches)
 
 (* Dirtying a page that came back from swap releases its swap slot
@@ -489,25 +473,6 @@ let charge_dirtying t cs vpn =
     Sim.Int_table.remove t.swap_backed vpn;
     Dilos.Cpu.charge cs Dilos.Params.fastswap_dirty_write_ns
   end
-
-(* The slow path of [Dilos.Cpu]: flush, walk the page table (faulting
-   the page in as often as it takes), cache the translation; a store
-   then pays for dirtying a swap-backed page. *)
-let fill t cs vpn ~write =
-  Dilos.Cpu.flush cs;
-  let rec loop () =
-    match Vmem.Mmu.access t.pt ~vpn ~write with
-    | Vmem.Mmu.Frame f ->
-        let off = Vmem.Frame.offset t.frames f in
-        Dilos.Cpu.install cs vpn ~off ~write;
-        off
-    | Vmem.Mmu.Fault pte ->
-        handle_fault t cs vpn pte;
-        loop ()
-  in
-  let off = loop () in
-  if write then charge_dirtying t cs vpn;
-  off
 
 let boot ~eng ~server (cfg : config) =
   if cfg.cores <= 0 then invalid_arg "Fastswap.boot: cores <= 0";
@@ -520,33 +485,17 @@ let boot ~eng ~server (cfg : config) =
   let total = Vmem.Frame.total frames in
   let hot =
     {
-      c_major_faults = Sim.Stats.counter stats "major_faults";
+      mf = Dilos.Major_fault.create ~system:"fastswap" stats;
       c_minor_faults = Sim.Stats.counter stats "minor_faults";
       c_evictions = Sim.Stats.counter stats "evictions";
       c_writebacks = Sim.Stats.counter stats "writebacks";
       c_ra_dropped = Sim.Stats.counter stats "ra_dropped";
       c_ra_aborted = Sim.Stats.counter stats "ra_aborted";
       c_readahead_pages = Sim.Stats.counter stats "readahead_pages";
-      c_fetch_retries = Sim.Stats.counter stats "fault_fetch_retries";
       c_direct_reclaims = Sim.Stats.counter stats "direct_reclaims";
-      c_zero_fill = Sim.Stats.counter stats "zero_fill_faults";
-      c_ph_exception = Sim.Stats.counter stats "ph_exception_ns";
       c_ph_swapcache = Sim.Stats.counter stats "ph_swapcache_ns";
-      c_ph_alloc = Sim.Stats.counter stats "ph_alloc_ns";
-      c_ph_fetch = Sim.Stats.counter stats "ph_fetch_ns";
       c_ph_other = Sim.Stats.counter stats "ph_other_ns";
-      c_ph_reclaim = Sim.Stats.counter stats "ph_reclaim_ns";
-      h_fault = Sim.Stats.histogram stats "fault_ns";
       h_minor_fault = Sim.Stats.histogram stats "minor_fault_ns";
-      ob_major_faults =
-        Obs.Registry.counter ~name:"kernel_major_faults"
-          ~labels:[ ("system", "fastswap") ]
-          ();
-      obh_fault =
-        Obs.Registry.histogram ~name:"kernel_fault_ns"
-          ~labels:[ ("system", "fastswap") ]
-          ();
-      attr = Trace.Attr.create stats;
     }
   in
   let t =
@@ -581,8 +530,8 @@ let boot ~eng ~server (cfg : config) =
   in
   t.cpus <-
     Array.init cfg.cores
-      (Dilos.Cpu.create ~eng ~pt:t.pt ~slab:t.slab ~fill:(fill t)
-         ~first_store:(charge_dirtying t));
+      (Dilos.Cpu.create ~eng ~pt:t.pt ~frames ~fault:(fun cs vpn -> fault t cs vpn 0)
+         ~dirtied:(charge_dirtying t) ~first_store:(charge_dirtying t));
   Sim.Engine.spawn eng ~name:"fastswap.offload" (offload_fiber t);
   t
 

@@ -9,7 +9,9 @@
     direct reclaim inside the fault handler (paper Fig. 1). All paging
     traffic for a core shares one RDMA queue, so readahead and
     write-back block demand fetches (the head-of-line blocking §4.5
-    avoids). *)
+    avoids). A swap-out that fails for good (every replica of the
+    page's shard dead) leaves the page dirty and resident; a demand
+    fetch that keeps failing raises {!Dilos.Cpu.Page_lost}. *)
 
 type config = {
   local_mem_bytes : int;
@@ -20,12 +22,6 @@ type config = {
 val default_config : config
 
 type t
-
-exception Segmentation_fault of int64
-
-exception Page_lost of int64
-(** Same contract as {!Dilos.Kernel.Page_lost}: the demand fetch
-    failed {!Dilos.Params.fault_refetch_max} consecutive times. *)
 
 val boot : eng:Sim.Engine.t -> server:Memnode.Server.t -> config -> t
 val shutdown : t -> unit
@@ -44,9 +40,11 @@ val malloc : t -> core:int -> int -> int64
 val free : t -> core:int -> int64 -> unit
 
 val cpu : t -> core:int -> Dilos.Cpu.t
-(** The core's access path: {!Dilos.Cpu}, the hit path shared with
-    DiLOS, with this kernel's swap path as its slow path. Raises
-    [Invalid_argument] on a bad core. *)
+(** The core's access path: {!Dilos.Cpu}, the hit and fault path
+    shared with DiLOS, with this kernel's swap path as its fault
+    handler (raising {!Dilos.Cpu.Segmentation_fault} and
+    {!Dilos.Cpu.Page_lost}). Raises [Invalid_argument] on a bad
+    core. *)
 
 include Dilos.Cpu.ACCESSORS with type k := t
 

@@ -45,6 +45,7 @@ let hot_modules =
   [
     "core/cpu.ml";
     "core/kernel.ml";
+    "core/major_fault.ml";
     "core/page_manager.ml";
     "fastswap/kernel.ml";
     "aifm/runtime.ml";

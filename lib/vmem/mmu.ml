@@ -12,4 +12,5 @@ let access pt ~vpn ~write =
   | Pte.Unmapped | Pte.Remote | Pte.Fetching | Pte.Action -> Fault pte
 
 let probe pt ~vpn = Page_table.get pt vpn
-let exception_cost = Sim.Time.ns 570
+let exception_ns = 570
+let exception_cost = Sim.Time.ns exception_ns

@@ -22,3 +22,6 @@ val exception_cost : Sim.Time.t
 (** Hardware exception delivery + mode switch into the fault handler:
     0.57 us (paper §3.1, "hardware exception delay + OS exception
     handler ... 9% (0.57 us)"). *)
+
+val exception_ns : int
+(** {!exception_cost} in nanoseconds. *)

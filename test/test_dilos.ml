@@ -61,7 +61,7 @@ let segfault_on_unmapped () =
       try
         ignore (Dilos.Kernel.read_u64 k ~core:0 0xDEAD000L);
         Alcotest.fail "expected segfault"
-      with Dilos.Kernel.Segmentation_fault _ -> ())
+      with Dilos.Cpu.Segmentation_fault _ -> ())
 
 let zero_fill_reads_zero () =
   with_dilos (fun _eng k ->

@@ -14,8 +14,8 @@ module H = Apps.Harness
 let dilos = H.Dilos Dilos.Kernel.Readahead
 
 (* 2 MiB working set over 256 KiB of local DRAM. *)
-let seq_drill ?seed ?replication ?shards ?recover_after () =
-  D.run ~system:dilos ~app:D.Seq ~scale:512 ~local_mem:(256 * 1024) ?seed
+let seq_drill ?(system = dilos) ?seed ?replication ?shards ?recover_after () =
+  D.run ~system ~app:D.Seq ~scale:512 ~local_mem:(256 * 1024) ?seed
     ?replication ?shards ?recover_after ()
 
 let kill_fraction_is_seeded_and_bounded () =
@@ -67,8 +67,7 @@ let redis_drill_is_bit_identical () =
     (D.run ~system:dilos ~app:D.Redis ~scale:4_000 ~local_mem:(256 * 1024) ())
 
 let fastswap_drill_is_bit_identical () =
-  assert_matched "fastswap"
-    (D.run ~system:H.Fastswap ~app:D.Seq ~scale:512 ~local_mem:(256 * 1024) ())
+  assert_matched "fastswap" (seq_drill ~system:H.Fastswap ())
 
 let same_seed_json_is_byte_identical () =
   let a = seq_drill ~seed:1234 ~recover_after:(Sim.Time.us 300) () in
@@ -91,12 +90,16 @@ let different_seed_moves_the_kill () =
   assert_matched "seed 2" b
 
 let rf1_kill_loses_the_page () =
-  match seq_drill ~replication:1 ~shards:2 () with
-  | exception Dilos.Kernel.Page_lost _ -> ()
-  | r ->
-      Alcotest.failf
-        "RF=1 drill should raise Page_lost, produced a result (match=%b)"
-        r.D.r_match
+  List.iter
+    (fun system ->
+      match seq_drill ~system ~replication:1 ~shards:2 () with
+      | exception Dilos.Cpu.Page_lost _ -> ()
+      | r ->
+          Alcotest.failf
+            "%s: RF=1 drill should raise Page_lost, produced a result \
+             (match=%b)"
+            (H.system_name system) r.D.r_match)
+    [ dilos; H.Fastswap ]
 
 let suite =
   [

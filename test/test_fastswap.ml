@@ -154,7 +154,7 @@ let segfault () =
       try
         ignore (Fastswap.Kernel.read_u64 k ~core:0 0xBAD000L);
         Alcotest.fail "expected segfault"
-      with Fastswap.Kernel.Segmentation_fault _ -> ())
+      with Dilos.Cpu.Segmentation_fault _ -> ())
 
 let suite =
   [
