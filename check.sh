@@ -67,6 +67,20 @@ dune exec bin/dilos_sim.exe -- report --seed 42 \
 cmp obs_report.json obs_repeat.json
 rm -f obs_repeat.json
 
+echo "== serving smoke"
+# A short open-loop serve sweep spanning the saturation knee, run
+# twice: the JSON report must be byte-identical across runs (the
+# determinism contract). The first run's report is kept as
+# serve_report.json.
+dune exec bin/dilos_sim.exe -- serve \
+  --arrival-rate 100000,50000000 --zipf 0.99 --keys 1024 \
+  --requests 2000 --local-mb 2 --json serve_report.json > /dev/null
+dune exec bin/dilos_sim.exe -- serve \
+  --arrival-rate 100000,50000000 --zipf 0.99 --keys 1024 \
+  --requests 2000 --local-mb 2 --json serve_repeat.json > /dev/null
+cmp serve_report.json serve_repeat.json
+rm -f serve_repeat.json
+
 echo "== perfbench correctness smoke"
 # One short run per perfbench workload: run.py exits non-zero unless the
 # default-seed simulated outputs equal perfbench/expected.json.

@@ -78,34 +78,64 @@ let lru_push t oid ci =
 let high_water t = t.cfg.local_mem_bytes
 let low_water t = t.cfg.local_mem_bytes * 9 / 10
 
-let rec evacuate_one t =
-  match Queue.take_opt t.lru with
-  | None -> false
-  | Some (oid, ci) -> (
-      Hashtbl.remove t.queued (oid, ci);
-      match Hashtbl.find_opt t.objects oid with
-      | None -> evacuate_one t (* freed *)
-      | Some o -> (
-          let c = o.chunks.(ci) in
-          match c.data with
-          | CRemote | CFetching _ -> evacuate_one t
-          | CLocal b ->
-              if c.hot then begin
-                c.hot <- false;
-                lru_push t oid ci;
-                evacuate_one t
-              end
-              else begin
-                if c.dirty then begin
-                  Rdma.Qp.write t.evac_qp ~raddr:c.craddr ~buf:b ~off:0 ~len:c.len;
-                  c.dirty <- false;
-                  Sim.Stats.cincr t.hot.c_writebacks
-                end;
-                c.data <- CRemote;
-                t.used <- t.used - c.len;
-                Sim.Stats.cincr t.hot.c_evictions;
-                true
-              end))
+(* Synchronous chunk store; true when the memory node now holds the
+   chunk's current bytes. Dirty is cleared before the WRITE snapshots
+   the chunk, so a store into it while the WRITE is on the wire
+   re-dirties it and is noticed here instead of lost. A failed WRITE
+   (every replica of the chunk's shard dead, or the wire's retry
+   budget spent) reaches nothing: re-dirty for the store that never
+   happened. *)
+let write_back t c b =
+  c.dirty <- false;
+  let failed = ref false in
+  Sim.Engine.suspend t.eng (fun wake ->
+      Rdma.Qp.post_write t.evac_qp
+        ~on_error:(fun () ->
+          failed := true;
+          wake ())
+        ~segs:[ { Rdma.Qp.raddr = c.craddr; loff = 0; len = c.len } ]
+        ~buf:b ~on_complete:wake);
+  if !failed then c.dirty <- true else Sim.Stats.cincr t.hot.c_writebacks;
+  not c.dirty
+
+(* [budget] bounds the scan to one pass over the LRU plus one pop — a
+   second-chance pass clears every hot bit within it — so chunks whose
+   store fails cannot spin it. *)
+let rec evacuate_one t ~budget =
+  if budget <= 0 then false
+  else
+    match Queue.take_opt t.lru with
+    | None -> false
+    | Some (oid, ci) -> (
+        Hashtbl.remove t.queued (oid, ci);
+        match Hashtbl.find_opt t.objects oid with
+        | None -> evacuate_one t ~budget:(budget - 1) (* freed *)
+        | Some o -> (
+            let c = o.chunks.(ci) in
+            match c.data with
+            | CRemote | CFetching _ -> evacuate_one t ~budget:(budget - 1)
+            | CLocal b ->
+                if c.hot then begin
+                  c.hot <- false;
+                  lru_push t oid ci;
+                  evacuate_one t ~budget:(budget - 1)
+                end
+                else if c.dirty && not (write_back t c b) then begin
+                  (* As Fastswap's evict_one: the remote copy is stale
+                     (the store failed, or the chunk was written while
+                     it was on the wire), so keep the chunk resident
+                     and move on. *)
+                  lru_push t oid ci;
+                  evacuate_one t ~budget:(budget - 1)
+                end
+                else begin
+                  c.data <- CRemote;
+                  t.used <- t.used - c.len;
+                  Sim.Stats.cincr t.hot.c_evictions;
+                  true
+                end))
+
+let evacuate_one t = evacuate_one t ~budget:(Queue.length t.lru + 1)
 
 let evacuator_fiber t () =
   while t.running do
@@ -253,6 +283,15 @@ let install t o ci buf =
   | CLocal _ -> ());
   if t.used > high_water t then Sim.Condvar.broadcast t.evac_work
 
+(* A fetch that failed permanently: back to [CRemote], and everyone
+   parked on it re-dispatches (and re-faults). *)
+let abandon_fetch c =
+  match c.data with
+  | CFetching waiters ->
+      c.data <- CRemote;
+      List.iter (fun wake -> wake ()) !waiters
+  | CLocal _ | CRemote -> ()
+
 let issue_prefetch t o ci =
   if ci < Array.length o.chunks then begin
     let c = o.chunks.(ci) in
@@ -266,6 +305,7 @@ let issue_prefetch t o ci =
         t.prefetch_rr <- (t.prefetch_rr + 1) mod Array.length t.prefetch_qps;
         Sim.Stats.cincr t.hot.c_prefetch_issued;
         Rdma.Qp.post_read qp
+          ~on_error:(fun () -> abandon_fetch c)
           ~segs:[ { Rdma.Qp.raddr = c.craddr; loff = 0; len = c.len } ]
           ~buf
           ~on_complete:(fun () -> install t o ci buf)
@@ -279,6 +319,39 @@ let stream_detect t o ci =
     for i = ci + 1 to ci + t.cfg.prefetch_window do
       issue_prefetch t o i
     done
+
+(* Demand READ of a chunk already marked [CFetching], as Fastswap's
+   major fault: a permanent failure abandons the fetch and re-fetches
+   after a delay, and past [fault_refetch_max] attempts the chunk is
+   declared lost — the run ends with [Page_lost], not an escaped
+   [Rdma.Qp.Unreachable]. *)
+let rec demand_fetch t o ci refetches =
+  let c = o.chunks.(ci) in
+  let buf = Sim.Bigbuf.create c.len in
+  let failed = ref false in
+  Sim.Engine.suspend t.eng (fun wake ->
+      Rdma.Qp.post_read t.deref_qp
+        ~on_error:(fun () ->
+          failed := true;
+          wake ())
+        ~segs:[ { Rdma.Qp.raddr = c.craddr; loff = 0; len = c.len } ]
+        ~buf ~on_complete:wake);
+  if not !failed then install t o ci buf
+  else begin
+    abandon_fetch c;
+    if refetches + 1 >= Dilos.Params.fault_refetch_max then
+      raise
+        (Dilos.Cpu.Page_lost
+           (Int64.add (handle_of o.oid) (Int64.of_int (ci * chunk_size))));
+    Sim.Engine.sleep t.eng (Sim.Time.ns Dilos.Params.fault_refetch_delay_ns);
+    (* Another fiber may have fetched it meanwhile; the caller
+       re-dispatches on whatever state the chunk is in. *)
+    match c.data with
+    | CRemote ->
+        c.data <- CFetching (ref []);
+        demand_fetch t o ci (refetches + 1)
+    | CLocal _ | CFetching _ -> ()
+  end
 
 (* Returns the chunk's local bytes, fetching on a miss. *)
 let rec chunk_bytes t o ci ~write =
@@ -310,12 +383,9 @@ let rec chunk_bytes t o ci ~write =
       Sim.Stats.cincr t.hot.c_object_misses;
       Obs.Registry.cincr t.hot.ob_major_faults;
       Sim.Engine.sleep t.eng (Sim.Time.ns Dilos.Params.aifm_object_fault_sw_ns);
-      let waiters = ref [] in
-      c.data <- CFetching waiters;
-      let buf = Sim.Bigbuf.create c.len in
+      c.data <- CFetching (ref []);
       stream_detect t o ci;
-      Rdma.Qp.read t.deref_qp ~raddr:c.craddr ~buf ~off:0 ~len:c.len;
-      install t o ci buf;
+      demand_fetch t o ci 0;
       chunk_bytes t o ci ~write
 
 (* Whole-chunk overwrite: no need to fetch the stale remote copy

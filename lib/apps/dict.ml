@@ -70,7 +70,7 @@ let insert t ~key ~value =
       let boff = bucket_off t key in
       let head = t.mem.Memif.read_u64_at t.buckets boff in
       let e = t.mem.Memif.malloc entry_size in
-      let kaddr = Sds.create t.mem key in
+      let kaddr = Sds.create t.mem key ~len:(Bytes.length key) in
       t.mem.Memif.write_u64_at e 0 head;
       t.mem.Memif.write_u64_at e 8 kaddr;
       t.mem.Memif.write_u64_at e 16 value;

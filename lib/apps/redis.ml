@@ -42,14 +42,14 @@ let robj_free t o =
   | _ -> invalid_arg "Redis: corrupt robj");
   t.m.Memif.free o
 
-let set t ~key ~value =
+let set t ~key ~value ~len =
   (match Dict.find t.dict key with
   | Some old -> robj_free t old
   | None -> ());
-  let sds = Sds.create t.m value in
+  let sds = Sds.create t.m value ~len in
   Dict.insert t.dict ~key ~value:(robj_create t type_string sds)
 
-let get t key =
+let get t key reply =
   match Dict.find t.dict key with
   | None -> None
   | Some o ->
@@ -59,7 +59,7 @@ let get t key =
         (* Hook point: the guide learns the SDS address before the
            value bytes are touched. *)
         t.fire hook_get_sds sds;
-        Some (Sds.get t.m sds)
+        Some (Sds.get t.m sds reply)
       end
 
 let del t key =

@@ -13,8 +13,18 @@ type t
 val create : Harness.ctx -> keyspace_hint:int -> t
 val mem : t -> Memif.t
 
-val set : t -> key:bytes -> value:bytes -> unit
-val get : t -> bytes -> bytes option
+val set : t -> key:bytes -> value:bytes -> len:int -> unit
+(** Store the first [len] bytes of [value] under [key], replacing any
+    previous value. *)
+
+val get : t -> bytes -> bytes ref -> int option
+(** [get t key reply] copies [key]'s string value into the
+    caller-owned [reply] buffer (grown when the value does not fit; see
+    {!Sds.get}) and returns its length — [None] when [key] is missing
+    or not a string. Like Redis's per-client output buffer, one
+    [reply] serves every GET of its owner, so a GET allocates nothing
+    once the buffer has reached the largest value. *)
+
 val del : t -> bytes -> bool
 val rpush : t -> key:bytes -> bytes -> unit
 val lrange : t -> key:bytes -> count:int -> bytes list

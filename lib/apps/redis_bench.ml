@@ -6,6 +6,10 @@ let sample_size rng = function
   | Fixed n -> n
   | Fb_mixed -> Sim.Rng.pick rng fb_sizes
 
+let max_size = function
+  | Fixed n -> n
+  | Fb_mixed -> Array.fold_left Int.max 0 fb_sizes
+
 (* Closed-loop benches measure the time a request spends being served
    (issue -> completion); an open-loop driver measures the time from
    the request's INTENDED arrival instant to completion, which
@@ -64,8 +68,7 @@ let sentinel ~index ~off =
     (Int64.mul (Int64.of_int index) 0x9E3779B97F4A7C15L)
     (Int64.of_int off)
 
-let fill_value v ~index =
-  let n = Bytes.length v in
+let fill_value v ~len:n ~index =
   Bytes.fill v 0 n (Char.chr (index land 0x7F));
   let off = ref 0 in
   while !off + 8 <= n do
@@ -73,8 +76,7 @@ let fill_value v ~index =
     off := !off + page_bytes
   done
 
-let verify_value v ~index =
-  let n = Bytes.length v in
+let verify_value v ~len:n ~index =
   let ok = ref true in
   let off = ref 0 in
   while !ok && !off + 8 <= n do
@@ -90,20 +92,21 @@ let run_get (ctx : Harness.ctx) ~keys ~size ~queries ~seed =
   let rds = Redis.create ctx ~keyspace_hint:keys in
   let m = Redis.mem rds in
   let rng = Sim.Rng.create seed in
+  let v = Bytes.create (max_size size) in
   for i = 0 to keys - 1 do
     let n = sample_size rng size in
-    let v = Bytes.create n in
-    fill_value v ~index:i;
-    Redis.set rds ~key:(key_of i) ~value:v
+    fill_value v ~len:n ~index:i;
+    Redis.set rds ~key:(key_of i) ~value:v ~len:n
   done;
   m.Memif.flush ();
   let h = Sim.Histogram.create () in
+  let reply = ref (Bytes.create page_bytes) in
   let t0 = m.Memif.now () in
   for _ = 1 to queries do
     let i = Sim.Rng.int rng keys in
     let r0 = m.Memif.now () in
-    (match Redis.get rds (key_of i) with
-    | Some v -> assert (verify_value v ~index:i)
+    (match Redis.get rds (key_of i) reply with
+    | Some n -> assert (verify_value !reply ~len:n ~index:i)
     | None -> assert false);
     m.Memif.flush ();
     Sim.Histogram.add h (Int64.to_int (Sim.Time.sub (m.Memif.now ()) r0))
@@ -154,8 +157,8 @@ let run_del_get_bandwidth (ctx : Harness.ctx) ~keys ~value_bytes ~del_fraction
   let rng = Sim.Rng.create seed in
   let v = Bytes.create value_bytes in
   for i = 0 to keys - 1 do
-    fill_value v ~index:i;
-    Redis.set rds ~key:(key_of i) ~value:v
+    fill_value v ~len:value_bytes ~index:i;
+    Redis.set rds ~key:(key_of i) ~value:v ~len:value_bytes
   done;
   m.Memif.flush ();
   let bw = ctx.Harness.bw in
@@ -180,11 +183,12 @@ let run_del_get_bandwidth (ctx : Harness.ctx) ~keys ~value_bytes ~del_fraction
   (* GET phase: read back every survivor (random order). *)
   let order = Array.init keys Fun.id in
   Sim.Rng.shuffle rng order;
+  let reply = ref (Bytes.create value_bytes) in
   Array.iter
     (fun i ->
       if alive.(i) then
-        match Redis.get rds (key_of i) with
-        | Some b -> assert (verify_value b ~index:i)
+        match Redis.get rds (key_of i) reply with
+        | Some n -> assert (verify_value !reply ~len:n ~index:i)
         | None -> assert false)
     order;
   m.Memif.flush ();

@@ -41,14 +41,15 @@ val result_of_hist :
 (** Summarise a latency histogram. Guards the zero-requests /
     zero-duration cases with [throughput_rps = 0.]. *)
 
-val fill_value : bytes -> index:int -> unit
-(** Fill with the key's pattern byte and write a deterministic
-    sentinel (a function of [index] and the offset) at every page
-    boundary, so every page of a multi-page value is independently
-    checkable. *)
+val fill_value : bytes -> len:int -> index:int -> unit
+(** Fill the first [len] bytes with the key's pattern byte and write a
+    deterministic sentinel (a function of [index] and the offset) at
+    every page boundary, so every page of a multi-page value is
+    independently checkable. *)
 
-val verify_value : bytes -> index:int -> bool
-(** Check every page-boundary sentinel written by {!fill_value}. *)
+val verify_value : bytes -> len:int -> index:int -> bool
+(** Check every page-boundary sentinel {!fill_value} wrote into the
+    first [len] bytes. *)
 
 val key_of : int -> bytes
 (** The canonical benchmark key for index [i] ("key:%010d"), shared

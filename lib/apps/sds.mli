@@ -10,13 +10,20 @@
 val header_size : int
 (** 8 bytes. *)
 
-val create : Memif.t -> bytes -> int64
-(** Allocate and fill; returns the SDS base address. *)
+val create : Memif.t -> bytes -> len:int -> int64
+(** [create mem src ~len] allocates an SDS holding the first [len]
+    bytes of [src]; returns its base address. *)
 
 val len : Memif.t -> int64 -> int
 val data_addr : int64 -> int64
-val get : Memif.t -> int64 -> bytes
-(** Read the whole string (header + payload traffic). *)
+
+val get : Memif.t -> int64 -> bytes ref -> int
+(** [get mem base buf] reads the whole string (header + payload
+    traffic) into the caller-owned [!buf] and returns its length [n].
+    When the payload does not fit, [!buf] is first replaced by a
+    buffer of exactly [n] bytes; bytes of [!buf] past [n] keep stale
+    contents. The caller reuses one [buf] across reads, as Redis
+    reuses a client's output buffer. *)
 
 val total_size : int -> int
 (** Allocation footprint of a payload of the given length. *)

@@ -50,6 +50,9 @@ type result = {
   phases : phase list;
 }
 
+(* Redis's per-client static reply buffer (PROTO_REPLY_CHUNK_BYTES). *)
+let reply_buffer_bytes = 16 * 1024
+
 type pending = {
   intended : Sim.Time.t;  (** absolute intended arrival instant *)
   key : int;
@@ -68,17 +71,23 @@ let run (ctx : Harness.ctx) cfg =
   let rds = Redis.create ctx ~keyspace_hint:scfg.W.Stream.keys in
   let m = Redis.mem rds in
   (* Populate the whole keyspace so GETs always hit; values carry
-     page-boundary sentinels and are fully verified on every GET. *)
+     page-boundary sentinels and are fully verified on every GET. One
+     value buffer, sized for the largest value, is refilled per key. *)
+  let max_vsize =
+    match scfg.W.Stream.value_size with
+    | W.Stream.Fixed n -> n
+    | W.Stream.Fb_mixed -> Array.fold_left Int.max 0 W.Stream.fb_sizes
+  in
   let pop_rng = Sim.Rng.create (scfg.W.Stream.seed + 1) in
+  let value = Bytes.create max_vsize in
   for i = 0 to scfg.W.Stream.keys - 1 do
     let n =
       match scfg.W.Stream.value_size with
       | W.Stream.Fixed n -> n
       | W.Stream.Fb_mixed -> Sim.Rng.pick pop_rng W.Stream.fb_sizes
     in
-    let v = Bytes.create n in
-    Redis_bench.fill_value v ~index:i;
-    Redis.set rds ~key:(Redis_bench.key_of i) ~value:v
+    Redis_bench.fill_value value ~len:n ~index:i;
+    Redis.set rds ~key:(Redis_bench.key_of i) ~value ~len:n
   done;
   m.Memif.flush ();
   (* Serving state. *)
@@ -161,8 +170,15 @@ let run (ctx : Harness.ctx) cfg =
       done;
       closed := true;
       Sim.Condvar.broadcast cv);
-  (* Workers: drain until the generator closes and the queue is dry. *)
+  (* Workers: drain until the generator closes and the queue is dry.
+     Each owns its buffers, as a Redis client connection does: a
+     request buffer its SETs are filled into (a SET may fault and
+     yield mid-write, so workers cannot share one) and a reply buffer
+     its GETs read into. The reply buffer starts at Redis's 16 KiB
+     per-client output buffer and grows to the largest value read. *)
   for _ = 1 to cfg.workers do
+    let value = Bytes.create max_vsize in
+    let reply = ref (Bytes.create reply_buffer_bytes) in
     Sim.Engine.spawn eng ~name:"serve-worker" (fun () ->
         let rec loop () =
           Sim.Condvar.wait_for cv (fun () ->
@@ -180,15 +196,16 @@ let run (ctx : Harness.ctx) cfg =
             | W.Stream.Get -> (
                 incr gets;
                 Obs.Registry.cincr ob_gets;
-                match Redis.get rds (Redis_bench.key_of p.key) with
-                | Some v -> assert (Redis_bench.verify_value v ~index:p.key)
+                match Redis.get rds (Redis_bench.key_of p.key) reply with
+                | Some n ->
+                    assert (Redis_bench.verify_value !reply ~len:n ~index:p.key)
                 | None -> assert false)
             | W.Stream.Set ->
                 incr sets;
                 Obs.Registry.cincr ob_sets;
-                let v = Bytes.create p.vsize in
-                Redis_bench.fill_value v ~index:p.key;
-                Redis.set rds ~key:(Redis_bench.key_of p.key) ~value:v);
+                Redis_bench.fill_value value ~len:p.vsize ~index:p.key;
+                Redis.set rds ~key:(Redis_bench.key_of p.key) ~value
+                  ~len:p.vsize);
             m.Memif.flush ();
             (* Release and wakeup form one region: a yield between them
                would let a waiter re-check [busy] before the broadcast

@@ -147,9 +147,6 @@ and tick m =
   if m.running then begin
     let cur = Sim.Stats.snapshot m.stats in
     let deltas = Sim.Stats.diff ~base:m.prev cur in
-    let gauges =
-      match m.registry with Some r -> Registry.gauge_values r | None -> []
-    in
     let lookup xs n =
       match List.assoc_opt n xs with Some v -> v | None -> 0
     in
@@ -160,8 +157,9 @@ and tick m =
         v_deltas = deltas;
         v_total = lookup cur;
         v_gauge =
-          (fun fam ->
-            match List.assoc_opt fam gauges with Some s -> s | None -> []);
+          (match m.registry with
+          | Some r -> Registry.gauge_series r
+          | None -> fun _ -> []);
       }
     in
     let now_active = ref [] in

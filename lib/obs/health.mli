@@ -45,7 +45,9 @@ type view = {
   v_total : string -> int;  (** cumulative counter value *)
   v_gauge : string -> (string * int) list;
       (** gauge family → per-series (label-string, value); [[]] when
-          the family does not exist *)
+          the family does not exist. Reads only that family
+          ({!Registry.gauge_series}), evaluating its probes on each
+          call. *)
 }
 
 type firing = {

@@ -1,11 +1,11 @@
 (* Labeled metric registry. See registry.mli for the model.
 
-   Storage is plain assoc lists: registration happens at boot (a few
-   dozen families, a few series each), reporting happens once at the
-   end of a run, and the hot path never touches the table — it holds a
-   resolved cell. Lists keep the implementation free of Hashtbl
-   iteration-order hazards by construction; every reporting view sorts
-   explicitly anyway. *)
+   Storage is plain lists: registration happens at boot (a few dozen
+   families, a few series each), reporting happens once at the end of
+   a run or, for one gauge family at a time, per health tick, and the
+   hot path never touches the table — it holds a resolved cell. Lists
+   keep the implementation free of Hashtbl iteration-order hazards by
+   construction; every reporting view sorts explicitly anyway. *)
 
 type mtype = Counter | Gauge | Histogram
 
@@ -14,11 +14,20 @@ type cell =
   | Cprobe of (unit -> int)
   | Chist of Sim.Histogram.t
 
+type entry = {
+  e_labels : (string * string) list;  (* sorted by label name *)
+  e_rendered : string Lazy.t;
+      (* [label_string e_labels], rendered on the first health tick
+         that reads it — not at boot, where most series are counters
+         nobody renders this way *)
+  e_cell : cell;
+}
+
 type fam = {
   fam_name : string;
   fam_help : string;
   fam_type : mtype;
-  mutable fam_series : ((string * string) list * cell) list;
+  mutable fam_series : entry list;
 }
 
 type t = { mutable fams : fam list }
@@ -40,6 +49,10 @@ let compare_labels a b =
     (fun (ka, va) (kb, vb) ->
       match String.compare ka kb with 0 -> String.compare va vb | c -> c)
     a b
+
+let label_string ls =
+  String.concat ","
+    (List.map (fun (k, v) -> Printf.sprintf "%s=%S" k v) ls)
 
 (* ------------------------------------------------------------------ *)
 (* Resolution *)
@@ -68,11 +81,14 @@ let resolve t ~name ~help ~labels ~mtype ~(make : unit -> cell) : cell =
         t.fams <- f :: t.fams;
         f
   in
-  match List.find_opt (fun (ls, _) -> compare_labels ls labels = 0) f.fam_series with
-  | Some (_, c) -> c
+  match List.find_opt (fun e -> compare_labels e.e_labels labels = 0) f.fam_series with
+  | Some e -> e.e_cell
   | None ->
       let c = make () in
-      f.fam_series <- (labels, c) :: f.fam_series;
+      let e =
+        { e_labels = labels; e_rendered = lazy (label_string labels); e_cell = c }
+      in
+      f.fam_series <- e :: f.fam_series;
       c
 
 (* Shared sinks for the not-installed case: handles resolved with no
@@ -143,40 +159,36 @@ type family = {
   f_series : series list;
 }
 
+let cell_value = function
+  | Cint r -> V !r
+  | Cprobe p -> V (p ())
+  | Chist h -> H h
+
+let sorted_series f =
+  List.sort (fun a b -> compare_labels a.e_labels b.e_labels) f.fam_series
+
+(* Every family holds at least the series whose resolution created it. *)
 let families t =
-  List.filter_map
+  List.map
     (fun f ->
-      let series =
-        List.sort (fun (a, _) (b, _) -> compare_labels a b) f.fam_series
-        |> List.map (fun (ls, c) ->
-               {
-                 s_labels = ls;
-                 s_value =
-                   (fun () ->
-                     match c with
-                     | Cint r -> V !r
-                     | Cprobe p -> V (p ())
-                     | Chist h -> H h);
-               })
-      in
-      if series = [] then None
-      else Some { f_name = f.fam_name; f_help = f.fam_help; f_type = f.fam_type; f_series = series })
+      {
+        f_name = f.fam_name;
+        f_help = f.fam_help;
+        f_type = f.fam_type;
+        f_series =
+          List.map
+            (fun e ->
+              { s_labels = e.e_labels; s_value = (fun () -> cell_value e.e_cell) })
+            (sorted_series f);
+      })
     (List.sort (fun a b -> String.compare a.fam_name b.fam_name) t.fams)
 
-let label_string ls =
-  String.concat ","
-    (List.map (fun (k, v) -> Printf.sprintf "%s=%S" k v) ls)
-
-let gauge_values t =
-  List.filter_map
-    (fun f ->
-      if f.f_type <> Gauge then None
-      else
-        Some
-          ( f.f_name,
-            List.map
-              (fun s ->
-                let v = match s.s_value () with V v -> v | H _ -> 0 in
-                (label_string s.s_labels, v))
-              f.f_series ))
-    (families t)
+let gauge_series t name =
+  match find_fam t name with
+  | Some f when f.fam_type = Gauge ->
+      List.map
+        (fun e ->
+          ( Lazy.force e.e_rendered,
+            match cell_value e.e_cell with V v -> v | H _ -> 0 ))
+        (sorted_series f)
+  | Some _ | None -> []

@@ -100,8 +100,11 @@ val families : t -> family list
 (** Sorted by family name; series sorted by label values. Byte-stable:
     independent of registration order. *)
 
-val gauge_values : t -> (string * (string * int) list) list
-(** All gauge families as [(family, [(label-string, value)])] — the
-    health monitors' per-tick sampling view. Label-string is the
-    rendered label set (["shard=\"1\""]), "" for the empty set. Sorted
-    like {!families}. *)
+val gauge_series : t -> string -> (string * int) list
+(** [gauge_series t name] is gauge family [name]'s series as
+    [(label-string, value)], sorted like {!families}, probes evaluated
+    now — the health monitors' per-tick sampling view. Label-string is
+    the rendered label set (["shard=\"1\""]), "" for the empty set.
+    [[]] when [name] is not a gauge family. Costs one family lookup
+    and a sort of that family's series; each label set is rendered
+    once, on first read. *)

@@ -5,7 +5,6 @@ type t = {
   mutable total : int;
   mutable minv : int;
   mutable maxv : int;
-  mutable sum : float;
   mutable isum : int;
 }
 
@@ -15,7 +14,6 @@ let create () =
     total = 0;
     minv = max_int;
     maxv = 0;
-    sum = 0.;
     isum = 0;
   }
 
@@ -40,19 +38,23 @@ let value_of idx =
     (* Midpoint of the bucket's value range. *)
     (1 lsl k) + (sub lsl (k - 4)) + (1 lsl (k - 4) / 2)
 
+(* No float state: a mutable float field would box a fresh float on
+   every sample. *)
 let add t v =
   let v = if v < 0 then 0 else v in
-  t.buckets.(index_of v) <- t.buckets.(index_of v) + 1;
+  let i = index_of v in
+  t.buckets.(i) <- t.buckets.(i) + 1;
   t.total <- t.total + 1;
   if v < t.minv then t.minv <- v;
   if v > t.maxv then t.maxv <- v;
-  t.sum <- t.sum +. float_of_int v;
   t.isum <- t.isum + v
 
 let count t = t.total
 let min_value t = if t.total = 0 then 0 else t.minv
 let max_value t = t.maxv
-let mean t = if t.total = 0 then 0. else t.sum /. float_of_int t.total
+(* [float isum] is exactly the float running sum the samples would
+   have accumulated while every partial sum stays below 2^53. *)
+let mean t = if t.total = 0 then 0. else float_of_int t.isum /. float_of_int t.total
 let sum t = t.isum
 
 let quantile t q =
@@ -84,7 +86,6 @@ let merge_into ~dst src =
   if src.total > 0 then begin
     if src.minv < dst.minv then dst.minv <- src.minv;
     if src.maxv > dst.maxv then dst.maxv <- src.maxv;
-    dst.sum <- dst.sum +. src.sum;
     dst.isum <- dst.isum + src.isum
   end
 
@@ -93,5 +94,4 @@ let reset t =
   t.total <- 0;
   t.minv <- max_int;
   t.maxv <- 0;
-  t.sum <- 0.;
   t.isum <- 0

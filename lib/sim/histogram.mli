@@ -13,6 +13,7 @@ val count : t -> int
 val min_value : t -> int
 val max_value : t -> int
 val mean : t -> float
+(** [float (sum t) /. float (count t)]; 0 when empty. *)
 
 val sum : t -> int
 (** Exact integer sum of all recorded samples. The Observatory profile

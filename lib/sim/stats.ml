@@ -3,9 +3,14 @@ type counter = int ref
 type t = {
   counters : (string, counter) Hashtbl.t;
   histos : (string, Histogram.t) Hashtbl.t;
+  mutable sorted : (string * counter) list;
+      (* [counters]' cells, name-sorted; [] until first read after a
+         name joins. Names join at boot, reads happen per health tick,
+         so the sort runs a handful of times per run. *)
 }
 
-let create () = { counters = Hashtbl.create 32; histos = Hashtbl.create 8 }
+let create () =
+  { counters = Hashtbl.create 32; histos = Hashtbl.create 8; sorted = [] }
 
 let cell t name =
   match Hashtbl.find_opt t.counters name with
@@ -13,6 +18,7 @@ let cell t name =
   | None ->
       let r = ref 0 in
       Hashtbl.add t.counters name r;
+      t.sorted <- [];
       r
 
 (* Resolve the name once (boot time), bump an int ref per event. *)
@@ -31,9 +37,16 @@ let histogram t name =
       Hashtbl.add t.histos name h;
       h
 
-let counters t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+let sorted_cells t =
+  (match t.sorted with
+  | [] ->
+      t.sorted <-
+        Hashtbl.fold (fun k r acc -> (k, r) :: acc) t.counters []
+        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  | _ :: _ -> ());
+  t.sorted
+
+let counters t = List.map (fun (k, r) -> (k, !r)) (sorted_cells t)
 
 (* Reporting view of the histogram table, name-sorted like [counters]
    so dumps are deterministically ordered. *)
@@ -57,12 +70,23 @@ type snapshot = (string * int) list
 
 let snapshot = counters
 
+(* One merge pass: both snapshots are sorted by [String.compare], so
+   walking them in step finds each of [cur]'s names in [base] (or
+   passes the point where it would be) in linear time. Names only ever
+   join the table, so [base]'s extras are the rare case; they are
+   skipped. *)
 let diff ~base cur =
-  List.map
-    (fun (name, v) ->
-      let b = match List.assoc_opt name base with Some b -> b | None -> 0 in
-      (name, v - b))
-    cur
+  let rec go base cur =
+    match (base, cur) with
+    | _, [] -> []
+    | [], (name, v) :: cur -> (name, v) :: go [] cur
+    | (bname, b) :: base', (name, v) :: cur' ->
+        let c = String.compare bname name in
+        if c = 0 then (name, v - b) :: go base' cur'
+        else if c < 0 then go base' cur
+        else (name, v) :: go base cur'
+  in
+  go base cur
 
 let histogram_opt t name = Hashtbl.find_opt t.histos name
 

@@ -55,12 +55,15 @@ type snapshot = (string * int) list
     order). *)
 
 val snapshot : t -> snapshot
+(** Linear in the number of counters: the name order is computed once
+    per newly registered name, not per snapshot. *)
 
 val diff : base:snapshot -> snapshot -> (string * int) list
 (** [diff ~base cur] is the per-counter delta [cur - base], one entry
     per counter of [cur] (counters absent from [base] read as 0
-    there), in [cur]'s (sorted) order. Feed consecutive snapshots to
-    get per-interval rates. Counters are monotonic during a run, so
+    there), in [cur]'s (sorted) order. One merge pass over the two
+    name-sorted lists: linear in their lengths. Feed consecutive
+    snapshots to get per-interval rates. Counters are monotonic during a run, so
     with [base] taken before [cur] every delta is [>= 0]. *)
 
 val histogram_opt : t -> string -> Histogram.t option

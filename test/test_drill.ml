@@ -69,6 +69,15 @@ let redis_drill_is_bit_identical () =
 let fastswap_drill_is_bit_identical () =
   assert_matched "fastswap" (seq_drill ~system:H.Fastswap ())
 
+let aifm_quicksort_drill_is_bit_identical () =
+  (* 1.25 MiB of swaps over 1 MiB of local DRAM: the evacuator's
+     chunk stores overlap the sort's writes into the same chunks. A
+     store landing while its WRITE is on the wire must keep the chunk
+     resident, or the swap is lost and the output is not sorted. *)
+  assert_matched "aifm quicksort"
+    (D.run ~system:H.Aifm ~app:D.Quicksort ~scale:160_000
+       ~local_mem:(1024 * 1024) ())
+
 let same_seed_json_is_byte_identical () =
   let a = seq_drill ~seed:1234 ~recover_after:(Sim.Time.us 300) () in
   let b = seq_drill ~seed:1234 ~recover_after:(Sim.Time.us 300) () in
@@ -99,7 +108,7 @@ let rf1_kill_loses_the_page () =
             "%s: RF=1 drill should raise Page_lost, produced a result \
              (match=%b)"
             (H.system_name system) r.D.r_match)
-    [ dilos; H.Fastswap ]
+    [ dilos; H.Fastswap; H.Aifm ]
 
 let suite =
   [
@@ -111,6 +120,8 @@ let suite =
     quick "kmeans drill recovers and resyncs" kmeans_drill_recovers;
     quick "redis drill is bit-identical" redis_drill_is_bit_identical;
     quick "fastswap drill is bit-identical" fastswap_drill_is_bit_identical;
+    quick "aifm quicksort drill is bit-identical"
+      aifm_quicksort_drill_is_bit_identical;
     quick "same seed yields byte-identical JSON"
       same_seed_json_is_byte_identical;
     quick "different seed moves the kill instant"

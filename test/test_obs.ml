@@ -76,13 +76,28 @@ let test_registry_probe () =
   with_registry @@ fun reg ->
   let depth = ref 3 in
   Obs.Registry.probe ~name:"queue" (fun () -> !depth);
-  (match Obs.Registry.gauge_values reg with
-  | [ ("queue", [ ("", 3) ]) ] -> ()
+  (match Obs.Registry.gauge_series reg "queue" with
+  | [ ("", 3) ] -> ()
   | _ -> Alcotest.fail "probe not visible");
   depth := 9;
-  match Obs.Registry.gauge_values reg with
-  | [ ("queue", [ ("", 9) ]) ] -> ()
-  | _ -> Alcotest.fail "probe not re-evaluated"
+  (match Obs.Registry.gauge_series reg "queue" with
+  | [ ("", 9) ] -> ()
+  | _ -> Alcotest.fail "probe not re-evaluated");
+  (* Series come back label-sorted and rendered, whatever order they
+     registered in; a missing or non-gauge family reads as []. *)
+  Obs.Registry.probe ~name:"backlog" ~labels:[ ("shard", "1") ] (fun () -> 5);
+  Obs.Registry.probe ~name:"backlog" ~labels:[ ("shard", "0") ] (fun () -> 4);
+  ignore (Obs.Registry.counter ~name:"reads" ());
+  Alcotest.(check (list (pair string int)))
+    "label-sorted, rendered"
+    [ ("shard=\"0\"", 4); ("shard=\"1\"", 5) ]
+    (Obs.Registry.gauge_series reg "backlog");
+  Alcotest.(check (list (pair string int)))
+    "counter family is not a gauge" []
+    (Obs.Registry.gauge_series reg "reads");
+  Alcotest.(check (list (pair string int)))
+    "missing family" []
+    (Obs.Registry.gauge_series reg "nope")
 
 (* ------------------------------------------------------------------ *)
 (* OpenMetrics exporter *)

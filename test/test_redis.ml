@@ -10,18 +10,25 @@ let run_on ?(system = Apps.Harness.Dilos Dilos.Kernel.Readahead)
 let sds_roundtrip () =
   run_on (fun ctx ->
       let mem = ctx.Apps.Harness.mem ~core:0 in
-      let s = Apps.Sds.create mem (Bytes.of_string "hello world") in
+      (* Only the first [len] bytes of the source are stored. *)
+      let s = Apps.Sds.create mem (Bytes.of_string "hello world!!") ~len:11 in
       check_int "len" 11 (Apps.Sds.len mem s);
-      Alcotest.(check bytes) "data" (Bytes.of_string "hello world")
-        (Apps.Sds.get mem s);
+      let buf = ref (Bytes.make 32 '#') in
+      let b0 = !buf in
+      check_int "get returns the length" 11 (Apps.Sds.get mem s buf);
+      check_bool "fits: buffer reused" true (!buf == b0);
+      Alcotest.(check string) "data" "hello world" (Bytes.sub_string !buf 0 11);
       Apps.Sds.free mem s)
 
 let sds_large_value () =
   run_on (fun ctx ->
       let mem = ctx.Apps.Harness.mem ~core:0 in
       let payload = Bytes.init 20_000 (fun i -> Char.chr (i land 0xFF)) in
-      let s = Apps.Sds.create mem payload in
-      Alcotest.(check bytes) "multi-page sds" payload (Apps.Sds.get mem s))
+      let s = Apps.Sds.create mem payload ~len:20_000 in
+      let buf = ref (Bytes.create 16) in
+      check_int "get returns the length" 20_000 (Apps.Sds.get mem s buf);
+      check_int "buffer grew to the value" 20_000 (Bytes.length !buf);
+      Alcotest.(check bytes) "multi-page sds" payload !buf)
 
 (* ------------------------------------------------------------------ *)
 (* Ziplist *)
@@ -161,15 +168,20 @@ let dict_model_qcheck =
 let redis_set_get_del () =
   run_on (fun ctx ->
       let r = Apps.Redis.create ctx ~keyspace_hint:64 in
-      Apps.Redis.set r ~key:(Bytes.of_string "k1") ~value:(Bytes.of_string "v1");
-      Alcotest.(check (option bytes)) "get" (Some (Bytes.of_string "v1"))
-        (Apps.Redis.get r (Bytes.of_string "k1"));
-      Apps.Redis.set r ~key:(Bytes.of_string "k1") ~value:(Bytes.of_string "v2");
-      Alcotest.(check (option bytes)) "overwrite" (Some (Bytes.of_string "v2"))
-        (Apps.Redis.get r (Bytes.of_string "k1"));
+      let reply = ref (Bytes.create 16) in
+      let get key =
+        Option.map
+          (fun n -> Bytes.sub_string !reply 0 n)
+          (Apps.Redis.get r (Bytes.of_string key) reply)
+      in
+      Apps.Redis.set r ~key:(Bytes.of_string "k1") ~value:(Bytes.of_string "v1")
+        ~len:2;
+      Alcotest.(check (option string)) "get" (Some "v1") (get "k1");
+      Apps.Redis.set r ~key:(Bytes.of_string "k1") ~value:(Bytes.of_string "v2")
+        ~len:2;
+      Alcotest.(check (option string)) "overwrite" (Some "v2") (get "k1");
       check_bool "del" true (Apps.Redis.del r (Bytes.of_string "k1"));
-      Alcotest.(check (option bytes)) "deleted" None
-        (Apps.Redis.get r (Bytes.of_string "k1"));
+      Alcotest.(check (option string)) "deleted" None (get "k1");
       check_bool "del missing" false (Apps.Redis.del r (Bytes.of_string "k1")))
 
 let redis_lists () =
@@ -193,15 +205,60 @@ let redis_survives_eviction () =
         let v = Bytes.make 2048 (Char.chr (65 + (i mod 26))) in
         Bytes.set_int64_le v 8 (Int64.of_int i);
         Apps.Redis.set r ~key:(Bytes.of_string (string_of_int i)) ~value:v
+          ~len:2048
       done;
       (* Working set ~1.2MB >> 512KB local: values round-trip through
          the memory node. *)
+      let reply = ref (Bytes.create 2048) in
       for i = 0 to n - 1 do
-        match Apps.Redis.get r (Bytes.of_string (string_of_int i)) with
-        | Some v ->
-            check_int "value intact" i (Int64.to_int (Bytes.get_int64_le v 8))
+        match Apps.Redis.get r (Bytes.of_string (string_of_int i)) reply with
+        | Some len ->
+            check_int "length intact" 2048 len;
+            check_int "value intact" i
+              (Int64.to_int (Bytes.get_int64_le !reply 8))
         | None -> Alcotest.fail "lost key"
       done)
+
+let redis_get_grows_reply_buffer () =
+  (* Every Fb_mixed size through one reply buffer that starts below
+     most of them: each GET must round-trip in full, the buffer grows
+     only for a new largest value, and a smaller value after the
+     largest reads into the same buffer. *)
+  run_on (fun ctx ->
+      let r = Apps.Redis.create ctx ~keyspace_hint:64 in
+      let sizes = Workload.Stream.fb_sizes in
+      let largest = Array.fold_left Int.max 0 sizes in
+      let value = Bytes.create largest in
+      Array.iteri
+        (fun i n ->
+          Apps.Redis_bench.fill_value value ~len:n ~index:i;
+          Apps.Redis.set r ~key:(Apps.Redis_bench.key_of i) ~value ~len:n)
+        sizes;
+      let reply = ref (Bytes.create (16 * 1024)) in
+      Array.iteri
+        (fun i n ->
+          let before = !reply in
+          match Apps.Redis.get r (Apps.Redis_bench.key_of i) reply with
+          | Some got ->
+              check_int (Printf.sprintf "%d-byte value length" n) n got;
+              check_bool
+                (Printf.sprintf "%d-byte value verifies" n)
+                true
+                (Apps.Redis_bench.verify_value !reply ~len:got ~index:i);
+              check_bool
+                (Printf.sprintf "%d-byte value: grew only when needed" n)
+                (n <= Bytes.length before)
+                (!reply == before)
+          | None -> Alcotest.fail "lost key")
+        sizes;
+      check_int "buffer ends at the largest value" largest (Bytes.length !reply);
+      let big = !reply in
+      (match Apps.Redis.get r (Apps.Redis_bench.key_of 0) reply with
+      | Some got ->
+          check_bool "smaller value after the largest" true
+            (Apps.Redis_bench.verify_value !reply ~len:got ~index:0)
+      | None -> Alcotest.fail "lost key");
+      check_bool "no shrink" true (!reply == big))
 
 (* ------------------------------------------------------------------ *)
 (* Workload drivers *)
@@ -327,25 +384,26 @@ let sentinel_roundtrip_and_detects_corruption () =
   (* Multi-page value: a sentinel at every page boundary, each
      independently checkable. *)
   let v = Bytes.create 20_000 in
-  Apps.Redis_bench.fill_value v ~index:37;
+  let len = 20_000 in
+  Apps.Redis_bench.fill_value v ~len ~index:37;
   check_bool "fresh value verifies" true
-    (Apps.Redis_bench.verify_value v ~index:37);
+    (Apps.Redis_bench.verify_value v ~len ~index:37);
   check_bool "wrong index rejected" false
-    (Apps.Redis_bench.verify_value v ~index:38);
+    (Apps.Redis_bench.verify_value v ~len ~index:38);
   (* Corrupt one byte inside the THIRD page's sentinel: a first-page
      check alone would miss it. *)
   let saved = Bytes.get v 8192 in
   Bytes.set v 8192 (Char.chr (Char.code saved lxor 0xFF));
   check_bool "page-3 corruption detected" false
-    (Apps.Redis_bench.verify_value v ~index:37);
+    (Apps.Redis_bench.verify_value v ~len ~index:37);
   Bytes.set v 8192 saved;
   check_bool "restored value verifies" true
-    (Apps.Redis_bench.verify_value v ~index:37);
+    (Apps.Redis_bench.verify_value v ~len ~index:37);
   (* Small values (no room for a sentinel) still roundtrip. *)
   let small = Bytes.create 5 in
-  Apps.Redis_bench.fill_value small ~index:2;
+  Apps.Redis_bench.fill_value small ~len:5 ~index:2;
   check_bool "tiny value verifies" true
-    (Apps.Redis_bench.verify_value small ~index:2)
+    (Apps.Redis_bench.verify_value small ~len:5 ~index:2)
 
 let get_bench_verifies_across_eviction () =
   (* 200 x 8KB values >> 512KB local: every value round-trips through
@@ -381,6 +439,7 @@ let suite =
     quick "redis set/get/del" redis_set_get_del;
     quick "redis lists" redis_lists;
     quick "redis survives eviction" redis_survives_eviction;
+    quick "redis GET grows the reply buffer" redis_get_grows_reply_buffer;
     quick "get bench runs" get_bench_runs;
     quick "lrange bench runs" lrange_bench_runs;
     quick "guide activates and helps lrange" guide_activates_and_helps_lrange;

@@ -152,6 +152,43 @@ let serving_works_on_fastswap () =
   in
   check_int "completes on fastswap" 800 r.Apps.Serving.completed
 
+(* A GET reads into its worker's reply buffer and a SET is filled into
+   its worker's request buffer, so serving a request allocates nothing
+   value-sized: a fresh 4,080-byte reply per GET (too big for the
+   minor heap) cost ~512 major words. Measured as the marginal cost of
+   2,000 more requests over a 2,000-request run, so the populate loop
+   and the one-time buffers, histograms and tables (~30 words per
+   request of a 2,000-request run) do not count; what remains is
+   minor-heap promotion of in-flight request state, ~1 word. *)
+let major_words_per_request_budget = 10.
+
+let serve_major_words ~requests =
+  (Apps.Harness.run (Apps.Harness.Dilos Dilos.Kernel.Readahead)
+     ~local_mem:(2 * 1024 * 1024) (fun ctx ->
+       let before = (Gc.quick_stat ()).Gc.major_words in
+       let r =
+         Apps.Serving.run ctx
+           {
+             Apps.Serving.stream = stream ~offered:100_000. ~keys:1_024 ~seed:11;
+             requests;
+             phases = 1;
+             workers = 1;
+           }
+       in
+       check_int "all requests complete" requests r.Apps.Serving.completed;
+       (Gc.quick_stat ()).Gc.major_words -. before))
+    .Apps.Harness.value
+
+let serve_allocation_guard () =
+  let base = serve_major_words ~requests:2_000 in
+  let more = serve_major_words ~requests:4_000 in
+  let per_request = (more -. base) /. 2_000. in
+  check_bool
+    (Printf.sprintf "%.1f major words per request <= %.0f" per_request
+       major_words_per_request_budget)
+    true
+    (per_request <= major_words_per_request_budget)
+
 let suite =
   [
     quick "completes and balances" completes_and_balances;
@@ -164,4 +201,5 @@ let suite =
     quick "phases partition requests" phases_partition_requests;
     quick "workers increase capacity" workers_increase_capacity;
     quick "serving works on fastswap" serving_works_on_fastswap;
+    quick "serve allocation guard" serve_allocation_guard;
   ]

@@ -445,6 +445,45 @@ let histogram_merge () =
   check_int "merged count" 2 (Sim.Histogram.count a);
   check_int "merged max" 1_000_000 (Sim.Histogram.max_value a)
 
+(* [mean] is the integer sum over the count; the float running sum it
+   replaced must give the very same bits while sums stay below 2^53. *)
+let histogram_mean_qcheck =
+  QCheck.Test.make ~name:"histogram mean matches a float running sum"
+    ~count:300
+    QCheck.(list_of_size Gen.(int_range 1 300) (int_bound 1_000_000_000))
+    (fun vs ->
+      let h = Sim.Histogram.create () in
+      List.iter (Sim.Histogram.add h) vs;
+      let fsum = List.fold_left (fun a v -> a +. float_of_int v) 0. vs in
+      Int64.equal
+        (Int64.bits_of_float (Sim.Histogram.mean h))
+        (Int64.bits_of_float (fsum /. float_of_int (List.length vs))))
+
+(* [Stats.diff] walks both name-sorted snapshots in step; the reference
+   looks every name of [cur] up in [base]. Names are drawn from a small
+   alphabet so the two snapshots share most names, with some only in
+   [cur] (joined between ticks) and some only in [base]. *)
+let stats_diff_qcheck =
+  let snapshot_gen =
+    QCheck.Gen.(
+      map
+        (fun l -> List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) l)
+        (list_size (int_range 0 40)
+           (pair (string_size ~gen:(char_range 'a' 'd') (int_range 0 3)) nat)))
+  in
+  let reference ~base cur =
+    List.map
+      (fun (name, v) ->
+        (name, v - Option.value (List.assoc_opt name base) ~default:0))
+      cur
+  in
+  QCheck.Test.make ~name:"stats diff matches the assoc reference" ~count:500
+    (QCheck.make QCheck.Gen.(pair snapshot_gen snapshot_gen))
+    (fun (base, cur) ->
+      List.equal
+        (fun (a, x) (b, y) -> String.equal a b && Int.equal x y)
+        (Sim.Stats.diff ~base cur) (reference ~base cur))
+
 let histogram_merge_into_fresh_dst () =
   (* A fresh dst still carries the empty sentinels (minv = max_int,
      maxv = 0); merge must adopt the source's extremes or quantile's
@@ -583,6 +622,8 @@ let timer_cancel_preserves_order () =
 let suite =
   [
     QCheck_alcotest.to_alcotest int_table_qcheck;
+    QCheck_alcotest.to_alcotest histogram_mean_qcheck;
+    QCheck_alcotest.to_alcotest stats_diff_qcheck;
     quick "int_table rejects min_int" int_table_rejects_min_int;
     quick "rng deterministic" rng_deterministic;
     quick "rng bounds" rng_bounds;
