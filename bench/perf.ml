@@ -195,8 +195,9 @@ let paperscale_targets : (string * (unit -> result)) list =
      data path proper is allocation-free (immediate PTEs, int-keyed
      open-addressing tables); what remains is fiber machinery for the
      sleeps that do park (effect continuations, wake closures, condvar
-     waits). DiLOS measures ~280 words/fault and Fastswap ~266
-     words/fault. The budgets leave headroom for
+     waits). DiLOS measures ~221 words/fault and Fastswap ~211
+     words/fault (~236 and ~225 while every Bigbuf copy built two
+     Bigarray views). The budgets leave headroom for
      scheduler tweaks, yet each fails loudly if every sleep parks again
      (~567 and ~454 words/fault) or a per-fault [Bytes.create] (513
      words for a 4 KiB page) comes back.

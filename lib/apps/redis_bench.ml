@@ -33,7 +33,31 @@ type result = {
   p999_us : float;
 }
 
-let key_of i = Bytes.of_string (Printf.sprintf "key:%010d" i)
+let key_bytes = 14
+
+(* [key:%010d], built digit by digit: every serve request names its
+   key, and [Printf.sprintf] costs ~0.3 µs per call. The two 5-digit
+   halves are independent division chains. Outside [0, 10^10) the
+   format's sign or extra digits apply, so defer to it. *)
+let key_into b i =
+  if i < 0 || i >= 10_000_000_000 then Bytes.of_string (Printf.sprintf "key:%010d" i)
+  else begin
+    if Bytes.length b <> key_bytes then invalid_arg "Redis_bench.key_into: buffer length";
+    Bytes.set b 0 'k';
+    Bytes.set b 1 'e';
+    Bytes.set b 2 'y';
+    Bytes.set b 3 ':';
+    let hi = ref (i / 100_000) and lo = ref (i mod 100_000) in
+    for p = 13 downto 9 do
+      Bytes.set b p (Char.unsafe_chr (48 + (!lo mod 10)));
+      Bytes.set b (p - 5) (Char.unsafe_chr (48 + (!hi mod 10)));
+      lo := !lo / 10;
+      hi := !hi / 10
+    done;
+    b
+  end
+
+let key_of i = key_into (Bytes.create key_bytes) i
 
 let result_of_hist ~requests ~time ~kind h =
   let q p = float_of_int (Sim.Histogram.quantile h p) /. 1_000. in

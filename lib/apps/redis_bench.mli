@@ -52,8 +52,19 @@ val verify_value : bytes -> len:int -> index:int -> bool
     first [len] bytes. *)
 
 val key_of : int -> bytes
-(** The canonical benchmark key for index [i] ("key:%010d"), shared
-    with the open-loop serving driver so both address one keyspace. *)
+(** The canonical benchmark key for index [i] ("key:%010d") in a fresh
+    buffer, shared with the open-loop serving driver so both address
+    one keyspace. *)
+
+val key_bytes : int
+(** Length of every key with an index in [[0, 10^10)]: 14. *)
+
+val key_into : bytes -> int -> bytes
+(** [key_into buf i] writes {!key_of}[ i] into the caller-owned [buf]
+    ([key_bytes] long) and returns [buf], allocating nothing. An index
+    outside [[0, 10^10)] has a key of another length: it is returned
+    in a fresh buffer and [buf] is left as it was.
+    @raise Invalid_argument if [buf] is not [key_bytes] long. *)
 
 val run_get :
   Harness.ctx -> keys:int -> size:value_size -> queries:int -> seed:int -> result

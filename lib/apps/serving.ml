@@ -80,6 +80,7 @@ let run (ctx : Harness.ctx) cfg =
   in
   let pop_rng = Sim.Rng.create (scfg.W.Stream.seed + 1) in
   let value = Bytes.create max_vsize in
+  let key = Bytes.create Redis_bench.key_bytes in
   for i = 0 to scfg.W.Stream.keys - 1 do
     let n =
       match scfg.W.Stream.value_size with
@@ -87,7 +88,7 @@ let run (ctx : Harness.ctx) cfg =
       | W.Stream.Fb_mixed -> Sim.Rng.pick pop_rng W.Stream.fb_sizes
     in
     Redis_bench.fill_value value ~len:n ~index:i;
-    Redis.set rds ~key:(Redis_bench.key_of i) ~value ~len:n
+    Redis.set rds ~key:(Redis_bench.key_into key i) ~value ~len:n
   done;
   m.Memif.flush ();
   (* Serving state. *)
@@ -171,13 +172,15 @@ let run (ctx : Harness.ctx) cfg =
       closed := true;
       Sim.Condvar.broadcast cv);
   (* Workers: drain until the generator closes and the queue is dry.
-     Each owns its buffers, as a Redis client connection does: a
-     request buffer its SETs are filled into (a SET may fault and
-     yield mid-write, so workers cannot share one) and a reply buffer
-     its GETs read into. The reply buffer starts at Redis's 16 KiB
-     per-client output buffer and grows to the largest value read. *)
+     Each owns its buffers, as a Redis client connection does: a key
+     buffer, a request buffer its SETs are filled into (a request may
+     fault and yield mid-way, so workers cannot share either) and a
+     reply buffer its GETs read into. The reply buffer starts at
+     Redis's 16 KiB per-client output buffer and grows to the largest
+     value read. *)
   for _ = 1 to cfg.workers do
     let value = Bytes.create max_vsize in
+    let key = Bytes.create Redis_bench.key_bytes in
     let reply = ref (Bytes.create reply_buffer_bytes) in
     Sim.Engine.spawn eng ~name:"serve-worker" (fun () ->
         let rec loop () =
@@ -196,7 +199,7 @@ let run (ctx : Harness.ctx) cfg =
             | W.Stream.Get -> (
                 incr gets;
                 Obs.Registry.cincr ob_gets;
-                match Redis.get rds (Redis_bench.key_of p.key) reply with
+                match Redis.get rds (Redis_bench.key_into key p.key) reply with
                 | Some n ->
                     assert (Redis_bench.verify_value !reply ~len:n ~index:p.key)
                 | None -> assert false)
@@ -204,7 +207,7 @@ let run (ctx : Harness.ctx) cfg =
                 incr sets;
                 Obs.Registry.cincr ob_sets;
                 Redis_bench.fill_value value ~len:p.vsize ~index:p.key;
-                Redis.set rds ~key:(Redis_bench.key_of p.key) ~value
+                Redis.set rds ~key:(Redis_bench.key_into key p.key) ~value
                   ~len:p.vsize);
             m.Memif.flush ();
             (* Release and wakeup form one region: a yield between them

@@ -94,6 +94,12 @@ let action_segs t ~payload ~base ~foff =
            len;
          })
 
+(* Shift decoded segs by a frame's slab offset (a top-level recursion:
+   a [List.map] closure would allocate per fault). *)
+let rec rebase_segs foff = function
+  | [] -> []
+  | (s : Rdma.Qp.seg) :: rest -> { s with loff = s.loff + foff } :: rebase_segs foff rest
+
 let map_fetched t vpn frame =
   Vmem.Page_table.set t.pt vpn (Vmem.Pte.make_local ~frame ~writable:true);
   Page_manager.note_mapped t.pm vpn;
@@ -261,6 +267,10 @@ let major_fault t cs vpn pte =
   Sim.Engine.sleep t.eng (Sim.Time.ns Params.dilos_pte_check_ns);
   let alloc_t0 = Sim.Engine.now t.eng in
   let frame = Page_manager.alloc_frame t.pm in
+  (* The segs were decoded against offset 0, before the frame existed;
+     rebase them onto the frame's slab offset, where the READ lands. *)
+  let foff = Vmem.Frame.offset t.frames frame in
+  let segs = rebase_segs foff segs in
   (* A vectored (partial-page) fetch leaves the vector's dead ranges
      holding whatever the recycled frame last contained; clear them
      (host-side only, no simulated charge — see Frame.alloc). *)
@@ -289,7 +299,7 @@ let major_fault t cs vpn pte =
       ?fa
       (Comm.fault_qp t.comm ~core:(Cpu.id cs))
       ~segs
-      ~buf:(Vmem.Frame.sub_view t.frames frame)
+      ~buf:t.slab
       ~on_complete:(fun () ->
         completed := true;
         wake_fault ())

@@ -1,8 +1,9 @@
 (* Off-heap byte slabs backing the frame pool and the memnode page
    store's arena. A few Bigarrays instead of one [bytes] per page keep
    the GC out of the paging hot path entirely: scans never walk page
-   payloads, copies are [memcpy], and scalar access compiles to single
-   loads/stores through the bigstring primitives below. *)
+   payloads, every bulk copy, fill and compare is one libc call
+   (bigbuf_stubs.c), and scalar access compiles to single loads/stores
+   through the bigstring primitives below. *)
 
 type t =
   (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -24,11 +25,6 @@ let create n =
   if n < mmap_zero_threshold then Bigarray.Array1.fill b '\000';
   b
 
-let sub (t : t) ~off ~len : t =
-  if off < 0 || len < 0 || off + len > length t then
-    invalid_arg "Bigbuf.sub: range out of bounds";
-  Bigarray.Array1.sub t off len
-
 (* Unaligned scalar access primitives (native-endian loads, byteswapped
    on big-endian targets to match the [Bytes.*_le] accessors they
    replace). The [u]-suffixed externals skip bounds checks; the public
@@ -43,9 +39,16 @@ external swap16 : int -> int = "%bswap16"
 external swap32 : int32 -> int32 = "%bswap_int32"
 external swap64 : int64 -> int64 = "%bswap_int64"
 
+(* [off > length - len] rather than [off + len > length]: no overflow
+   for huge [off]. A negative [len] is out of range too; it must never
+   reach the C stubs, which take it as a [size_t]. *)
 let check t off len =
-  if off < 0 || off + len > length t then
+  if off < 0 || len < 0 || off > length t - len then
     invalid_arg "Bigbuf: access out of bounds"
+
+let check_bytes msg b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg msg
 
 let get_u8 t off =
   check t off 1;
@@ -55,10 +58,13 @@ let set_u8 t off v =
   check t off 1;
   Bigarray.Array1.unsafe_set t off (Char.unsafe_chr (v land 0xFF))
 
-let[@inline] unsafe_get_u8 t off =
+(* [(t : t)]: without the annotation the element kind is a type
+   variable here, and an unspecialised Bigarray access is a call into
+   the runtime's generic [caml_ba_get_1]/[caml_ba_set_1]. *)
+let[@inline] unsafe_get_u8 (t : t) off =
   Char.code (Bigarray.Array1.unsafe_get t off)
 
-let[@inline] unsafe_set_u8 t off v =
+let[@inline] unsafe_set_u8 (t : t) off v =
   Bigarray.Array1.unsafe_set t off (Char.unsafe_chr (v land 0xFF))
 
 let[@inline] unsafe_get_u16_le t off =
@@ -107,78 +113,51 @@ let set_u64_le t off v =
   check t off 8;
   unsafe_set_u64_le t off v
 
+(* The five byte movers (bigbuf_stubs.c). Offsets and lengths are
+   raw, unchecked byte counts: every caller below bounds-checks both
+   ranges first. *)
+external memmove : t -> int -> t -> int -> int -> unit
+  = "dilos_bigbuf_memmove"
+[@@noalloc]
+
+external memset : t -> int -> int -> char -> unit = "dilos_bigbuf_memset"
+[@@noalloc]
+
+external memcpy_to_bytes : t -> int -> Bytes.t -> int -> int -> unit
+  = "dilos_bigbuf_to_bytes"
+[@@noalloc]
+
+external memcpy_of_bytes : Bytes.t -> int -> t -> int -> int -> unit
+  = "dilos_bigbuf_of_bytes"
+[@@noalloc]
+
+external memcmp_eq : t -> int -> t -> int -> int -> bool
+  = "dilos_bigbuf_memcmp"
+[@@noalloc]
+
 let fill t ~off ~len c =
   check t off len;
-  if len > 0 then Bigarray.Array1.fill (Bigarray.Array1.sub t off len) c
+  memset t off len c
 
-(* Range equality in 8-byte strides (memcmp stand-in); feeds the
-   replica group's granule diffing, so it must not allocate. *)
 let equal_range a ~a_off b ~b_off ~len =
   check a a_off len;
   check b b_off len;
-  let words = len lsr 3 in
-  let eq = ref true in
-  let i = ref 0 in
-  while !eq && !i < words do
-    if
-      not
-        (Int64.equal
-           (unsafe_get64 a (a_off + (!i lsl 3)))
-           (unsafe_get64 b (b_off + (!i lsl 3))))
-    then eq := false;
-    incr i
-  done;
-  let j = ref (words lsl 3) in
-  while !eq && !j < len do
-    if
-      not
-        (Char.equal
-           (Bigarray.Array1.unsafe_get a (a_off + !j))
-           (Bigarray.Array1.unsafe_get b (b_off + !j)))
-    then eq := false;
-    incr j
-  done;
-  !eq
+  memcmp_eq a a_off b b_off len
 
-(* Slab-to-slab copy: two O(1) views plus one memcpy. *)
 let blit src ~src_off dst ~dst_off ~len =
   check src src_off len;
   check dst dst_off len;
-  if len > 0 then
-    Bigarray.Array1.blit
-      (Bigarray.Array1.sub src src_off len)
-      (Bigarray.Array1.sub dst dst_off len)
+  memmove src src_off dst dst_off len
 
-external bytes_get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external bytes_set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
-
-(* bytes <-> slab copies (the app-facing bulk path): no stdlib
-   primitive crosses the heap/off-heap boundary, so copy 8-byte words.
-   Word loads/stores are endian-agnostic here because source and
-   destination use the same byte order. *)
 let blit_to_bytes src ~src_off (dst : Bytes.t) ~dst_off ~len =
   check src src_off len;
-  if dst_off < 0 || len < 0 || dst_off + len > Bytes.length dst then
-    invalid_arg "Bigbuf.blit_to_bytes: range out of bounds";
-  let words = len lsr 3 in
-  for i = 0 to words - 1 do
-    bytes_set64u dst (dst_off + (i lsl 3)) (unsafe_get64 src (src_off + (i lsl 3)))
-  done;
-  for i = words lsl 3 to len - 1 do
-    Bytes.unsafe_set dst (dst_off + i) (Bigarray.Array1.unsafe_get src (src_off + i))
-  done
+  check_bytes "Bigbuf.blit_to_bytes: range out of bounds" dst dst_off len;
+  memcpy_to_bytes src src_off dst dst_off len
 
 let blit_from_bytes (src : Bytes.t) ~src_off dst ~dst_off ~len =
   check dst dst_off len;
-  if src_off < 0 || len < 0 || src_off + len > Bytes.length src then
-    invalid_arg "Bigbuf.blit_from_bytes: range out of bounds";
-  let words = len lsr 3 in
-  for i = 0 to words - 1 do
-    unsafe_set64 dst (dst_off + (i lsl 3)) (bytes_get64u src (src_off + (i lsl 3)))
-  done;
-  for i = words lsl 3 to len - 1 do
-    Bigarray.Array1.unsafe_set dst (dst_off + i) (Bytes.unsafe_get src (src_off + i))
-  done
+  check_bytes "Bigbuf.blit_from_bytes: range out of bounds" src src_off len;
+  memcpy_of_bytes src src_off dst dst_off len
 
 let to_bytes t ~off ~len =
   let b = Bytes.create len in

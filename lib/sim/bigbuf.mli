@@ -7,6 +7,14 @@
     anonymous mappings, so a large frame pool is committed by the
     kernel as frames are first touched.
 
+    Bulk operations ({!fill}, {!equal_range}, {!blit},
+    {!blit_to_bytes}, {!blit_from_bytes}) are one libc call each
+    ([memset], [memcmp], [memmove], [memcpy]) on raw byte offsets:
+    they allocate nothing and create no Bigarray view. Every range is
+    bounds-checked in OCaml before the call; an out-of-range call
+    (including a negative length) raises [Invalid_argument] and
+    touches neither buffer.
+
     Scalar accessors are little-endian, mirroring the [Bytes.*_le]
     family they replace; [unsafe_*] variants skip bounds checks for
     hot paths that have already validated the offset. *)
@@ -18,10 +26,6 @@ val create : int -> t
 (** [create n] allocates an [n]-byte slab, zeroed. *)
 
 val length : t -> int
-
-val sub : t -> off:int -> len:int -> t
-(** O(1) view sharing the underlying storage (allocates a small view
-    descriptor — avoid in per-access hot paths). *)
 
 val get_u8 : t -> int -> int
 val set_u8 : t -> int -> int -> unit
@@ -44,17 +48,21 @@ val unsafe_get_u64_le : t -> int -> int64
 val unsafe_set_u64_le : t -> int -> int64 -> unit
 
 val fill : t -> off:int -> len:int -> char -> unit
+(** [memset] of [len] bytes at [off]. *)
 
 val equal_range : t -> a_off:int -> t -> b_off:int -> len:int -> bool
 (** [equal_range a ~a_off b ~b_off ~len]: byte equality of the two
-    ranges, without allocating (8-byte strides + tail). *)
+    ranges ([memcmp]). *)
 
 val blit : t -> src_off:int -> t -> dst_off:int -> len:int -> unit
-(** [blit src ~src_off dst ~dst_off ~len] copies slab-to-slab
-    (memcpy; ranges must not overlap). *)
+(** [blit src ~src_off dst ~dst_off ~len] copies slab-to-slab with one
+    [memmove]: the ranges may overlap, including within one slab. *)
 
 val blit_to_bytes : t -> src_off:int -> Bytes.t -> dst_off:int -> len:int -> unit
+(** One [memcpy] from the slab into heap bytes. *)
+
 val blit_from_bytes : Bytes.t -> src_off:int -> t -> dst_off:int -> len:int -> unit
+(** One [memcpy] from heap bytes into the slab. *)
 
 val to_bytes : t -> off:int -> len:int -> Bytes.t
 (** Copy a range out into a fresh [Bytes.t]. *)

@@ -14,7 +14,7 @@ type t
 
 val create : ?base:int64 -> unit -> t
 (** [base] is where the mmap area starts (default 0x10000000, page
-    aligned). *)
+    aligned, and within the range of an OCaml [int]). *)
 
 val mmap : t -> len:int -> ddc:bool -> ?name:string -> unit -> int64
 (** Reserve a page-aligned range; a one-page guard gap separates

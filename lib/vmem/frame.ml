@@ -68,7 +68,6 @@ let offset t f =
     invalid_arg "Frame.offset: frame not allocated";
   f * Addr.page_size
 
-let sub_view t f = Sim.Bigbuf.sub t.slab ~off:(offset t f) ~len:Addr.page_size
 let fill_page t f c = Sim.Bigbuf.fill t.slab ~off:(offset t f) ~len:Addr.page_size c
 
 let blit_to t f ~off ~dst ~dst_off ~len =

@@ -35,10 +35,6 @@ val offset : t -> int -> int
 (** Byte offset of an allocated frame's payload within {!slab}.
     @raise Invalid_argument if the frame is not allocated. *)
 
-val sub_view : t -> int -> Sim.Bigbuf.t
-(** A 4 KiB view of an allocated frame (allocates a view descriptor —
-    fine for writeback / test paths, avoid per memory access). *)
-
 val fill_page : t -> int -> char -> unit
 
 val blit_to : t -> int -> off:int -> dst:Bytes.t -> dst_off:int -> len:int -> unit

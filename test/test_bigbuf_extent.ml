@@ -3,7 +3,10 @@
    - Bigbuf round-trip: the off-heap slab's scalar/blit/fill accessors
      agree with a plain [Bytes.t] reference model under random
      operation sequences (so the Bigarray store is a drop-in for the
-     bytes-per-page store it replaced).
+     bytes-per-page store it replaced). The five bulk operations —
+     each one libc call — are also checked one by one against the
+     model on two slabs and a heap buffer, in range and out of it,
+     and pinned to allocate nothing.
 
    - Page-window equivalence: a window of page READs must be
      indistinguishable — payloads, completion instants, every
@@ -56,12 +59,9 @@ let op_gen size =
             (int_bound (size - 1))
             (int_bound 512) (int_bound 255) );
         ( 1,
+          (* the slab blit is memmove: overlapping ranges are fine *)
           map3
-            (fun s d l ->
-              let l = min l (min (size - s) (size - d)) in
-              (* the slab blit is memcpy: keep ranges disjoint *)
-              if abs (s - d) < l then Blit_within (0, 0, 0)
-              else Blit_within (s, d, l))
+            (fun s d l -> Blit_within (s, d, min l (min (size - s) (size - d))))
             (int_bound (size - 1))
             (int_bound (size - 1))
             (int_bound 256) );
@@ -73,7 +73,7 @@ let apply_slab slab = function
   | Set32 (o, v) -> Bigbuf.set_u32_le slab o (v land 0xFFFFFFFF)
   | Set64 (o, v) -> Bigbuf.set_u64_le slab o v
   | Fill (o, l, c) -> Bigbuf.fill slab ~off:o ~len:l c
-  | Blit_within (s, d, l) -> if l > 0 then Bigbuf.blit slab ~src_off:s slab ~dst_off:d ~len:l
+  | Blit_within (s, d, l) -> Bigbuf.blit slab ~src_off:s slab ~dst_off:d ~len:l
 
 let apply_bytes b = function
   | Set8 (o, v) -> Bytes.set_uint8 b o v
@@ -123,14 +123,158 @@ let bigbuf_bytes_blits =
       Bigbuf.blit_to_bytes slab ~src_off:off back ~dst_off:0 ~len:n;
       String.equal payload (Bytes.to_string back))
 
-(* Slab views must alias the parent storage at the right offset. *)
-let bigbuf_sub_view () =
-  let slab = Bigbuf.create 8192 in
-  let view = Bigbuf.sub slab ~off:4096 ~len:4096 in
-  Bigbuf.set_u32_le slab 4096 0xDEADBEEF;
-  check_int "view reads parent write" 0xDEADBEEF (Bigbuf.get_u32_le view 0);
-  Bigbuf.set_u32_le view 100 42;
-  check_int "parent reads view write" 42 (Bigbuf.get_u32_le slab 4196)
+(* The bulk operations one at a time against a [Bytes] model: two
+   slabs of odd sizes (so the same-slab case covers overlapping
+   memmove) and one heap buffer. Offsets and lengths stray past both
+   ends and below zero; an out-of-range call must raise
+   [Invalid_argument] and leave every buffer as it was. *)
+
+type slab_id = A | B
+
+type bulk =
+  | Blit of slab_id * int * slab_id * int * int
+  | Fill of slab_id * int * int * char
+  | To_bytes of slab_id * int * int * int
+  | From_bytes of int * slab_id * int * int
+  | Equal of slab_id * int * slab_id * int * int
+
+let size_a = 1031
+let size_b = 517
+let size_h = 263
+
+let size_of = function A -> size_a | B -> size_b
+
+let bulk_gen =
+  let open QCheck.Gen in
+  let id = oneofl [ A; B ] in
+  let off size = frequency [ (8, int_range 0 size); (1, int_range (-3) (-1)); (1, int_range (size + 1) (size + 3)) ] in
+  let len =
+    frequency
+      [
+        (2, return 0);
+        (6, int_range 1 67);
+        (2, int_range 0 size_a);
+        (1, int_range (-3) (-1));
+      ]
+  in
+  let ch = map Char.chr (int_range 97 99) in
+  frequency
+    [
+      ( 3,
+        id >>= fun s ->
+        id >>= fun d ->
+        map3 (fun so dof l -> Blit (s, so, d, dof, l)) (off (size_of s)) (off (size_of d)) len );
+      (2, id >>= fun s -> map3 (fun o l c -> Fill (s, o, l, c)) (off (size_of s)) len ch);
+      (2, id >>= fun s -> map3 (fun so dof l -> To_bytes (s, so, dof, l)) (off (size_of s)) (off size_h) len);
+      (2, id >>= fun d -> map3 (fun so dof l -> From_bytes (so, d, dof, l)) (off size_h) (off (size_of d)) len);
+      ( 2,
+        id >>= fun a ->
+        id >>= fun b ->
+        (* same offsets half the time, so equal ranges actually occur *)
+        bool >>= fun same ->
+        map3
+          (fun ao bo l -> Equal (a, ao, b, (if same then ao else bo), l))
+          (off (size_of a)) (off (size_of b)) len );
+    ]
+
+let in_range size off len = off >= 0 && len >= 0 && off <= size - len
+
+(* [true] iff [f] raised [Invalid_argument] exactly when [ok] is false. *)
+let raises_iff ok f =
+  match f () with
+  | () -> ok
+  | exception Invalid_argument _ -> not ok
+
+let bigbuf_bulk_model =
+  QCheck.Test.make ~name:"bigbuf bulk ops match Bytes model, bounds and overlap"
+    ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 40) bulk_gen))
+    (fun ops ->
+      let a = Bigbuf.create size_a and b = Bigbuf.create size_b in
+      let h = Bytes.make size_h 'h' in
+      let ma = Bytes.make size_a '\000' and mb = Bytes.make size_b '\000' in
+      let mh = Bytes.make size_h 'h' in
+      let slab = function A -> a | B -> b in
+      let model = function A -> ma | B -> mb in
+      let step = function
+        | Blit (s, so, d, dof, l) ->
+            let ok = in_range (size_of s) so l && in_range (size_of d) dof l in
+            let r = raises_iff ok (fun () -> Bigbuf.blit (slab s) ~src_off:so (slab d) ~dst_off:dof ~len:l) in
+            if ok then Bytes.blit (model s) so (model d) dof l;
+            r
+        | Fill (s, o, l, c) ->
+            let ok = in_range (size_of s) o l in
+            let r = raises_iff ok (fun () -> Bigbuf.fill (slab s) ~off:o ~len:l c) in
+            if ok then Bytes.fill (model s) o l c;
+            r
+        | To_bytes (s, so, dof, l) ->
+            let ok = in_range (size_of s) so l && in_range size_h dof l in
+            let r = raises_iff ok (fun () -> Bigbuf.blit_to_bytes (slab s) ~src_off:so h ~dst_off:dof ~len:l) in
+            if ok then Bytes.blit (model s) so mh dof l;
+            r
+        | From_bytes (so, d, dof, l) ->
+            let ok = in_range size_h so l && in_range (size_of d) dof l in
+            let r = raises_iff ok (fun () -> Bigbuf.blit_from_bytes h ~src_off:so (slab d) ~dst_off:dof ~len:l) in
+            if ok then Bytes.blit mh so (model d) dof l;
+            r
+        | Equal (x, xo, y, yo, l) ->
+            let ok = in_range (size_of x) xo l && in_range (size_of y) yo l in
+            let got = ref None in
+            let r =
+              raises_iff ok (fun () ->
+                  got := Some (Bigbuf.equal_range (slab x) ~a_off:xo (slab y) ~b_off:yo ~len:l))
+            in
+            let want = if ok then Some (Bytes.equal (Bytes.sub (model x) xo l) (Bytes.sub (model y) yo l)) else None in
+            r && !got = want
+      in
+      let same () =
+        Bytes.equal (Bigbuf.to_bytes a ~off:0 ~len:size_a) ma
+        && Bytes.equal (Bigbuf.to_bytes b ~off:0 ~len:size_b) mb
+        && Bytes.equal h mh
+      in
+      List.for_all (fun op -> step op && same ()) ops)
+
+(* "No view, no box": the copy path must not touch the minor heap.
+   Offsets vary per call so unaligned heads and odd tails are timed
+   too. *)
+let bigbuf_bulk_no_alloc () =
+  let a = Bigbuf.create 8192 and b = Bigbuf.create 8192 in
+  let h = Bytes.make 8192 'y' in
+  let n = 10_000 in
+  let zero_words name loop =
+    let w0 = Gc.minor_words () in
+    loop ();
+    let w1 = Gc.minor_words () in
+    check_int (name ^ ": minor words over 10k calls") 0 (int_of_float (w1 -. w0))
+  in
+  zero_words "blit" (fun () ->
+      for i = 0 to n - 1 do
+        Bigbuf.blit a ~src_off:(i land 511) b ~dst_off:(i land 255) ~len:(4096 - (i land 7))
+      done);
+  zero_words "fill" (fun () ->
+      for i = 0 to n - 1 do
+        Bigbuf.fill a ~off:(i land 511) ~len:(4096 - (i land 7)) 'x'
+      done);
+  zero_words "blit_to_bytes" (fun () ->
+      for i = 0 to n - 1 do
+        Bigbuf.blit_to_bytes a ~src_off:(i land 511) h ~dst_off:(i land 255) ~len:(4080 + (i land 7))
+      done);
+  zero_words "blit_from_bytes" (fun () ->
+      for i = 0 to n - 1 do
+        Bigbuf.blit_from_bytes h ~src_off:(i land 255) b ~dst_off:(i land 511) ~len:(4080 + (i land 7))
+      done);
+  (* [b] mirrors [a] except byte 6000, which every odd-[i] range
+     covers: half the compares succeed, half stop at a difference. *)
+  Bigbuf.blit a ~src_off:0 b ~dst_off:0 ~len:8192;
+  Bigbuf.set_u8 b 6000 (Bigbuf.get_u8 a 6000 lxor 1);
+  let eq = ref 0 in
+  zero_words "equal_range" (fun () ->
+      for i = 0 to n - 1 do
+        let off = (i land 511) + ((i land 1) * 2048) in
+        if Bigbuf.equal_range a ~a_off:off b ~b_off:off ~len:(4096 - (i land 7))
+        then incr eq
+      done);
+  check_int "equal_range: even calls equal, odd calls differ" (n / 2) !eq
 
 (* ------------------------------------------------------------------ *)
 (* Page windows: QP level *)
@@ -441,7 +585,8 @@ let suite =
   [
     QCheck_alcotest.to_alcotest bigbuf_roundtrip;
     QCheck_alcotest.to_alcotest bigbuf_bytes_blits;
-    quick "bigbuf sub view aliases parent" bigbuf_sub_view;
+    QCheck_alcotest.to_alcotest bigbuf_bulk_model;
+    quick "bigbuf bulk ops allocate nothing" bigbuf_bulk_no_alloc;
     quick "qp extent == per-page posting (clean)" qp_extent_clean;
     quick "qp extent == per-page posting (flaky)" qp_extent_flaky;
     quick "qp pages validated before any is posted" qp_pages_validate_first;

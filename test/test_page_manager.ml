@@ -56,7 +56,7 @@ let clean_pages_dropped_without_rdma () =
 let dirty_pages_written_back_on_eviction () =
   with_pm ~frames:8 (fun eng stats pt fr pm ->
       let frame0 = map_page pt fr pm 1 ~dirty:true in
-      Sim.Bigbuf.set_u64_le (Vmem.Frame.sub_view fr frame0) 0 0x5151L;
+      Sim.Bigbuf.set_u64_le (Vmem.Frame.slab fr) (Vmem.Frame.offset fr frame0) 0x5151L;
       for vpn = 2 to 8 do
         ignore (map_page pt fr pm vpn ~dirty:true)
       done;

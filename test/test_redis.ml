@@ -425,6 +425,35 @@ let bench_reports_service_time () =
   Alcotest.(check string) "closed loop = service_time" "service_time"
     (Apps.Redis_bench.latency_kind_name r.Apps.Redis_bench.latency_kind)
 
+(* [key_of] and [key_into] fill their digits by hand; both must stay
+   byte-identical to the [key:%010d] format they replaced, at both ends
+   of the fast range and past them (negative keys, eleven digits). *)
+let key_of_matches_sprintf =
+  let edges =
+    [ 0; 1; 9; 10; 999_999_999; 9_999_999_999; 10_000_000_000; -1; -42; max_int; min_int ]
+  in
+  QCheck.Test.make ~name:"key_of/key_into match sprintf key:%010d" ~count:1000
+    QCheck.(
+      make
+        Gen.(
+          frequency
+            [
+              (3, oneofl edges);
+              (6, int_range 0 9_999_999_999);
+              (2, int_range 0 1_000_000);
+              (1, int);
+            ]))
+    (fun i ->
+      let want = Printf.sprintf "key:%010d" i in
+      let buf = Bytes.make Apps.Redis_bench.key_bytes '#' in
+      let before = Bytes.to_string buf in
+      let into = Apps.Redis_bench.key_into buf i in
+      Bytes.to_string (Apps.Redis_bench.key_of i) = want
+      && Bytes.to_string into = want
+      (* in range the key lands in [buf]; outside it [buf] is untouched *)
+      && (if i >= 0 && i < 10_000_000_000 then into == buf
+          else into != buf && Bytes.to_string buf = before))
+
 let suite =
   [
     quick "sds roundtrip" sds_roundtrip;
@@ -437,6 +466,7 @@ let suite =
     quick "dict insert/find/remove" dict_insert_find_remove;
     QCheck_alcotest.to_alcotest dict_model_qcheck;
     quick "redis set/get/del" redis_set_get_del;
+    QCheck_alcotest.to_alcotest key_of_matches_sprintf;
     quick "redis lists" redis_lists;
     quick "redis survives eviction" redis_survives_eviction;
     quick "redis GET grows the reply buffer" redis_get_grows_reply_buffer;

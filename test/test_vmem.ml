@@ -141,15 +141,16 @@ let frame_recycled_dirty () =
      [fill_page]. The old alloc-time memset was pure host-side waste. *)
   let f = Vmem.Frame.create ~frames:1 in
   let a = Vmem.Frame.alloc_exn f in
-  Sim.Bigbuf.set_u8 (Vmem.Frame.sub_view f a) 100 (Char.code 'x');
+  let slab = Vmem.Frame.slab f in
+  Sim.Bigbuf.set_u8 slab (Vmem.Frame.offset f a + 100) (Char.code 'x');
   Vmem.Frame.free f a;
   let b = Vmem.Frame.alloc_exn f in
   check_int "same frame recycled" a b;
   check_int "recycled dirty (no alloc-time zeroing)" (Char.code 'x')
-    (Sim.Bigbuf.get_u8 (Vmem.Frame.sub_view f b) 100);
+    (Sim.Bigbuf.get_u8 slab (Vmem.Frame.offset f b + 100));
   Vmem.Frame.fill_page f b '\000';
   check_int "fill_page zeroes explicitly" 0
-    (Sim.Bigbuf.get_u8 (Vmem.Frame.sub_view f b) 100)
+    (Sim.Bigbuf.get_u8 slab (Vmem.Frame.offset f b + 100))
 
 (* ------------------------------------------------------------------ *)
 (* MMU *)
