@@ -32,6 +32,12 @@ let pos_float =
 
 let fraction = checked Arg.float "a fraction in [0,1]" (fun x -> x >= 0. && x <= 1.)
 
+(* [Arg.enum] over values that hold closures (catalog entries, drill
+   programs): printed through [name], never compared structurally. *)
+let enum_by_name choices name =
+  let print ppf v = Format.pp_print_string ppf (name v) in
+  Arg.(conv (conv_parser (enum choices), print))
+
 (* One term for --system and --prefetch; the prefetcher applies to the
    DiLOS systems only. *)
 let system =
@@ -129,8 +135,9 @@ let json_file what =
 
 let verbose ~doc = Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
-let drill_app ~default ~docv ~doc =
-  Arg.(value & opt string default & info [ "a"; "app" ] ~docv ~doc)
+(* The drill program table, by name: --app of drill and report. *)
+let drill_programs =
+  List.map (fun (p : Apps.Drill.program) -> (p.name, p)) Apps.Drill.programs
 
 let print_breakdown stats =
   let rows = Trace.breakdown stats in
@@ -188,11 +195,13 @@ let print_footer ?(artifacts = ignore) ?counters_title faults ~breakdown
       (Sim.Stats.counters stats)
   end
 
+(* A [Term.ret] usage error (exit 124) with a message naming the flag. *)
+let error fmt = Printf.ksprintf (fun msg -> `Error (true, msg)) fmt
+
 (* Flags that are valid one by one but that this workload, on this
    system, would silently ignore. A guide hooks Redis and needs a
    DiLOS kernel to host it. *)
 let check_run (w : Apps.Catalog.entry) system cores app_aware =
-  let error fmt = Printf.ksprintf (fun msg -> `Error (true, msg)) fmt in
   let dilos =
     match system with
     | H.Dilos _ | H.Dilos_guided _ | H.Dilos_tcp _ -> true
@@ -328,10 +337,9 @@ let run_workload (w : Apps.Catalog.entry) system local_mb scale scale_preset
 let run_cmd, run_term =
   let workload =
     let names = List.map (fun e -> (e.Apps.Catalog.name, e)) Apps.Catalog.entries in
-    let print ppf e = Format.pp_print_string ppf e.Apps.Catalog.name in
     Arg.(
       required
-      & opt (some (conv (conv_parser (enum names), print))) None
+      & opt (some (enum_by_name names (fun e -> e.Apps.Catalog.name))) None
       & info [ "w"; "workload"; "app" ] ~docv:"WORKLOAD"
           ~doc:("Workload to run: " ^ doc_alts_enum names ^ "."))
   in
@@ -654,65 +662,35 @@ let serve_cmd =
 (* ------------------------------------------------------------------ *)
 (* drill: scripted shard-kill recovery drills on a replicated memory
    node (see DESIGN.md §9). Exit codes: 0 ok, 1 digest mismatch,
-   2 usage, 4 page irrecoverably lost (every replica dead). *)
+   4 page irrecoverably lost (every replica dead), 124 usage. *)
 
-let exit_page_lost = 4
+let check_drill shards replication kill_shard =
+  if replication < 1 || shards < replication then
+    error "--replication %d: need 1 <= replication <= --shards (%d)"
+      replication shards
+  else if kill_shard < 0 || kill_shard >= shards then
+    error "--kill-shard %d: out of range for %d shards" kill_shard shards
+  else `Ok ()
 
-let drill_apps_of_string s =
-  if String.equal s "all" then Apps.Drill.apps
-  else
-    List.map
-      (fun tok ->
-        match Apps.Drill.app_of_string (String.trim tok) with
-        | Some a -> a
-        | None ->
-            Printf.eprintf
-              "dilos_sim: unknown drill app %S (seq|quicksort|kmeans|redis|all)\n"
-              tok;
-            exit 2)
-      (String.split_on_char ',' s)
-
-let run_drill system app_str local_mb scale seed shards replication kill_shard
+let run_drill system programs local_mb scale seed shards replication kill_shard
     detect_us recover_after_us json_file verbose =
-  let apps = drill_apps_of_string app_str in
-  if replication < 1 || shards < replication then begin
-    Printf.eprintf "dilos_sim: need 1 <= replication <= shards\n";
-    exit 2
-  end;
-  if kill_shard < 0 || kill_shard >= Int.max shards replication then begin
-    Printf.eprintf "dilos_sim: --kill-shard out of range\n";
-    exit 2
-  end;
-  let recover_after =
-    match recover_after_us with
-    | None -> None
-    | Some us -> Some (Sim.Time.us us)
-  in
   Printf.printf "system:    %s\n" (H.system_name system);
   Printf.printf "replicas:  %d shards, replication %d, kill shard %d\n" shards
     replication kill_shard;
   let results =
     List.map
-      (fun app ->
+      (fun program ->
         let r =
-          try
-            Apps.Drill.run ~system ~app ?scale
-              ~local_mem:(local_mb * 1024 * 1024) ~seed ~shards ~replication
-              ~kill_shard
-              ~detect:(Sim.Time.us detect_us)
-              ?recover_after ()
-          with
-          | Dilos.Cpu.Page_lost addr ->
-            Printf.eprintf
-              "dilos_sim: page at 0x%Lx irrecoverably lost (every replica \
-               dead)\n"
-              addr;
-            exit exit_page_lost
+          Apps.Drill.run ~system ~program ?scale
+            ~local_mem:(local_mb * 1024 * 1024) ~seed ~shards ~replication
+            ~kill_shard
+            ~detect:(Sim.Time.us detect_us)
+            ?recover_after:(Option.map Sim.Time.us recover_after_us) ()
         in
         Format.printf "  %a@." Apps.Drill.pp r;
         if verbose then print_string (Apps.Drill.to_json r);
         r)
-      apps
+      (List.concat programs)
   in
   (match json_file with
   | None -> ()
@@ -752,14 +730,26 @@ let drill_cmd =
             "Also restart the killed shard this many simulated microseconds \
              after the kill and re-replicate in the background.")
   in
+  (* "all" is one more choice, so each choice is a list of programs. *)
+  let programs =
+    let choices =
+      ("all", Apps.Drill.programs)
+      :: List.map (fun (n, p) -> (n, [ p ])) drill_programs
+    in
+    let name = function [ (p : Apps.Drill.program) ] -> p.name | _ -> "all" in
+    Arg.(
+      value
+      & opt (list (enum_by_name choices name)) [ Apps.Drill.programs ]
+      & info [ "a"; "app" ] ~docv:"APPS"
+          ~doc:
+            ("Comma-separated drill programs, each " ^ doc_alts_enum choices
+           ^ "."))
+  in
+  let valid = Term.(ret (const check_drill $ shards $ replication $ kill_shard)) in
   let term =
     Term.(
-      const run_drill $ system
-      $ drill_app ~default:"all" ~docv:"APPS"
-          ~doc:
-            "Comma-separated drill kernels (seq|quicksort|kmeans|redis), or \
-             $(b,all)."
-      $ local_mb 1
+      const (fun () -> run_drill)
+      $ valid $ system $ programs $ local_mb 1
       $ scale ~doc:"Workload size override (per-app default otherwise)."
       $ seed ~doc:"Drives the workload, the kill instant and the fault RNG."
       $ shards $ replication $ kill_shard $ detect_us $ recover_after_us
@@ -780,25 +770,17 @@ let drill_cmd =
    fresh labeled registry, health monitor, tracer and attribution;
    emits a deterministic JSON run-report plus optional OpenMetrics and
    flamegraph collapsed-stack artifacts. Exit codes: 0 ok, 1 health
-   signature or reconciliation failure, 2 usage. *)
+   signature or reconciliation failure, 4 page irrecoverably lost,
+   124 usage. *)
 
-let run_report system app_str local_mb scale seed json_file om_file
-    folded_file check verbose =
-  let app =
-    match Apps.Drill.app_of_string app_str with
-    | Some a -> a
-    | None ->
-        Printf.eprintf
-          "dilos_sim: unknown report app %S (seq|quicksort|kmeans|redis)\n"
-          app_str;
-        exit 2
-  in
+let run_report system (program : Apps.Drill.program) local_mb scale seed
+    json_file om_file folded_file check verbose =
   let outcomes =
-    Apps.Observatory.run_matrix ~system ~app ?scale
+    Apps.Observatory.run_matrix ~system ~program ?scale
       ~local_mem:(local_mb * 1024 * 1024) ~seed ()
   in
   Printf.printf "system:    %s\n" (H.system_name system);
-  Printf.printf "matrix:    app %s, seed %d\n" app_str seed;
+  Printf.printf "matrix:    app %s, seed %d\n" program.name seed;
   List.iter
     (fun (o : Apps.Observatory.outcome) ->
       Printf.printf
@@ -905,8 +887,15 @@ let report_cmd =
   let term =
     Term.(
       const run_report $ system
-      $ drill_app ~default:"seq" ~docv:"APP"
-          ~doc:"Drill kernel for the fault scenarios (seq|quicksort|kmeans|redis)."
+      $ Arg.(
+          value
+          & opt
+              (enum_by_name drill_programs (fun p -> p.Apps.Drill.name))
+              Apps.Drill.seq
+          & info [ "a"; "app" ] ~docv:"APP"
+              ~doc:
+                ("Drill program for the fault scenarios: "
+                ^ doc_alts_enum drill_programs ^ "."))
       $ local_mb 1
       $ scale ~doc:"Workload size override (per-app default otherwise)."
       $ seed ~doc:"Drives the workloads, the kill instant and the fault RNG."
@@ -929,7 +918,20 @@ let () =
   (* [run] is also the default command, so
      `dilos_sim.exe --app quicksort --trace t.json` works without the
      subcommand name. *)
+  let cmd =
+    Cmd.group ~default:run_term (Cmd.info "dilos_sim" ~doc)
+      [ run_cmd; serve_cmd; drill_cmd; report_cmd ]
+  in
+  (* A page whose every replica is dead ends any subcommand with exit
+     4; anything else uncaught is cmdliner's internal error (125). *)
   exit
-    (Cmd.eval
-       (Cmd.group ~default:run_term (Cmd.info "dilos_sim" ~doc)
-          [ run_cmd; serve_cmd; drill_cmd; report_cmd ]))
+    (try Cmd.eval ~catch:false cmd with
+    | Dilos.Cpu.Page_lost addr ->
+        Printf.eprintf
+          "dilos_sim: page at 0x%Lx irrecoverably lost (every replica dead)\n"
+          addr;
+        4
+    | exn ->
+        Printf.eprintf "dilos_sim: internal error, uncaught exception:\n%s\n"
+          (Printexc.to_string exn);
+        Cmd.Exit.internal_error)

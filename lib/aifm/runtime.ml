@@ -252,18 +252,27 @@ let malloc t ~core:_ size =
   charge t 40;
   handle_of oid
 
-let free t ~core:_ addr =
+let rec free t ~core addr =
   let o, off = decode t addr in
   if off <> 0 then invalid_arg "Aifm.free: not an allocation base";
-  Array.iter
-    (fun c ->
-      match c.data with
-      | CLocal _ -> t.used <- t.used - c.len
-      | CRemote -> ()
-      | CFetching _ -> invalid_arg "Aifm.free: fetch in flight")
-    o.chunks;
-  Hashtbl.remove t.objects o.oid;
-  charge t 30
+  let fetching c =
+    match c.data with CFetching w -> Some w | CLocal _ | CRemote -> None
+  in
+  match Array.find_map fetching o.chunks with
+  | Some waiters ->
+      (* A streaming prefetch is still on the wire: wait for it to
+         land or be abandoned, then free what is there. *)
+      Sim.Engine.suspend t.eng (fun wake -> waiters := wake :: !waiters);
+      free t ~core addr
+  | None ->
+      Array.iter
+        (fun c ->
+          match c.data with
+          | CLocal _ -> t.used <- t.used - c.len
+          | CRemote | CFetching _ -> ())
+        o.chunks;
+      Hashtbl.remove t.objects o.oid;
+      charge t 30
 
 (* ------------------------------------------------------------------ *)
 (* Miss handling and streaming prefetch                                *)

@@ -3,38 +3,12 @@
    exact bytes of a failure-free run — while reporting what the
    failure cost (degraded window, failover latency, resync time).
 
-   The drill kernels are compact Memif programs whose entire result is
+   The drill programs are compact Memif kernels whose entire result is
    one FNV-1a digest of the data they read back from disaggregated
    memory, so "bit-identical to the no-failure golden" is a single
    int64 comparison, and the same four access patterns (stream, swap
    -heavy sort, iterative scans, pointer chasing) exercise the
    replica group's read-failover and writeback-mirroring paths. *)
-
-type app = Seq | Quicksort | Kmeans | Redis
-
-let apps = [ Seq; Quicksort; Kmeans; Redis ]
-
-let app_name = function
-  | Seq -> "seq"
-  | Quicksort -> "quicksort"
-  | Kmeans -> "kmeans"
-  | Redis -> "redis"
-
-let app_of_string = function
-  | "seq" -> Some Seq
-  | "quicksort" -> Some Quicksort
-  | "kmeans" -> Some Kmeans
-  | "redis" -> Some Redis
-  | _ -> None
-
-(* Scales chosen so each kernel's working set is a small multiple of
-   the default drill-local-DRAM (1 MiB): enough eviction traffic to
-   mirror writebacks and enough refetches to hit failover. *)
-let default_scale = function
-  | Seq -> 1024 (* pages: 4 MiB *)
-  | Quicksort -> 320_000 (* u64 elements: 2.5 MiB *)
-  | Kmeans -> 320_000 (* 2-d points: 2.5 MiB *)
-  | Redis -> 20_000 (* keys: ~2 MiB of dict + SDS *)
 
 (* ---------------------------------------------------------------- *)
 (* Digest and deterministic mixing                                   *)
@@ -225,18 +199,28 @@ let k_redis (m : Memif.t) ~scale ~seed =
   h := fnv64 !h (Int64.of_int (Dict.count d));
   !h
 
-let kernel app m ~scale ~seed =
-  match app with
-  | Seq -> k_seq m ~scale ~seed
-  | Quicksort -> k_quicksort m ~scale ~seed
-  | Kmeans -> k_kmeans m ~scale ~seed
-  | Redis -> k_redis m ~scale ~seed
+(* The program table. Each default scale makes a working set a small
+   multiple of the default drill-local-DRAM (1 MiB): 4 MiB of pages,
+   2.5 MiB of u64s or of 2-d points, ~2 MiB of dict + SDS. Enough
+   eviction traffic to mirror writebacks and enough refetches to hit
+   failover. *)
+type program = {
+  name : string;
+  scale : int;
+  digest : Memif.t -> scale:int -> seed:int -> int64;
+}
+
+let seq = { name = "seq"; scale = 1024; digest = k_seq }
+let quicksort = { name = "quicksort"; scale = 320_000; digest = k_quicksort }
+let kmeans = { name = "kmeans"; scale = 320_000; digest = k_kmeans }
+let redis = { name = "redis"; scale = 20_000; digest = k_redis }
+let programs = [ seq; quicksort; kmeans; redis ]
 
 (* ---------------------------------------------------------------- *)
 (* The drill                                                         *)
 
 type result = {
-  r_app : app;
+  r_program : program;
   r_system : string;
   r_scale : int;
   r_seed : int;
@@ -270,18 +254,18 @@ type result = {
 let kill_fraction_permille seed =
   250 + Int64.to_int (Int64.rem (Int64.logand (mix seed) Int64.max_int) 501L)
 
-let run ~system ~app ?scale ?(local_mem = 1024 * 1024) ?(seed = 42)
-    ?(shards = 2) ?(replication = 2) ?(kill_shard = 0)
+let kill_at_ns ~clean_ns ~seed =
+  Int.max 1 (clean_ns / 1000 * kill_fraction_permille seed)
+
+let run ~system ~program ?(scale = program.scale) ?(local_mem = 1024 * 1024)
+    ?(seed = 42) ?(shards = 2) ?(replication = 2) ?(kill_shard = 0)
     ?(detect = Sim.Time.us 50) ?recover_after () =
-  let scale = match scale with Some s -> s | None -> default_scale app in
-  let work ctx = kernel app (ctx.Harness.mem ~core:0) ~scale ~seed in
+  let work ctx = program.digest (ctx.Harness.mem ~core:0) ~scale ~seed in
   (* Clean pass: same replica topology, no failure. Its digest is the
      golden; its elapsed time places the kill. *)
   let clean = Harness.run system ~local_mem ~shards ~replication work in
   let clean_ns = Int64.to_int clean.Harness.elapsed in
-  let kill_at_ns =
-    Int.max 1 (clean_ns / 1000 * kill_fraction_permille seed)
-  in
+  let kill_at_ns = kill_at_ns ~clean_ns ~seed in
   let detect_ns = Int64.to_int detect in
   let recover_at_ns =
     Option.map (fun d -> kill_at_ns + Int64.to_int d) recover_after
@@ -307,7 +291,7 @@ let run ~system ~app ?scale ?(local_mem = 1024 * 1024) ?(seed = 42)
   in
   let g k = Sim.Stats.get drill.Harness.run_stats k in
   {
-    r_app = app;
+    r_program = program;
     r_system = Harness.system_name system;
     r_scale = scale;
     r_seed = seed;
@@ -344,7 +328,7 @@ let run ~system ~app ?scale ?(local_mem = 1024 * 1024) ?(seed = 42)
 let json_buf b r =
   let p fmt = Printf.bprintf b fmt in
   p "{\"app\": \"%s\", \"system\": \"%s\", \"scale\": %d, \"seed\": %d,\n"
-    (app_name r.r_app) r.r_system r.r_scale r.r_seed;
+    r.r_program.name r.r_system r.r_scale r.r_seed;
   p " \"shards\": %d, \"replication\": %d, \"kill_shard\": %d,\n" r.r_shards
     r.r_replication r.r_kill_shard;
   p " \"kill_at_ns\": %d, \"detect_ns\": %d, \"recover_at_ns\": %s,\n"
@@ -388,7 +372,7 @@ let pp ppf r =
     (Printf.sprintf
        "%-9s kill shard %d @ %.3f ms%s: digest %s, clean %.3f ms -> drill \
         %.3f ms, failover %d reads / %.1f us%s"
-       (app_name r.r_app) r.r_kill_shard
+       r.r_program.name r.r_kill_shard
        (float_of_int r.r_kill_at_ns /. 1e6)
        (match r.r_recover_at_ns with
        | None -> ""

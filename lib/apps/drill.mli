@@ -1,6 +1,6 @@
 (** Scripted recovery drills on a replicated memory node.
 
-    A drill runs one of four compact kernels twice on the same replica
+    A drill runs one of four compact {!programs} twice on the same replica
     topology — once failure-free, once with a shard killed at a seeded
     instant (plus an optional scripted recovery) — and reports whether
     the computation still produced the exact same bytes, alongside the
@@ -9,25 +9,26 @@
     seed yields a byte-identical {!to_json} report. See DESIGN.md §9
     and EXPERIMENTS.md. *)
 
-type app = Seq | Quicksort | Kmeans | Redis
+type program = {
+  name : string;
+  scale : int;  (** default workload size *)
+  digest : Memif.t -> scale:int -> seed:int -> int64;
+      (** Runs the workload and returns the FNV-1a digest of everything
+          it read back. Raises [Failure] if the workload's own
+          invariant breaks (unsorted output, wrong dict value...). *)
+}
 
-val apps : app list
-(** All four, in canonical order. *)
+val seq : program
+val quicksort : program
+val kmeans : program
+val redis : program
 
-val app_name : app -> string
-val app_of_string : string -> app option
-
-val default_scale : app -> int
-
-val kernel : app -> Memif.t -> scale:int -> seed:int -> int64
-(** The drill kernel itself: runs the workload against the given
-    memory interface and returns the FNV-1a digest of everything it
-    read back. Exposed for tests that want the digest without the
-    drill driver. Raises [Failure] if the workload's own invariant
-    breaks (unsorted output, wrong dict value...). *)
+val programs : program list
+(** All four, in canonical order: stream, swap-heavy sort, iterative
+    scans, pointer chasing. *)
 
 type result = {
-  r_app : app;
+  r_program : program;
   r_system : string;
   r_scale : int;
   r_seed : int;
@@ -55,13 +56,13 @@ type result = {
   r_recovers : int;
 }
 
-val kill_fraction_permille : int -> int
-(** Where in the clean run the kill lands, per mille of the clean
-    elapsed time; seeded, always in [250, 750]. *)
+val kill_at_ns : clean_ns:int -> seed:int -> int
+(** Where the kill lands: a seeded instant in 250–750 per mille of a
+    clean run of [clean_ns]; the same seed gives the same fraction. *)
 
 val run :
   system:Harness.system ->
-  app:app ->
+  program:program ->
   ?scale:int ->
   ?local_mem:int ->
   ?seed:int ->
@@ -72,13 +73,13 @@ val run :
   ?recover_after:Sim.Time.t ->
   unit ->
   result
-(** Run the clean pass, derive the kill instant
-    ({!kill_fraction_permille} of the clean elapsed time), then run
-    the drill pass with [kill-shard] composed with a [detect]-long
+(** Run the clean pass, derive the kill instant ({!kill_at_ns} of the
+    clean elapsed time), then run the drill pass with [kill-shard]
+    composed with a [detect]-long
     blackout (the failure-detection outage; default 50 us) and, when
     [recover_after] is given, a scripted [recover-shard] that much
-    simulated time after the kill. Defaults: 1 MiB local DRAM, seed
-    42, 2 shards, replication 2, kill shard 0. *)
+    simulated time after the kill. Defaults: the program's scale, 1 MiB
+    local DRAM, seed 42, 2 shards, replication 2, kill shard 0. *)
 
 val to_json : result -> string
 (** One result as deterministic JSON (fixed field order, integers and

@@ -17,7 +17,7 @@ type outcome = {
   o_name : string;
   o_fault_spec : string;  (** "" for the clean baseline *)
   o_elapsed_ns : int;
-  o_digest : int64 option;  (** drill-kernel digest; [None] for serving *)
+  o_digest : int64 option;  (** drill-program digest; [None] for serving *)
   o_registry : Obs.Registry.t;
   o_stats : Sim.Stats.t;
   o_events : Obs.Health.event list;
@@ -30,22 +30,23 @@ type outcome = {
    a dozen ticks land inside even the shortest scenario. *)
 let interval = Sim.Time.us 200
 
-(* One instrumented run. The registry is installed by [Harness.run]
-   before boot (constructors resolve their handles there); the
-   tracer, monitor and attribution attach in the observe hook, after
-   boot and before the workload fiber. *)
-let observed_run ~system ~local_mem ?fault_spec ?fault_seed ~shards
-    ~replication work =
+(* One instrumented run, as the named scenario's outcome ([fault_spec]
+   "" is a clean run; [digest] reads the workload's value). The
+   registry is installed by [Harness.run] before boot (constructors
+   resolve their handles there); the tracer, monitor and attribution
+   attach in the observe hook, after boot and before the workload
+   fiber. *)
+let observed_run ~system ~local_mem ~name ~fault_spec ~seed ~shards
+    ~replication ~digest work =
   let reg = Obs.Registry.create () in
   let tracer = ref None in
   let monitor = ref None in
-  let fault_spec =
-    Option.map
-      (fun s ->
-        match Faults.Spec.parse s with
-        | Ok spec -> spec
-        | Error msg -> invalid_arg ("Observatory: bad fault spec: " ^ msg))
-      fault_spec
+  let spec =
+    if fault_spec = "" then None
+    else
+      match Faults.Spec.parse fault_spec with
+      | Ok spec -> Some spec
+      | Error msg -> invalid_arg ("Observatory: bad fault spec: " ^ msg)
   in
   Dilos_trace.set_attribution true;
   Fun.protect ~finally:(fun () ->
@@ -53,8 +54,9 @@ let observed_run ~system ~local_mem ?fault_spec ?fault_seed ~shards
       Dilos_trace.uninstall ())
   @@ fun () ->
   let result =
-    Harness.run system ~local_mem ?fault_spec ?fault_seed ~shards ~replication
-      ~obs:reg
+    Harness.run system ~local_mem ?fault_spec:spec
+      ?fault_seed:(Option.map (fun _ -> seed) spec)
+      ~shards ~replication ~obs:reg
       ~observe:(fun ctx ->
         let t =
           Dilos_trace.create ~eng:ctx.Harness.eng ~capacity:(1 lsl 18) ()
@@ -68,35 +70,18 @@ let observed_run ~system ~local_mem ?fault_spec ?fault_seed ~shards
       work
   in
   let profile = Obs.Profile.create () in
-  (match !tracer with
-  | Some t -> Obs.Profile.add_trace profile t
-  | None -> ());
+  Option.iter (Obs.Profile.add_trace profile) !tracer;
   Obs.Profile.add_attribution profile result.Harness.run_stats;
-  let events, ticks =
-    match !monitor with
-    | Some m -> (Obs.Health.events m, Obs.Health.ticks m)
-    | None -> ([], 0)
-  in
-  (result, reg, events, profile, ticks)
-
-let drill_scenario ~system ~app ~scale ~local_mem ~seed ~name ~fault_spec () =
-  let work ctx = Drill.kernel app (ctx.Harness.mem ~core:0) ~scale ~seed in
-  let result, reg, events, profile, ticks =
-    observed_run ~system ~local_mem
-      ?fault_spec:(if fault_spec = "" then None else Some fault_spec)
-      ?fault_seed:(if fault_spec = "" then None else Some seed)
-      ~shards:2 ~replication:2 work
-  in
   {
     o_name = name;
     o_fault_spec = fault_spec;
     o_elapsed_ns = Int64.to_int result.Harness.elapsed;
-    o_digest = Some result.Harness.value;
+    o_digest = digest result.Harness.value;
     o_registry = reg;
     o_stats = result.Harness.run_stats;
-    o_events = events;
+    o_events = Option.fold ~none:[] ~some:Obs.Health.events !monitor;
     o_profile = profile;
-    o_ticks = ticks;
+    o_ticks = Option.fold ~none:0 ~some:Obs.Health.ticks !monitor;
   }
 
 (* Open-loop serving pushed past the knee: offered load well above
@@ -115,40 +100,24 @@ let overload_scenario ~system ~seed () =
     }
   in
   let cfg = Serving.default_config stream ~requests:4000 in
-  let work ctx = Serving.run ctx cfg in
-  let result, reg, events, profile, ticks =
-    observed_run ~system ~local_mem:(1024 * 1024) ~shards:1 ~replication:1 work
-  in
-  ignore (result.Harness.value : Serving.result);
-  {
-    o_name = "overload";
-    o_fault_spec = "";
-    o_elapsed_ns = Int64.to_int result.Harness.elapsed;
-    o_digest = None;
-    o_registry = reg;
-    o_stats = result.Harness.run_stats;
-    o_events = events;
-    o_profile = profile;
-    o_ticks = ticks;
-  }
+  observed_run ~system ~local_mem:(1024 * 1024) ~name:"overload" ~fault_spec:""
+    ~seed ~shards:1 ~replication:1
+    ~digest:(fun (_ : Serving.result) -> None)
+    (fun ctx -> Serving.run ctx cfg)
 
 let run_matrix ?(system = Harness.Dilos Dilos.Kernel.Readahead)
-    ?(app = Drill.Seq) ?scale ?(local_mem = 1024 * 1024) ?(seed = 42) () =
-  let scale =
-    match scale with Some s -> s | None -> Drill.default_scale app
-  in
+    ?(program = Drill.seq) ?(scale = program.Drill.scale)
+    ?(local_mem = 1024 * 1024) ?(seed = 42) () =
   let drill name fault_spec =
-    drill_scenario ~system ~app ~scale ~local_mem ~seed ~name ~fault_spec ()
+    observed_run ~system ~local_mem ~name ~fault_spec ~seed ~shards:2
+      ~replication:2 ~digest:Option.some (fun ctx ->
+        program.Drill.digest (ctx.Harness.mem ~core:0) ~scale ~seed)
   in
   let clean = drill "clean" "" in
-  (* The kill instant is the drill's: a seeded 25–75% fraction of the
-     clean run's elapsed time, with a blackout window modelling the
-     detection outage and a scripted recovery 200 us later so the
+  (* The kill instant is the drill's, with a blackout window modelling
+     the detection outage and a scripted recovery 200 us later so the
      matrix also exercises resync. *)
-  let kill_at_ns =
-    Int.max 1
-      (clean.o_elapsed_ns / 1000 * Drill.kill_fraction_permille seed)
-  in
+  let kill_at_ns = Drill.kill_at_ns ~clean_ns:clean.o_elapsed_ns ~seed in
   let kill_spec =
     Printf.sprintf
       "flaky,kill-shard=0@%dns,blackout=50000ns@%dns,recover-shard=0@%dns"

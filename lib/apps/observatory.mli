@@ -16,7 +16,7 @@ type outcome = {
   o_name : string;
   o_fault_spec : string;  (** "" for the clean baseline *)
   o_elapsed_ns : int;
-  o_digest : int64 option;  (** drill-kernel digest; [None] for serving *)
+  o_digest : int64 option;  (** drill-program digest; [None] for serving *)
   o_registry : Obs.Registry.t;
   o_stats : Sim.Stats.t;
   o_events : Obs.Health.event list;
@@ -24,12 +24,9 @@ type outcome = {
   o_ticks : int;  (** health-monitor ticks that ran *)
 }
 
-val interval : Sim.Time.t
-(** Health-monitor cadence used by every scenario. *)
-
 val run_matrix :
   ?system:Harness.system ->
-  ?app:Drill.app ->
+  ?program:Drill.program ->
   ?scale:int ->
   ?local_mem:int ->
   ?seed:int ->
@@ -37,8 +34,8 @@ val run_matrix :
   outcome list
 (** The four scenarios, in order: [clean]; [flaky]; [flaky-kill]
     (kill + blackout at the drill's seeded instant, recovery 200 us
-    later); [overload]. Defaults: DiLOS/readahead, the [seq] drill
-    kernel at its default scale, seed 42. *)
+    later); [overload]. Defaults: DiLOS/readahead, {!Drill.seq} at its
+    default scale, seed 42. *)
 
 val reconciles : outcome -> bool
 (** [true] iff the flame profile's [fault] root total, the attribution

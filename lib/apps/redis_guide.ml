@@ -4,6 +4,7 @@ type stats = {
   mutable chained_nodes : int;
 }
 
+(* How many nodes ahead the LRANGE guide runs. *)
 let chase_depth = 2
 let page = Vmem.Addr.page_size
 

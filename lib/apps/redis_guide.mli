@@ -28,6 +28,3 @@ type stats = {
 val install : Harness.ctx -> stats
 (** Register the loader hooks and the prefetch guide; returns the
     guide's own counters (for tests and reporting). *)
-
-val chase_depth : int
-(** How many nodes ahead the LRANGE guide runs. *)

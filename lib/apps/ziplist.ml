@@ -11,6 +11,7 @@ let create (mem : Memif.t) ~capacity =
   mem.Memif.write_u32_at base 8 (header_size + capacity);
   base
 
+(* Header + entries actually stored. *)
 let used_bytes (mem : Memif.t) t = mem.Memif.read_u32_at t 0
 let length (mem : Memif.t) t = mem.Memif.read_u16_at t 4
 let capacity_bytes t (mem : Memif.t) = mem.Memif.read_u32_at t 8

@@ -14,11 +14,6 @@ val create : Memif.t -> capacity:int -> t
     per-entry overhead). *)
 
 val length : Memif.t -> t -> int
-val used_bytes : Memif.t -> t -> int
-(** Header + entries actually stored. *)
-
-val capacity_bytes : t -> Memif.t -> int
-
 val try_append : Memif.t -> t -> bytes -> bool
 (** [false] when the entry does not fit (caller starts a new node). *)
 

@@ -48,3 +48,26 @@ let record r ~total_ns ~alloc_ns ~fetch_ns fa =
 let retried r = Sim.Stats.cincr r.c_fetch_retries
 let zero_filled r = Sim.Stats.cincr r.c_zero_fill
 let reclaimed r ns = Sim.Stats.cadd r.c_ph_reclaim ns
+
+(* Each page's failed write-backs since the last success anywhere: a
+   success bumps [ok], and the next failure starts every count afresh,
+   so the success path needs no hook. *)
+type writebacks = {
+  ok : Sim.Stats.counter;
+  mutable ok_seen : int;
+  mutable failed : int Sim.Int_table.t;
+}
+
+let writebacks stats =
+  let ok = Sim.Stats.counter stats "writebacks" in
+  { ok; ok_seen = 0; failed = Sim.Int_table.create 8 }
+
+let writeback_failed w vpn =
+  if Sim.Stats.cget w.ok <> w.ok_seen then begin
+    w.ok_seen <- Sim.Stats.cget w.ok;
+    w.failed <- Sim.Int_table.create 8
+  end;
+  let n = 1 + Option.value (Sim.Int_table.find_opt w.failed vpn) ~default:0 in
+  if n >= Params.fault_refetch_max then
+    raise (Cpu.Page_lost (Vmem.Addr.base vpn));
+  Sim.Int_table.replace w.failed vpn n

@@ -6,7 +6,8 @@
     histogram; the Observatory's [kernel_major_faults] and
     [kernel_fault_ns] series for [{system}]; and the latency
     attribution ({!Trace.Attr}), when on. A component only one kernel
-    has stays in that kernel. *)
+    has stays in that kernel. Also the bound on a page's failed
+    write-backs, which both kernels share. *)
 
 type t
 
@@ -30,3 +31,14 @@ val retried : t -> unit
 val zero_filled : t -> unit
 val reclaimed : t -> int -> unit
 (** [ns] of a fault spent reclaiming frames. *)
+
+type writebacks
+
+val writebacks : Sim.Stats.t -> writebacks
+
+val writeback_failed : writebacks -> int -> unit
+(** A write-back of page [vpn] reached nothing; the kernel re-dirties
+    the page to retry it. Raises {!Cpu.Page_lost} once the page has
+    failed {!Params.fault_refetch_max} times with no write-back (the
+    [writebacks] counter) succeeding in between: a fault waiting for
+    its frame ends the run instead of waiting forever. *)

@@ -137,6 +137,7 @@ type t = {
   pt : Vmem.Page_table.t;
   frames : Vmem.Frame.t;
   evict_qp : Rdma.Qp.t;
+  wb_bound : Major_fault.writebacks;
   reclaim_guide : Guide.reclaim_guide option;
   clock : Clock.t;
   vector_log : (int * int) list Sim.Int_table.t;
@@ -182,6 +183,7 @@ let create ~eng ~stats ~pt ~frames ~evict_qp ?reclaim_guide () =
     pt;
     frames;
     evict_qp;
+    wb_bound = Major_fault.writebacks stats;
     reclaim_guide;
     clock = Clock.create ();
     vector_log = Sim.Int_table.create 64;
@@ -311,10 +313,12 @@ let writeback t vpn pte ~then_evict =
        consistent pre-write page. Re-dirty the PTE — clear_dirty above
        promised a write-back that never happened — and put the page
        back on the clock for a later attempt. Reclaim skips wb_inflight
-       pages, so nobody can have dropped the frame meanwhile. *)
+       pages, so nobody can have dropped the frame meanwhile. A page
+       that keeps failing is lost (Major_fault.writeback_failed). *)
     let on_error () =
       Sim.Int_table.remove t.wb_inflight vpn;
       Sim.Stats.cincr t.hot.c_wb_failures;
+      Major_fault.writeback_failed t.wb_bound vpn;
       (match Vmem.Pte.tag (Vmem.Page_table.get t.pt vpn) with
       | Vmem.Pte.Local ->
           Vmem.Page_table.update t.pt vpn Vmem.Pte.set_dirty;

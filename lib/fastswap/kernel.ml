@@ -13,6 +13,7 @@ let trk_reclaim = Trace.track "reclaim"
 (* Fault/reclaim-path stats cells, resolved once at [boot]. *)
 type hot_stats = {
   mf : Dilos.Major_fault.t;
+  wb_bound : Dilos.Major_fault.writebacks;
   c_minor_faults : Sim.Stats.counter;
   c_evictions : Sim.Stats.counter;
   c_writebacks : Sim.Stats.counter;
@@ -146,13 +147,15 @@ let rec evict_one t ~qp ~budget =
                      Trace.complete cat_swap ~name:"swap_out" ~track:trk_reclaim
                        ~t0 ();
                      if not !failed then Sim.Stats.cincr t.hot.c_writebacks
-                     else if
-                       Vmem.Pte.tag (Vmem.Page_table.get t.pt vpn)
-                       = Vmem.Pte.Local
-                     then
+                     else begin
                        (* Nothing reached the memory node: re-dirty for
                           the store that never happened. *)
-                       Vmem.Page_table.update t.pt vpn Vmem.Pte.set_dirty
+                       if
+                         Vmem.Pte.tag (Vmem.Page_table.get t.pt vpn)
+                         = Vmem.Pte.Local
+                       then Vmem.Page_table.update t.pt vpn Vmem.Pte.set_dirty;
+                       Dilos.Major_fault.writeback_failed t.hot.wb_bound vpn
+                     end
                    end);
                   (* Check-then-act: the PTE re-read and the unmap it
                      justifies must see no fiber interleaving (the PR 4
@@ -486,6 +489,7 @@ let boot ~eng ~server (cfg : config) =
   let hot =
     {
       mf = Dilos.Major_fault.create ~system:"fastswap" stats;
+      wb_bound = Dilos.Major_fault.writebacks stats;
       c_minor_faults = Sim.Stats.counter stats "minor_faults";
       c_evictions = Sim.Stats.counter stats "evictions";
       c_writebacks = Sim.Stats.counter stats "writebacks";

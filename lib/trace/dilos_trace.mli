@@ -36,8 +36,6 @@ val enabled : cat -> bool
 val track : string -> int
 (** Intern a track by name (idempotent); returns its id. *)
 
-val track_name : int -> string
-
 (** {1 Tracer} *)
 
 type t

@@ -2,7 +2,6 @@
 
 val page_size : int
 val page_shift : int
-val page_mask : int64
 
 val vpn : int64 -> int
 (** Virtual page number of an address. *)

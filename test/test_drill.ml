@@ -15,17 +15,18 @@ let dilos = H.Dilos Dilos.Kernel.Readahead
 
 (* 2 MiB working set over 256 KiB of local DRAM. *)
 let seq_drill ?(system = dilos) ?seed ?replication ?shards ?recover_after () =
-  D.run ~system ~app:D.Seq ~scale:512 ~local_mem:(256 * 1024) ?seed
+  D.run ~system ~program:D.seq ~scale:512 ~local_mem:(256 * 1024) ?seed
     ?replication ?shards ?recover_after ()
 
 let kill_fraction_is_seeded_and_bounded () =
+  let clean_ns = 1_000_000 in
   for seed = 0 to 199 do
-    let f = D.kill_fraction_permille seed in
+    let k = D.kill_at_ns ~clean_ns ~seed in
     check_bool
-      (Printf.sprintf "fraction for seed %d in [250,750] (got %d)" seed f)
+      (Printf.sprintf "kill for seed %d in [250,750] permille (got %d ns)" seed k)
       true
-      (f >= 250 && f <= 750);
-    check_int "seed-deterministic" f (D.kill_fraction_permille seed)
+      (k >= 250_000 && k <= 750_000);
+    check_int "seed-deterministic" k (D.kill_at_ns ~clean_ns ~seed)
   done
 
 let assert_matched name (r : D.result) =
@@ -48,12 +49,12 @@ let seq_drill_is_bit_identical () =
 
 let quicksort_drill_is_bit_identical () =
   assert_matched "quicksort"
-    (D.run ~system:dilos ~app:D.Quicksort ~scale:60_000
+    (D.run ~system:dilos ~program:D.quicksort ~scale:60_000
        ~local_mem:(128 * 1024) ())
 
 let kmeans_drill_recovers () =
   let r =
-    D.run ~system:dilos ~app:D.Kmeans ~scale:60_000 ~local_mem:(128 * 1024)
+    D.run ~system:dilos ~program:D.kmeans ~scale:60_000 ~local_mem:(128 * 1024)
       ~recover_after:(Sim.Time.us 200) ()
   in
   assert_matched "kmeans" r;
@@ -64,7 +65,7 @@ let kmeans_drill_recovers () =
 
 let redis_drill_is_bit_identical () =
   assert_matched "redis"
-    (D.run ~system:dilos ~app:D.Redis ~scale:4_000 ~local_mem:(256 * 1024) ())
+    (D.run ~system:dilos ~program:D.redis ~scale:4_000 ~local_mem:(256 * 1024) ())
 
 let fastswap_drill_is_bit_identical () =
   assert_matched "fastswap" (seq_drill ~system:H.Fastswap ())
@@ -75,7 +76,7 @@ let aifm_quicksort_drill_is_bit_identical () =
      store landing while its WRITE is on the wire must keep the chunk
      resident, or the swap is lost and the output is not sorted. *)
   assert_matched "aifm quicksort"
-    (D.run ~system:H.Aifm ~app:D.Quicksort ~scale:160_000
+    (D.run ~system:H.Aifm ~program:D.quicksort ~scale:160_000
        ~local_mem:(1024 * 1024) ())
 
 let same_seed_json_is_byte_identical () =

@@ -293,9 +293,7 @@ let test_health_deltas_with_drill () =
                ~stats:ctx.Apps.Harness.stats ~interval:(Sim.Time.us 50)
                ~rules:[ non_negative ] ()))
       (fun ctx ->
-        Apps.Drill.kernel Apps.Drill.Seq
-          (ctx.Apps.Harness.mem ~core:0)
-          ~scale:256 ~seed:7)
+        Apps.Drill.seq.digest (ctx.Apps.Harness.mem ~core:0) ~scale:256 ~seed:7)
   in
   let m = Option.get !monitor in
   (* The drill spans the kill (200 us) and the recovery (500 us). *)
@@ -318,7 +316,7 @@ let test_health_deltas_with_drill () =
 
 let matrix =
   lazy
-    (Apps.Observatory.run_matrix ~app:Apps.Drill.Seq ~scale:256
+    (Apps.Observatory.run_matrix ~program:Apps.Drill.seq ~scale:256
        ~local_mem:(256 * 1024) ~seed:42 ())
 
 let find name =
@@ -395,7 +393,7 @@ let test_report_byte_identity () =
   let system = Apps.Harness.Dilos Dilos.Kernel.Readahead in
   let render () =
     Apps.Observatory.report_json ~system ~seed:42
-      (Apps.Observatory.run_matrix ~app:Apps.Drill.Seq ~scale:256
+      (Apps.Observatory.run_matrix ~program:Apps.Drill.seq ~scale:256
          ~local_mem:(256 * 1024) ~seed:42 ())
   in
   let a = render () and b = render () in
