@@ -34,6 +34,15 @@ if grep -rn 'Array1\.sub' lib/; then
   exit 1
 fi
 
+echo "== one allocator for page bytes"
+# Sim.Bigbuf.create is the only place page bytes are allocated: large
+# slabs are fresh huge-page mappings the kernel zeroes lazily, small
+# ones are memset. A Bigarray made anywhere else gets neither.
+if grep -rn 'Array1\.create' lib/ | grep -v '^lib/sim/bigbuf\.ml:'; then
+  echo "check.sh: Bigarray.Array1.create under lib/ outside lib/sim/bigbuf.ml; use Sim.Bigbuf.create" >&2
+  exit 1
+fi
+
 echo "== dune build @lint"
 dune build @lint
 

@@ -13,7 +13,9 @@ let entry_size = 24
 let hash key =
   (* FNV-1a, truncated to OCaml's 63-bit int. *)
   let h = ref 0x3cbf29ce48422232 in
-  Bytes.iter (fun c -> h := (!h lxor Char.code c) * 0x100000001b3 land max_int) key;
+  for i = 0 to Bytes.length key - 1 do
+    h := (!h lxor Char.code (Bytes.unsafe_get key i)) * 0x100000001b3 land max_int
+  done;
   !h
 
 let create (mem : Memif.t) ~size_hint =
@@ -48,11 +50,13 @@ let key_equals t e key =
   else begin
     let b = scratch t klen in
     t.mem.Memif.read_bytes (Sds.data_addr kaddr) b 0 klen;
-    (* [b] may be longer than the key, so compare exactly klen bytes. *)
-    let rec eq i =
-      i >= klen || (Char.equal (Bytes.get b i) (Bytes.get key i) && eq (i + 1))
-    in
-    eq 0
+    (* [b] may be longer than the key, so compare exactly klen bytes;
+       both hold at least klen. *)
+    let i = ref 0 in
+    while !i < klen && Char.equal (Bytes.unsafe_get b !i) (Bytes.unsafe_get key !i) do
+      incr i
+    done;
+    !i = klen
   end
 
 let find_entry t key =

@@ -19,8 +19,9 @@ type page_meta =
       used : Bytes.t; (* one byte per chunk: '\001' used *)
       mutable n_used : int;
     }
-  | Span of { span_base : int64; span_len : int; page_idx : int; pages : int }
-      (** One page of a large allocation: which page of which span. *)
+  | Span of { span_base : int64; span_len : int; pages : int }
+      (** A large allocation, shared by all of its pages: a page's
+          place in the span follows from its vpn. *)
 
 type t = {
   mmap : int -> int64;
@@ -134,9 +135,9 @@ let alloc_large t size =
   in
   Hashtbl.replace t.spans base size;
   let first = Vmem.Addr.vpn base in
+  let span = Span { span_base = base; span_len = size; pages } in
   for i = 0 to pages - 1 do
-    Hashtbl.replace t.meta (first + i)
-      (Span { span_base = base; span_len = size; page_idx = i; pages })
+    Hashtbl.replace t.meta (first + i) span
   done;
   t.live <- t.live + size;
   base
@@ -209,7 +210,7 @@ let live_segments t page_base =
          not ours to judge. *)
       if Hashtbl.mem t.free_set (Vmem.Addr.vpn page_base) then Some [] else None
   | Some (Span sp) ->
-      let off = sp.page_idx * page_size in
+      let off = (Vmem.Addr.vpn page_base - Vmem.Addr.vpn sp.span_base) * page_size in
       let remaining = sp.span_len - off in
       if remaining >= page_size then None (* fully live *)
       else Some [ (0, remaining) ]

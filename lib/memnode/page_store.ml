@@ -7,10 +7,14 @@
    - A leaf entry is [-1] (never written: reads as zeros) or the
      block's place in the arena, packed as [offset lsl seg_bits lor
      segment].
-   - The arena is a few uninitialised Bigarray segments that double in
-     size from 64 MiB; blocks are carved off the newest one. Each
-     Bigarray is charged to the major GC, so a segment per block would
-     cost far more collections than a handful of large ones.
+   - The arena is a few [Sim.Bigbuf] segments that double in size
+     from 64 MiB; blocks are carved off the newest one. Each segment is
+     a fresh mapping the kernel zero-fills as it is first touched (in
+     2 MiB huge pages where it can), and a block is carved once and
+     never reused ([reset] drops the whole arena), so a new block
+     already reads as zeros: a partial first write needs no memset.
+     Each segment is charged to the major GC, so a segment per block
+     would cost far more collections than a handful of large ones.
 
    The directory is the one record of what the node holds: residency
    is a counter and [iter_touched] walks the leaves. *)
@@ -47,18 +51,15 @@ let slot t blk =
   if l < Array.length t.top then t.top.(l).(blk land leaf_mask) else -1
 
 (* First write to [blk]: carve a block off the newest segment, opening
-   one twice as large when it is full. A block that a partial write
-   allocates is zeroed; a whole-block write overwrites it anyway. *)
-let alloc t blk ~partial =
+   one twice as large when it is full. The block is still zero. *)
+let alloc t blk =
   let n = Array.length t.segs in
   if n = 0 || t.used = Sim.Bigbuf.length t.segs.(n - 1) then begin
     let len = if n = 0 then 1 lsl 26 else 2 * Sim.Bigbuf.length t.segs.(n - 1) in
-    let seg = Bigarray.Array1.create Bigarray.char Bigarray.c_layout len in
-    t.segs <- Array.append t.segs [| seg |];
+    t.segs <- Array.append t.segs [| Sim.Bigbuf.create len |];
     t.used <- 0
   end;
   let seg = Array.length t.segs - 1 in
-  if partial then Sim.Bigbuf.fill t.segs.(seg) ~off:t.used ~len:block_size '\000';
   let e = (t.used lsl seg_bits) lor seg in
   t.used <- t.used + block_size;
   let l = blk lsr leaf_shift in
@@ -88,7 +89,7 @@ let rec write_blocks t a src off len =
     let n = Int.min len (block_size - inb) in
     let blk = a lsr block_shift in
     let e = slot t blk in
-    let e = if e >= 0 then e else alloc t blk ~partial:(n < block_size) in
+    let e = if e >= 0 then e else alloc t blk in
     Sim.Bigbuf.blit src ~src_off:off t.segs.(e land seg_mask)
       ~dst_off:((e lsr seg_bits) + inb) ~len:n;
     write_blocks t (a + n) src (off + n) (len - n)

@@ -10,20 +10,21 @@ type t =
 
 let length (t : t) = Bigarray.Array1.dim t
 
-(* glibc serves any request at or above its maximum dynamic mmap
-   threshold (32 MiB) straight from a fresh anonymous mapping, which
-   the kernel zero-fills lazily. Above this size we rely on that, for
-   the frame pool only: a large pool is virtual until its frames are
-   touched. Below it, malloc may recycle dirty memory, so we memset
-   explicitly. The page store allocates its own uninitialised arena
-   segments and relies on neither. *)
-let mmap_zero_threshold = 1 lsl 26
+(* A slab of a huge page or more is a fresh mapping the kernel zeroes
+   lazily (bigbuf_stubs.c). A smaller one comes from the heap, which
+   may recycle dirty memory, so it is zeroed here. *)
+let huge_page = 1 lsl 21
+
+external create_mapped : int -> t = "dilos_bigbuf_create_mapped"
 
 let create n =
   if n < 0 then invalid_arg "Bigbuf.create: negative length";
-  let b = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n in
-  if n < mmap_zero_threshold then Bigarray.Array1.fill b '\000';
-  b
+  if n >= huge_page then create_mapped n
+  else begin
+    let b = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n in
+    Bigarray.Array1.fill b '\000';
+    b
+  end
 
 (* Unaligned scalar access primitives (native-endian loads, byteswapped
    on big-endian targets to match the [Bytes.*_le] accessors they

@@ -3,9 +3,15 @@
     A [Bigbuf.t] is a flat [char] Bigarray used as backing store for
     the frame pool (one slab) and the memnode page store's arena
     segments, addressed by byte offset, instead of one GC-tracked
-    [bytes] per page. Large slabs (>= 64 MiB) are backed by fresh
-    anonymous mappings, so a large frame pool is committed by the
-    kernel as frames are first touched.
+    [bytes] per page. {!create} is the one allocator for page bytes
+    ([check.sh] rejects any other Bigarray allocation under [lib/]).
+    A slab of 2 MiB or more is its own anonymous mapping, advised for
+    transparent huge pages: the kernel commits and zeroes it as it is
+    first touched, 2 MiB at a time where huge pages are available.
+
+    No slab is ever viewed through a Bigarray sub-array ([check.sh]
+    rejects one under [lib/]): the mapping is unmapped when its slab
+    is collected, and a view would outlive it.
 
     Bulk operations ({!fill}, {!equal_range}, {!blit},
     {!blit_to_bytes}, {!blit_from_bytes}) are one libc call each
@@ -23,7 +29,19 @@ type t =
   (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 val create : int -> t
-(** [create n] allocates an [n]-byte slab, zeroed. *)
+(** [create n] allocates an [n]-byte slab, zeroed.
+
+    For [n] >= 2 MiB the slab is a fresh anonymous [mmap] starting on
+    a 2 MiB boundary, advised with [MADV_HUGEPAGE] (the advice's
+    result is ignored, so it works the same where huge pages are off)
+    and never memset: it costs address space until touched, then one
+    huge page per whole 2 MiB region touched and base pages for a
+    partial last region. Its finaliser unmaps it, and it is charged to
+    the GC with its byte size, as a heap bigarray is. Smaller slabs
+    come from the C heap and are zeroed with [memset].
+
+    Raises [Out_of_memory] when the host refuses the mapping,
+    [Invalid_argument] when [n] is negative. *)
 
 val length : t -> int
 

@@ -8,6 +8,10 @@
      model on two slabs and a heap buffer, in range and out of it,
      and pinned to allocate nothing.
 
+   - The allocator: every slab reads zero whichever side of the 2 MiB
+     mapping threshold it falls on, and a dropped mapped slab is
+     unmapped when collected.
+
    - Page-window equivalence: a window of page READs must be
      indistinguishable — payloads, completion instants, every
      counter — from one-event-per-page posting, on clean and flaky
@@ -233,6 +237,64 @@ let bigbuf_bulk_model =
         && Bytes.equal h mh
       in
       List.for_all (fun op -> step op && same ()) ops)
+
+(* ------------------------------------------------------------------ *)
+(* The allocator *)
+
+let mib = 1 lsl 20
+
+(* A dirty slab of each size is dropped first, so a small slab that the
+   heap recycles would show its bytes if [create] skipped the memset. *)
+let create_reads_zero () =
+  List.iter
+    (fun n ->
+      let dirty = Bigbuf.create n in
+      Bigbuf.fill dirty ~off:0 ~len:n '\xAA';
+      Gc.full_major ();
+      let b = Bigbuf.create n in
+      check_int (Printf.sprintf "length of %d" n) n (Bigbuf.length b);
+      check_bool (Printf.sprintf "create %d reads zero" n) true
+        (Bytes.equal (Bigbuf.to_bytes b ~off:0 ~len:n) (Bytes.make n '\000')))
+    [ 0; 1; 4095; (2 * mib) - 1; 2 * mib; (2 * mib) + 4097 ]
+
+(* Line count and total bytes of this process's mappings. Neighbouring
+   anonymous mappings may merge into one line, so a leak shows in the
+   bytes even where the line count hides it. Kernel addresses (the
+   vsyscall page) do not fit an [int] and are counted as lines only. *)
+let maps () =
+  let ic = open_in "/proc/self/maps" in
+  let rec go lines bytes =
+    match input_line ic with
+    | exception End_of_file -> (lines, bytes)
+    | l ->
+        let size =
+          match String.split_on_char '-' (List.hd (String.split_on_char ' ' l)) with
+          | [ lo; hi ] -> (
+              match (int_of_string_opt ("0x" ^ lo), int_of_string_opt ("0x" ^ hi)) with
+              | Some lo, Some hi -> hi - lo
+              | _ -> 0)
+          | _ -> 0
+        in
+        go (lines + 1) (bytes + size)
+  in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> go 0 0)
+
+let mapped_slabs_unmapped () =
+  if Sys.file_exists "/proc/self/maps" then begin
+    Gc.full_major ();
+    let lines0, bytes0 = maps () in
+    for i = 1 to 64 do
+      let b = Bigbuf.create (4 * mib) in
+      Bigbuf.set_u8 b (i * 4096) i
+    done;
+    Gc.full_major ();
+    let lines1, bytes1 = maps () in
+    check_bool (Printf.sprintf "maps lines %d -> %d" lines0 lines1) true (lines1 <= lines0 + 4);
+    check_bool
+      (Printf.sprintf "mapped bytes %d -> %d" bytes0 bytes1)
+      true
+      (bytes1 - bytes0 < 64 * mib)
+  end
 
 (* "No view, no box": the copy path must not touch the minor heap.
    Offsets vary per call so unaligned heads and odd tails are timed
@@ -587,6 +649,8 @@ let suite =
     QCheck_alcotest.to_alcotest bigbuf_bytes_blits;
     QCheck_alcotest.to_alcotest bigbuf_bulk_model;
     quick "bigbuf bulk ops allocate nothing" bigbuf_bulk_no_alloc;
+    quick "bigbuf create reads zero across the mapping threshold" create_reads_zero;
+    quick "bigbuf mapped slabs are unmapped when collected" mapped_slabs_unmapped;
     quick "qp extent == per-page posting (clean)" qp_extent_clean;
     quick "qp extent == per-page posting (flaky)" qp_extent_flaky;
     quick "qp pages validated before any is posted" qp_pages_validate_first;

@@ -309,6 +309,20 @@ let store_is_sparse () =
       Int64.sub (Int64.shift_left 1L 50) 4096L;
     ]
 
+(* A store reset and written again gets a fresh arena: a partial write
+   to a block must not show what the block held before the reset. *)
+let store_reset_partial_rewrite () =
+  let s = Ps.create ~size:65536L in
+  Ps.write s ~addr:(Int64.of_int (4096 + 100)) ~src:(bb_make 3000 'a') ~off:0 ~len:3000;
+  Ps.reset s;
+  Ps.write s ~addr:(Int64.of_int (4096 + 2000)) ~src:(bb_make 16 'b') ~off:0 ~len:16;
+  let back = bb_make 4096 'x' in
+  Ps.read s ~addr:4096L ~dst:back ~off:0 ~len:4096;
+  let want = Bytes.make 4096 '\000' in
+  Bytes.fill want 2000 16 'b';
+  Alcotest.(check string) "only the new write shows" (Bytes.to_string want) (bb_str back);
+  check_int "one block resident" 1 (Ps.resident_blocks s)
+
 (* Random write/read/reset sequences against a [Bytes] reference. The
    store spans three 2 MiB leaves, and ranges start near block and leaf
    boundaries, so they are often partial, cross a block or cross a
@@ -406,5 +420,6 @@ let suite =
     quick "page store cross-block" store_cross_block;
     quick "page store is sparse" store_is_sparse;
     quick "page store bounds" store_bounds;
+    quick "page store reset then partial rewrite" store_reset_partial_rewrite;
     QCheck_alcotest.to_alcotest page_store_model;
   ]

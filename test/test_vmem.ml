@@ -130,10 +130,13 @@ let frame_double_free_rejected () =
     (fun () -> Vmem.Frame.free f a)
 
 (* 2^50 bytes of frames is past the x86-64 user address space, so
-   every host refuses it. *)
+   every host refuses it; so is 2^40 frames (4 PiB), which the kernel
+   refuses as a mapping at once, touching no memory. *)
 let frame_oversized_names_the_knob () =
   check_failure_mentions "frame pool" [ "1125899906842624"; "local memory size" ]
-    (fun () -> Vmem.Frame.create ~frames:(1 lsl 50 / Vmem.Addr.page_size))
+    (fun () -> Vmem.Frame.create ~frames:(1 lsl 50 / Vmem.Addr.page_size));
+  check_failure_mentions "2^40 frames" [ "local_mem"; "lower the local memory size" ]
+    (fun () -> Vmem.Frame.create ~frames:(1 lsl 40))
 
 let frame_recycled_dirty () =
   (* Frames recycle WITHOUT zeroing: every fetch path overwrites the
