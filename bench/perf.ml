@@ -192,12 +192,13 @@ let paperscale_targets : (string * (unit -> result)) list =
    - fault path: a read-only sweep over a working set 4x local memory
      with prefetch/readahead off, so every measured access is a TLB
      miss plus a remote fetch with eviction pressure behind it. The
-     data path proper is allocation-free (immediate PTEs, int-keyed
-     open-addressing tables); what remains is fiber machinery for the
-     sleeps that do park (effect continuations, wake closures, condvar
-     waits). DiLOS measures ~221 words/fault and Fastswap ~211
-     words/fault (~236 and ~225 while every Bigbuf copy built two
-     Bigarray views). The budgets leave headroom for
+     data path proper is allocation-free (immediate PTEs and kernel
+     words, int-keyed open-addressing tables); what remains is fiber
+     machinery for the sleeps that do park (effect continuations, wake
+     closures, condvar waits). DiLOS measures ~209 words/fault and
+     Fastswap ~202 words/fault (~221 and ~211 while per-page kernel
+     state lived in [Sim.Int_table]s, ~236 and ~225 while every Bigbuf
+     copy built two Bigarray views). The budgets leave headroom for
      scheduler tweaks, yet each fails loudly if every sleep parks again
      (~567 and ~454 words/fault) or a per-fault [Bytes.create] (513
      words for a 4 KiB page) comes back.

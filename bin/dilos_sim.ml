@@ -661,8 +661,9 @@ let serve_cmd =
 
 (* ------------------------------------------------------------------ *)
 (* drill: scripted shard-kill recovery drills on a replicated memory
-   node (see DESIGN.md §9). Exit codes: 0 ok, 1 digest mismatch,
-   4 page irrecoverably lost (every replica dead), 124 usage. *)
+   node (see DESIGN.md §9). Exit codes: 0 ok, 1 digest mismatch or a
+   vacuous drill (the kill hit nothing), 4 page irrecoverably lost
+   (every replica dead), 124 usage. *)
 
 let check_drill shards replication kill_shard =
   if replication < 1 || shards < replication then
@@ -701,7 +702,16 @@ let run_drill system programs local_mb scale seed shards replication kill_shard
   if List.exists (fun r -> not r.Apps.Drill.r_match) results then begin
     Printf.eprintf "dilos_sim: drill digest MISMATCH — data diverged\n";
     exit 1
-  end
+  end;
+  match List.filter Apps.Drill.vacuous results with
+  | [] -> ()
+  | vacuous ->
+      Printf.eprintf
+        "dilos_sim: vacuous drill (%s): the kill hit no page (no failover \
+         read, lost page, RDMA retry or resync); raise --scale\n"
+        (String.concat ", "
+           (List.map (fun r -> r.Apps.Drill.r_program.Apps.Drill.name) vacuous));
+      exit 1
 
 let drill_cmd =
   let shards =

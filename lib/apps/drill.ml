@@ -319,6 +319,10 @@ let run ~system ~program ?(scale = program.scale) ?(local_mem = 1024 * 1024)
     r_recovers = g "repl_recovers";
   }
 
+let vacuous r =
+  r.r_failover_reads = 0 && r.r_lost_pages = 0 && r.r_rdma_retries = 0
+  && r.r_resync_pages = 0
+
 (* ---------------------------------------------------------------- *)
 (* Reporting                                                         *)
 

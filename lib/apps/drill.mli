@@ -81,6 +81,13 @@ val run :
     simulated time after the kill. Defaults: the program's scale, 1 MiB
     local DRAM, seed 42, 2 shards, replication 2, kill shard 0. *)
 
+val vacuous : result -> bool
+(** The kill touched nothing the run needed: no read failed over, no
+    page was lost, no RDMA request was retried and no page had to be
+    resynced onto the recovered shard. A run too small to reach the
+    memory node before the kill instant (a small [scale]) is vacuous;
+    its matching digest proves nothing. *)
+
 val to_json : result -> string
 (** One result as deterministic JSON (fixed field order, integers and
     hex digests only — same seed, byte-identical output). *)

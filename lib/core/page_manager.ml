@@ -1,59 +1,64 @@
-(* The LRU clock: a FIFO ring of VPNs. [queued] maps each queued VPN to
-   its push sequence number shifted left one bit; the low bit is the
-   VPN's flag, set while it has a live candidate in the dirty index.
+(* Per-page state lives in the page's kernel word
+   ([Vmem.Page_table.word]): bit 0 is set while the VPN is queued on
+   the clock, bit 1 while it has a live candidate in the dirty index
+   (its flag), bit 2 while a write-back of it is in flight, and bits
+   3.. hold its clock push sequence number. *)
+let w_queued = 1
+let w_flag = 2
+let w_wb = 4
+let seq_shift = 3
+let w_clock = lnot w_wb (* queued, flag and sequence number *)
+
+(* The LRU clock: a FIFO ring of VPNs, its capacity a power of two.
    Sequence numbers increase from head to tail, so they order the
    clock. *)
 module Clock = struct
   type t = {
+    pt : Vmem.Page_table.t;
     mutable data : int array;
     mutable head : int;
     mutable len : int;
     mutable next_seq : int;
-    queued : int Sim.Int_table.t;
   }
 
-  let create () =
-    {
-      data = Array.make 256 0;
-      head = 0;
-      len = 0;
-      next_seq = 0;
-      queued = Sim.Int_table.create 256;
-    }
-
+  let create pt = { pt; data = Array.make 256 0; head = 0; len = 0; next_seq = 0 }
   let length t = t.len
-
-  let slot t vpn =
-    match Sim.Int_table.find t.queued vpn with s -> s | exception Not_found -> -1
 
   (* Set [vpn]'s flag and return its sequence number; -1 when it is not
      queued or already flagged. *)
   let flag t vpn =
-    let s = slot t vpn in
-    if s >= 0 && s land 1 = 0 then begin
-      Sim.Int_table.replace t.queued vpn (s lor 1);
-      s lsr 1
+    let w = Vmem.Page_table.word t.pt vpn in
+    if w land (w_queued lor w_flag) = w_queued then begin
+      Vmem.Page_table.set_word t.pt vpn (w lor w_flag);
+      w lsr seq_shift
     end
     else -1
 
   (* [vpn] is still queued under [seq], with its flag set. *)
-  let flagged t vpn seq = slot t vpn = (seq lsl 1) lor 1
-  let unflag t vpn seq = Sim.Int_table.replace t.queued vpn (seq lsl 1)
+  let flagged t vpn seq =
+    Vmem.Page_table.word t.pt vpn land w_clock
+    = (seq lsl seq_shift) lor w_flag lor w_queued
+
+  let unflag t vpn =
+    Vmem.Page_table.set_word t.pt vpn
+      (Vmem.Page_table.word t.pt vpn land lnot w_flag)
 
   let push t vpn =
-    if not (Sim.Int_table.mem t.queued vpn) then begin
+    let w = Vmem.Page_table.word t.pt vpn in
+    if w land w_queued = 0 then begin
       let cap = Array.length t.data in
       if t.len = cap then begin
         let nd = Array.make (cap * 2) 0 in
         for i = 0 to t.len - 1 do
-          nd.(i) <- t.data.((t.head + i) mod cap)
+          nd.(i) <- t.data.((t.head + i) land (cap - 1))
         done;
         t.data <- nd;
         t.head <- 0
       end;
-      t.data.((t.head + t.len) mod Array.length t.data) <- vpn;
+      t.data.((t.head + t.len) land (Array.length t.data - 1)) <- vpn;
       t.len <- t.len + 1;
-      Sim.Int_table.replace t.queued vpn (t.next_seq lsl 1);
+      Vmem.Page_table.set_word t.pt vpn
+        (w land w_wb lor (t.next_seq lsl seq_shift) lor w_queued);
       t.next_seq <- t.next_seq + 1
     end
 
@@ -61,13 +66,13 @@ module Clock = struct
     if t.len = 0 then None
     else begin
       let vpn = t.data.(t.head) in
-      t.head <- (t.head + 1) mod Array.length t.data;
+      t.head <- (t.head + 1) land (Array.length t.data - 1);
       t.len <- t.len - 1;
-      Sim.Int_table.remove t.queued vpn;
+      Vmem.Page_table.set_word t.pt vpn (Vmem.Page_table.word t.pt vpn land w_wb);
       Some vpn
     end
 
-  let to_list t = List.init t.len (fun i -> t.data.((t.head + i) mod Array.length t.data))
+  let to_list t = List.init t.len (fun i -> t.data.((t.head + i) land (Array.length t.data - 1)))
 end
 
 (* Binary min-heap of dirty candidates [(seq, vpn)] keyed by clock
@@ -145,7 +150,7 @@ type t = {
   (* Invariant: every [Local] dirty page on the clock has exactly one
      live candidate here; stale ones are discarded when popped. *)
   dirty : Dirty_index.t;
-  wb_inflight : unit Sim.Int_table.t;
+  mutable wb_inflight : int; (* pages with [w_wb] set *)
   mutable invalidate : int -> unit;
   frames_avail : Sim.Condvar.t;
   reclaim_work : Sim.Condvar.t;
@@ -185,11 +190,11 @@ let create ~eng ~stats ~pt ~frames ~evict_qp ?reclaim_guide () =
     evict_qp;
     wb_bound = Major_fault.writebacks stats;
     reclaim_guide;
-    clock = Clock.create ();
+    clock = Clock.create pt;
     vector_log = Sim.Int_table.create 64;
     next_log_id = 1;
     dirty = Dirty_index.create ();
-    wb_inflight = Sim.Int_table.create 16;
+    wb_inflight = 0;
     invalidate = (fun _ -> ());
     frames_avail = Sim.Condvar.create eng;
     reclaim_work = Sim.Condvar.create eng;
@@ -221,7 +226,16 @@ let enqueue t vpn =
 
 let note_mapped = enqueue
 let clock_order t = Clock.to_list t.clock
-let writeback_in_flight t vpn = Sim.Int_table.mem t.wb_inflight vpn
+let writeback_in_flight t vpn = Vmem.Page_table.word t.pt vpn land w_wb <> 0
+
+let set_in_flight t vpn =
+  t.wb_inflight <- t.wb_inflight + 1;
+  Vmem.Page_table.set_word t.pt vpn (Vmem.Page_table.word t.pt vpn lor w_wb)
+
+let clear_in_flight t vpn =
+  t.wb_inflight <- t.wb_inflight - 1;
+  Vmem.Page_table.set_word t.pt vpn
+    (Vmem.Page_table.word t.pt vpn land lnot w_wb)
 
 let vector_segments t ~payload =
   match Sim.Int_table.find_opt t.vector_log payload with
@@ -274,9 +288,9 @@ let drop_without_write t vpn pte =
    clean-then-drop path from the periodic cleaner (which leaves the
    page mapped). *)
 let writeback t vpn pte ~then_evict =
-  if not (Sim.Int_table.mem t.wb_inflight vpn) then begin
+  if not (writeback_in_flight t vpn) then begin
     let frame = Vmem.Pte.frame pte in
-    Sim.Int_table.replace t.wb_inflight vpn ();
+    set_in_flight t vpn;
     (* Clear dirty before the copy is snapshotted: a store racing with
        the write-back must re-dirty the page so we notice. *)
     Vmem.Page_table.update t.pt vpn Vmem.Pte.clear_dirty;
@@ -316,7 +330,7 @@ let writeback t vpn pte ~then_evict =
        pages, so nobody can have dropped the frame meanwhile. A page
        that keeps failing is lost (Major_fault.writeback_failed). *)
     let on_error () =
-      Sim.Int_table.remove t.wb_inflight vpn;
+      clear_in_flight t vpn;
       Sim.Stats.cincr t.hot.c_wb_failures;
       Major_fault.writeback_failed t.wb_bound vpn;
       (match Vmem.Pte.tag (Vmem.Page_table.get t.pt vpn) with
@@ -329,7 +343,7 @@ let writeback t vpn pte ~then_evict =
       Sim.Condvar.broadcast t.wb_done
     in
     Rdma.Qp.post_write ~on_error t.evict_qp ~segs ~buf ~on_complete:(fun () ->
-        Sim.Int_table.remove t.wb_inflight vpn;
+        clear_in_flight t vpn;
         Sim.Stats.cincr t.hot.c_writebacks;
         (if then_evict then
            let pte' = Vmem.Page_table.get t.pt vpn in
@@ -369,7 +383,7 @@ let clock_step t =
           enqueue t vpn;
           false
       | Vmem.Pte.Local ->
-          if Sim.Int_table.mem t.wb_inflight vpn then begin
+          if writeback_in_flight t vpn then begin
             enqueue t vpn;
             false
           end
@@ -399,7 +413,7 @@ let reclaim_until t target =
     else begin
       incr no_progress;
       if !no_progress > Clock.length t.clock + 1 then
-        if Sim.Int_table.length t.wb_inflight > 0 then begin
+        if t.wb_inflight > 0 then begin
           (* Everything evictable is already being written back; wait
              for a completion rather than spinning. *)
           Sim.Condvar.wait t.wb_done;
@@ -436,16 +450,16 @@ let clean_batch t =
       let pte = Vmem.Page_table.get t.pt vpn in
       match Vmem.Pte.tag pte with
       | Vmem.Pte.Local when Vmem.Pte.dirty pte ->
-          if Sim.Int_table.mem t.wb_inflight vpn || no_live_data t vpn then
+          if writeback_in_flight t vpn || no_live_data t vpn then
             kept := (seq, vpn) :: !kept
           else begin
-            Clock.unflag t.clock vpn seq;
+            Clock.unflag t.clock vpn;
             writeback t vpn pte ~then_evict:false;
             incr written
           end
       | Vmem.Pte.Local | Vmem.Pte.Unmapped | Vmem.Pte.Remote | Vmem.Pte.Fetching
       | Vmem.Pte.Action ->
-          Clock.unflag t.clock vpn seq
+          Clock.unflag t.clock vpn
     end
   done;
   List.iter (fun (seq, vpn) -> Dirty_index.add t.dirty seq vpn) !kept;
@@ -501,4 +515,4 @@ let release_frame t frame =
   Sim.Condvar.broadcast t.frames_avail
 
 let quiesce t =
-  Sim.Condvar.wait_for t.wb_done (fun () -> Sim.Int_table.length t.wb_inflight = 0)
+  Sim.Condvar.wait_for t.wb_done (fun () -> t.wb_inflight = 0)

@@ -39,10 +39,6 @@ type t = {
   cache : Swap_cache.t;
   qps : Rdma.Qp.t array; (* one per core: faults + readahead share it *)
   lru : int Queue.t; (* mapped-page reclaim scan order *)
-  queued : unit Sim.Int_table.t;
-  swap_backed : unit Sim.Int_table.t;
-      (* pages that came back from swap and still hold a swap slot:
-         their first re-dirtying pays the slot-release/wp cost *)
   io_done : Sim.Condvar.t;
   frames_avail : Sim.Condvar.t;
   reclaim_work : Sim.Condvar.t;
@@ -66,10 +62,24 @@ let swap_cache_size t = Swap_cache.size t.cache
 
 let invalidate t vpn = Dilos.Cpu.invalidate t.cpus vpn
 
+(* Per-page state lives in the page's kernel word
+   ([Vmem.Page_table.word]): bit 0 is set while the VPN is on [lru],
+   bit 1 while the page came back from swap and still holds a swap
+   slot (its first re-dirtying pays the slot-release/wp cost). *)
+let w_queued = 1
+let w_swap_backed = 2
+let has_bit t vpn b = Vmem.Page_table.word t.pt vpn land b <> 0
+
+let set_bit t vpn b =
+  Vmem.Page_table.set_word t.pt vpn (Vmem.Page_table.word t.pt vpn lor b)
+
+let clear_bit t vpn b =
+  Vmem.Page_table.set_word t.pt vpn (Vmem.Page_table.word t.pt vpn land lnot b)
+
 let lru_push t vpn =
-  if not (Sim.Int_table.mem t.queued vpn) then begin
+  if not (has_bit t vpn w_queued) then begin
     Queue.push vpn t.lru;
-    Sim.Int_table.replace t.queued vpn ()
+    set_bit t vpn w_queued
   end
 
 (* The one-page transfer between [vpn]'s remote copy and [frame]. *)
@@ -96,7 +106,7 @@ let rec evict_one t ~qp ~budget =
     match Queue.take_opt t.lru with
     | None -> false
     | Some vpn -> (
-        Sim.Int_table.remove t.queued vpn;
+        clear_bit t vpn w_queued;
         match Swap_cache.find t.cache vpn with
         | Some e when not e.Swap_cache.io_inflight ->
             (* Never-used readahead page: clean, just drop it. *)
@@ -170,7 +180,7 @@ let rec evict_one t ~qp ~budget =
                      then begin
                        Vmem.Page_table.set t.pt vpn (Vmem.Pte.make_remote ());
                        invalidate t vpn;
-                       Sim.Int_table.remove t.swap_backed vpn;
+                       clear_bit t vpn w_swap_backed;
                        Vmem.Frame.free t.frames frame;
                        Sim.Stats.cincr t.hot.c_evictions;
                        Sim.Condvar.broadcast t.frames_avail;
@@ -324,7 +334,7 @@ let map_from_cache t vpn entry =
   Swap_cache.remove t.cache vpn;
   Vmem.Page_table.set t.pt vpn
     (Vmem.Pte.make_local ~frame:entry.Swap_cache.frame ~writable:true);
-  Sim.Int_table.replace t.swap_backed vpn ();
+  set_bit t vpn w_swap_backed;
   lru_push t vpn
 
 let rec major_fault t cs vpn refetches =
@@ -472,8 +482,8 @@ and fault t cs vpn refetches =
    and goes through write-protect handling; pages that never swapped
    pay nothing extra (see Params.fastswap_dirty_write_ns). *)
 let charge_dirtying t cs vpn =
-  if Sim.Int_table.mem t.swap_backed vpn then begin
-    Sim.Int_table.remove t.swap_backed vpn;
+  if has_bit t vpn w_swap_backed then begin
+    clear_bit t vpn w_swap_backed;
     Dilos.Cpu.charge cs Dilos.Params.fastswap_dirty_write_ns
   end
 
@@ -518,8 +528,6 @@ let boot ~eng ~server (cfg : config) =
         Array.init cfg.cores (fun i ->
             Rdma.Fabric.qp fabric ~name:(Printf.sprintf "swap.%d" i));
       lru = Queue.create ();
-      queued = Sim.Int_table.create 1024;
-      swap_backed = Sim.Int_table.create 1024;
       io_done = Sim.Condvar.create eng;
       frames_avail = Sim.Condvar.create eng;
       reclaim_work = Sim.Condvar.create eng;

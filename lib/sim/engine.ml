@@ -1,42 +1,56 @@
-(* Event min-heap in structure-of-arrays form: parallel [int] arrays
-   for time and sequence number plus a closure array. Times are
-   simulated nanoseconds, far below 2^62, so they live as immediate
-   ints — a push/pop does only unboxed int compares and no allocation.
-   It is the simulator's only heap and its single hottest
-   structure. *)
+(* Event min-heap in structure-of-arrays form. The heap orders
+   [(time, seq, slot)] triples held in three parallel [int] arrays;
+   [slot] indexes a stable closure array [fns], whose free slots sit
+   on the [free] stack. Times are simulated nanoseconds, far below
+   2^62, so they live as immediate ints and a sift moves only ints:
+   no allocation and no write barrier. A push stores its closure once
+   and a pop clears it once. It is the simulator's only heap and its
+   single hottest structure. *)
 module Eheap = struct
   type t = {
     mutable times : int array;
     mutable seqs : int array;
-    mutable fns : (unit -> unit) array;
-    mutable size : int;
+    mutable slots : int array;
+    mutable fns : (unit -> unit) array; (* [ignore] in free slots *)
+    mutable free : int array; (* [free.(0 .. nfree-1)]: free slots *)
+    mutable nfree : int;
+    mutable size : int; (* [size + nfree] = capacity *)
   }
 
-  let create () = { times = [||]; seqs = [||]; fns = [||]; size = 0 }
+  let create () =
+    { times = [||]; seqs = [||]; slots = [||]; fns = [||]; free = [||]; nfree = 0; size = 0 }
+
   let length h = h.size
   let top_time h = h.times.(0)
 
+  (* Called when full: double every array and stack the new slots. *)
   let grow h =
-    let cap = Array.length h.times in
-    if h.size = cap then begin
-      let ncap = if cap = 0 then 16 else cap * 2 in
-      let nt = Array.make ncap 0 in
-      let ns = Array.make ncap 0 in
-      let nf = Array.make ncap ignore in
-      Array.blit h.times 0 nt 0 h.size;
-      Array.blit h.seqs 0 ns 0 h.size;
-      Array.blit h.fns 0 nf 0 h.size;
-      h.times <- nt;
-      h.seqs <- ns;
-      h.fns <- nf
-    end
+    let cap = h.size in
+    let ncap = if cap = 0 then 16 else cap * 2 in
+    let extend a fill =
+      let b = Array.make ncap fill in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    h.times <- extend h.times 0;
+    h.seqs <- extend h.seqs 0;
+    h.slots <- extend h.slots 0;
+    h.fns <- extend h.fns ignore;
+    h.free <- Array.make ncap 0;
+    for i = 0 to ncap - cap - 1 do
+      h.free.(i) <- ncap - 1 - i
+    done;
+    h.nfree <- ncap - cap
 
   (* Strict "fires before": earlier time, or same time and scheduled
      earlier (lower seq). *)
 
   let push h time seq fn =
-    grow h;
-    let ts = h.times and ss = h.seqs and fs = h.fns in
+    if h.nfree = 0 then grow h;
+    h.nfree <- h.nfree - 1;
+    let slot = h.free.(h.nfree) in
+    h.fns.(slot) <- fn;
+    let ts = h.times and ss = h.seqs and sl = h.slots in
     let i = ref h.size in
     h.size <- h.size + 1;
     (* Sift up with a hole instead of pairwise swaps. *)
@@ -47,19 +61,19 @@ module Eheap = struct
       if time < pt || (time = pt && seq < ss.(parent)) then begin
         ts.(!i) <- pt;
         ss.(!i) <- ss.(parent);
-        fs.(!i) <- fs.(parent);
+        sl.(!i) <- sl.(parent);
         i := parent
       end
       else continue_ := false
     done;
     ts.(!i) <- time;
     ss.(!i) <- seq;
-    fs.(!i) <- fn
+    sl.(!i) <- slot
 
-  (* Re-seat the (time, seq, fn) triple taken from the last slot,
+  (* Re-seat the (time, seq, slot) triple taken from the last position,
      starting at the root. *)
-  let sift_down h xt xs xf =
-    let ts = h.times and ss = h.seqs and fs = h.fns and n = h.size in
+  let sift_down h xt xs xslot =
+    let ts = h.times and ss = h.seqs and sl = h.slots and n = h.size in
     let i = ref 0 in
     let continue_ = ref true in
     while !continue_ do
@@ -79,25 +93,24 @@ module Eheap = struct
       if !smallest <> !i then begin
         ts.(!i) <- !st;
         ss.(!i) <- !sseq;
-        fs.(!i) <- fs.(!smallest);
+        sl.(!i) <- sl.(!smallest);
         i := !smallest
       end
       else continue_ := false
     done;
     ts.(!i) <- xt;
     ss.(!i) <- xs;
-    fs.(!i) <- xf
+    sl.(!i) <- xslot
 
   let pop_exn h =
-    let fn = h.fns.(0) in
+    let slot = h.slots.(0) in
+    let fn = h.fns.(slot) in
+    h.fns.(slot) <- ignore;
+    h.free.(h.nfree) <- slot;
+    h.nfree <- h.nfree + 1;
     let n = h.size - 1 in
     h.size <- n;
-    if n > 0 then begin
-      let xt = h.times.(n) and xs = h.seqs.(n) and xf = h.fns.(n) in
-      h.fns.(n) <- ignore;
-      sift_down h xt xs xf
-    end
-    else h.fns.(0) <- ignore;
+    if n > 0 then sift_down h h.times.(n) h.seqs.(n) h.slots.(n);
     fn
 end
 

@@ -34,10 +34,6 @@ let slot t k =
 
 let mem t k = t.keys.(slot t k) = k
 
-let find t k =
-  let i = slot t k in
-  if t.keys.(i) = k then t.vals.(i) else raise Not_found
-
 let find_opt t k =
   let i = slot t k in
   if t.keys.(i) = k then Some t.vals.(i) else None

@@ -1,6 +1,7 @@
-(** Int-keyed hash table for the paging bookkeeping (clock membership,
-    in-flight write-backs, the vector log, Fastswap's reclaim sets and
-    swap cache).
+(** Int-keyed hash table for the sparse paging bookkeeping: DiLOS's
+    vector log, Fastswap's swap cache and the failed write-back counts.
+    Dense per-page state lives in the page table's kernel words
+    ([Vmem.Page_table.word]) instead.
 
     Open addressing with linear probing over two flat arrays (keys and
     values) and backward-shift deletion, so there are no tombstones and
@@ -19,9 +20,6 @@ val create : int -> 'a t
 
 val length : 'a t -> int
 val mem : 'a t -> int -> bool
-
-val find : 'a t -> int -> 'a
-(** @raise Not_found when the key is absent. *)
 
 val find_opt : 'a t -> int -> 'a option
 

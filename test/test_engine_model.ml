@@ -208,28 +208,27 @@ let print_program p =
   Buffer.add_string b "run";
   Buffer.contents b
 
-(* Small delays, so same-instant ties and exact-target collisions are
-   common. *)
-let gen_program =
+(* Programs of [ops] top-level operations. [top] generates a top-level
+   one from [gen_cop] and the depth. *)
+let gen_program_of ~delays ~ops ~top =
   let open QCheck.Gen in
   let ids = ref 0 in
   let fresh () =
     incr ids;
     !ids
   in
-  let delay = int_range 0 4 in
   let rec gen_cop depth =
     let leaf = map (fun c -> Signal c) (int_bound (channels - 1)) in
     if depth = 0 then leaf
     else
       frequency
         [
-          (3, map2 (fun d cb -> At (d, cb)) delay (gen_cb (depth - 1)));
-          (2, map2 (fun d cb -> After (d, cb)) delay (gen_cb (depth - 1)));
+          (3, map2 (fun d cb -> At (d, cb)) delays (gen_cb (depth - 1)));
+          (2, map2 (fun d cb -> After (d, cb)) delays (gen_cb (depth - 1)));
           ( 2,
             map3
               (fun d cb c -> Timer (d, cb, c))
-              delay (gen_cb (depth - 1))
+              delays (gen_cb (depth - 1))
               (opt (int_range 0 5)) );
           (3, map (fun f -> Spawn f) (gen_fiber (depth - 1)));
           (1, leaf);
@@ -251,7 +250,30 @@ let gen_program =
     in
     map (fun steps -> { fid = fresh (); steps }) (list_size (int_range 1 8) fop)
   in
-  list_size (int_range 1 5) (gen_cop 3)
+  list_size ops (top gen_cop gen_cb)
+
+(* Small delays, so same-instant ties and exact-target collisions are
+   common. *)
+let gen_program =
+  gen_program_of ~delays:(QCheck.Gen.int_range 0 4) ~ops:(QCheck.Gen.int_range 1 5)
+    ~top:(fun gen_cop _ -> gen_cop 3)
+
+(* More than 40 callbacks due strictly in the future before [run], each
+   of which may schedule more: the event heap is full as it grows past
+   32 entries, and popped events free closure slots for later pushes to
+   reuse. Delays still collide often. *)
+let wide_pending = 40
+
+let gen_wide_program =
+  let open QCheck.Gen in
+  gen_program_of ~delays:(int_range 1 24)
+    ~ops:(int_range (wide_pending + 1) (wide_pending + 20))
+    ~top:(fun _ gen_cb ->
+      frequency
+        [
+          (2, map2 (fun d cb -> At (d, cb)) (int_range 1 24) (gen_cb 2));
+          (1, map2 (fun d cb -> After (d, cb)) (int_range 1 24) (gen_cb 2));
+        ])
 
 (* Trace of one program on one engine. *)
 module Exec (E : ENGINE) = struct
@@ -291,25 +313,36 @@ module Exec (E : ENGINE) = struct
         f.steps
     in
     List.iter cop p;
+    let pending = E.pending e in
     E.run e;
     note (Printf.sprintf "end pending=%d" (E.pending e));
-    List.rev !log
+    (pending, List.rev !log)
 end
 
 module Exec_real = Exec (Real)
 module Exec_ref = Exec (Reference)
 
+let matches_reference ?(min_pending = 0) p =
+  let pending, real = Exec_real.exec p and _, reference = Exec_ref.exec p in
+  if pending < min_pending then
+    QCheck.Test.fail_reportf "only %d events pending before run" pending
+  else if real = reference then true
+  else
+    QCheck.Test.fail_reportf "engine:    %s\nreference: %s"
+      (String.concat " " real)
+      (String.concat " " reference)
+
 let engine_matches_reference =
   QCheck.Test.make ~name:"engine trace equals the always-park reference"
     ~count:1000
     (QCheck.make gen_program ~print:print_program)
-    (fun p ->
-      let real = Exec_real.exec p and reference = Exec_ref.exec p in
-      if real = reference then true
-      else
-        QCheck.Test.fail_reportf "engine:    %s\nreference: %s"
-          (String.concat " " real)
-          (String.concat " " reference))
+    (fun p -> matches_reference p)
+
+let engine_matches_reference_wide =
+  QCheck.Test.make ~name:"engine trace equals the reference with a wide heap"
+    ~count:200
+    (QCheck.make gen_wide_program ~print:print_program)
+    (matches_reference ~min_pending:(wide_pending + 1))
 
 (* ------------------------------------------------------------------ *)
 (* The in-place advance's edges *)
@@ -336,6 +369,7 @@ let sleep_in_callback_still_fails () =
 let suite =
   [
     QCheck_alcotest.to_alcotest engine_matches_reference;
+    QCheck_alcotest.to_alcotest engine_matches_reference_wide;
     quick "heap event at the target fires first" heap_event_at_target_fires_first;
     quick "sleep in a callback still fails" sleep_in_callback_still_fails;
   ]

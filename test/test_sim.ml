@@ -50,9 +50,6 @@ let int_table_qcheck =
               true
           | Find k ->
               Sim.Int_table.find_opt t k = Hashtbl.find_opt model k
-              && (match Sim.Int_table.find t k with
-                 | v -> Hashtbl.find_opt model k = Some v
-                 | exception Not_found -> not (Hashtbl.mem model k))
           | Mem k -> Sim.Int_table.mem t k = Hashtbl.mem model k)
           && Sim.Int_table.length t = Hashtbl.length model)
         ops

@@ -12,30 +12,47 @@ open Util
 (* Page table vs Hashtbl *)
 
 (* A vpn pool mixing neighbours in one leaf, leaf boundaries, level
-   boundaries and very sparse high pages (48-bit VA => vpn < 2^36). *)
+   boundaries and very sparse high pages (48-bit VA => vpn < 2^36).
+   The leaf cache is direct-mapped on [(vpn lsr 9) land 63], so leaves
+   0, 64 (vpn 32768), 512 (1 lsl 18) and 2^26 ((1 lsl 35) + 7) share
+   slot 0, leaves 1 and 65 (513, 33281) slot 1, and leaves 63 (32256)
+   and 2^18 - 1 ((1 lsl 27) - 1) slot 63: lookups evict each other. *)
 let vpn_pool =
   [|
     0; 1; 2; 511; 512; 513; 1 lsl 18; (1 lsl 18) + 1; (1 lsl 27) - 1;
-    1 lsl 27; (1 lsl 35) + 7; (1 lsl 36) - 1;
+    1 lsl 27; (1 lsl 35) + 7; (1 lsl 36) - 1; 32768; 32768 + 511; 33281; 32256;
   |]
 
-type pt_op = Set of int * int | Update_set_dirty of int | Unset of int
+type pt_op =
+  | Set of int * int
+  | Update_set_dirty of int
+  | Unset of int
+  | Set_word of int * int
+  | Get_word of int
 
 let pt_op_gen =
+  let vpn = QCheck.Gen.int_bound (Array.length vpn_pool - 1) in
   QCheck.Gen.(
     oneof
       [
-        map2 (fun i frame -> Set (i, frame)) (int_bound (Array.length vpn_pool - 1))
-          (int_bound 0xFFFF);
-        map (fun i -> Update_set_dirty i) (int_bound (Array.length vpn_pool - 1));
-        map (fun i -> Unset i) (int_bound (Array.length vpn_pool - 1));
+        map2 (fun i frame -> Set (i, frame)) vpn (int_bound 0xFFFF);
+        map (fun i -> Update_set_dirty i) vpn;
+        map (fun i -> Unset i) vpn;
+        map2 (fun i w -> Set_word (i, w)) vpn (oneof [ int_bound 7; int ]);
+        map (fun i -> Get_word i) vpn;
       ])
 
 let pt_op_print = function
   | Set (i, f) -> Printf.sprintf "Set(vpn[%d], frame %d)" i f
   | Update_set_dirty i -> Printf.sprintf "Dirty(vpn[%d])" i
   | Unset i -> Printf.sprintf "Unset(vpn[%d])" i
+  | Set_word (i, w) -> Printf.sprintf "Set_word(vpn[%d], %d)" i w
+  | Get_word i -> Printf.sprintf "Get_word(vpn[%d])" i
 
+(* PTEs and kernel words live side by side in a leaf; the model keeps
+   them in two tables, so a word write that clobbered a PTE (or the
+   reverse), or a cached leaf served for the wrong vpn, shows up at the
+   next check. Every pool vpn is checked after every op. *)
 let page_table_model_qcheck =
   QCheck.Test.make ~name:"page table agrees with Hashtbl model" ~count:300
     (QCheck.make
@@ -44,13 +61,22 @@ let page_table_model_qcheck =
     (fun ops ->
       let pt = Vmem.Page_table.create () in
       let model : (int, Vmem.Pte.t) Hashtbl.t = Hashtbl.create 16 in
+      let words : (int, int) Hashtbl.t = Hashtbl.create 16 in
+      let find tbl vpn = Option.value (Hashtbl.find_opt tbl vpn) ~default:0 in
       let model_set vpn pte =
         if Int.equal pte Vmem.Pte.zero then Hashtbl.remove model vpn
         else Hashtbl.replace model vpn pte
       in
-      List.iter
+      let agrees () =
+        Array.for_all
+          (fun vpn ->
+            Int.equal (Vmem.Page_table.get pt vpn) (find model vpn)
+            && Int.equal (Vmem.Page_table.word pt vpn) (find words vpn))
+          vpn_pool
+      in
+      List.for_all
         (fun op ->
-          match op with
+          (match op with
           | Set (i, frame) ->
               let vpn = vpn_pool.(i) in
               let pte = Vmem.Pte.make_local ~frame ~writable:true in
@@ -59,29 +85,39 @@ let page_table_model_qcheck =
           | Update_set_dirty i ->
               let vpn = vpn_pool.(i) in
               Vmem.Page_table.update pt vpn Vmem.Pte.set_dirty;
-              let cur =
-                match Hashtbl.find_opt model vpn with
-                | Some p -> p
-                | None -> Vmem.Pte.zero
-              in
-              model_set vpn (Vmem.Pte.set_dirty cur)
+              model_set vpn (Vmem.Pte.set_dirty (find model vpn))
           | Unset i ->
               let vpn = vpn_pool.(i) in
               Vmem.Page_table.set pt vpn Vmem.Pte.zero;
-              model_set vpn Vmem.Pte.zero)
-        ops;
-      (* Every pool vpn reads back what the model holds... *)
-      Array.for_all
-        (fun vpn ->
-          let expect =
-            match Hashtbl.find_opt model vpn with
-            | Some p -> p
-            | None -> Vmem.Pte.zero
-          in
-          Int.equal (Vmem.Page_table.get pt vpn) expect)
-        vpn_pool
-      (* ...and the mapped-entry census matches. *)
+              model_set vpn Vmem.Pte.zero
+          | Set_word (i, w) ->
+              let vpn = vpn_pool.(i) in
+              Vmem.Page_table.set_word pt vpn w;
+              Hashtbl.replace words vpn w
+          | Get_word _ -> ());
+          (* Every pool vpn reads back what the models hold. *)
+          agrees ())
+        ops
+      (* ...and the mapped-entry census counts PTEs only. *)
       && Vmem.Page_table.count_mapped pt = Hashtbl.length model)
+
+(* The lookups sit on every fault and clock step: on a cached leaf they
+   must not touch the minor heap. *)
+let page_table_lookups_no_alloc () =
+  let pt = Vmem.Page_table.create () in
+  let vpns = [| 0; 511; 512; 1536 |] (* leaves 0, 1 and 3: distinct cache slots *) in
+  Array.iter (fun vpn -> Vmem.Page_table.set pt vpn Vmem.Pte.zero) vpns;
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 2_499 do
+    let vpn = vpns.(i land 3) + (i land 7) in
+    Vmem.Page_table.set pt vpn (Vmem.Pte.make_local ~frame:i ~writable:true);
+    Vmem.Page_table.set_word pt vpn i;
+    acc := !acc + Vmem.Page_table.get pt vpn + Vmem.Page_table.word pt vpn
+  done;
+  let w1 = Gc.minor_words () in
+  check_int "minor words over 10k lookups" 0 (int_of_float (w1 -. w0));
+  check_bool "lookups read back" true (!acc > 0)
 
 let page_table_iter_range_qcheck =
   QCheck.Test.make ~name:"iter_range agrees with per-vpn get" ~count:200
@@ -319,6 +355,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest page_table_model_qcheck;
     QCheck_alcotest.to_alcotest page_table_iter_range_qcheck;
+    quick "page table lookups allocate nothing" page_table_lookups_no_alloc;
     QCheck_alcotest.to_alcotest mmu_ad_bits_qcheck;
     quick "mmu faults leave ptes untouched" mmu_faults_do_not_touch_pte;
     QCheck_alcotest.to_alcotest address_space_model_qcheck;
