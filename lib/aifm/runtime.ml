@@ -143,7 +143,7 @@ let evacuator_fiber t () =
       let progress = ref true in
       while t.used > low_water t && !progress do
         progress := evacuate_one t;
-        Sim.Engine.sleep t.eng (Sim.Time.ns 150)
+        Sim.Engine.sleep t.eng (Sim.Time.ns Dilos.Params.aifm_evacuate_gap_ns)
       done;
       if not !progress then Sim.Condvar.wait t.evac_work
     end
@@ -249,7 +249,7 @@ let malloc t ~core:_ size =
   in
   t.next_raddr <- Int64.add t.next_raddr (Int64.of_int (n_chunks * chunk_size));
   Hashtbl.replace t.objects oid { oid; size; chunks; last_chunk = -1; streak = 0 };
-  charge t 40;
+  charge t Dilos.Params.aifm_alloc_ns;
   handle_of oid
 
 let rec free t ~core addr =
@@ -272,7 +272,7 @@ let rec free t ~core addr =
           | CRemote | CFetching _ -> ())
         o.chunks;
       Hashtbl.remove t.objects o.oid;
-      charge t 30
+      charge t Dilos.Params.aifm_free_ns
 
 (* ------------------------------------------------------------------ *)
 (* Miss handling and streaming prefetch                                *)
@@ -422,7 +422,7 @@ let rec chunk_full_write t o ci =
          object stays recognized as a stream (partial writes at chunk
          boundaries then hit prefetched data). *)
       stream_detect t o ci;
-      charge t 60;
+      charge t Dilos.Params.aifm_chunk_materialize_ns;
       b
 
 let locate t addr ~write =

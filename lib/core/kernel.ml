@@ -576,11 +576,11 @@ let munmap t base =
       | Vmem.Pte.Unmapped -> ())
 
 let ddc_malloc t ~core size =
-  Cpu.charge (cpu t ~core) 30;
+  Cpu.charge (cpu t ~core) Params.ddc_malloc_ns;
   Ddc_alloc.malloc t.alloc size
 
 let ddc_free t ~core addr =
-  Cpu.charge (cpu t ~core) 25;
+  Cpu.charge (cpu t ~core) Params.ddc_free_ns;
   Ddc_alloc.free t.alloc ~write_link:(fun a -> write_u64 t ~core a 0xDEADBEEFL) addr
 
 let malloc_usable_size t addr = Ddc_alloc.usable_size t.alloc addr

@@ -470,7 +470,9 @@ let cleaner_fiber t () =
     Sim.Engine.sleep t.eng Params.cleaner_period;
     if t.running then begin
       let written = clean_batch t in
-      if written > 0 then Sim.Engine.sleep t.eng (Sim.Time.ns (written * 120))
+      if written > 0 then
+        Sim.Engine.sleep t.eng
+          (Sim.Time.ns (written * Params.cleaner_page_write_ns))
     end
   done
 

@@ -31,6 +31,13 @@ val dilos_fetch_wait_poll_ns : int
 (** Re-check cost while spinning on a [Fetching] PTE (other core's
     fetch in flight). *)
 
+val ddc_malloc_ns : int
+val ddc_free_ns : int
+(** [ddc_malloc] / [ddc_free] through the size-class allocator
+    ([Ddc_alloc], shared by DiLOS and Fastswap's heap): a free-list
+    pop or push plus size-class lookup — plausible userspace-allocator
+    fast-path costs, not stated in the paper. *)
+
 (** {1 Fastswap / Linux swap-path software costs (§3.1, Fig. 1)}
 
     Derived from Figure 1: with a 4 KiB fetch at ~2.8 us being 46% of
@@ -70,6 +77,12 @@ val fastswap_dirty_write_ns : int
     Calibrated so sequential write lands at ~half of sequential read
     (Table 2: 0.49 vs 0.98 GB/s). *)
 
+val fastswap_offload_evict_gap_ns : int
+(** Pause of Fastswap's dedicated reclaim thread between two
+    evictions (its own per-page bookkeeping and the scheduler between
+    swap-outs) — a plausible kernel-thread cost, not stated in the
+    paper. *)
+
 (** {1 Prefetching} *)
 
 val readahead_min_window : int
@@ -102,6 +115,11 @@ val free_high_watermark : float
 val evict_page_cost_ns : int
 (** Software cost to unmap + free one page during eviction. *)
 
+val cleaner_page_write_ns : int
+(** Cleaner time per page it wrote back in a scan (write-protect and
+    post the WRITE), paid after the batch — a plausible
+    microarchitectural cost, not stated in the paper. *)
+
 (** {1 Fault handling (lib/faults campaigns)} *)
 
 val fault_refetch_delay_ns : int
@@ -128,6 +146,21 @@ val aifm_deref_check_ns : int
 
 val aifm_object_fault_sw_ns : int
 (** AIFM user-level miss-path software cost (no kernel crossing). *)
+
+val aifm_alloc_ns : int
+val aifm_free_ns : int
+(** AIFM object allocation (remote-address bump + object-table insert)
+    and free (table removal) — plausible runtime costs, not stated in
+    the paper. *)
+
+val aifm_chunk_materialize_ns : int
+(** A whole-chunk overwrite of a remote chunk: allocate the local
+    chunk without fetching it (AIFM's dirty-allocate path) —
+    plausible, not stated in the paper. *)
+
+val aifm_evacuate_gap_ns : int
+(** Pause of AIFM's evacuator between two chunk evacuations —
+    plausible, not stated in the paper. *)
 
 val guided_max_vector : int
 (** Guided paging caps RDMA vectors at three segments (§6.3). *)

@@ -211,7 +211,8 @@ let offload_fiber t () =
            path, so reclaim writes delay demand fetches (the
            head-of-line blocking DiLOS's per-module queues avoid). *)
         progress := evict_one t ~qp:t.qps.(0);
-        Sim.Engine.sleep t.eng (Sim.Time.ns 200)
+        Sim.Engine.sleep t.eng
+          (Sim.Time.ns Dilos.Params.fastswap_offload_evict_gap_ns)
       done
     end
     else Sim.Condvar.wait t.reclaim_work
@@ -592,11 +593,11 @@ let heap_of t =
       h
 
 let malloc t ~core size =
-  Dilos.Cpu.charge (cpu t ~core) 30;
+  Dilos.Cpu.charge (cpu t ~core) Dilos.Params.ddc_malloc_ns;
   Dilos.Ddc_alloc.malloc (heap_of t) size
 
 let free t ~core addr =
-  Dilos.Cpu.charge (cpu t ~core) 25;
+  Dilos.Cpu.charge (cpu t ~core) Dilos.Params.ddc_free_ns;
   Dilos.Ddc_alloc.free (heap_of t)
     ~write_link:(fun a -> write_u64 t ~core a 0xDEADBEEFL)
     addr

@@ -5,8 +5,8 @@
     drawn in simulated-event order, which the engine makes
     deterministic, so the same (spec, seed) pair replays bit-identical
     counters and traces. A zero-rate plan is recognised up front
-    ({!passthrough}) and the QP then takes its legacy code path,
-    guaranteeing no happy-path perturbation. *)
+    ({!passthrough}): the QP then draws no wire outcome and arms no
+    timeout timer, guaranteeing no happy-path perturbation. *)
 
 type t
 
@@ -14,9 +14,10 @@ val make : seed:int -> Spec.t -> t
 val spec : t -> Spec.t
 
 val passthrough : t -> bool
-(** The plan can never inject a {e wire} fault; the QP skips it
-    entirely. Scripted shard kills ({!kills}) do not count — they are
-    served by the memnode replica group, off the wire path. *)
+(** The plan can never inject a {e wire} fault, so the QP never
+    draws from it nor arms a timeout timer. Scripted shard kills
+    ({!kills}) do not count — they are served by the memnode replica
+    group, off the wire path. *)
 
 val kills : t -> (int * Sim.Time.t) list
 (** Scripted shard deaths, sorted by (instant, shard id) so the

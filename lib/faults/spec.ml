@@ -33,8 +33,7 @@ let zero =
 
 (* Kill/recover verbs deliberately do NOT count: they act on the
    memory node (replica routing), not the wire, so a kill-only spec
-   keeps the QP on its healthy passthrough path until the shard
-   actually dies. *)
+   leaves the QP's attempts free of wire draws and timeout timers. *)
 let is_zero t =
   t.error_rate = 0.0 && t.duplicate_rate = 0.0 && t.nack_rate = 0.0
   && t.blackouts = [] && t.blackout_period_ns = 0

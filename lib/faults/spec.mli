@@ -36,7 +36,8 @@ val is_zero : t -> bool
 (** No {e wire} fault will ever be injected (all rates zero, no
     blackouts). Deliberately ignores {!field-kills}/{!field-recovers}:
     those act on replica routing inside the memory node, so a
-    kill-only spec keeps the QP on its healthy passthrough path. *)
+    kill-only spec leaves the QP's attempts free of wire draws and
+    timeout timers. *)
 
 val has_drill : t -> bool
 (** At least one scripted [kill-shard]/[recover-shard] event. *)

@@ -17,9 +17,6 @@ exception Unreachable of int64
 let cat_rdma = Trace.category "rdma"
 let op_name = function Nic.Read -> "read" | Nic.Write -> "write"
 
-(* ns between two instants (b <= a), as int *)
-let dns a b = Int64.to_int (Sim.Time.sub a b)
-
 type seg = { raddr : int64; loff : int; len : int }
 
 let page_size = 4096
@@ -42,11 +39,11 @@ type hstats = {
   c_perm_failures : Sim.Stats.counter;
 }
 
-(* The steady-state fault path must not allocate per completion, so
-   the healthy-path completion callback is not a closure: it is a
-   [comp] record recycled through a per-QP free list, carrying a
-   permanent [c_fn] thunk scheduled on the engine. Write snapshots are
-   pooled page-sized slabs. *)
+(* The steady-state fault path must not allocate per completion, so a
+   work request is not a set of closures: it is a [comp] record
+   recycled through a per-QP free list, carrying permanent thunks
+   ([c_fn], [c_timeout_fn], [c_retry_fn]) that the engine schedules.
+   Write snapshots are pooled page-sized slabs. *)
 type t = {
   eng : Sim.Engine.t;
   nic : Nic.t;
@@ -86,11 +83,24 @@ and comp = {
   mutable c_buf : Buf.t;
   mutable c_snap : Buf.t;
   mutable c_snap_base : int;
-  mutable c_release_snap : bool;
-  mutable c_t0 : Sim.Time.t;
   mutable c_on_complete : unit -> unit;
   mutable c_on_error : (unit -> unit) option;
+  mutable c_fa : Trace.fetch_attrib option;
+  (* The current attempt, instants in ns (ints, so storing them does
+     not box): [c_began] is the doorbell write, [c_start] the send
+     engine picking the WR up, [c_completion] its (possibly
+     fault-delayed) completion, which arrives in error when
+     [c_error]. *)
+  mutable c_try : int;
+  mutable c_began : int;
+  mutable c_start : int;
+  mutable c_completion : int;
+  mutable c_error : bool;
+  mutable c_timer : Sim.Engine.timer option;
+      (* the completion, cancellable by the timeout (plan only) *)
   mutable c_fn : unit -> unit;
+  mutable c_timeout_fn : unit -> unit;
+  mutable c_retry_fn : unit -> unit;
 }
 
 let create ~eng ~nic ~target ~region ~rkey ?bw ?stats ?(huge_pages = true)
@@ -186,26 +196,33 @@ let rec land_reads t buf = function
       t.target.t_read s.raddr buf s.loff s.len;
       land_reads t buf rest
 
-(* Every posted attempt bumps the run's Stats and the QP's labeled
-   registry series alike, so the two views always agree. [ops] WRs of
-   [bytes_] bytes in total. *)
-let count_ops t op ~ops bytes_ =
+(* A WRITE lands its snapshot, rebased to the lowest segment offset. *)
+let rec land_writes t snap base = function
+  | [] -> ()
+  | s :: rest ->
+      t.target.t_write s.raddr snap (s.loff - base) s.len;
+      land_writes t snap base rest
+
+(* Every attempt of a [bytes_]-byte WR bumps the run's Stats and the
+   QP's labeled registry series alike, so the two views always
+   agree. *)
+let count_op t op bytes_ =
   (match op with
   | Nic.Read ->
-      Obs.Registry.cadd t.ob_read_ops ops;
+      Obs.Registry.cincr t.ob_read_ops;
       Obs.Registry.cadd t.ob_read_bytes bytes_
   | Nic.Write ->
-      Obs.Registry.cadd t.ob_write_ops ops;
+      Obs.Registry.cincr t.ob_write_ops;
       Obs.Registry.cadd t.ob_write_bytes bytes_);
   match t.hstats with
   | None -> ()
   | Some h -> (
       match op with
       | Nic.Read ->
-          Sim.Stats.cadd h.c_reads ops;
+          Sim.Stats.cincr h.c_reads;
           Sim.Stats.cadd h.c_read_bytes bytes_
       | Nic.Write ->
-          Sim.Stats.cadd h.c_writes ops;
+          Sim.Stats.cincr h.c_writes;
           Sim.Stats.cadd h.c_write_bytes bytes_)
 
 let meter t op bytes_ =
@@ -228,6 +245,8 @@ let snap_take t =
     t.snap_pool.(t.snap_len)
   end
 
+(* Only pooled page-sized snapshots go back: a READ's empty snapshot
+   and an oversized WRITE's fresh one are dropped. *)
 let snap_release t b =
   if Buf.length b = page_size then begin
     let cap = Array.length t.snap_pool in
@@ -240,39 +259,23 @@ let snap_release t b =
     t.snap_len <- t.snap_len + 1
   end
 
-let comp_fire c =
+(* -- the work-request path --------------------------------------- *)
+
+(* Back to the free list, exactly once per WR: on success, on
+   permanent failure or on [Unreachable]. The write snapshot returns
+   to its pool at the same point. Payload references are scrubbed and
+   the record is free before the caller's continuation runs, so a
+   continuation that posts a new WR can reuse this very record. *)
+let recycle c =
   let t = c.c_qp in
-  meter t c.c_op c.c_bytes;
-  let unreachable =
-    try
-      (match c.c_op with
-      | Nic.Read -> land_reads t c.c_buf c.c_segs
-      | Nic.Write ->
-          let snap = c.c_snap and base = c.c_snap_base in
-          List.iter
-            (fun s -> t.target.t_write s.raddr snap (s.loff - base) s.len)
-            c.c_segs);
-      None
-    with Unreachable _ as exn -> Some exn
-  in
-  (match c.c_op with
-  | Nic.Write -> if c.c_release_snap then snap_release t c.c_snap
-  | Nic.Read -> ());
-  if Trace.enabled cat_rdma then
-    Trace.complete cat_rdma ~name:(op_name c.c_op) ~track:t.trk ~t0:c.c_t0
-      ~async:true
-      ~args:[ ("bytes", Trace.I c.c_bytes); ("segments", Trace.I c.c_segments) ]
-      ();
-  let k = c.c_on_complete in
-  let kerr = c.c_on_error in
-  (* Scrub payload references and recycle before invoking the
-     continuation, so a continuation that posts a new WR can reuse
-     this very record. *)
+  snap_release t c.c_snap;
   c.c_segs <- [];
   c.c_buf <- empty_buf;
   c.c_snap <- empty_buf;
   c.c_on_complete <- ignore;
   c.c_on_error <- None;
+  c.c_fa <- None;
+  c.c_timer <- None;
   let cap = Array.length t.comp_pool in
   if t.comp_len = cap then begin
     let np = Array.make (if cap = 0 then 8 else cap * 2) c in
@@ -280,14 +283,156 @@ let comp_fire c =
     t.comp_pool <- np
   end;
   t.comp_pool.(t.comp_len) <- c;
-  t.comp_len <- t.comp_len + 1;
-  match unreachable with
-  | None -> k ()
-  | Some exn -> (
+  t.comp_len <- t.comp_len + 1
+
+(* One service attempt: a doorbell, then the send engine's occupancy,
+   then the completion a wire latency after service starts. Under a
+   fault plan the attempt also draws its wire outcome, and a
+   retransmission timer races the (possibly NACK-delayed,
+   stall-deferred) completion through cancellable engine timers. A
+   timed-out attempt's late completion is dropped — the NIC ignores
+   stale responses — so a retried READ never lands twice. Without a
+   plan nothing is drawn and no timer is armed. *)
+let launch c =
+  let t = c.c_qp in
+  let now = Sim.Engine.now t.eng in
+  let posted = Sim.Time.add now (Nic.doorbell t.nic) in
+  let start = Sim.Time.max posted t.next_free in
+  let bytes_ = c.c_bytes and segments = c.c_segments in
+  t.next_free <- Sim.Time.add start (occupancy t ~bytes_ ~segments);
+  let latency =
+    Nic.latency t.nic c.c_op ~bytes_ ~segments ~huge_pages:t.huge_pages
+  in
+  let completion =
+    Sim.Time.add (Sim.Time.add start latency) t.extra_completion_delay
+  in
+  count_op t c.c_op bytes_;
+  (match c.c_fa with
+  | Some a -> a.Trace.fa_attempts <- a.Trace.fa_attempts + 1
+  | None -> ());
+  c.c_began <- Int64.to_int now;
+  c.c_start <- Int64.to_int start;
+  match t.faults with
+  | None ->
+      c.c_completion <- Int64.to_int completion;
+      Sim.Engine.at t.eng completion c.c_fn
+  | Some plan ->
+      let w = Faults.Plan.wire plan ~start ~completion in
+      if w.Faults.Plan.w_retransmitted then fcount t (fun h -> h.c_retrans);
+      if w.Faults.Plan.w_duplicate then fcount t (fun h -> h.c_dups);
+      c.c_completion <- Int64.to_int w.Faults.Plan.w_completion;
+      c.c_error <- w.Faults.Plan.w_error;
+      c.c_timer <-
+        Some (Sim.Engine.timer_at t.eng w.Faults.Plan.w_completion c.c_fn);
+      let timeout_at = Sim.Time.add start (Faults.Plan.timeout plan) in
+      if Sim.Time.compare timeout_at w.Faults.Plan.w_completion < 0 then
+        ignore (Sim.Engine.timer_at t.eng timeout_at c.c_timeout_fn)
+
+(* A failed attempt (error completion or timeout) ending at [ended].
+   The QP re-launches the same record after a bounded exponential
+   backoff (with plan-RNG jitter). After [max_retries] attempts a WR
+   with [on_error] is abandoned; one without keeps retransmitting at
+   the backoff ceiling (sync wrappers and background prefetchers rely
+   on this transparent mode). The failed window and the backoff are
+   retry overhead in the attribution, so the components tile the
+   interval from the post to the completion. *)
+let fail_attempt c plan ~ended ~reason =
+  let t = c.c_qp in
+  (match c.c_fa with
+  | Some a ->
+      a.Trace.fa_backoff_ns <- a.Trace.fa_backoff_ns + ended - c.c_began
+  | None -> ());
+  if Trace.enabled cat_rdma then
+    Trace.complete cat_rdma ~name:"attempt_failed" ~track:t.trk
+      ~t0:(Int64.of_int c.c_began) ~t1:(Int64.of_int ended) ~async:true
+      ~args:[ ("try", Trace.I c.c_try); ("reason", Trace.S reason) ]
+      ();
+  match c.c_on_error with
+  | Some fail when c.c_try >= Faults.Plan.max_retries plan ->
       fcount t (fun h -> h.c_perm_failures);
       if Trace.enabled cat_rdma then
-        Trace.instant cat_rdma ~name:"unreachable" ~track:t.trk ();
-      match kerr with Some fail -> fail () | None -> raise exn)
+        Trace.instant cat_rdma ~name:"perm_failure" ~track:t.trk
+          ~args:[ ("try", Trace.I c.c_try) ] ();
+      recycle c;
+      fail ()
+  | Some _ | None ->
+      fcount t (fun h -> h.c_retries);
+      Obs.Registry.cincr t.ob_retries;
+      let delay = Faults.Plan.backoff plan ~attempt:c.c_try in
+      (match c.c_fa with
+      | Some a ->
+          a.Trace.fa_backoff_ns <- a.Trace.fa_backoff_ns + Int64.to_int delay
+      | None -> ());
+      if Trace.enabled cat_rdma then
+        Trace.instant cat_rdma ~name:"retry" ~track:t.trk
+          ~args:
+            [
+              ("try", Trace.I c.c_try);
+              ("backoff_ns", Trace.I (Int64.to_int delay));
+            ]
+          ();
+      Sim.Engine.after t.eng delay c.c_retry_fn
+
+(* The completion of an attempt, with or without a plan: land the
+   bytes, charge the successful attempt's queue and wire time, record
+   the op span, recycle, then continue. *)
+let complete c =
+  let t = c.c_qp in
+  match t.faults with
+  | Some plan when c.c_error ->
+      fcount t (fun h -> h.c_comp_errors);
+      fail_attempt c plan ~ended:c.c_completion ~reason:"comp_error"
+  | Some _ | None -> (
+      meter t c.c_op c.c_bytes;
+      let unreachable =
+        try
+          (match c.c_op with
+          | Nic.Read -> land_reads t c.c_buf c.c_segs
+          | Nic.Write -> land_writes t c.c_snap c.c_snap_base c.c_segs);
+          None
+        with Unreachable _ as exn -> Some exn
+      in
+      (match c.c_fa with
+      | Some a ->
+          a.Trace.fa_queue_ns <- a.Trace.fa_queue_ns + c.c_start - c.c_began;
+          a.Trace.fa_wire_ns <- a.Trace.fa_wire_ns + c.c_completion - c.c_start
+      | None -> ());
+      if Trace.enabled cat_rdma then
+        Trace.complete cat_rdma ~name:(op_name c.c_op) ~track:t.trk
+          ~t0:(Int64.of_int c.c_began) ~async:true
+          ~args:
+            (("bytes", Trace.I c.c_bytes)
+            :: ("segments", Trace.I c.c_segments)
+            ::
+            (match t.faults with
+            | None -> []
+            | Some _ -> [ ("try", Trace.I c.c_try) ]))
+          ();
+      let k = c.c_on_complete and kerr = c.c_on_error in
+      recycle c;
+      match unreachable with
+      | None -> k ()
+      | Some exn -> (
+          (* The wire delivered, but the replica set is gone: retrying
+             cannot help, so skip the backoff ladder and surface a
+             permanent failure immediately. *)
+          fcount t (fun h -> h.c_perm_failures);
+          if Trace.enabled cat_rdma then
+            Trace.instant cat_rdma ~name:"unreachable" ~track:t.trk ();
+          match kerr with Some fail -> fail () | None -> raise exn))
+
+(* The timeout beat the completion: disarm the completion and fail the
+   attempt. Armed only under a plan. *)
+let time_out c =
+  let t = c.c_qp in
+  match t.faults with
+  | None -> ()
+  | Some plan ->
+      Option.iter Sim.Engine.cancel c.c_timer;
+      fcount t (fun h -> h.c_timeouts);
+      fail_attempt c plan
+        ~ended:(c.c_start + Int64.to_int (Faults.Plan.timeout plan))
+        ~reason:"timeout"
 
 let comp_take t =
   if t.comp_len = 0 then begin
@@ -301,14 +446,26 @@ let comp_take t =
         c_buf = empty_buf;
         c_snap = empty_buf;
         c_snap_base = 0;
-        c_release_snap = false;
-        c_t0 = Sim.Time.zero;
         c_on_complete = ignore;
         c_on_error = None;
+        c_fa = None;
+        c_try = 0;
+        c_began = 0;
+        c_start = 0;
+        c_completion = 0;
+        c_error = false;
+        c_timer = None;
         c_fn = ignore;
+        c_timeout_fn = ignore;
+        c_retry_fn = ignore;
       }
     in
-    c.c_fn <- (fun () -> comp_fire c);
+    c.c_fn <- (fun () -> complete c);
+    c.c_timeout_fn <- (fun () -> time_out c);
+    c.c_retry_fn <-
+      (fun () ->
+        c.c_try <- c.c_try + 1;
+        launch c);
     c
   end
   else begin
@@ -318,198 +475,28 @@ let comp_take t =
 
 (* -- posting ----------------------------------------------------- *)
 
-(* One service attempt of a work request under a fault plan. Each
-   attempt re-arms the send engine (doorbell + occupancy) and draws
-   its wire outcome from the plan; a retransmission timer races the
-   (possibly NACK-delayed, stall-deferred) completion through
-   cancellable engine timers. A timed-out attempt's late completion is
-   dropped — the NIC ignores stale responses — so a retried READ never
-   lands twice. Retries back off exponentially (with plan-RNG jitter);
-   after [max_retries] attempts the failure surfaces through
-   [on_error], or, when the caller gave none, the QP keeps
-   retransmitting at the backoff ceiling (sync wrappers and background
-   prefetchers rely on this transparent mode). *)
-let rec attempt t plan op ~bytes_ ~segments ~transfer ~on_complete ~on_error
-    ~fa ~posted ~try_no =
-  (* Instant the attempt began: the doorbell write that produced
-     [posted]. Everything this attempt spends is measured from here so
-     per-fault attribution telescopes exactly (failed-attempt windows
-     and backoff gaps tile the span between posts). *)
-  let began = Sim.Time.sub posted (Nic.doorbell t.nic) in
-  let start = Sim.Time.max posted t.next_free in
-  t.next_free <- Sim.Time.add start (occupancy t ~bytes_ ~segments);
-  let latency = Nic.latency t.nic op ~bytes_ ~segments ~huge_pages:t.huge_pages in
-  let completion =
-    Sim.Time.add (Sim.Time.add start latency) t.extra_completion_delay
-  in
-  count_ops t op ~ops:1 bytes_;
-  (match fa with
-  | Some a -> a.Trace.fa_attempts <- a.Trace.fa_attempts + 1
-  | None -> ());
-  let w = Faults.Plan.wire plan ~start ~completion in
-  if w.Faults.Plan.w_retransmitted then fcount t (fun h -> h.c_retrans);
-  if w.Faults.Plan.w_duplicate then fcount t (fun h -> h.c_dups);
-  let retry () =
-    match on_error with
-    | Some fail when try_no >= Faults.Plan.max_retries plan ->
-        fcount t (fun h -> h.c_perm_failures);
-        if Trace.enabled cat_rdma then
-          Trace.instant cat_rdma ~name:"perm_failure" ~track:t.trk
-            ~args:[ ("try", Trace.I try_no) ] ();
-        fail ()
-    | Some _ | None ->
-        fcount t (fun h -> h.c_retries);
-        Obs.Registry.cincr t.ob_retries;
-        let delay = Faults.Plan.backoff plan ~attempt:try_no in
-        (match fa with
-        | Some a ->
-            a.Trace.fa_backoff_ns <- a.Trace.fa_backoff_ns + Int64.to_int delay
-        | None -> ());
-        if Trace.enabled cat_rdma then
-          Trace.instant cat_rdma ~name:"retry" ~track:t.trk
-            ~args:
-              [
-                ("try", Trace.I try_no);
-                ("backoff_ns", Trace.I (Int64.to_int delay));
-              ]
-            ();
-        Sim.Engine.after t.eng delay (fun () ->
-            let posted =
-              Sim.Time.add (Sim.Engine.now t.eng) (Nic.doorbell t.nic)
-            in
-            attempt t plan op ~bytes_ ~segments ~transfer ~on_complete
-              ~on_error ~fa ~posted ~try_no:(try_no + 1))
-  in
-  let fail_attempt ~ended ~reason =
-    (match fa with
-    | Some a -> a.Trace.fa_backoff_ns <- a.Trace.fa_backoff_ns + dns ended began
-    | None -> ());
-    if Trace.enabled cat_rdma then
-      Trace.complete cat_rdma ~name:"attempt_failed" ~track:t.trk ~t0:began
-        ~t1:ended ~async:true
-        ~args:[ ("try", Trace.I try_no); ("reason", Trace.S reason) ]
-        ();
-    retry ()
-  in
-  let comp =
-    Sim.Engine.timer_at t.eng w.Faults.Plan.w_completion (fun () ->
-        if w.Faults.Plan.w_error then begin
-          fcount t (fun h -> h.c_comp_errors);
-          fail_attempt ~ended:w.Faults.Plan.w_completion ~reason:"comp_error"
-        end
-        else begin
-          meter t op bytes_;
-          match
-            try
-              transfer ();
-              None
-            with Unreachable _ as exn -> Some exn
-          with
-          | Some exn -> (
-              (* The wire delivered, but the replica set is gone:
-                 retrying cannot help, so skip the backoff ladder and
-                 surface a permanent failure immediately. *)
-              fcount t (fun h -> h.c_perm_failures);
-              if Trace.enabled cat_rdma then
-                Trace.instant cat_rdma ~name:"unreachable" ~track:t.trk ();
-              match on_error with Some fail -> fail () | None -> raise exn)
-          | None ->
-              (match fa with
-              | Some a ->
-                  a.Trace.fa_queue_ns <- a.Trace.fa_queue_ns + dns start began;
-                  a.Trace.fa_wire_ns <-
-                    a.Trace.fa_wire_ns + dns w.Faults.Plan.w_completion start
-              | None -> ());
-              if Trace.enabled cat_rdma then
-                Trace.complete cat_rdma ~name:(op_name op) ~track:t.trk
-                  ~t0:began ~async:true
-                  ~args:
-                    [
-                      ("bytes", Trace.I bytes_);
-                      ("segments", Trace.I segments);
-                      ("try", Trace.I try_no);
-                    ]
-                  ();
-              on_complete ()
-        end)
-  in
-  let timeout_at = Sim.Time.add start (Faults.Plan.timeout plan) in
-  if Sim.Time.compare timeout_at w.Faults.Plan.w_completion < 0 then
-    ignore
-      (Sim.Engine.timer_at t.eng timeout_at (fun () ->
-           Sim.Engine.cancel comp;
-           fcount t (fun h -> h.c_timeouts);
-           fail_attempt ~ended:timeout_at ~reason:"timeout"))
-
-(* Shared post path. [snap]/[snap_base]/[release_snap] carry the write
-   snapshot (rebased so pooled page-sized snapshots work even when
-   [buf] is a whole multi-GB slab); for reads [snap] is unused. *)
-let post ?on_error ?fa t op ~segs ~buf ~snap ~snap_base ~release_snap
-    ~on_complete =
-  validate t segs buf;
-  let bytes_ = total_len segs in
-  let segments = List.length segs in
-  let now = Sim.Engine.now t.eng in
-  let posted = Sim.Time.add now (Nic.doorbell t.nic) in
-  match t.faults with
-  | Some plan ->
-      let transfer () =
-        match op with
-        | Nic.Read -> land_reads t buf segs
-        | Nic.Write ->
-            List.iter
-              (fun s -> t.target.t_write s.raddr snap (s.loff - snap_base) s.len)
-              segs;
-            if release_snap then snap_release t snap
-      in
-      (* Exactly one of [transfer] / permanent failure ever happens, so
-         the snapshot is returned to the pool exactly once. Wrapping
-         only a present [on_error] preserves the transparent unbounded
-         retry of [None]. *)
-      let on_error =
-        match on_error with
-        | Some f when release_snap ->
-            Some
-              (fun () ->
-                snap_release t snap;
-                f ())
-        | other -> other
-      in
-      attempt t plan op ~bytes_ ~segments ~transfer ~on_complete ~on_error ~fa
-        ~posted ~try_no:1
-  | None ->
-      let start = Sim.Time.max posted t.next_free in
-      t.next_free <- Sim.Time.add start (occupancy t ~bytes_ ~segments);
-      let latency =
-        Nic.latency t.nic op ~bytes_ ~segments ~huge_pages:t.huge_pages
-      in
-      let completion =
-        Sim.Time.add (Sim.Time.add start latency) t.extra_completion_delay
-      in
-      count_ops t op ~ops:1 bytes_;
-      (match fa with
-      | Some a ->
-          a.Trace.fa_attempts <- a.Trace.fa_attempts + 1;
-          a.Trace.fa_queue_ns <- a.Trace.fa_queue_ns + dns start now;
-          a.Trace.fa_wire_ns <- a.Trace.fa_wire_ns + dns completion start
-      | None -> ());
-      let c = comp_take t in
-      c.c_op <- op;
-      c.c_bytes <- bytes_;
-      c.c_segments <- segments;
-      c.c_segs <- segs;
-      c.c_buf <- buf;
-      c.c_snap <- snap;
-      c.c_snap_base <- snap_base;
-      c.c_release_snap <- release_snap;
-      c.c_t0 <- now;
-      c.c_on_complete <- on_complete;
-      c.c_on_error <- on_error;
-      Sim.Engine.at t.eng completion c.c_fn
+(* Shared post path, for a validated WR. [snap]/[snap_base] carry the
+   write snapshot (rebased so pooled page-sized snapshots work even
+   when [buf] is a whole multi-GB slab); for reads [snap] is empty. *)
+let post ?on_error ?fa t op ~segs ~buf ~snap ~snap_base ~on_complete =
+  let c = comp_take t in
+  c.c_op <- op;
+  c.c_bytes <- total_len segs;
+  c.c_segments <- List.length segs;
+  c.c_segs <- segs;
+  c.c_buf <- buf;
+  c.c_snap <- snap;
+  c.c_snap_base <- snap_base;
+  c.c_on_complete <- on_complete;
+  c.c_on_error <- on_error;
+  c.c_fa <- fa;
+  c.c_try <- 1;
+  launch c
 
 let post_read ?on_error ?fa t ~segs ~buf ~on_complete =
+  validate t segs buf;
   post ?on_error ?fa t Nic.Read ~segs ~buf ~snap:empty_buf ~snap_base:0
-    ~release_snap:false ~on_complete
+    ~on_complete
 
 (* Batch bookkeeping for a fetch window posted as one chain of
    one-page [post_read]s: one doorbell's worth of counter + trace for
@@ -559,14 +546,11 @@ let post_write ?on_error t ~segs ~buf ~on_complete =
   let base = List.fold_left (fun a s -> Int.min a s.loff) max_int segs in
   let hi = List.fold_left (fun a s -> Int.max a (s.loff + s.len)) 0 segs in
   let span = hi - base in
-  let snap, release_snap =
-    if span <= page_size then (snap_take t, true) else (Buf.create span, false)
-  in
+  let snap = if span <= page_size then snap_take t else Buf.create span in
   List.iter
     (fun s -> Buf.blit buf ~src_off:s.loff snap ~dst_off:(s.loff - base) ~len:s.len)
     segs;
-  post ?on_error t Nic.Write ~segs ~buf ~snap ~snap_base:base ~release_snap
-    ~on_complete
+  post ?on_error t Nic.Write ~segs ~buf ~snap ~snap_base:base ~on_complete
 
 let read t ~raddr ~buf ~off ~len =
   Sim.Engine.suspend t.eng (fun wake ->

@@ -13,12 +13,16 @@
     Local buffers are off-heap slabs ({!Sim.Bigbuf}): a caller may
     pass a whole multi-GB frame slab with per-segment offsets into it,
     so page movement never materializes intermediate heap buffers.
-    Completion dispatch on the healthy path is allocation-free —
-    completion records and write snapshots recycle through per-QP free
-    lists. Every READ completes through one path: a {!post_read} work
-    request with its own engine event. A prefetch window is one
-    {!note_read_batch} doorbell followed by one {!post_read} per
-    page. *)
+
+    Every work request, READ or WRITE, with or without a fault plan,
+    takes one path: one pooled completion record, launched once per
+    attempt (doorbell, send-engine occupancy, completion event) and
+    finished by one completion handler. A retry re-launches the same
+    record; it is recycled, and a WRITE's snapshot returned to its
+    pool, exactly once — on success or on permanent failure. Without a
+    fault plan completion dispatch is allocation-free. A prefetch
+    window is one {!note_read_batch} doorbell followed by one
+    {!post_read} per page. *)
 
 type target = {
   t_read : int64 -> Sim.Bigbuf.t -> int -> int -> unit;
@@ -36,9 +40,10 @@ type seg = { raddr : int64; loff : int; len : int }
 exception Unreachable of int64
 (** Raised by a {!target} when no replica of the addressed page is
     alive (see [Memnode.Replica_group]). Unlike a wire fault this is
-    not retryable: the QP counts it under [rdma_perm_failures] and
-    fires the work request's [on_error] immediately — on the healthy
-    path too, where wire faults never occur. A WR posted without
+    not retryable: the attempt's op span and attribution are recorded
+    as for a success, then the QP counts it under [rdma_perm_failures]
+    and fires the work request's [on_error] immediately, with or
+    without a fault plan. A WR posted without
     [on_error] re-raises instead, aborting the simulation run: losing
     a page silently is never an option. *)
 
@@ -79,10 +84,13 @@ val post_read :
     call to the completion exactly; see {!Trace.fetch_attrib}.
 
     Fault semantics (only when the NIC carries a non-passthrough
-    {!Faults.Plan}): each service attempt may complete in error, be
-    NACK-delayed, or time out during a memory-node stall; the QP then
-    retries with bounded exponential backoff (fresh doorbell and
-    occupancy per attempt). Attempts are visible in the
+    {!Faults.Plan}; otherwise every attempt succeeds): each attempt
+    draws its wire outcome from the plan and arms a retransmission
+    timeout. It may complete in error, be NACK-delayed, or time out
+    during a memory-node stall (its late completion is then dropped,
+    so a READ never lands twice); the QP then re-launches the same
+    work request after a bounded exponential backoff (fresh doorbell
+    and occupancy per attempt). Attempts are visible in the
     [rdma_comp_errors] / [rdma_timeouts] / [rdma_retries] /
     [rdma_retrans_delays] / [rdma_dup_completions] counters. Without
     [on_error] the retry loop is unbounded — the op is transparently

@@ -253,7 +253,103 @@ let qp_permanent_failure_surfaces () =
       check_int "one permanent failure" 1
         (Sim.Stats.get stats "rdma_perm_failures");
       (* max_retries is the attempt budget: 3 attempts = 2 retries. *)
-      check_int "retry budget honoured" 2 (Sim.Stats.get stats "rdma_retries"))
+      check_int "retry budget honoured" 2 (Sim.Stats.get stats "rdma_retries"));
+  (* A WRITE abandoned in a short blackout lands nothing and returns
+     its pooled snapshot exactly once: the two writes posted after the
+     blackout take distinct snapshots, each holding its post-time
+     payload although the source is overwritten after every post. *)
+  run_sim (fun eng ->
+      let stats = Sim.Stats.create () in
+      let spec =
+        {
+          Spec.zero with
+          Spec.blackouts = [ (0, 100_000) ] (* 100 us *);
+          timeout_ns = 10_000;
+          backoff_ns = 1_000;
+          backoff_max_ns = 10_000;
+          max_retries = 3;
+        }
+      in
+      let _store, fabric = mk_faulted_fabric eng ~stats ~seed:1 spec in
+      let qp = Rdma.Fabric.qp fabric ~name:"t" in
+      let page raddr = [ { Rdma.Qp.raddr; loff = 0; len = 4096 } ] in
+      let src = Sim.Bigbuf.create 4096 in
+      let fill c = Sim.Bigbuf.fill src ~off:0 ~len:4096 c in
+      let failed = ref false and landed = ref 0 in
+      fill 'X';
+      Rdma.Qp.post_write qp
+        ~on_error:(fun () -> failed := true)
+        ~segs:(page 0x2000L) ~buf:src
+        ~on_complete:(fun () -> Alcotest.fail "abandoned write completed");
+      Sim.Engine.sleep eng (Sim.Time.us 200);
+      check_bool "write abandoned in the blackout" true !failed;
+      fill 'A';
+      Rdma.Qp.post_write qp ~on_error:(fun () -> Alcotest.fail "write A failed")
+        ~segs:(page 0L) ~buf:src
+        ~on_complete:(fun () -> incr landed);
+      fill 'B';
+      Rdma.Qp.post_write qp ~on_error:(fun () -> Alcotest.fail "write B failed")
+        ~segs:(page 0x1000L) ~buf:src
+        ~on_complete:(fun () -> incr landed);
+      fill 'C';
+      Sim.Engine.sleep eng (Sim.Time.us 100);
+      check_int "both writes landed" 2 !landed;
+      let read_back raddr =
+        let dst = Sim.Bigbuf.create 4096 in
+        Rdma.Qp.read qp ~raddr ~buf:dst ~off:0 ~len:4096;
+        Bytes.to_string (Sim.Bigbuf.to_bytes dst ~off:0 ~len:4096)
+      in
+      Alcotest.(check string) "first write's payload" (String.make 4096 'A')
+        (read_back 0L);
+      Alcotest.(check string) "second write's payload" (String.make 4096 'B')
+        (read_back 0x1000L);
+      Alcotest.(check string) "abandoned write landed nothing"
+        (String.make 4096 '\000') (read_back 0x2000L);
+      check_int "one permanent failure" 1
+        (Sim.Stats.get stats "rdma_perm_failures"))
+
+(* A READ whose replica set is gone completes like a success in the
+   attribution, with or without a wire-fault plan: its queue and wire
+   time tile the interval from the post to [on_error]. *)
+let qp_unreachable_attribution () =
+  List.iter
+    (fun faults ->
+      run_sim (fun eng ->
+          let stats = Sim.Stats.create () in
+          let target =
+            {
+              Rdma.Qp.t_read =
+                (fun raddr _ _ _ -> raise (Rdma.Qp.Unreachable raddr));
+              t_write = (fun _ _ _ _ -> ());
+            }
+          in
+          let fabric =
+            Rdma.Fabric.connect ~eng ?faults ~stats ~target
+              ~size:(Int64.of_int (1 lsl 24)) ()
+          in
+          let qp = Rdma.Fabric.qp fabric ~name:"t" in
+          let fa = Trace.fetch_attrib () in
+          let t0 = Sim.Engine.now eng in
+          let failed_at = ref None in
+          Rdma.Qp.post_read qp ~fa
+            ~on_error:(fun () -> failed_at := Some (Sim.Engine.now eng))
+            ~segs:[ { Rdma.Qp.raddr = 0L; loff = 0; len = 4096 } ]
+            ~buf:(Sim.Bigbuf.create 4096)
+            ~on_complete:(fun () -> Alcotest.fail "unreachable read completed");
+          Sim.Engine.sleep eng (Sim.Time.ms 1);
+          match !failed_at with
+          | None -> Alcotest.fail "on_error never fired"
+          | Some t1 ->
+              check_int "queue + wire + backoff = post to on_error"
+                (Int64.to_int (Sim.Time.sub t1 t0))
+                Trace.(fa.fa_queue_ns + fa.fa_wire_ns + fa.fa_backoff_ns);
+              check_int "one attempt" 1 fa.Trace.fa_attempts;
+              check_int "one permanent failure" 1
+                (Sim.Stats.get stats "rdma_perm_failures")))
+    [
+      None;
+      Some (Plan.make ~seed:1 { Spec.zero with Spec.duplicate_rate = 0.5 });
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Whole-run determinism through the harness *)
@@ -333,6 +429,7 @@ let suite =
     quick "qp: nack/dup accounting" qp_nack_and_dup_accounting;
     quick "qp: blackout timeouts then recovers" qp_blackout_timeouts_then_recovers;
     quick "qp: permanent failure surfaces" qp_permanent_failure_surfaces;
+    quick "qp: unreachable READ tiles attribution" qp_unreachable_attribution;
     quick "run: dilos campaign deterministic" run_determinism;
     quick "run: fastswap campaign deterministic" run_fastswap_determinism;
     quick "run: zero spec bit-identical to none" zero_spec_is_bit_identical;
