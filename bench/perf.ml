@@ -187,9 +187,10 @@ let paperscale_targets : (string * (unit -> result)) list =
 
    Two phases per row, each with its own budget, so neither paging
    kernel's fault path or accessors can start allocating unseen. The
-   rows are DiLOS and Fastswap on a healthy fabric, and DiLOS under the
+   rows are DiLOS and Fastswap on a healthy fabric, DiLOS under the
    [flaky] wire-fault preset (seed 7), which drives the QP's retry
-   path:
+   path, and DiLOS on 2 shards at RF 2 with writing sweeps, which
+   drives the replica group's mirrored write-back:
 
    - fault path: a read-only sweep over a working set 4x local memory
      with prefetch/readahead off, so every measured access is a TLB
@@ -206,7 +207,11 @@ let paperscale_targets : (string * (unit -> result)) list =
      words for a 4 KiB page) comes back. DiLOS under [flaky] measures
      ~266 words/fault (~320 while each attempt of a fault-injected work
      request built its own closures); its budget keeps the healthy
-     DiLOS row's headroom ratio (512 / 209 = 2.45).
+     DiLOS row's headroom ratio (512 / 209 = 2.45). DiLOS at RF 2,
+     where every fault also evicts a dirty page through the granule
+     diff, measures ~273 words/fault (~310 while each mirrored chunk
+     read the page back and built 4 refs and 3 closures), budget
+     273 x 2.45.
 
    - hit path: repeated u32 reads of one resident page, all TLB hits,
      through the shared hit path ([Dilos.Cpu]). The only allocation
@@ -221,6 +226,7 @@ let paperscale_targets : (string * (unit -> result)) list =
 let alloc_budget_words_per_fault = 512.
 let alloc_budget_words_per_fastswap_fault = 384.
 let alloc_budget_words_per_flaky_fault = 650.
+let alloc_budget_words_per_mirrored_fault = 668.
 let alloc_budget_words_per_hit = 0.5
 let alloc_hits = 1_000_000
 
@@ -237,32 +243,38 @@ let hit_phase mem base =
   words
 
 (* Both phases on one kernel, under [fault_spec] (seed 7) when given.
-   Returns the minor words and major faults of the measured sweep and
-   the hit phase's minor words. *)
-let alloc_phases ?fault_spec system =
+   [mirrored] runs on 2 shards at RF 2 and makes the warm and measured
+   sweeps write each page, so every fault evicts a dirty page and its
+   write-back goes through the replica group's granule diff. Returns
+   the minor words and major faults of the measured sweep and the hit
+   phase's minor words. *)
+let alloc_phases ?fault_spec ~mirrored system =
   let ws = mb 32 in
   let pages = ws / 4096 in
   let measured = ref None in
+  let shards, replication = if mirrored then (Some 2, Some 2) else (None, None) in
   ignore
-    (H.run system ~local_mem:(ws / 4) ?fault_spec ~fault_seed:7 (fun ctx ->
+    (H.run system ~local_mem:(ws / 4) ?fault_spec ~fault_seed:7 ?shards
+       ?replication (fun ctx ->
          let mem = ctx.H.mem ~core:0 in
          let base = mem.Apps.Memif.malloc ws in
          for i = 0 to pages - 1 do
            mem.Apps.Memif.write_u64_at base (i * 4096) (Int64.of_int i)
          done;
          mem.Apps.Memif.flush ();
+         let sweep pass =
+           for i = 0 to pages - 1 do
+             if mirrored then mem.Apps.Memif.write_u32_at base (i * 4096) (pass + i)
+             else ignore (mem.Apps.Memif.read_u64_at base (i * 4096))
+           done;
+           mem.Apps.Memif.flush ()
+         in
          (* One warm sweep so every code path has run (lazy init,
             histogram and table growth) before the measured sweep. *)
-         for i = 0 to pages - 1 do
-           ignore (mem.Apps.Memif.read_u64_at base (i * 4096))
-         done;
-         mem.Apps.Memif.flush ();
+         sweep 1;
          let faults0 = Sim.Stats.get ctx.H.stats "major_faults" in
          let words0 = Gc.minor_words () in
-         for i = 0 to pages - 1 do
-           ignore (mem.Apps.Memif.read_u64_at base (i * 4096))
-         done;
-         mem.Apps.Memif.flush ();
+         sweep 2;
          let words = Gc.minor_words () -. words0 in
          let faults = Sim.Stats.get ctx.H.stats "major_faults" - faults0 in
          measured := Some (words, faults, hit_phase mem base)));
@@ -281,8 +293,8 @@ let alloc_phases ?fault_spec system =
 let alloc_smoke () =
   let ok = ref true in
   List.iter
-    (fun (name, system, fault_spec, budget) ->
-      let words, faults, hit_words = alloc_phases ?fault_spec system in
+    (fun (name, system, fault_spec, mirrored, budget) ->
+      let words, faults, hit_words = alloc_phases ?fault_spec ~mirrored system in
       let per_fault = words /. float_of_int faults in
       Printf.printf
         "alloc-smoke: %.0f minor words / %d steady-state faults on %s = %.1f \
@@ -311,12 +323,23 @@ let alloc_smoke () =
       ( "DiLOS",
         H.Dilos Dilos.Kernel.No_prefetch,
         None,
+        false,
         alloc_budget_words_per_fault );
-      ("Fastswap", H.Fastswap_no_ra, None, alloc_budget_words_per_fastswap_fault);
+      ( "Fastswap",
+        H.Fastswap_no_ra,
+        None,
+        false,
+        alloc_budget_words_per_fastswap_fault );
       ( "DiLOS/flaky",
         H.Dilos Dilos.Kernel.No_prefetch,
         Some Faults.Spec.flaky,
+        false,
         alloc_budget_words_per_flaky_fault );
+      ( "DiLOS/RF2",
+        H.Dilos Dilos.Kernel.No_prefetch,
+        None,
+        true,
+        alloc_budget_words_per_mirrored_fault );
     ];
   if not !ok then exit 1
 

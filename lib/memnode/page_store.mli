@@ -6,7 +6,13 @@
     zeros (fresh DRAM handed out by the memory node server). Serves
     arbitrary byte ranges, including ranges crossing block boundaries,
     so it can back both full-page transfers and the sub-page /
-    vectored operations used by guides. *)
+    vectored operations used by guides.
+
+    A replica group keeps one store for all its shards (see
+    {!Replica_group}): each block is one page's bytes, held once
+    however many replicas hold the page. {!drop} forgets a block whose
+    last holder died; its space is zeroed and reused by the next first
+    write, so the store never grows past the pages it holds at once. *)
 
 type t
 
@@ -16,15 +22,27 @@ val create : size:int64 -> t
 val read : t -> addr:int64 -> dst:Sim.Bigbuf.t -> off:int -> len:int -> unit
 val write : t -> addr:int64 -> src:Sim.Bigbuf.t -> off:int -> len:int -> unit
 
-val resident_blocks : t -> int
-(** Number of 4 KiB blocks written so far. *)
+val equal :
+  t -> int -> inb:int -> src:Sim.Bigbuf.t -> off:int -> len:int -> bool
+(** [equal t blk ~inb ~src ~off ~len] is true iff [src]'s bytes
+    \[off, off+len) equal block [blk]'s bytes \[inb, inb+len) (zeros
+    if the block is not resident). Compares in place, allocating
+    nothing. The span must stay inside the block and the store,
+    otherwise [Invalid_argument]. *)
 
-val reset : t -> unit
-(** Forget everything — the store reads as fresh DRAM again. Models a
-    shard process dying with its memory (see [Replica_group]). *)
+val resident_blocks : t -> int
+(** Number of 4 KiB blocks resident: written and not dropped since. *)
+
+val mem : t -> int -> bool
+(** [mem t blk] is true iff block [blk] is resident. *)
+
+val drop : t -> int -> unit
+(** [drop t blk] forgets block [blk]: it reads as zeros again and no
+    longer counts as resident, and its space goes to the next block
+    first written. A no-op on a block that is not resident. *)
 
 val iter_touched : t -> (int -> unit) -> unit
-(** Iterate the indices of written 4 KiB blocks in ascending order
+(** Iterate the indices of resident 4 KiB blocks in ascending order
     (deterministic, for resync enumeration). *)
 
 val target : t -> Rdma.Qp.target

@@ -2,32 +2,39 @@
 
    Pages are striped by virtual page number: page [p]'s primary is
    shard [p mod shards] and its K-1 backups follow round-robin. The
-   group exposes ONE [Rdma.Qp.target] to the fabric — the computing
+   group exposes ONE [Rdma.Qp.target] to the fabric (the computing
    node keeps the single flat address space the paper's memory node
-   offers — and resolves every byte range to replica stores at
-   completion time:
+   offers) and owns ONE [Page_store]: every live synced replica of a
+   page holds the same bytes, so the bytes are kept once and each
+   shard keeps only routing, liveness, what it is missing and
+   telemetry. Shard [s] holds page [p] iff [s] is one of [p]'s
+   replicas, [s] is alive, [p] is resident in the store and [p] is not
+   in [s]'s [missed] set ([holds]).
 
    - READs are served by the primary; if it is dead (or still
      resyncing the page), the first surviving synced backup serves
      instead. No live synced replica left means the bytes are gone:
-     {!Rdma.Qp.Unreachable} propagates the loss loudly.
+     {!Rdma.Qp.Unreachable} propagates the loss loudly. Either way the
+     bytes come from the one store.
 
-   - WRITEs are acknowledged only once applied to every live synced
-     replica of the page (chain-replication ack semantics, mirrored
-     synchronously at the WR's completion instant). Mirroring is
-     granule-diffed: only sub-page granules whose bytes actually
-     changed travel to the backups, which is what bounds replication
-     write-amplification (ROADMAP item 5) — the traffic is counted in
+   - WRITEs are acknowledged only once every live synced replica of
+     the page holds them (chain-replication ack semantics, at the WR's
+     completion instant). Mirroring is granule-diffed in place against
+     the store: only sub-page granules whose bytes actually changed
+     land (once) and are charged as backup traffic, which is what
+     bounds replication write-amplification. The traffic is counted in
      the [repl_*] stats, with wire time priced through {!Rdma.Nic}.
 
-   - A killed shard loses its DRAM ([Page_store.reset]); recovery
-     marks it syncing and a background fiber re-copies every page it
-     should hold from surviving replicas, pacing itself to the resync
-     bandwidth budget. Pages with no surviving source stay missing
-     (counted in [repl_lost_pages]) rather than silently serving
-     zeros. *)
-
-module Buf = Sim.Bigbuf
+   - A killed shard loses its DRAM: it tombstones the pages it held,
+     and a resident page that no other replica holds is dropped from
+     the store ([Page_store.drop]) and tombstoned on every dead
+     replica, so no member can come back serving it as zeros.
+     Recovery marks the shard syncing and a background fiber walks the
+     pages it should hold, pacing itself to the resync bandwidth
+     budget: a page some other replica holds is re-replicated by
+     clearing it from [missed] (the bytes are already in the store);
+     a page with no surviving holder stays missing (counted in
+     [repl_lost_pages]) rather than silently serving zeros. *)
 
 let page_size = 4096
 let page_shift = 12
@@ -70,7 +77,6 @@ type hstats = {
 
 type shard = {
   idx : int;
-  store : Page_store.t;
   trk : int;
   (* Observatory: per-shard labeled series ({shard="N"}), resolved at
      [create] (boot) against the installed registry — the per-shard
@@ -85,22 +91,22 @@ type shard = {
   mutable killed_at : Sim.Time.t;
   mutable recovered_at : Sim.Time.t;
   mutable failover_pending : bool;
-  missed : (int, unit) Hashtbl.t;  (* membership only; never iterated *)
+  missed : (int, unit) Hashtbl.t;  (* pages owed by the resync *)
   missed_q : int Queue.t;  (* deterministic resync order *)
   mutable tombstones : int list;
-      (* pages this shard held when it died, sorted ascending. Survivors'
-         stores cannot reconstruct these at RF=1 (nobody else ever held
-         them), and "nobody remembers the page" must read as loss, not as
-         fresh zeros — so the corpse itself carries the list. *)
+      (* pages this shard held when it died, or whose last holder died
+         while it was dead, sorted ascending. "Nobody holds the page"
+         must read as loss on recovery, not as fresh zeros, so the
+         corpse itself carries the list. *)
 }
 
 type t = {
   eng : Sim.Engine.t;
   size : int64;
   cfg : config;
+  store : Page_store.t;  (* every page's bytes, once *)
   shards : shard array;
   nic : Rdma.Nic.t;  (* prices mirror/backup wire time (accounting) *)
-  scratch : Buf.t;  (* one page, for diff bases and resync copies *)
   mutable stats : hstats option;
   drill : bool;  (* the fault plan scripts kills or recovers *)
   mutable timers : Sim.Engine.timer list;
@@ -114,7 +120,7 @@ let shards t = t.cfg.shards
 let replication t = t.cfg.replication
 let size t = t.size
 let config t = t.cfg
-let store t i = t.shards.(i).store
+let store t = t.store
 let alive t i = t.shards.(i).alive
 let syncing t i = t.shards.(i).syncing
 let max_resync_bytes_per_interval t = t.max_interval_resync
@@ -155,9 +161,17 @@ let vpn_of addr = Int64.to_int (Int64.shift_right_logical addr page_shift)
 (* Replica [i] of page [vpn]; [i = 0] is the primary. *)
 let replica t vpn i = t.shards.((vpn + i) mod t.cfg.shards)
 
-(* A shard serves page [vpn] iff it is alive and has the page's bytes:
-   while resyncing, only pages already re-copied qualify. *)
+(* Shard [idx] is replica [(idx - vpn) mod shards] of page [vpn]. *)
+let member t vpn idx =
+  let n = t.cfg.shards in
+  (idx - (vpn mod n) + n) mod n < t.cfg.replication
+
+(* A replica serves page [vpn] iff it is alive and not missing it:
+   while resyncing, only pages already re-replicated qualify. *)
 let serves s vpn = s.alive && ((not s.syncing) || not (Hashtbl.mem s.missed vpn))
+
+let holds t i vpn =
+  member t vpn i && serves t.shards.(i) vpn && Page_store.mem t.store vpn
 
 (* First live synced replica of [vpn] from replica [i] on, recording
    failover telemetry for every freshly-dead shard the walk has to
@@ -189,6 +203,19 @@ let rec serving_replica t vpn addr ~is_read i =
 
 (* -- kill / recover ----------------------------------------------- *)
 
+(* Whether a replica of [vpn] other than [s] serves it: the source a
+   resync of [vpn] into [s] needs, and what a dying [s] leaves behind.
+   The bytes are already in the store, so clearing [vpn] from [s]'s
+   [missed] set is the whole copy. *)
+let has_source t s vpn =
+  let rec source i =
+    i < t.cfg.replication
+    &&
+    let q = replica t vpn i in
+    (q != s && serves q vpn) || source (i + 1)
+  in
+  source 0
+
 let kill t idx =
   let s = t.shards.(idx) in
   if s.alive then begin
@@ -199,37 +226,36 @@ let kill t idx =
     s.failover_pending <- true;
     (* Tombstones: everything the shard held (or still owed from an
        earlier death) at this instant. sort_uniq also erases the
-       Hashtbl's iteration order, keeping recovery deterministic. *)
-    let dead = ref s.tombstones in
+       Hashtbl's iteration order, keeping recovery deterministic. A page
+       it held that no other replica holds is orphaned. *)
+    let dead = ref s.tombstones and orphans = ref [] in
     Hashtbl.iter (fun vpn () -> dead := vpn :: !dead) s.missed;
-    Page_store.iter_touched s.store (fun vpn ->
-        if not (Hashtbl.mem s.missed vpn) then dead := vpn :: !dead);
+    Page_store.iter_touched t.store (fun vpn ->
+        if member t vpn idx && not (Hashtbl.mem s.missed vpn) then begin
+          dead := vpn :: !dead;
+          if not (has_source t s vpn) then orphans := vpn :: !orphans
+        end);
     s.tombstones <- List.sort_uniq Int.compare !dead;
     Hashtbl.reset s.missed;
     Queue.clear s.missed_q;
-    (* The process died with its DRAM: the store really forgets. *)
-    Page_store.reset s.store;
+    (* The last copy of an orphan died with this shard's DRAM: forget
+       the bytes, and make every other dead replica remember the page
+       as lost too (a live one is already missing it). *)
+    if !orphans <> [] then begin
+      Array.iter
+        (fun q ->
+          if q != s && not q.alive then
+            match List.filter (fun vpn -> member t vpn q.idx) !orphans with
+            | [] -> ()
+            | mine ->
+                q.tombstones <- List.sort_uniq Int.compare (mine @ q.tombstones))
+        t.shards;
+      List.iter (Page_store.drop t.store) !orphans
+    end;
     scount t (fun h -> h.c_kills);
     if Trace.enabled cat_memnode then
       Trace.instant cat_memnode ~name:"shard_kill" ~track:s.trk ()
   end
-
-(* Copy one page into [s] from its first surviving synced source;
-   false if every other replica of the page is gone too. *)
-let resync_page t s vpn =
-  let rec source i =
-    if i >= t.cfg.replication then None
-    else
-      let q = replica t vpn i in
-      if q.idx <> s.idx && serves q vpn then Some q else source (i + 1)
-  in
-  match source 0 with
-  | None -> false
-  | Some q ->
-      let addr = Int64.shift_left (Int64.of_int vpn) page_shift in
-      Page_store.read q.store ~addr ~dst:t.scratch ~off:0 ~len:page_size;
-      Page_store.write s.store ~addr ~src:t.scratch ~off:0 ~len:page_size;
-      true
 
 let finish_sync t s =
   s.syncing <- false;
@@ -245,7 +271,7 @@ let resync_fiber t s epoch () =
   while live () && not (Queue.is_empty s.missed_q) do
     let vpn = Queue.pop s.missed_q in
     if Hashtbl.mem s.missed vpn then begin
-      if resync_page t s vpn then begin
+      if has_source t s vpn then begin
         Hashtbl.remove s.missed vpn;
         scount t (fun h -> h.c_resync_pages);
         Obs.Registry.cincr s.ob_resync_pages;
@@ -282,22 +308,16 @@ let recover t idx =
     scount t (fun h -> h.c_recovers);
     if Trace.enabled cat_memnode then
       Trace.instant cat_memnode ~name:"shard_recover" ~track:s.trk ();
-    (* Everything this shard should hold is among the blocks the
-       survivors' stores hold (writes only ever land on replica members).
-       Ascending shard then ascending block keeps the queue order — and
+    (* Everything this shard should hold is a page some survivor holds.
+       Ascending survivor then ascending page keeps the queue order — and
        hence resync completion times — deterministic. *)
     Array.iter
       (fun q ->
-        if q.idx <> idx && q.alive then
-          Page_store.iter_touched q.store (fun vpn ->
-              let member =
-                let rec mem i =
-                  i < t.cfg.replication
-                  && ((replica t vpn i).idx = idx || mem (i + 1))
-                in
-                mem 0
-              in
-              if member && serves q vpn && not (Hashtbl.mem s.missed vpn)
+        if q != s && q.alive then
+          Page_store.iter_touched t.store (fun vpn ->
+              if
+                member t vpn idx && holds t q.idx vpn
+                && not (Hashtbl.mem s.missed vpn)
               then begin
                 Hashtbl.add s.missed vpn ();
                 Queue.push vpn s.missed_q
@@ -353,14 +373,19 @@ let read_chunk t addr dst off len =
     Trace.instant cat_memnode ~name:"page_read" ~track:s.trk
       ~args:[ ("len", Trace.I len) ]
       ();
-  Page_store.read s.store ~addr ~dst ~off ~len
+  Page_store.read t.store ~addr ~dst ~off ~len
 
 let read t addr dst off len =
   check t addr len;
   each_page read_chunk t addr dst off len
 
-(* One in-page write chunk: diff against the authoritative copy in
-   granule units, apply only dirty runs to every live synced replica,
+(* Live synced replicas of [vpn] from replica [i] on. *)
+let rec serving_copies t vpn i =
+  if i >= t.cfg.replication then 0
+  else (if serves (replica t vpn i) vpn then 1 else 0) + serving_copies t vpn (i + 1)
+
+(* One in-page write chunk: diff it against the store in granule units,
+   land only the dirty runs (once: the store is every replica's copy),
    and account the backup traffic. *)
 let write_chunk t addr src off len =
   let vpn = vpn_of addr in
@@ -372,68 +397,47 @@ let write_chunk t addr src off len =
       ();
   if t.cfg.replication = 1 then
     (* Single copy: no mirror traffic to bound, write straight through. *)
-    Page_store.write auth.store ~addr ~src ~off ~len
+    Page_store.write t.store ~addr ~src ~off ~len
   else begin
     let g = t.cfg.granule in
     let page_base = Int64.logand addr (Int64.lognot 4095L) in
     let start = Int64.to_int (Int64.sub addr page_base) in
-    (* Current authoritative bytes of the written span, as diff base. *)
-    Page_store.read auth.store ~addr ~dst:t.scratch ~off:start ~len;
-    let copies = ref 0 in
-    let rec count_serving i =
-      if i < t.cfg.replication then begin
-        if serves (replica t vpn i) vpn then incr copies;
-        count_serving (i + 1)
-      end
-    in
-    count_serving 0;
-    let dirty_bytes = ref 0 and dirty_runs = ref 0 in
-    let apply_run p0 p1 =
-      (* [p0, p1): a maximal run of dirty granules, clipped to the
-         written span; lands on every live synced replica so an ack
-         always means K-way durability among the living. *)
-      incr dirty_runs;
-      dirty_bytes := !dirty_bytes + (p1 - p0);
-      let run_addr = Int64.add page_base (Int64.of_int p0) in
-      let run_off = off + (p0 - start) in
-      let rec put i =
-        if i < t.cfg.replication then begin
-          let s = replica t vpn i in
-          if serves s vpn then
-            Page_store.write s.store ~addr:run_addr ~src ~off:run_off
-              ~len:(p1 - p0);
-          put (i + 1)
-        end
-      in
-      put 0
-    in
     let fin = start + len in
-    let g_first = start / g and g_last = (fin - 1) / g in
-    let run_start = ref (-1) in
-    for gi = g_first to g_last do
-      let p0 = Int.max start (gi * g) and p1 = Int.min fin ((gi + 1) * g) in
+    let g_last = (fin - 1) / g in
+    (* [run_start, p0) is the dirty run being extended (-1: none). The
+       step past the last granule is clean, so it lands the final run. *)
+    let run_start = ref (-1) and dirty_bytes = ref 0 and dirty_runs = ref 0 in
+    for gi = start / g to g_last + 1 do
+      let p0 = Int.min fin (Int.max start (gi * g)) in
+      let p1 = Int.min fin ((gi + 1) * g) in
       let dirty =
-        not
-          (Buf.equal_range src ~a_off:(off + (p0 - start)) t.scratch ~b_off:p0
-             ~len:(p1 - p0))
+        gi <= g_last
+        && not
+             (Page_store.equal t.store vpn ~inb:p0 ~src
+                ~off:(off + (p0 - start))
+                ~len:(p1 - p0))
       in
       if dirty then begin
         scount t (fun h -> h.c_granules_dirty);
         if !run_start < 0 then run_start := p0
       end
       else begin
-        scount t (fun h -> h.c_granules_clean);
+        if gi <= g_last then scount t (fun h -> h.c_granules_clean);
         if !run_start >= 0 then begin
-          apply_run !run_start p0;
+          let n = p0 - !run_start in
+          Page_store.write t.store
+            ~addr:(Int64.add page_base (Int64.of_int !run_start))
+            ~src ~off:(off + (!run_start - start)) ~len:n;
+          incr dirty_runs;
+          dirty_bytes := !dirty_bytes + n;
           run_start := -1
         end
       end
     done;
-    if !run_start >= 0 then apply_run !run_start fin;
     if !dirty_runs > 0 then begin
       (* Backup copies: the primary's write is already priced by the
          QP; each additional live replica pays one more wire trip. *)
-      let backups = Int.max 0 (!copies - 1) in
+      let backups = serving_copies t vpn 0 - 1 in
       if backups > 0 then begin
         sadd t (fun h -> h.c_mirror_writes) backups;
         sadd t (fun h -> h.c_mirror_bytes) (!dirty_bytes * backups);
@@ -474,7 +478,6 @@ let create ~eng ~size ?(config = default_config) ?faults () =
         in
         {
           idx;
-          store = Page_store.create ~size;
           trk = Trace.track (Printf.sprintf "memnode/shard%d" idx);
           ob_reads = ob "repl_shard_reads";
           ob_writes = ob "repl_shard_writes";
@@ -497,8 +500,8 @@ let create ~eng ~size ?(config = default_config) ?faults () =
       size;
       cfg;
       shards;
+      store = Page_store.create ~size;
       nic = Rdma.Nic.create ();
-      scratch = Buf.create page_size;
       stats = None;
       drill =
         (match faults with

@@ -42,4 +42,4 @@ let connect t ?nic_config ?extra_completion_delay ?stats () =
     (fun () -> ());
   fabric
 
-let store t = Replica_group.store t.group 0
+let store t = Replica_group.store t.group

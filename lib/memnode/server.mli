@@ -43,6 +43,6 @@ val connect :
     one shard, or a scripted drill (see {!Replica_group.attach_stats}). *)
 
 val store : t -> Page_store.t
-(** Shard 0's store: on the single memory node, its only one. *)
+(** The group's store: every page's bytes, held once. *)
 
 val size : t -> int64

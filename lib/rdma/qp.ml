@@ -512,8 +512,9 @@ let note_read_batch t ~wrs =
         ()
   end
 
-(* [count] one-page READs, all validated before any is posted, so a
-   bad page leaves the QP, its counters and the engine untouched. *)
+(* [count] one-page READs, all validated (once each) before any is
+   posted, so a bad page leaves the QP, its counters and the engine
+   untouched; the posts then skip [post_read]'s own [validate]. *)
 let post_read_pages t ~raddr0 ~buf ~offs ~count ~on_page ~on_page_error =
   if count <= 0 then invalid_arg "Qp.post_read_pages: count must be positive";
   if count > Array.length offs then
@@ -528,9 +529,9 @@ let post_read_pages t ~raddr0 ~buf ~offs ~count ~on_page ~on_page_error =
   done;
   for i = 0 to count - 1 do
     let on_error = Option.map (fun f () -> f i) on_page_error in
-    post_read ?on_error t
+    post ?on_error t Nic.Read
       ~segs:[ { raddr = raddr i; loff = offs.(i); len = page_size } ]
-      ~buf
+      ~buf ~snap:empty_buf ~snap_base:0
       ~on_complete:(fun () -> on_page i)
   done
 

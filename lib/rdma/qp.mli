@@ -130,9 +130,9 @@ val post_read_pages :
     own one-page {!post_read}, so events, counters and trace spans are
     exactly those of [count] back-to-back posts. [on_page i] fires at
     page [i]'s completion, [on_page_error i] on its permanent failure
-    (as [on_error] in {!post_read}). Every page is validated before
-    any is posted: a bad page raises [Invalid_argument] and posts
-    nothing. *)
+    (as [on_error] in {!post_read}). Every page is validated once,
+    before any is posted: a bad page raises [Invalid_argument] and
+    posts nothing. *)
 
 val read : t -> raddr:int64 -> buf:Sim.Bigbuf.t -> off:int -> len:int -> unit
 (** Synchronous single-segment READ (blocks the calling fiber). *)

@@ -309,25 +309,51 @@ let store_is_sparse () =
       Int64.sub (Int64.shift_left 1L 50) 4096L;
     ]
 
-(* A store reset and written again gets a fresh arena: a partial write
-   to a block must not show what the block held before the reset. *)
-let store_reset_partial_rewrite () =
+(* A dropped block reads as zeros, and its space goes to the next
+   block first written: a partial write there must not show what the
+   dropped block held. *)
+let store_drop_partial_rewrite () =
   let s = Ps.create ~size:65536L in
   Ps.write s ~addr:(Int64.of_int (4096 + 100)) ~src:(bb_make 3000 'a') ~off:0 ~len:3000;
-  Ps.reset s;
-  Ps.write s ~addr:(Int64.of_int (4096 + 2000)) ~src:(bb_make 16 'b') ~off:0 ~len:16;
+  Ps.drop s 1;
+  check_bool "dropped block not resident" false (Ps.mem s 1);
+  check_int "nothing resident" 0 (Ps.resident_blocks s);
+  Ps.drop s 1;
+  check_int "dropping an absent block is a no-op" 0 (Ps.resident_blocks s);
   let back = bb_make 4096 'x' in
   Ps.read s ~addr:4096L ~dst:back ~off:0 ~len:4096;
+  Alcotest.(check string) "dropped block reads zero" (String.make 4096 '\000') (bb_str back);
+  Ps.write s ~addr:(Int64.of_int ((2 * 4096) + 2000)) ~src:(bb_make 16 'b') ~off:0 ~len:16;
+  Ps.read s ~addr:(Int64.of_int (2 * 4096)) ~dst:back ~off:0 ~len:4096;
   let want = Bytes.make 4096 '\000' in
   Bytes.fill want 2000 16 'b';
   Alcotest.(check string) "only the new write shows" (Bytes.to_string want) (bb_str back);
-  check_int "one block resident" 1 (Ps.resident_blocks s)
+  check_int "one block resident" 1 (Ps.resident_blocks s);
+  Alcotest.(check (list int)) "touched" [ 2 ] (touched s)
 
-(* Random write/read/reset sequences against a [Bytes] reference. The
+(* [equal] compares in place, against zeros where nothing was written. *)
+let store_equal_in_place () =
+  let s = Ps.create ~size:65536L in
+  check_bool "absent block equals zeros" true
+    (Ps.equal s 3 ~inb:100 ~src:(bb_make 50 '\000') ~off:0 ~len:50);
+  check_bool "absent block differs from nonzero" false
+    (Ps.equal s 3 ~inb:100 ~src:(bb_make 50 'q') ~off:0 ~len:50);
+  Ps.write s ~addr:(Int64.of_int ((3 * 4096) + 100)) ~src:(bb_make 50 'q') ~off:0 ~len:50;
+  let src = bb_make 60 'q' in
+  check_bool "written span equals" true (Ps.equal s 3 ~inb:100 ~src ~off:10 ~len:50);
+  check_bool "one byte past differs" false (Ps.equal s 3 ~inb:101 ~src ~off:0 ~len:50);
+  Alcotest.check_raises "span leaving its block"
+    (Invalid_argument "Page_store.equal: span leaves its block or the store")
+    (fun () -> ignore (Ps.equal s 3 ~inb:4090 ~src ~off:0 ~len:10));
+  Alcotest.check_raises "span past the store"
+    (Invalid_argument "Page_store.equal: span leaves its block or the store")
+    (fun () -> ignore (Ps.equal s 16 ~inb:0 ~src ~off:0 ~len:1))
+
+(* Random write/read/drop sequences against a [Bytes] reference. The
    store spans three 2 MiB leaves, and ranges start near block and leaf
    boundaries, so they are often partial, cross a block or cross a
    leaf. *)
-type store_op = Write of int * int * int | Read of int * int | Reset
+type store_op = Write of int * int * int | Read of int * int | Drop of int
 
 let leaf = 2 lsl 20
 let store_size = 3 * leaf
@@ -351,13 +377,13 @@ let store_op_gen =
     [
       (6, map2 (fun (a, len) seed -> Write (a, len, seed)) range (int_bound 255));
       (4, map (fun (a, len) -> Read (a, len)) range);
-      (1, return Reset);
+      (2, map (fun a -> Drop (a / 4096)) addr);
     ]
 
 let print_store_op = function
   | Write (a, len, seed) -> Printf.sprintf "Write(%#x,+%d,%d)" a len seed
   | Read (a, len) -> Printf.sprintf "Read(%#x,+%d)" a len
-  | Reset -> "Reset"
+  | Drop blk -> Printf.sprintf "Drop(%d)" blk
 
 let page_store_model =
   QCheck.Test.make ~name:"page store matches Bytes reference model" ~count:100
@@ -386,10 +412,10 @@ let page_store_model =
                 let dst = bb_make len 'x' in
                 Ps.read s ~addr:(Int64.of_int a) ~dst ~off:0 ~len;
                 String.equal (bb_str dst) (Bytes.sub_string ref_ a len)
-            | Reset ->
-                Ps.reset s;
-                Bytes.fill ref_ 0 store_size '\000';
-                Array.fill written 0 (Array.length written) false;
+            | Drop blk ->
+                Ps.drop s blk;
+                Bytes.fill ref_ (blk * 4096) 4096 '\000';
+                written.(blk) <- false;
                 true
           in
           let expect =
@@ -420,6 +446,7 @@ let suite =
     quick "page store cross-block" store_cross_block;
     quick "page store is sparse" store_is_sparse;
     quick "page store bounds" store_bounds;
-    quick "page store reset then partial rewrite" store_reset_partial_rewrite;
+    quick "page store drop then partial rewrite" store_drop_partial_rewrite;
+    quick "page store compares in place" store_equal_in_place;
     QCheck_alcotest.to_alcotest page_store_model;
   ]

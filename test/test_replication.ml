@@ -2,12 +2,14 @@
 
    Unit tests pin the contract piece by piece (mirroring, granule
    diffing, failover routing, resync pacing, drill scheduling); the
-   qcheck test at the bottom drives a replicated group through random
+   first qcheck test drives a replicated group through random
    interleavings of writes, kills and recoveries and checks it against
    a plain Bytes model — after any such interleaving, every
    last-acknowledged byte must still be served as long as each page
    kept at least one surviving synced replica (which the generator
-   guarantees by never overlapping failures). *)
+   guarantees by never overlapping failures). The second lets failures
+   overlap and checks the group, whose one store serves every replica,
+   against a per-shard reference, lost pages included. *)
 
 open Util
 module Rg = Memnode.Replica_group
@@ -61,11 +63,18 @@ let check_pat name g ~seed ~addr ~len =
         (pat seed (addr + i))
   done
 
-let shard_bytes g i ~addr ~len =
+(* The group's bytes, straight from its one store (no routing). *)
+let store_bytes g ~addr ~len =
   let b = Buf.create len in
-  Memnode.Page_store.read (Rg.store g i) ~addr:(Int64.of_int addr) ~dst:b
+  Memnode.Page_store.read (Rg.store g) ~addr:(Int64.of_int addr) ~dst:b
     ~off:0 ~len;
   b
+
+let check_holds name g ~shard ~pages =
+  for vpn = 0 to pages - 1 do
+    if not (Rg.holds g shard vpn) then
+      Alcotest.failf "%s: shard %d does not hold page %d" name shard vpn
+  done
 
 let stat st name = Sim.Stats.get st name
 
@@ -142,14 +151,17 @@ let writes_mirror_to_all_replicas () =
       let g, st = mk ~eng () in
       (* Two pages => both primaries exercised. *)
       write_pat g ~seed:3 ~addr:0 ~len:(2 * page);
-      (* RF=2 over 2 shards: every page lives on both stores. *)
-      for shard = 0 to 1 do
-        let b = shard_bytes g shard ~addr:0 ~len:(2 * page) in
-        for i = 0 to (2 * page) - 1 do
-          if not (Int.equal (Buf.get_u8 b i) (pat 3 i)) then
-            Alcotest.failf "shard %d missing mirrored byte %d" shard i
-        done
+      (* RF=2 over 2 shards: both shards hold every page, and the
+         store holds each page's bytes once. *)
+      check_holds "shard 0" g ~shard:0 ~pages:2;
+      check_holds "shard 1" g ~shard:1 ~pages:2;
+      let b = store_bytes g ~addr:0 ~len:(2 * page) in
+      for i = 0 to (2 * page) - 1 do
+        if not (Int.equal (Buf.get_u8 b i) (pat 3 i)) then
+          Alcotest.failf "store missing mirrored byte %d" i
       done;
+      check_int "one block per page" 2
+        (Memnode.Page_store.resident_blocks (Rg.store g));
       check_bool "mirror writes counted" true (stat st "repl_mirror_writes" > 0);
       check_int "mirror bytes = one backup copy" (2 * page)
         (stat st "repl_mirror_bytes");
@@ -179,6 +191,33 @@ let read_serves_written_bytes () =
       (* Deliberately unaligned, page-crossing range. *)
       write_pat g ~seed:5 ~addr:(page - 100) ~len:(page + 200);
       check_pat "cross-page" g ~seed:5 ~addr:(page - 100) ~len:(page + 200))
+
+(* The memory node keeps one copy of each page, whatever the
+   replication factor: every replica holds every page written, and the
+   store's blocks are the distinct pages written. *)
+let one_block_per_page_at_any_rf () =
+  List.iter
+    (fun replication ->
+      run_sim (fun eng ->
+          let g, _ = mk ~eng ~shards:3 ~replication () in
+          (* Pages 0-4, page 2 again, and page 10: six distinct pages. *)
+          write_pat g ~seed:5 ~addr:(page - 100) ~len:(4 * page);
+          write_pat g ~seed:6 ~addr:(2 * page) ~len:page;
+          write_pat g ~seed:7 ~addr:(10 * page) ~len:8;
+          List.iter
+            (fun vpn ->
+              for i = 0 to replication - 1 do
+                let shard = (vpn + i) mod 3 in
+                if not (Rg.holds g shard vpn) then
+                  Alcotest.failf "RF %d: replica %d of page %d holds nothing"
+                    replication shard vpn
+              done)
+            [ 0; 1; 2; 3; 4; 10 ];
+          check_int
+            (Printf.sprintf "RF %d: resident blocks = distinct pages" replication)
+            6
+            (Memnode.Page_store.resident_blocks (Rg.store g))))
+    [ 1; 2; 3 ]
 
 (* ------------------------------------------------------------------ *)
 (* Kill / failover. *)
@@ -261,11 +300,12 @@ let resync_restores_replication_factor () =
       check_int "sub-budget recovery is instantaneous" 0
         (stat st "repl_recovery_ns");
       check_int "nothing lost" 0 (stat st "repl_lost_pages");
-      (* Shard 0's own store holds its pages again... *)
-      let b = shard_bytes g 0 ~addr:0 ~len:(16 * page) in
+      (* Shard 0 holds its pages again, with their bytes... *)
+      check_holds "resynced" g ~shard:0 ~pages:16;
+      let b = store_bytes g ~addr:0 ~len:(16 * page) in
       for i = 0 to (16 * page) - 1 do
         if not (Int.equal (Buf.get_u8 b i) (pat 8 i)) then
-          Alcotest.failf "resynced store lost byte %d" i
+          Alcotest.failf "resynced page lost byte %d" i
       done;
       (* ...and survives the OTHER shard dying. *)
       Rg.kill g 1;
@@ -318,6 +358,33 @@ let lost_pages_stay_unserved () =
       match read_back g ~addr:0 ~len:page with
       | exception Rdma.Qp.Unreachable _ -> ()
       | _ -> Alcotest.fail "irrecoverable page served (stale or zero) bytes")
+
+let orphaned_page_stays_unserved () =
+  run_sim (fun eng ->
+      let g, st = mk ~eng ~shards:2 ~replication:2 () in
+      Rg.kill g 0;
+      (* Shard 0 is down, so page 0 lands on shard 1 only... *)
+      write_pat g ~seed:111 ~addr:0 ~len:page;
+      (* ...which then dies too, taking the page's last copy. *)
+      Rg.kill g 1;
+      check_int "the orphan's block is dropped" 0
+        (Memnode.Page_store.resident_blocks (Rg.store g));
+      Rg.recover g 0;
+      Sim.Engine.sleep eng (Sim.Time.ms 2);
+      check_int "the orphan counted lost" 1 (stat st "repl_lost_pages");
+      check_bool "shard 0 never reports synced" true (Rg.syncing g 0);
+      (match read_back g ~addr:0 ~len:page with
+      | exception Rdma.Qp.Unreachable a -> check_i64 "faulting addr" 0L a
+      | b ->
+          Alcotest.failf "orphaned page served bytes (byte 0 = %d)"
+            (Buf.get_u8 b 0));
+      (* The corpse that held it comes back: lost there too. *)
+      Rg.recover g 1;
+      Sim.Engine.sleep eng (Sim.Time.ms 2);
+      check_int "lost on both members" 2 (stat st "repl_lost_pages");
+      match read_back g ~addr:0 ~len:page with
+      | exception Rdma.Qp.Unreachable _ -> ()
+      | _ -> Alcotest.fail "orphaned page served after both recovered")
 
 let recover_is_idempotent_while_alive () =
   run_sim (fun eng ->
@@ -448,6 +515,326 @@ let replicated_group_agrees_with_bytes_model =
           check_range 0 q_size;
           true))
 
+(* qcheck: overlapping failures against a per-shard reference.
+
+   Kills and recoveries overlap freely here (every replica of a page
+   down at once, a kill mid-resync), so pages do get lost. The
+   reference keeps one byte map per shard under the group's rules: a
+   write lands on every serving member, a kill wipes the shard's map
+   and tombstones what it held (and, when it held a page's last copy,
+   tombstones that page on every dead member), and a recovery queues
+   the pages survivors hold plus its tombstones, then copies them one
+   per resync interval from the first serving member, or counts them
+   lost. The budget is one page per interval, so each copy ends a
+   resync step; the interval (10.007 us) never divides a gap between
+   the test's instants (whole microseconds), so no resync step ties
+   with a test operation. *)
+
+type o_op =
+  | O_write of int * int * int  (** off, len, seed *)
+  | O_read of int * int  (** off, len *)
+  | O_kill of int
+  | O_recover of int
+  | O_sleep of int  (** microseconds *)
+
+let o_op_print = function
+  | O_write (o, l, s) -> Printf.sprintf "Write(%#x,+%d,#%d)" o l s
+  | O_read (o, l) -> Printf.sprintf "Read(%#x,+%d)" o l
+  | O_kill i -> Printf.sprintf "Kill(%d)" i
+  | O_recover i -> Printf.sprintf "Recover(%d)" i
+  | O_sleep us -> Printf.sprintf "Sleep(%dus)" us
+
+let o_op_gen ~shards =
+  QCheck.Gen.(
+    let off_len =
+      map2
+        (fun o l -> (o mod (q_size - 1), 1 + (l mod (q_size / 2))))
+        (int_bound (q_size - 2))
+        (int_bound (q_size - 2))
+    in
+    frequency
+      [
+        (4, map2 (fun (o, l) s -> O_write (o, min l (q_size - o), s)) off_len (int_bound 1000));
+        (3, map (fun (o, l) -> O_read (o, min l (q_size - o))) off_len);
+        (1, map (fun i -> O_kill i) (int_bound (shards - 1)));
+        (1, map (fun i -> O_recover i) (int_bound (shards - 1)));
+        (2, map (fun us -> O_sleep us) (int_range 1 60));
+      ])
+
+type m_shard = {
+  mutable m_alive : bool;
+  m_pages : (int, Bytes.t) Hashtbl.t;  (* pages written to this shard *)
+  m_missed : (int, unit) Hashtbl.t;
+  mutable m_queue : int list;
+  mutable m_tomb : int list;
+  mutable m_fiber : (int * int) option;  (* next step (ns), spawn order *)
+}
+
+let o_interval = 10_007
+
+let shared_store_agrees_with_per_shard_model (shards, replication) =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf
+         "replica group agrees with a per-shard model through overlapping \
+          failures (%d shards, RF %d)"
+         shards replication)
+    ~count:80
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 1 60) (o_op_gen ~shards))
+       ~print:(fun l -> String.concat "; " (List.map o_op_print l)))
+    (fun ops ->
+      run_sim (fun eng ->
+          let g, st =
+            mk ~eng ~shards ~replication ~budget:page
+              ~interval:(Int64.of_int o_interval) ~pages:q_pages ()
+          in
+          let m =
+            Array.init shards (fun _ ->
+                {
+                  m_alive = true;
+                  m_pages = Hashtbl.create 16;
+                  m_missed = Hashtbl.create 16;
+                  m_queue = [];
+                  m_tomb = [];
+                  m_fiber = None;
+                })
+          in
+          let now = ref 0 and spawned = ref 0 in
+          let lost = ref 0 and resynced = ref 0 in
+          let member vpn i = (vpn + i) mod shards in
+          let serves s vpn = m.(s).m_alive && not (Hashtbl.mem m.(s).m_missed vpn) in
+          let is_member s vpn =
+            List.exists (fun i -> member vpn i = s) (List.init replication Fun.id)
+          in
+          let first_serving ?(except = -1) vpn =
+            List.find_opt
+              (fun s -> s <> except && serves s vpn)
+              (List.init replication (member vpn))
+          in
+          let page_of s vpn =
+            match Hashtbl.find_opt m.(s).m_pages vpn with
+            | Some b -> b
+            | None ->
+                let b = Bytes.make page '\000' in
+                Hashtbl.replace m.(s).m_pages vpn b;
+                b
+          in
+          let byte_of s vpn i =
+            match Hashtbl.find_opt m.(s).m_pages vpn with
+            | Some b -> Bytes.get b i
+            | None -> '\000'
+          in
+          (* One in-page chunk of a write; [None] if no member serves. *)
+          let write_chunk addr len v =
+            let vpn = addr / page and start = addr mod page in
+            match first_serving vpn with
+            | None -> false
+            | Some auth ->
+                let fin = start + len in
+                for gi = start / 256 to (fin - 1) / 256 do
+                  let p0 = max start (gi * 256) and p1 = min fin ((gi + 1) * 256) in
+                  let dirty = ref false in
+                  for p = p0 to p1 - 1 do
+                    if byte_of auth vpn p <> v (vpn * page + p) then dirty := true
+                  done;
+                  if !dirty then
+                    List.iter
+                      (fun i ->
+                        let s = member vpn i in
+                        if serves s vpn then
+                          let b = page_of s vpn in
+                          for p = p0 to p1 - 1 do
+                            Bytes.set b p (v (vpn * page + p))
+                          done)
+                      (List.init replication Fun.id)
+                done;
+                true
+          in
+          (* In-page chunks of [off, off+len), in order. *)
+          let chunks off len =
+            let rec go a acc =
+              if a >= off + len then List.rev acc
+              else
+                let n = min (off + len - a) (page - (a mod page)) in
+                go (a + n) ((a, n) :: acc)
+            in
+            go off []
+          in
+          let kill s =
+            let sh = m.(s) in
+            if sh.m_alive then begin
+              sh.m_alive <- false;
+              let held =
+                Hashtbl.fold
+                  (fun vpn _ acc ->
+                    if Hashtbl.mem sh.m_missed vpn then acc else vpn :: acc)
+                  sh.m_pages []
+              in
+              List.iter
+                (fun vpn ->
+                  if first_serving vpn = None then
+                    List.iter
+                      (fun i ->
+                        let q = m.(member vpn i) in
+                        if not q.m_alive then
+                          q.m_tomb <- List.sort_uniq compare (vpn :: q.m_tomb))
+                      (List.init replication Fun.id))
+                held;
+              sh.m_tomb <-
+                List.sort_uniq compare
+                  (sh.m_tomb @ held
+                  @ Hashtbl.fold (fun vpn () acc -> vpn :: acc) sh.m_missed []);
+              Hashtbl.reset sh.m_pages;
+              Hashtbl.reset sh.m_missed;
+              sh.m_queue <- [];
+              sh.m_fiber <- None
+            end
+          in
+          let recover s =
+            let sh = m.(s) in
+            if not sh.m_alive then begin
+              sh.m_alive <- true;
+              let q = ref [] in
+              let add vpn =
+                if not (Hashtbl.mem sh.m_missed vpn) then begin
+                  Hashtbl.replace sh.m_missed vpn ();
+                  q := vpn :: !q
+                end
+              in
+              for o = 0 to shards - 1 do
+                if o <> s && m.(o).m_alive then
+                  List.iter
+                    (fun vpn -> if is_member s vpn && serves o vpn then add vpn)
+                    (List.sort compare
+                       (Hashtbl.fold (fun vpn _ acc -> vpn :: acc) m.(o).m_pages []))
+              done;
+              List.iter add sh.m_tomb;
+              sh.m_tomb <- [];
+              sh.m_queue <- List.rev !q;
+              if sh.m_queue <> [] then begin
+                sh.m_fiber <- Some (!now, !spawned);
+                incr spawned
+              end
+            end
+          in
+          (* One resync step of shard [s]: pop until a page is copied. *)
+          let step s at =
+            let sh = m.(s) in
+            let rec go () =
+              match sh.m_queue with
+              | [] -> sh.m_fiber <- None
+              | vpn :: rest -> (
+                  sh.m_queue <- rest;
+                  match first_serving ~except:s vpn with
+                  | None ->
+                      incr lost;
+                      go ()
+                  | Some src ->
+                      Hashtbl.replace sh.m_pages vpn (Bytes.copy (page_of src vpn));
+                      Hashtbl.remove sh.m_missed vpn;
+                      incr resynced;
+                      sh.m_fiber <-
+                        Option.map (fun (_, o) -> (at + o_interval, o)) sh.m_fiber)
+            in
+            go ()
+          in
+          let sleep us =
+            let target = !now + (us * 1000) in
+            let rec run () =
+              let next = ref None in
+              Array.iteri
+                (fun s sh ->
+                  match sh.m_fiber with
+                  | Some (at, o) when at < target -> (
+                      match !next with
+                      | Some (_, at', o') when (at', o') <= (at, o) -> ()
+                      | _ -> next := Some (s, at, o))
+                  | _ -> ())
+                m;
+              match !next with
+              | None -> ()
+              | Some (s, at, _) ->
+                  step s at;
+                  run ()
+            in
+            run ();
+            now := target;
+            Sim.Engine.sleep eng (Sim.Time.us us)
+          in
+          let unreachable what expect got =
+            QCheck.Test.fail_reportf "%s: model says %s, group says %s" what
+              expect got
+          in
+          let read off len =
+            let first_lost =
+              List.find_opt
+                (fun (a, _) -> first_serving (a / page) = None)
+                (chunks off len)
+            in
+            match (read_back g ~addr:off ~len, first_lost) with
+            | exception Rdma.Qp.Unreachable a -> (
+                match first_lost with
+                | Some (la, _) when Int64.to_int a = la -> ()
+                | Some (la, _) ->
+                    unreachable "read" (Printf.sprintf "lost at %#x" la)
+                      (Printf.sprintf "unreachable at %#Lx" a)
+                | None ->
+                    unreachable "read" "served" (Printf.sprintf "unreachable at %#Lx" a))
+            | _, Some (la, _) ->
+                unreachable "read" (Printf.sprintf "lost at %#x" la) "served"
+            | b, None ->
+                for i = 0 to len - 1 do
+                  let a = off + i in
+                  let want =
+                    match first_serving (a / page) with
+                    | Some s -> Char.code (byte_of s (a / page) (a mod page))
+                    | None -> assert false
+                  in
+                  if Buf.get_u8 b i <> want then
+                    QCheck.Test.fail_reportf "byte %#x diverged: group %d, model %d"
+                      a (Buf.get_u8 b i) want
+                done
+          in
+          let write off len seed =
+            let v a = Char.chr (pat seed a) in
+            let model_refused =
+              List.find_opt (fun (a, n) -> not (write_chunk a n v)) (chunks off len)
+            in
+            match (write_pat g ~seed ~addr:off ~len, model_refused) with
+            | exception Rdma.Qp.Unreachable a -> (
+                match model_refused with
+                | Some (la, _) when Int64.to_int a = la -> ()
+                | _ ->
+                    unreachable "write" "acked" (Printf.sprintf "unreachable at %#Lx" a))
+            | (), Some (la, _) ->
+                unreachable "write" (Printf.sprintf "lost at %#x" la) "acked"
+            | (), None -> ()
+          in
+          List.iter
+            (function
+              | O_write (off, len, seed) -> write off len seed
+              | O_read (off, len) -> read off len
+              | O_kill i ->
+                  kill i;
+                  Rg.kill g i
+              | O_recover i ->
+                  recover i;
+                  Rg.recover g i
+              | O_sleep us -> sleep us)
+            ops;
+          sleep 1_000;
+          for p = 0 to q_pages - 1 do
+            read (p * page) page
+          done;
+          if stat st "repl_lost_pages" <> !lost then
+            QCheck.Test.fail_reportf "repl_lost_pages %d, model %d"
+              (stat st "repl_lost_pages") !lost;
+          if stat st "repl_resync_pages" <> !resynced then
+            QCheck.Test.fail_reportf "repl_resync_pages %d, model %d"
+              (stat st "repl_resync_pages") !resynced;
+          true))
+
 (* ------------------------------------------------------------------ *)
 (* The memory node contract: a single node is a one-shard group whose
    Stats key set is the plain node's, and whose per-shard series count
@@ -528,6 +915,7 @@ let suite =
     quick "granule diff bounds mirror traffic"
       granule_diff_bounds_mirror_traffic;
     quick "reads serve written bytes across pages" read_serves_written_bytes;
+    quick "one block per page at RF 1, 2 and 3" one_block_per_page_at_any_rf;
     quick "failover serves last-acknowledged bytes"
       failover_serves_last_acked_bytes;
     quick "failover latency recorded once per kill"
@@ -541,6 +929,8 @@ let suite =
     quick "mid-resync reads fail over, never serve stale"
       mid_resync_reads_fail_over_not_stale;
     quick "irrecoverable pages stay unserved" lost_pages_stay_unserved;
+    quick "a page orphaned by a second death stays unserved"
+      orphaned_page_stays_unserved;
     quick "recover of a live shard is a no-op"
       recover_is_idempotent_while_alive;
     quick "scripted drill fires on schedule" scripted_drill_fires_on_schedule;
@@ -551,3 +941,7 @@ let suite =
       single_node_counts_pages_served;
     QCheck_alcotest.to_alcotest replicated_group_agrees_with_bytes_model;
   ]
+  @ List.map
+      (fun topo ->
+        QCheck_alcotest.to_alcotest (shared_store_agrees_with_per_shard_model topo))
+      [ (2, 2); (3, 2); (3, 3) ]
