@@ -18,56 +18,47 @@ let recovers t = drill_schedule t.spec.Spec.recovers
 let timeout t = Sim.Time.ns t.spec.Spec.timeout_ns
 let max_retries t = t.spec.Spec.max_retries
 
-(* End of the stall window containing [time], if any. One-shot windows
-   and the periodic schedule are both pure functions of [time]: no
-   mutable per-window state, so replay is exact. *)
-let stall_end_at t (time : Sim.Time.t) =
+(* End of the stall window containing [time] (ns), or [min_int] if
+   none. One-shot windows and the periodic schedule are both pure
+   functions of [time]: no mutable per-window state, so replay is
+   exact. Immediate ints and top-level recursion, so the check a wire
+   draw makes per attempt allocates nothing. *)
+let rec window_end time best = function
+  | [] -> best
+  | (ws, len) :: rest ->
+      let we = ws + len in
+      window_end time (if time >= ws && time < we && we > best then we else best) rest
+
+let stall_end_ns t time =
   let s = t.spec in
-  let best = ref Int64.min_int in
-  List.iter
-    (fun (w_start, w_len) ->
-      let ws = Int64.of_int w_start in
-      let we = Int64.add ws (Int64.of_int w_len) in
-      if
-        Int64.compare time ws >= 0
-        && Int64.compare time we < 0
-        && Int64.compare we !best > 0
-      then best := we)
-    s.Spec.blackouts;
-  if s.Spec.blackout_period_ns > 0 then begin
-    let p = Int64.of_int s.Spec.blackout_period_ns in
-    let off = Int64.rem time p in
-    if Int64.compare off (Int64.of_int s.Spec.blackout_len_ns) < 0 then begin
-      let we = Int64.add (Int64.sub time off) (Int64.of_int s.Spec.blackout_len_ns)
-      in
-      if Int64.compare we !best > 0 then best := we
-    end
-  end;
-  if Int64.compare !best Int64.min_int > 0 then Some !best else None
+  let best = window_end time min_int s.Spec.blackouts in
+  let p = s.Spec.blackout_period_ns and len = s.Spec.blackout_len_ns in
+  if p > 0 && time mod p < len then Int.max best (time - (time mod p) + len) else best
+
+let stall_end_at t (time : Sim.Time.t) =
+  let we = stall_end_ns t (Int64.to_int time) in
+  if we > min_int then Some (Int64.of_int we) else None
 
 (* Defer a completion out of any stall window it lands in. The
    response is served the instant the memory node comes back; a
    deferred completion can land in the next window, so iterate (the
    QP's retransmission timeout bounds how long anyone actually
-   waits). *)
-let defer_through_stalls t completion =
-  let rec go completion n =
-    if n = 0 then completion
-    else
-      match stall_end_at t completion with
-      | None -> completion
-      | Some we -> go we (n - 1)
-  in
-  go completion 16
+   waits), at most [n] times. *)
+let rec defer_through_stalls t completion n =
+  let we = if n = 0 then min_int else stall_end_ns t completion in
+  if we > min_int then defer_through_stalls t we (n - 1) else completion
 
 type wire = {
-  w_completion : Sim.Time.t;
-  w_error : bool;
-  w_duplicate : bool;
-  w_retransmitted : bool;
+  mutable w_completion : int;
+  mutable w_error : bool;
+  mutable w_duplicate : bool;
+  mutable w_retransmitted : bool;
 }
 
-let wire t ~start:_ ~completion =
+let wire_cell () =
+  { w_completion = 0; w_error = false; w_duplicate = false; w_retransmitted = false }
+
+let wire t ~completion w =
   let s = t.spec in
   (* Fixed draw order — error, nack, dup — regardless of outcome, so
      the RNG stream stays aligned across attempts. *)
@@ -75,12 +66,12 @@ let wire t ~start:_ ~completion =
   let nacked = Sim.Rng.float t.rng < s.Spec.nack_rate in
   let duplicate = Sim.Rng.float t.rng < s.Spec.duplicate_rate in
   let completion =
-    if nacked then Sim.Time.add completion (Sim.Time.ns s.Spec.nack_delay_ns)
-    else completion
+    Int64.to_int completion + if nacked then s.Spec.nack_delay_ns else 0
   in
-  let completion = defer_through_stalls t completion in
-  { w_completion = completion; w_error = error; w_duplicate = duplicate;
-    w_retransmitted = nacked }
+  w.w_completion <- defer_through_stalls t completion 16;
+  w.w_error <- error;
+  w.w_duplicate <- duplicate;
+  w.w_retransmitted <- nacked
 
 let backoff t ~attempt =
   let s = t.spec in

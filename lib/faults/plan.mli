@@ -27,16 +27,23 @@ val recovers : t -> (int * Sim.Time.t) list
 (** Scripted shard rebirths, same ordering contract as {!kills}. *)
 
 type wire = {
-  w_completion : Sim.Time.t;  (** possibly NACK-delayed / stall-deferred *)
-  w_error : bool;  (** completion arrives, but in error *)
-  w_duplicate : bool;  (** a duplicate CQE also arrives (accounting only) *)
-  w_retransmitted : bool;  (** a NACK delayed this attempt *)
+  mutable w_completion : int;
+      (** ns; possibly NACK-delayed / stall-deferred *)
+  mutable w_error : bool;  (** completion arrives, but in error *)
+  mutable w_duplicate : bool;  (** a duplicate CQE also arrives (accounting only) *)
+  mutable w_retransmitted : bool;  (** a NACK delayed this attempt *)
 }
+(** One attempt's wire outcome. A QP keeps one cell per pooled work
+    request and {!wire} overwrites it, so an attempt allocates no
+    outcome. *)
 
-val wire : t -> start:Sim.Time.t -> completion:Sim.Time.t -> wire
+val wire_cell : unit -> wire
+(** A fresh cell, holding no outcome yet. *)
+
+val wire : t -> completion:Sim.Time.t -> wire -> unit
 (** Draw the wire outcome of one service attempt whose fault-free
-    completion would be at [completion]. Consumes exactly three RNG
-    draws regardless of outcome. *)
+    completion would be at [completion] into the cell. Consumes
+    exactly three RNG draws regardless of outcome. *)
 
 val backoff : t -> attempt:int -> Sim.Time.t
 (** Bounded exponential backoff before retry number [attempt] (+

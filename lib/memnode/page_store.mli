@@ -2,17 +2,28 @@
 
     Sparse: it holds only the 4 KiB blocks written to it, in a block
     directory over a small arena, so its memory follows what was
-    written rather than [~size]. Reads of never-written memory observe
-    zeros (fresh DRAM handed out by the memory node server). Serves
-    arbitrary byte ranges, including ranges crossing block boundaries,
-    so it can back both full-page transfers and the sub-page /
-    vectored operations used by guides.
+    written rather than [~size]. Each written block is held at its
+    used length (the offset of its last nonzero byte, plus one),
+    rounded up to the smallest of four slot classes that covers it:
+    64 B, 256 B, 1 KiB or 4 KiB. The bytes past a slot read as zeros.
+    Reads of never-written memory observe zeros (fresh DRAM handed out
+    by the memory node server). Serves arbitrary byte ranges,
+    including ranges crossing block boundaries, so it can back both
+    full-page transfers and the sub-page / vectored operations used by
+    guides. A write of a whole block re-classes it (it may shrink); a
+    partial write grows the block's slot when its nonzero bytes reach
+    past it, and never shrinks it.
 
     A replica group keeps one store for all its shards (see
     {!Replica_group}): each block is one page's bytes, held once
     however many replicas hold the page. {!drop} forgets a block whose
-    last holder died; its space is zeroed and reused by the next first
-    write, so the store never grows past the pages it holds at once. *)
+    last holder died; its slot is zeroed and reused by the next block
+    of its class, so the store never grows past the pages it holds at
+    once.
+
+    Residency does not depend on the bytes: a block written with
+    zeros only is resident (in a 64 B slot) until dropped, exactly as
+    a dense one is. *)
 
 type t
 
@@ -33,13 +44,17 @@ val equal :
 val resident_blocks : t -> int
 (** Number of 4 KiB blocks resident: written and not dropped since. *)
 
+val held_bytes : t -> int
+(** Bytes of the arena slots that hold resident blocks: 64, 256,
+    1,024 or 4,096 per block, by its class. *)
+
 val mem : t -> int -> bool
 (** [mem t blk] is true iff block [blk] is resident. *)
 
 val drop : t -> int -> unit
 (** [drop t blk] forgets block [blk]: it reads as zeros again and no
-    longer counts as resident, and its space goes to the next block
-    first written. A no-op on a block that is not resident. *)
+    longer counts as resident, and its slot goes to the next block
+    that needs one of its class. A no-op on a block that is not resident. *)
 
 val iter_touched : t -> (int -> unit) -> unit
 (** Iterate the indices of resident 4 KiB blocks in ascending order

@@ -89,15 +89,17 @@ and comp = {
   (* The current attempt, instants in ns (ints, so storing them does
      not box): [c_began] is the doorbell write, [c_start] the send
      engine picking the WR up, [c_completion] its (possibly
-     fault-delayed) completion, which arrives in error when
-     [c_error]. *)
+     fault-delayed) completion. Under a plan, [c_wire] holds the
+     attempt's drawn outcome: whether that completion arrives in
+     error, and so on. *)
   mutable c_try : int;
   mutable c_began : int;
   mutable c_start : int;
   mutable c_completion : int;
-  mutable c_error : bool;
-  mutable c_timer : Sim.Engine.timer option;
-      (* the completion, cancellable by the timeout (plan only) *)
+  c_wire : Faults.Plan.wire;
+  mutable c_timer : Sim.Engine.timer;
+      (* the completion, cancellable by the timeout (plan only; else
+         [Sim.Engine.no_timer]) *)
   mutable c_fn : unit -> unit;
   mutable c_timeout_fn : unit -> unit;
   mutable c_retry_fn : unit -> unit;
@@ -275,7 +277,7 @@ let recycle c =
   c.c_on_complete <- ignore;
   c.c_on_error <- None;
   c.c_fa <- None;
-  c.c_timer <- None;
+  c.c_timer <- Sim.Engine.no_timer;
   let cap = Array.length t.comp_pool in
   if t.comp_len = cap then begin
     let np = Array.make (if cap = 0 then 8 else cap * 2) c in
@@ -317,15 +319,15 @@ let launch c =
       c.c_completion <- Int64.to_int completion;
       Sim.Engine.at t.eng completion c.c_fn
   | Some plan ->
-      let w = Faults.Plan.wire plan ~start ~completion in
+      let w = c.c_wire in
+      Faults.Plan.wire plan ~completion w;
       if w.Faults.Plan.w_retransmitted then fcount t (fun h -> h.c_retrans);
       if w.Faults.Plan.w_duplicate then fcount t (fun h -> h.c_dups);
-      c.c_completion <- Int64.to_int w.Faults.Plan.w_completion;
-      c.c_error <- w.Faults.Plan.w_error;
-      c.c_timer <-
-        Some (Sim.Engine.timer_at t.eng w.Faults.Plan.w_completion c.c_fn);
+      c.c_completion <- w.Faults.Plan.w_completion;
+      let completion = Int64.of_int c.c_completion in
+      c.c_timer <- Sim.Engine.timer_at t.eng completion c.c_fn;
       let timeout_at = Sim.Time.add start (Faults.Plan.timeout plan) in
-      if Sim.Time.compare timeout_at w.Faults.Plan.w_completion < 0 then
+      if Sim.Time.compare timeout_at completion < 0 then
         ignore (Sim.Engine.timer_at t.eng timeout_at c.c_timeout_fn)
 
 (* A failed attempt (error completion or timeout) ending at [ended].
@@ -379,7 +381,7 @@ let fail_attempt c plan ~ended ~reason =
 let complete c =
   let t = c.c_qp in
   match t.faults with
-  | Some plan when c.c_error ->
+  | Some plan when c.c_wire.Faults.Plan.w_error ->
       fcount t (fun h -> h.c_comp_errors);
       fail_attempt c plan ~ended:c.c_completion ~reason:"comp_error"
   | Some _ | None -> (
@@ -428,7 +430,7 @@ let time_out c =
   match t.faults with
   | None -> ()
   | Some plan ->
-      Option.iter Sim.Engine.cancel c.c_timer;
+      Sim.Engine.cancel c.c_timer;
       fcount t (fun h -> h.c_timeouts);
       fail_attempt c plan
         ~ended:(c.c_start + Int64.to_int (Faults.Plan.timeout plan))
@@ -453,8 +455,8 @@ let comp_take t =
         c_began = 0;
         c_start = 0;
         c_completion = 0;
-        c_error = false;
-        c_timer = None;
+        c_wire = Faults.Plan.wire_cell ();
+        c_timer = Sim.Engine.no_timer;
         c_fn = ignore;
         c_timeout_fn = ignore;
         c_retry_fn = ignore;

@@ -114,9 +114,9 @@ let set_u64_le t off v =
   check t off 8;
   unsafe_set_u64_le t off v
 
-(* The five byte movers (bigbuf_stubs.c). Offsets and lengths are
-   raw, unchecked byte counts: every caller below bounds-checks both
-   ranges first. *)
+(* The five byte movers and the used-length scan (bigbuf_stubs.c).
+   Offsets and lengths are raw, unchecked byte counts: every caller
+   below bounds-checks each range first. *)
 external memmove : t -> int -> t -> int -> int -> unit
   = "dilos_bigbuf_memmove"
 [@@noalloc]
@@ -136,6 +136,8 @@ external memcmp_eq : t -> int -> t -> int -> int -> bool
   = "dilos_bigbuf_memcmp"
 [@@noalloc]
 
+external used_len : t -> int -> int -> int = "dilos_bigbuf_used" [@@noalloc]
+
 let fill t ~off ~len c =
   check t off len;
   memset t off len c
@@ -144,6 +146,10 @@ let equal_range a ~a_off b ~b_off ~len =
   check a a_off len;
   check b b_off len;
   memcmp_eq a a_off b b_off len
+
+let used t ~off ~len =
+  check t off len;
+  used_len t off len
 
 let blit src ~src_off dst ~dst_off ~len =
   check src src_off len;

@@ -15,8 +15,9 @@
 
     Bulk operations ({!fill}, {!equal_range}, {!blit},
     {!blit_to_bytes}, {!blit_from_bytes}) are one libc call each
-    ([memset], [memcmp], [memmove], [memcpy]) on raw byte offsets:
-    they allocate nothing and create no Bigarray view. Every range is
+    ([memset], [memcmp], [memmove], [memcpy]) on raw byte offsets,
+    and {!used} is one C word scan: they allocate nothing and create
+    no Bigarray view. Every range is
     bounds-checked in OCaml before the call; an out-of-range call
     (including a negative length) raises [Invalid_argument] and
     touches neither buffer.
@@ -71,6 +72,12 @@ val fill : t -> off:int -> len:int -> char -> unit
 val equal_range : t -> a_off:int -> t -> b_off:int -> len:int -> bool
 (** [equal_range a ~a_off b ~b_off ~len]: byte equality of the two
     ranges ([memcmp]). *)
+
+val used : t -> off:int -> len:int -> int
+(** [used t ~off ~len] is the used length of the range: the offset,
+    relative to [off], of its last nonzero byte, plus one; [0] when
+    the range is all zeros. Scans back one word at a time, so a range
+    whose last word is nonzero costs one load. Allocates nothing. *)
 
 val blit : t -> src_off:int -> t -> dst_off:int -> len:int -> unit
 (** [blit src ~src_off dst ~dst_off ~len] copies slab-to-slab with one

@@ -1,9 +1,10 @@
-/* Sim.Bigbuf's C side: the large-slab allocator and the byte movers.
+/* Sim.Bigbuf's C side: the large-slab allocator, the byte movers and
+   the used-length scan.
 
-   The byte movers are one libc call each. Every mover is declared
-   [@@noalloc] on the OCaml side and takes raw byte offsets that
-   bigbuf.ml has already bounds-checked, so the movers neither
-   allocate, raise nor register roots. Heap [bytes] cannot move during
+   The byte movers are one libc call each. Every mover, and the scan,
+   is declared [@@noalloc] on the OCaml side and takes raw byte
+   offsets that bigbuf.ml has already bounds-checked, so none of them
+   allocates, raises or registers roots. Heap [bytes] cannot move during
    a noalloc call (no GC can run), so taking Bytes_val across the copy
    is safe. */
 
@@ -12,6 +13,7 @@
    map_file builds its bigarrays the same way). */
 #define CAML_INTERNALS
 
+#include <stdint.h>
 #include <string.h>
 #include <sys/mman.h>
 #include <unistd.h>
@@ -118,4 +120,22 @@ value dilos_bigbuf_memcmp(value a, value a_off, value b, value b_off,
                           value len)
 {
   return Val_bool(memcmp(BB(a, a_off), BB(b, b_off), Long_val(len)) == 0);
+}
+
+/* The used length of a range: the offset of its last nonzero byte,
+   plus one (0 when every byte is zero). Scans back a word at a time,
+   so a range whose last word is nonzero costs one load; memcpy is the
+   portable unaligned load, one instruction where the target allows. */
+value dilos_bigbuf_used(value t, value off, value len)
+{
+  const unsigned char *p = BB(t, off);
+  uintnat n = Long_val(len);
+  uint64_t w;
+  while (n >= sizeof w) {
+    memcpy(&w, p + n - sizeof w, sizeof w);
+    if (w != 0) break;
+    n -= sizeof w;
+  }
+  while (n > 0 && p[n - 1] == 0) n--;
+  return Val_long(n);
 }

@@ -211,6 +211,7 @@ let timer_at t time fn =
   tm
 
 let timer_after t delay fn = timer_at t (Time.add t.now delay) fn
+let no_timer = { tm_state = 1 }
 let cancel tm = if tm.tm_state = 0 then tm.tm_state <- 2
 let timer_pending tm = tm.tm_state = 0
 

@@ -45,6 +45,10 @@ val timer_at : t -> Time.t -> (unit -> unit) -> timer
 
 val timer_after : t -> Time.t -> (unit -> unit) -> timer
 
+val no_timer : timer
+(** A timer that was never armed: not pending, and {!cancel} leaves it
+    so. A sentinel for a slot that holds no armed timer. *)
+
 val cancel : timer -> unit
 (** Disarm a timer. No-op if it already fired or was cancelled. *)
 

@@ -6,7 +6,8 @@
      bytes-per-page store it replaced). The five bulk operations —
      each one libc call — are also checked one by one against the
      model on two slabs and a heap buffer, in range and out of it,
-     and pinned to allocate nothing.
+     and pinned to allocate nothing; so is [Bigbuf.used], the scan
+     for a range's last nonzero byte.
 
    - The allocator: every slab reads zero whichever side of the 2 MiB
      mapping threshold it falls on, and a dropped mapped slab is
@@ -141,6 +142,7 @@ type bulk =
   | To_bytes of slab_id * int * int * int
   | From_bytes of int * slab_id * int * int
   | Equal of slab_id * int * slab_id * int * int
+  | Used of slab_id * int * int
 
 let size_a = 1031
 let size_b = 517
@@ -161,7 +163,8 @@ let bulk_gen =
         (1, int_range (-3) (-1));
       ]
   in
-  let ch = map Char.chr (int_range 97 99) in
+  (* zeros too, so [Used] meets zero tails and all-zero ranges *)
+  let ch = map Char.chr (oneofl [ 0; 97; 98; 99 ]) in
   frequency
     [
       ( 3,
@@ -179,9 +182,16 @@ let bulk_gen =
         map3
           (fun ao bo l -> Equal (a, ao, b, (if same then ao else bo), l))
           (off (size_of a)) (off (size_of b)) len );
+      (2, id >>= fun s -> map2 (fun o l -> Used (s, o, l)) (off (size_of s)) len);
     ]
 
 let in_range size off len = off >= 0 && len >= 0 && off <= size - len
+
+(* [Bigbuf.used] on the model: the offset of the last nonzero byte of
+   the range, plus one. *)
+let bytes_used b off len =
+  let rec go n = if n > 0 && Bytes.get b (off + n - 1) = '\000' then go (n - 1) else n in
+  go len
 
 (* [true] iff [f] raised [Invalid_argument] exactly when [ok] is false. *)
 let raises_iff ok f =
@@ -230,6 +240,11 @@ let bigbuf_bulk_model =
             in
             let want = if ok then Some (Bytes.equal (Bytes.sub (model x) xo l) (Bytes.sub (model y) yo l)) else None in
             r && !got = want
+        | Used (s, o, l) ->
+            let ok = in_range (size_of s) o l in
+            let got = ref None in
+            let r = raises_iff ok (fun () -> got := Some (Bigbuf.used (slab s) ~off:o ~len:l)) in
+            r && !got = if ok then Some (bytes_used (model s) o l) else None
       in
       let same () =
         Bytes.equal (Bigbuf.to_bytes a ~off:0 ~len:size_a) ma
@@ -237,6 +252,46 @@ let bigbuf_bulk_model =
         && Bytes.equal h mh
       in
       List.for_all (fun op -> step op && same ()) ops)
+
+(* [used] on the shapes a page store meets, at every offset within a
+   word and every length up to two words plus one, and a page: an
+   all-zero range, one whose only nonzero byte is its last, one whose
+   only nonzero byte is its first (with a nonzero byte just past the
+   range, which must not count), a dense prefix with a zero tail, and
+   a dense range. *)
+let bigbuf_used_shapes () =
+  let size = 4096 + 16 in
+  let slab = Bigbuf.create size in
+  let set i = Bigbuf.set_u8 slab i 0x5A in
+  List.iter
+    (fun len ->
+      for off = 0 to 8 do
+        let expect what want =
+          check_int (Printf.sprintf "%s, +%d len %d" what off len) want
+            (Bigbuf.used slab ~off ~len);
+          Bigbuf.fill slab ~off:0 ~len:size '\000'
+        in
+        expect "all zero" 0;
+        if len > 0 then begin
+          set (off + len - 1);
+          expect "only the last byte" len;
+          set off;
+          set (off + len);
+          expect "only the first byte" 1;
+          Bigbuf.fill slab ~off ~len:((len + 1) / 2) 'd';
+          expect "dense prefix, zero tail" ((len + 1) / 2);
+          Bigbuf.fill slab ~off ~len 'd';
+          expect "dense" len
+        end
+      done)
+    (List.init 18 Fun.id @ [ 4096 ]);
+  List.iter
+    (fun (off, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "used +%d len %d" off len)
+        (Invalid_argument "Bigbuf: access out of bounds")
+        (fun () -> ignore (Bigbuf.used slab ~off ~len)))
+    [ (-1, 4); (0, -1); (size - 3, 4); (size + 1, 0); (min_int, 1) ]
 
 (* ------------------------------------------------------------------ *)
 (* The allocator *)
@@ -336,7 +391,17 @@ let bigbuf_bulk_no_alloc () =
         if Bigbuf.equal_range a ~a_off:off b ~b_off:off ~len:(4096 - (i land 7))
         then incr eq
       done);
-  check_int "equal_range: even calls equal, odd calls differ" (n / 2) !eq
+  check_int "equal_range: even calls equal, odd calls differ" (n / 2) !eq;
+  (* Even [i]'s ranges end inside [b]'s run of 'x', so the scan stops
+     at its last word; odd [i]'s end in the zeros past it (or at byte
+     6000), so it walks back. *)
+  let used = ref 0 in
+  zero_words "used" (fun () ->
+      for i = 0 to n - 1 do
+        let off = (i land 511) + ((i land 1) * 2048) in
+        used := !used + Bigbuf.used b ~off ~len:(4096 - (i land 7))
+      done);
+  check_bool "used: some ranges end in data" true (!used > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Page windows: QP level *)
@@ -649,6 +714,7 @@ let suite =
     QCheck_alcotest.to_alcotest bigbuf_bytes_blits;
     QCheck_alcotest.to_alcotest bigbuf_bulk_model;
     quick "bigbuf bulk ops allocate nothing" bigbuf_bulk_no_alloc;
+    quick "bigbuf used on zero-heavy shapes" bigbuf_used_shapes;
     quick "bigbuf create reads zero across the mapping threshold" create_reads_zero;
     quick "bigbuf mapped slabs are unmapped when collected" mapped_slabs_unmapped;
     quick "qp extent == per-page posting (clean)" qp_extent_clean;

@@ -120,10 +120,8 @@ let plan_wire_deterministic () =
   let draw seed =
     let p = Plan.make ~seed spec in
     List.init 200 (fun i ->
-        let w =
-          Plan.wire p ~start:(Int64.of_int (i * 10))
-            ~completion:(Int64.of_int ((i * 10) + 5))
-        in
+        let w = Plan.wire_cell () in
+        Plan.wire p ~completion:(Int64.of_int ((i * 10) + 5)) w;
         (w.Plan.w_error, w.Plan.w_duplicate, w.Plan.w_retransmitted,
          w.Plan.w_completion))
   in

@@ -349,64 +349,184 @@ let store_equal_in_place () =
     (Invalid_argument "Page_store.equal: span leaves its block or the store")
     (fun () -> ignore (Ps.equal s 16 ~inb:0 ~src ~off:0 ~len:1))
 
-(* Random write/read/drop sequences against a [Bytes] reference. The
-   store spans three 2 MiB leaves, and ranges start near block and leaf
-   boundaries, so they are often partial, cross a block or cross a
-   leaf. *)
-type store_op = Write of int * int * int | Read of int * int | Drop of int
+(* One nonzero word per page (a sequential overwrite's pages) takes a
+   64 B slot, not a 4 KiB block; a dense rewrite grows every block to
+   4 KiB and a sparse rewrite shrinks it back. Every read stays
+   byte-exact throughout. *)
+let store_holds_used_length () =
+  let pages = 4096 in
+  let s = Ps.create ~size:(Int64.of_int (pages * 4096)) in
+  let page = Sim.Bigbuf.create 4096 and back = Sim.Bigbuf.create 4096 in
+  let sparse p =
+    Sim.Bigbuf.fill page ~off:0 ~len:4096 '\000';
+    Sim.Bigbuf.set_u64_le page ((p land 7) * 8) (Int64.of_int (p + 1))
+  in
+  let dense p = Sim.Bigbuf.fill page ~off:0 ~len:4096 (Char.chr (1 + (p land 0x7F))) in
+  let pass what shape =
+    for p = 0 to pages - 1 do
+      shape p;
+      Ps.write s ~addr:(Int64.of_int (p * 4096)) ~src:page ~off:0 ~len:4096
+    done;
+    for p = 0 to pages - 1 do
+      shape p;
+      Ps.read s ~addr:(Int64.of_int (p * 4096)) ~dst:back ~off:0 ~len:4096;
+      if not (Sim.Bigbuf.equal_range page ~a_off:0 back ~b_off:0 ~len:4096) then
+        Alcotest.failf "%s: page %d reads back wrong" what p
+    done;
+    check_int (what ^ ": every page resident") pages (Ps.resident_blocks s)
+  in
+  pass "sparse" sparse;
+  check_bool
+    (Printf.sprintf "sparse pages hold %d bytes <= 64 each" (Ps.held_bytes s))
+    true
+    (Ps.held_bytes s <= pages * 64);
+  pass "dense rewrite" dense;
+  check_int "dense rewrite holds 4 KiB each" (pages * 4096) (Ps.held_bytes s);
+  pass "sparse rewrite" sparse;
+  check_bool
+    (Printf.sprintf "sparse rewrite shrinks back to %d bytes" (Ps.held_bytes s))
+    true
+    (Ps.held_bytes s <= pages * 64)
+
+(* Random write/read/drop/equal sequences against a [Bytes]
+   reference. The store spans three 2 MiB leaves; ranges start near
+   block and leaf boundaries, so they are often partial, cross a block
+   or cross a leaf, and a few hot blocks take most of the traffic, so
+   the same block is rewritten, dropped and written again. Payloads
+   are zero-heavy, as pages are: all zero, one nonzero word, a dense
+   prefix with a zero tail, or dense. So blocks change class: a
+   partial write reaching past its slot promotes it, a whole-block
+   rewrite re-classes it (often shrinking it), and released slots are
+   reused. The model tracks each block's class by the store's rule,
+   and [held_bytes] must match it. *)
+type shape = Zero | Word of int | Prefix of int | Dense
+
+type store_op =
+  | Write of int * int * shape * int
+  | Read of int * int
+  | Drop of int
+  | Equal of int * int * int * int option
 
 let leaf = 2 lsl 20
 let store_size = 3 * leaf
 
 let store_op_gen =
   let open QCheck.Gen in
+  let block =
+    frequency
+      [
+        (3, int_bound 7);
+        (1, int_bound ((store_size / 4096) - 1));
+        (1, oneofl [ (leaf / 4096) - 1; leaf / 4096; 2 * leaf / 4096 ]);
+      ]
+  in
   let addr =
     map2
-      (fun anchor delta -> Int.max 0 (Int.min (store_size - 1) (anchor + delta)))
-      (oneof
-         [
-           map (fun k -> k * 4096) (int_bound (store_size / 4096));
-           oneofl [ leaf; 2 * leaf ];
-         ])
+      (fun blk delta -> Int.max 0 (Int.min (store_size - 1) ((blk * 4096) + delta)))
+      block
       (frequency [ (2, return 0); (3, int_range (-5000) 5000) ])
   in
   let range =
-    map2 (fun a len -> (a, Int.min len (store_size - a))) addr (int_bound 10000)
+    map2 (fun a len -> (a, Int.min len (store_size - a))) addr
+      (frequency [ (3, int_bound 10000); (2, int_bound 300) ])
+  in
+  let shape =
+    frequency
+      [
+        (1, return Zero);
+        (2, map (fun o -> Word o) (int_bound 4095));
+        (2, map (fun p -> Prefix p) (int_bound 4095));
+        (1, return Dense);
+      ]
   in
   frequency
     [
-      (6, map2 (fun (a, len) seed -> Write (a, len, seed)) range (int_bound 255));
+      (5, map3 (fun (a, len) sh seed -> Write (a, len, sh, seed)) range shape (int_bound 255));
+      ( 3,
+        map3
+          (fun blk sh seed -> Write (blk * 4096, 4096, sh, seed))
+          block shape (int_bound 255) );
       (4, map (fun (a, len) -> Read (a, len)) range);
       (2, map (fun a -> Drop (a / 4096)) addr);
+      ( 3,
+        block >>= fun blk ->
+        int_bound 4095 >>= fun inb ->
+        int_bound (4096 - inb) >>= fun len ->
+        map (fun flip -> Equal (blk, inb, len, flip)) (opt (int_bound (Int.max 0 (len - 1)))) );
     ]
 
+let print_shape = function
+  | Zero -> "zero"
+  | Word o -> Printf.sprintf "word@%d" o
+  | Prefix p -> Printf.sprintf "prefix%d" p
+  | Dense -> "dense"
+
 let print_store_op = function
-  | Write (a, len, seed) -> Printf.sprintf "Write(%#x,+%d,%d)" a len seed
+  | Write (a, len, sh, seed) ->
+      Printf.sprintf "Write(%#x,+%d,%s,%d)" a len (print_shape sh) seed
   | Read (a, len) -> Printf.sprintf "Read(%#x,+%d)" a len
   | Drop blk -> Printf.sprintf "Drop(%d)" blk
+  | Equal (blk, inb, len, flip) ->
+      Printf.sprintf "Equal(%d,%d,+%d,%s)" blk inb len
+        (match flip with None -> "-" | Some i -> string_of_int i)
+
+(* A write's bytes: never zero where the shape says nonzero. A word
+   sits at [o mod len], as far as it fits. *)
+let shape_bytes sh len seed =
+  let nz i = Char.chr (1 + ((seed + (i * 7)) mod 255)) in
+  let b = Bytes.make len '\000' in
+  (match sh with
+  | Zero -> ()
+  | Word o when len > 0 ->
+      let o = o mod len in
+      for i = o to Int.min (len - 1) (o + 7) do
+        Bytes.set b i (nz i)
+      done
+  | Word _ -> ()
+  | Prefix p ->
+      for i = 0 to Int.min len p - 1 do
+        Bytes.set b i (nz i)
+      done
+  | Dense -> Bytes.iteri (fun i _ -> Bytes.set b i (nz i)) b);
+  b
+
+(* The store's class rule, for the model: the smallest of 64, 256,
+   1,024 or 4,096 bytes covering a used length. *)
+let class_bytes used = if used <= 64 then 64 else if used <= 256 then 256 else if used <= 1024 then 1024 else 4096
 
 let page_store_model =
-  QCheck.Test.make ~name:"page store matches Bytes reference model" ~count:100
+  QCheck.Test.make ~name:"page store matches Bytes reference model" ~count:200
     (QCheck.make
        ~print:QCheck.Print.(list print_store_op)
-       QCheck.Gen.(list_size (int_range 1 40) store_op_gen))
+       QCheck.Gen.(list_size (int_range 1 60) store_op_gen))
     (fun ops ->
       let s = Ps.create ~size:(Int64.of_int store_size) in
       let ref_ = Bytes.make store_size '\000' in
-      let written = Array.make (store_size / 4096) false in
+      (* 0: not resident; else the capacity of the block's slot *)
+      let cap = Array.make (store_size / 4096) 0 in
       List.for_all
         (fun op ->
-          let read_ok =
+          let op_ok =
             match op with
-            | Write (a, len, seed) ->
-                let src = Sim.Bigbuf.create len in
-                for i = 0 to len - 1 do
-                  let c = Char.chr ((seed + (i * 7)) land 0xFF) in
-                  Sim.Bigbuf.set_u8 src i (Char.code c);
-                  Bytes.set ref_ (a + i) c;
-                  written.((a + i) / 4096) <- true
-                done;
-                Ps.write s ~addr:(Int64.of_int a) ~src ~off:0 ~len;
+            | Write (a, len, sh, seed) ->
+                let b = shape_bytes sh len seed in
+                Bytes.blit b 0 ref_ a len;
+                let rec classify a' =
+                  if a' < a + len then begin
+                    let blk = a' / 4096 and inb = a' land 4095 in
+                    let n = Int.min (a + len - a') (4096 - inb) in
+                    let u =
+                      let rec go k = if k > 0 && Bytes.get b (a' - a + k - 1) = '\000' then go (k - 1) else k in
+                      go n
+                    in
+                    let reach = if u = 0 then 0 else inb + u in
+                    if n = 4096 || cap.(blk) = 0 || reach > cap.(blk) then
+                      cap.(blk) <- class_bytes reach;
+                    classify (a' + n)
+                  end
+                in
+                classify a;
+                Ps.write s ~addr:(Int64.of_int a) ~src:(Sim.Bigbuf.of_string (Bytes.to_string b)) ~off:0 ~len;
                 true
             | Read (a, len) ->
                 let dst = bb_make len 'x' in
@@ -415,14 +535,30 @@ let page_store_model =
             | Drop blk ->
                 Ps.drop s blk;
                 Bytes.fill ref_ (blk * 4096) 4096 '\000';
-                written.(blk) <- false;
+                cap.(blk) <- 0;
                 true
+            | Equal (blk, inb, len, flip) ->
+                (* three bytes of lead, so [~off] is exercised too *)
+                let src = Bytes.make (len + 3) 'L' in
+                Bytes.blit ref_ ((blk * 4096) + inb) src 3 len;
+                Option.iter
+                  (fun i ->
+                    if i < len then
+                      Bytes.set src (3 + i) (Char.chr (Char.code (Bytes.get src (3 + i)) lxor 1)))
+                  flip;
+                let want =
+                  String.equal (Bytes.sub_string src 3 len)
+                    (Bytes.sub_string ref_ ((blk * 4096) + inb) len)
+                in
+                Bool.equal want
+                  (Ps.equal s blk ~inb ~src:(Sim.Bigbuf.of_string (Bytes.to_string src)) ~off:3 ~len)
           in
           let expect =
-            List.filter (fun b -> written.(b)) (List.init (Array.length written) Fun.id)
+            List.filter (fun b -> cap.(b) > 0) (List.init (Array.length cap) Fun.id)
           in
-          read_ok
+          op_ok
           && Int.equal (Ps.resident_blocks s) (List.length expect)
+          && Int.equal (Ps.held_bytes s) (Array.fold_left ( + ) 0 cap)
           && List.equal Int.equal (touched s) expect)
         ops)
 
@@ -448,5 +584,6 @@ let suite =
     quick "page store bounds" store_bounds;
     quick "page store drop then partial rewrite" store_drop_partial_rewrite;
     quick "page store compares in place" store_equal_in_place;
+    quick "page store holds a block at its used length" store_holds_used_length;
     QCheck_alcotest.to_alcotest page_store_model;
   ]
