@@ -27,12 +27,11 @@ module Clock = struct
   (* Set [vpn]'s flag and return its sequence number; -1 when it is not
      queued or already flagged. *)
   let flag t vpn =
-    let w = Vmem.Page_table.word t.pt vpn in
-    if w land (w_queued lor w_flag) = w_queued then begin
-      Vmem.Page_table.set_word t.pt vpn (w lor w_flag);
-      w lsr seq_shift
-    end
-    else -1
+    let w =
+      Vmem.Page_table.update_word t.pt vpn ~test:(w_queued lor w_flag)
+        ~expect:w_queued ~keep:(-1) ~set:w_flag
+    in
+    if w land (w_queued lor w_flag) = w_queued then w lsr seq_shift else -1
 
   (* [vpn] is still queued under [seq], with its flag set. *)
   let flagged t vpn seq =
@@ -40,11 +39,15 @@ module Clock = struct
     = (seq lsl seq_shift) lor w_flag lor w_queued
 
   let unflag t vpn =
-    Vmem.Page_table.set_word t.pt vpn
-      (Vmem.Page_table.word t.pt vpn land lnot w_flag)
+    ignore
+      (Vmem.Page_table.update_word t.pt vpn ~test:0 ~expect:0
+         ~keep:(lnot w_flag) ~set:0)
 
   let push t vpn =
-    let w = Vmem.Page_table.word t.pt vpn in
+    let w =
+      Vmem.Page_table.update_word t.pt vpn ~test:w_queued ~expect:0 ~keep:w_wb
+        ~set:((t.next_seq lsl seq_shift) lor w_queued)
+    in
     if w land w_queued = 0 then begin
       let cap = Array.length t.data in
       if t.len = cap then begin
@@ -57,8 +60,6 @@ module Clock = struct
       end;
       t.data.((t.head + t.len) land (Array.length t.data - 1)) <- vpn;
       t.len <- t.len + 1;
-      Vmem.Page_table.set_word t.pt vpn
-        (w land w_wb lor (t.next_seq lsl seq_shift) lor w_queued);
       t.next_seq <- t.next_seq + 1
     end
 
@@ -68,7 +69,9 @@ module Clock = struct
       let vpn = t.data.(t.head) in
       t.head <- (t.head + 1) land (Array.length t.data - 1);
       t.len <- t.len - 1;
-      Vmem.Page_table.set_word t.pt vpn (Vmem.Page_table.word t.pt vpn land w_wb);
+      ignore
+        (Vmem.Page_table.update_word t.pt vpn ~test:0 ~expect:0 ~keep:w_wb
+           ~set:0);
       Some vpn
     end
 
@@ -230,12 +233,15 @@ let writeback_in_flight t vpn = Vmem.Page_table.word t.pt vpn land w_wb <> 0
 
 let set_in_flight t vpn =
   t.wb_inflight <- t.wb_inflight + 1;
-  Vmem.Page_table.set_word t.pt vpn (Vmem.Page_table.word t.pt vpn lor w_wb)
+  ignore
+    (Vmem.Page_table.update_word t.pt vpn ~test:0 ~expect:0 ~keep:(-1)
+       ~set:w_wb)
 
 let clear_in_flight t vpn =
   t.wb_inflight <- t.wb_inflight - 1;
-  Vmem.Page_table.set_word t.pt vpn
-    (Vmem.Page_table.word t.pt vpn land lnot w_wb)
+  ignore
+    (Vmem.Page_table.update_word t.pt vpn ~test:0 ~expect:0
+       ~keep:(lnot w_wb) ~set:0)
 
 let vector_segments t ~payload =
   match Sim.Int_table.find_opt t.vector_log payload with

@@ -71,10 +71,11 @@ let w_swap_backed = 2
 let has_bit t vpn b = Vmem.Page_table.word t.pt vpn land b <> 0
 
 let set_bit t vpn b =
-  Vmem.Page_table.set_word t.pt vpn (Vmem.Page_table.word t.pt vpn lor b)
+  ignore (Vmem.Page_table.update_word t.pt vpn ~test:0 ~expect:0 ~keep:(-1) ~set:b)
 
 let clear_bit t vpn b =
-  Vmem.Page_table.set_word t.pt vpn (Vmem.Page_table.word t.pt vpn land lnot b)
+  ignore
+    (Vmem.Page_table.update_word t.pt vpn ~test:0 ~expect:0 ~keep:(lnot b) ~set:0)
 
 let lru_push t vpn =
   if not (has_bit t vpn w_queued) then begin

@@ -36,6 +36,16 @@
    its held bytes are copied into a larger slot, and the old one is
    released. Any other partial write lands in place.
 
+   An RDMA WRITE stages its payload here when it is posted: [stage]
+   copies the payload's used bytes into a slot of the class covering
+   them, the same slot a whole-block write would fill, and hands the
+   slot out as the WR's handle. At completion a whole-block payload is
+   adopted (the leaf entry points at the staged slot, and the replaced
+   slot is released), so the page's bytes are copied once, at post.
+   Any other payload lands from its staged slot as a write does, and
+   the slot is released. Staged slots are not resident and not held
+   until adopted; [staged] counts them.
+
    The directory is the one record of what the node holds: residency
    is a counter and [iter_touched] walks the leaves. *)
 
@@ -66,6 +76,7 @@ type t = {
   mutable used : int;  (* bytes carved off the newest segment *)
   mutable resident : int;
   mutable held : int;  (* capacity of the slots of resident blocks *)
+  mutable staged : int;  (* slots handed out by [stage], not yet landed *)
   free : int array array;  (* per class: released slots, zeroed *)
   nfree : int array;  (* per class: depth of its [free] stack *)
 }
@@ -79,6 +90,7 @@ let create ~size =
     used = 0;
     resident = 0;
     held = 0;
+    staged = 0;
     free = Array.make classes [||];
     nfree = Array.make classes 0;
   }
@@ -118,12 +130,11 @@ let place t c =
     e
   end
 
-(* Zero the slot [e] a resident block gave up and put it back on its
-   class's stack, doubling the stack when it is full. *)
-let release t e =
+(* Zero the slot [e] and put it back on its class's stack, doubling
+   the stack when it is full. *)
+let free_slot t e =
   let c = cls e in
   Sim.Bigbuf.fill (seg t e) ~off:(base e) ~len:(capacity c) '\000';
-  t.held <- t.held - capacity c;
   let n = t.nfree.(c) in
   if n = Array.length t.free.(c) then begin
     let a = Array.make (Int.max 64 (2 * n)) 0 in
@@ -132,6 +143,11 @@ let release t e =
   end;
   t.free.(c).(n) <- e;
   t.nfree.(c) <- n + 1
+
+(* A resident block gives up its slot [e]. *)
+let release t e =
+  t.held <- t.held - capacity (cls e);
+  free_slot t e
 
 let set_slot t blk e =
   let l = blk lsr leaf_shift in
@@ -157,14 +173,15 @@ let rec read_blocks t a dst off len =
     read_blocks t (a + n) dst (off + n) (len - n)
   end
 
-(* Write [n] bytes of [src] at [inb] in block [blk]. The block keeps
-   its slot unless this is its first write, a whole-block write of a
-   used length another class covers best, or a partial write whose
-   nonzero bytes reach past the slot; then it moves to a fresh slot of
-   the class covering the write's reach, taking along the bytes a
-   partial write leaves standing. *)
-let write_block t blk inb src off n =
-  let u = Sim.Bigbuf.used src ~off ~len:n in
+(* Write [n] bytes at [inb] in block [blk]: the first [held] of them
+   from [src] at [off], the rest zeros. The block keeps its slot
+   unless this is its first write, a whole-block write of a used
+   length another class covers best, or a partial write whose nonzero
+   bytes reach past the slot; then it moves to a fresh slot of the
+   class covering the write's reach, taking along the bytes a partial
+   write leaves standing. *)
+let write_block t blk inb src off n held =
+  let u = if held = 0 then 0 else Sim.Bigbuf.used src ~off ~len:held in
   let reach = if u = 0 then 0 else inb + u in
   let e = slot t blk in
   let stays =
@@ -188,13 +205,15 @@ let write_block t blk inb src off n =
     end
   in
   let h = held_part e inb n in
-  if h > 0 then Sim.Bigbuf.blit src ~src_off:off (seg t e) ~dst_off:(base e + inb) ~len:h
+  let m = Int.min h held in
+  if m > 0 then Sim.Bigbuf.blit src ~src_off:off (seg t e) ~dst_off:(base e + inb) ~len:m;
+  if h > m then Sim.Bigbuf.fill (seg t e) ~off:(base e + inb + m) ~len:(h - m) '\000'
 
 let rec write_blocks t a src off len =
   if len > 0 then begin
     let inb = a land (block_size - 1) in
     let n = Int.min len (block_size - inb) in
-    write_block t (a lsr block_shift) inb src off n;
+    write_block t (a lsr block_shift) inb src off n n;
     write_blocks t (a + n) src (off + n) (len - n)
   end
 
@@ -219,19 +238,69 @@ let drop t blk =
     t.resident <- t.resident - 1
   end
 
-(* Never written; compared against, never written to. *)
-let zeros = Sim.Bigbuf.create block_size
+(* -- staged WRITE payloads ----------------------------------------- *)
 
-let equal t blk ~inb ~src ~off ~len =
+let stage t ~src ~off ~len =
+  if len < 0 || len > block_size then invalid_arg "Page_store.stage: length outside a block";
+  let u = Sim.Bigbuf.used src ~off ~len in
+  let e = place t (class_of u) in
+  if u > 0 then Sim.Bigbuf.blit src ~src_off:off (seg t e) ~dst_off:(base e) ~len:u;
+  t.staged <- t.staged + 1;
+  e
+
+let staged t = t.staged
+
+let unstage t h =
+  t.staged <- t.staged - 1;
+  free_slot t h
+
+(* Bytes of the staged payload [h] from [soff] on, of the [len]
+   wanted, that its slot holds; the rest are zeros. *)
+let[@inline] staged_part h soff len = Int.max 0 (Int.min len (capacity (cls h) - soff))
+
+(* In place: [memcmp] over the part both slots hold, then a check that
+   the rest of the one that holds more is zeros. *)
+let equal t blk ~inb h ~soff ~len =
   if
     blk < 0 || inb < 0 || len < 0
     || inb + len > block_size
     || Int64.compare (Int64.of_int ((blk lsl block_shift) + inb + len)) t.size > 0
   then invalid_arg "Page_store.equal: span leaves its block or the store";
   let e = slot t blk in
-  let h = held_part e inb len in
-  (h = 0 || Sim.Bigbuf.equal_range src ~a_off:off (seg t e) ~b_off:(base e + inb) ~len:h)
-  && (h = len || Sim.Bigbuf.equal_range src ~a_off:(off + h) zeros ~b_off:0 ~len:(len - h))
+  let bh = held_part e inb len and sh = staged_part h soff len in
+  let m = Int.min bh sh in
+  (m = 0
+  || Sim.Bigbuf.equal_range (seg t h) ~a_off:(base h + soff) (seg t e) ~b_off:(base e + inb)
+       ~len:m)
+  && (sh <= m || Sim.Bigbuf.used (seg t h) ~off:(base h + soff + m) ~len:(sh - m) = 0)
+  && (bh <= m || Sim.Bigbuf.used (seg t e) ~off:(base e + inb + m) ~len:(bh - m) = 0)
+
+let write_staged t ~addr h ~soff ~len =
+  check t addr len;
+  let a = Int64.to_int addr in
+  let inb = a land (block_size - 1) in
+  if inb + len > block_size then invalid_arg "Page_store.write_staged: span leaves its block";
+  if len > 0 then
+    write_block t (a lsr block_shift) inb (seg t h) (base h + soff) len
+      (staged_part h soff len)
+
+let adopt t blk h =
+  let e = slot t blk in
+  if e < 0 then t.resident <- t.resident + 1 else release t e;
+  t.staged <- t.staged - 1;
+  t.held <- t.held + capacity (cls h);
+  set_slot t blk h
+
+let land_staged t ~addr h ~len =
+  let a = Int64.to_int addr in
+  if len = block_size && a land (block_size - 1) = 0 then begin
+    check t addr len;
+    adopt t (a lsr block_shift) h
+  end
+  else begin
+    write_staged t ~addr h ~soff:0 ~len;
+    unstage t h
+  end
 
 (* Ascending block order — deterministic, so resync queues built from
    it replay bit-identically. *)
@@ -245,5 +314,7 @@ let iter_touched t f =
 let target t =
   {
     Rdma.Qp.t_read = (fun addr dst off len -> read t ~addr ~dst ~off ~len);
-    t_write = (fun addr src off len -> write t ~addr ~src ~off ~len);
+    t_stage = (fun src off len -> stage t ~src ~off ~len);
+    t_land = (fun addr h len -> land_staged t ~addr h ~len);
+    t_unstage = (fun h -> unstage t h);
   }

@@ -33,14 +33,6 @@ val create : size:int64 -> t
 val read : t -> addr:int64 -> dst:Sim.Bigbuf.t -> off:int -> len:int -> unit
 val write : t -> addr:int64 -> src:Sim.Bigbuf.t -> off:int -> len:int -> unit
 
-val equal :
-  t -> int -> inb:int -> src:Sim.Bigbuf.t -> off:int -> len:int -> bool
-(** [equal t blk ~inb ~src ~off ~len] is true iff [src]'s bytes
-    \[off, off+len) equal block [blk]'s bytes \[inb, inb+len) (zeros
-    if the block is not resident). Compares in place, allocating
-    nothing. The span must stay inside the block and the store,
-    otherwise [Invalid_argument]. *)
-
 val resident_blocks : t -> int
 (** Number of 4 KiB blocks resident: written and not dropped since. *)
 
@@ -59,6 +51,50 @@ val drop : t -> int -> unit
 val iter_touched : t -> (int -> unit) -> unit
 (** Iterate the indices of resident 4 KiB blocks in ascending order
     (deterministic, for resync enumeration). *)
+
+(** {2 Staged WRITE payloads}
+
+    An RDMA WRITE's payload is captured into the store when the WR is
+    posted, and lands when it completes. A staged payload covers at
+    most one 4 KiB block; its handle is the slot that holds it, of the
+    class covering its used length, and bytes past the slot read as
+    zeros. Every handle is consumed once: by {!adopt}, {!land_staged} or
+    {!unstage}. *)
+
+val stage : t -> src:Sim.Bigbuf.t -> off:int -> len:int -> int
+(** [stage t ~src ~off ~len] copies the used bytes of [src]'s
+    \[off, off+len) into a slot (one scan, one copy) and returns its
+    handle. [len] must be in \[0, 4096\], otherwise
+    [Invalid_argument]. *)
+
+val staged : t -> int
+(** Handles given out by {!stage} and not yet consumed. Their slots
+    count in neither {!resident_blocks} nor {!held_bytes}. *)
+
+val unstage : t -> int -> unit
+(** Discard a staged payload: its slot is freed. *)
+
+val adopt : t -> int -> int -> unit
+(** [adopt t blk h] makes the staged whole-block payload [h] block
+    [blk]'s bytes: the leaf points at [h]'s slot, and the slot [blk]
+    held before is released. Copies nothing. *)
+
+val write_staged : t -> addr:int64 -> int -> soff:int -> len:int -> unit
+(** [write_staged t ~addr h ~soff ~len] writes the staged payload's
+    bytes \[soff, soff+len) at [addr], as {!write} would; the span must
+    stay inside one block. [h] stays staged. *)
+
+val equal : t -> int -> inb:int -> int -> soff:int -> len:int -> bool
+(** [equal t blk ~inb h ~soff ~len] is true iff the staged payload
+    [h]'s bytes \[soff, soff+len) equal block [blk]'s bytes
+    \[inb, inb+len) (zeros if the block is not resident). Compares in
+    place, allocating nothing. The span must stay inside the block and
+    the store, otherwise [Invalid_argument]. *)
+
+val land_staged : t -> addr:int64 -> int -> len:int -> unit
+(** [land_staged t ~addr h ~len] lands the [len]-byte staged payload [h] at
+    [addr] and consumes it: a whole aligned block is adopted, anything
+    else is written and unstaged. *)
 
 val target : t -> Rdma.Qp.target
 (** The one-sided access interface handed to the RNIC. *)

@@ -384,28 +384,42 @@ let rec serving_copies t vpn i =
   if i >= t.cfg.replication then 0
   else (if serves (replica t vpn i) vpn then 1 else 0) + serving_copies t vpn (i + 1)
 
-(* One in-page write chunk: diff it against the store in granule units,
-   land only the dirty runs (once: the store is every replica's copy),
-   and account the backup traffic. *)
-let write_chunk t addr src off len =
+(* A staged in-page WRITE payload [h] of [len] bytes landing at
+   [addr]. At one copy per page it lands straight in the store. At
+   more, it is diffed in place against the store in granule units:
+   only the granules whose bytes changed land (once: the store is
+   every replica's copy) and are charged as backup traffic. A whole
+   page with any dirty granule is adopted as the page's block, which
+   is then byte-for-byte what landing its dirty runs would leave; one
+   with none lands nothing. The handle is consumed on every path,
+   [Unreachable] included. *)
+let land_write t addr h len =
+  check t addr len;
   let vpn = vpn_of addr in
-  let auth = serving_replica t vpn addr ~is_read:false 0 in
+  let auth =
+    match serving_replica t vpn addr ~is_read:false 0 with
+    | s -> s
+    | exception (Rdma.Qp.Unreachable _ as e) ->
+        Page_store.unstage t.store h;
+        raise e
+  in
   Obs.Registry.cincr auth.ob_writes;
   if Trace.enabled cat_memnode then
     Trace.instant cat_memnode ~name:"page_write" ~track:auth.trk
       ~args:[ ("len", Trace.I len) ]
       ();
   if t.cfg.replication = 1 then
-    (* Single copy: no mirror traffic to bound, write straight through. *)
-    Page_store.write t.store ~addr ~src ~off ~len
+    (* Single copy: no mirror traffic to bound, land straight through. *)
+    Page_store.land_staged t.store ~addr h ~len
   else begin
     let g = t.cfg.granule in
     let page_base = Int64.logand addr (Int64.lognot 4095L) in
     let start = Int64.to_int (Int64.sub addr page_base) in
     let fin = start + len in
+    let whole = len = page_size in
     let g_last = (fin - 1) / g in
     (* [run_start, p0) is the dirty run being extended (-1: none). The
-       step past the last granule is clean, so it lands the final run. *)
+       step past the last granule is clean, so it closes the final run. *)
     let run_start = ref (-1) and dirty_bytes = ref 0 and dirty_runs = ref 0 in
     for gi = start / g to g_last + 1 do
       let p0 = Int.min fin (Int.max start (gi * g)) in
@@ -413,8 +427,7 @@ let write_chunk t addr src off len =
       let dirty =
         gi <= g_last
         && not
-             (Page_store.equal t.store vpn ~inb:p0 ~src
-                ~off:(off + (p0 - start))
+             (Page_store.equal t.store vpn ~inb:p0 h ~soff:(p0 - start)
                 ~len:(p1 - p0))
       in
       if dirty then begin
@@ -425,15 +438,18 @@ let write_chunk t addr src off len =
         if gi <= g_last then scount t (fun h -> h.c_granules_clean);
         if !run_start >= 0 then begin
           let n = p0 - !run_start in
-          Page_store.write t.store
-            ~addr:(Int64.add page_base (Int64.of_int !run_start))
-            ~src ~off:(off + (!run_start - start)) ~len:n;
+          if not whole then
+            Page_store.write_staged t.store
+              ~addr:(Int64.add page_base (Int64.of_int !run_start))
+              h ~soff:(!run_start - start) ~len:n;
           incr dirty_runs;
           dirty_bytes := !dirty_bytes + n;
           run_start := -1
         end
       end
     done;
+    if whole && !dirty_runs > 0 then Page_store.adopt t.store vpn h
+    else Page_store.unstage t.store h;
     if !dirty_runs > 0 then begin
       (* Backup copies: the primary's write is already priced by the
          QP; each additional live replica pays one more wire trip. *)
@@ -450,14 +466,12 @@ let write_chunk t addr src off len =
     end
   end
 
-let write t addr src off len =
-  check t addr len;
-  each_page write_chunk t addr src off len
-
 let target t =
   {
     Rdma.Qp.t_read = (fun addr buf off len -> read t addr buf off len);
-    t_write = (fun addr buf off len -> write t addr buf off len);
+    t_stage = (fun src off len -> Page_store.stage t.store ~src ~off ~len);
+    t_land = (fun addr h len -> land_write t addr h len);
+    t_unstage = (fun h -> Page_store.unstage t.store h);
   }
 
 let create ~eng ~size ?(config = default_config) ?faults () =

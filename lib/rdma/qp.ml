@@ -2,7 +2,9 @@ module Buf = Sim.Bigbuf
 
 type target = {
   t_read : int64 -> Buf.t -> int -> int -> unit;
-  t_write : int64 -> Buf.t -> int -> int -> unit;
+  t_stage : Buf.t -> int -> int -> int;
+  t_land : int64 -> int -> int -> unit;
+  t_unstage : int -> unit;
 }
 
 (* Raised by a target when no replica of the addressed page is alive
@@ -43,7 +45,8 @@ type hstats = {
    work request is not a set of closures: it is a [comp] record
    recycled through a per-QP free list, carrying permanent thunks
    ([c_fn], [c_timeout_fn], [c_retry_fn]) that the engine schedules.
-   Write snapshots are pooled page-sized slabs. *)
+   A WRITE's payload is staged in the target at post, one handle per
+   remote 4 KiB block it covers, kept in [c_staged]. *)
 type t = {
   eng : Sim.Engine.t;
   nic : Nic.t;
@@ -67,22 +70,30 @@ type t = {
          costs one physical-equality test *)
   name : string;
   trk : int; (* trace track: one timeline row per QP *)
+  lane : Sim.Engine.lane; (* healthy-path completions, in post order *)
   mutable next_free : Sim.Time.t;
-  mutable comp_pool : comp array;
-  mutable comp_len : int;
-  mutable snap_pool : Buf.t array;
-  mutable snap_len : int;
+  mutable comps : comp array; (* every record made, by [c_id] *)
+  mutable ncomps : int;
+  mutable free_ids : int array; (* [free_ids.(0 .. nfree-1)]: free records *)
+  mutable nfree : int;
 }
 
+(* [post] sets every payload field ([c_segs], [c_buf], [c_on_complete],
+   [c_on_error], [c_fa]), so [recycle] leaves them as they are: a
+   pooled record keeps its last WR's segments, buffer and continuations
+   alive until it is reused, which the pool's size bounds, and
+   scrubbing them would cost a write barrier each per WR. *)
 and comp = {
   c_qp : t;
+  c_id : int;
   mutable c_op : Nic.op;
   mutable c_bytes : int;
   mutable c_segments : int;
   mutable c_segs : seg list;
   mutable c_buf : Buf.t;
-  mutable c_snap : Buf.t;
-  mutable c_snap_base : int;
+  mutable c_staged : int array; (* a WRITE's staged handles, in segment order *)
+  mutable c_nstaged : int;
+  mutable c_landed : int; (* handles consumed by [t_land] so far *)
   mutable c_on_complete : unit -> unit;
   mutable c_on_error : (unit -> unit) option;
   mutable c_fa : Trace.fetch_attrib option;
@@ -97,9 +108,6 @@ and comp = {
   mutable c_start : int;
   mutable c_completion : int;
   c_wire : Faults.Plan.wire;
-  mutable c_timer : Sim.Engine.timer;
-      (* the completion, cancellable by the timeout (plan only; else
-         [Sim.Engine.no_timer]) *)
   mutable c_fn : unit -> unit;
   mutable c_timeout_fn : unit -> unit;
   mutable c_retry_fn : unit -> unit;
@@ -153,11 +161,12 @@ let create ~eng ~nic ~target ~region ~rkey ?bw ?stats ?(huge_pages = true)
     faults;
     name;
     trk = Trace.track name;
+    lane = Sim.Engine.lane eng;
     next_free = Sim.Time.zero;
-    comp_pool = [||];
-    comp_len = 0;
-    snap_pool = [||];
-    snap_len = 0;
+    comps = [||];
+    ncomps = 0;
+    free_ids = [||];
+    nfree = 0;
   }
 
 let name t = t.name
@@ -198,12 +207,45 @@ let rec land_reads t buf = function
       t.target.t_read s.raddr buf s.loff s.len;
       land_reads t buf rest
 
-(* A WRITE lands its snapshot, rebased to the lowest segment offset. *)
-let rec land_writes t snap base = function
+(* A WRITE's segments, cut at remote 4 KiB block boundaries, one
+   staged handle per piece: staged at post, landed in the same order
+   at completion. A segment inside one block, the common case, passes
+   its own [raddr] on; only a piece of a longer one boxes a fresh
+   address. *)
+let[@inline] piece raddr len = Int.min len (page_size - (Int64.to_int raddr land (page_size - 1)))
+
+let push_staged c h =
+  if c.c_nstaged = Array.length c.c_staged then begin
+    let a = Array.make (2 * c.c_nstaged) 0 in
+    Array.blit c.c_staged 0 a 0 c.c_nstaged;
+    c.c_staged <- a
+  end;
+  c.c_staged.(c.c_nstaged) <- h;
+  c.c_nstaged <- c.c_nstaged + 1
+
+let rec stage_span t c buf raddr loff len =
+  let n = piece raddr len in
+  push_staged c (t.target.t_stage buf loff n);
+  if len > n then stage_span t c buf (Int64.add raddr (Int64.of_int n)) (loff + n) (len - n)
+
+let rec stage_segs t c buf = function
   | [] -> ()
   | s :: rest ->
-      t.target.t_write s.raddr snap (s.loff - base) s.len;
-      land_writes t snap base rest
+      if s.len > 0 then stage_span t c buf s.raddr s.loff s.len;
+      stage_segs t c buf rest
+
+let rec land_span t c raddr len =
+  let n = piece raddr len in
+  let h = c.c_staged.(c.c_landed) in
+  c.c_landed <- c.c_landed + 1;
+  t.target.t_land raddr h n;
+  if len > n then land_span t c (Int64.add raddr (Int64.of_int n)) (len - n)
+
+let rec land_writes t c = function
+  | [] -> ()
+  | s :: rest ->
+      if s.len > 0 then land_span t c s.raddr s.len;
+      land_writes t c rest
 
 (* Every attempt of a [bytes_]-byte WR bumps the run's Stats and the
    QP's labeled registry series alike, so the two views always
@@ -238,54 +280,24 @@ let meter t op bytes_ =
 let fcount t sel =
   match t.hstats with None -> () | Some h -> Sim.Stats.cincr (sel h)
 
-(* -- pools ------------------------------------------------------- *)
-
-let snap_take t =
-  if t.snap_len = 0 then Buf.create page_size
-  else begin
-    t.snap_len <- t.snap_len - 1;
-    t.snap_pool.(t.snap_len)
-  end
-
-(* Only pooled page-sized snapshots go back: a READ's empty snapshot
-   and an oversized WRITE's fresh one are dropped. *)
-let snap_release t b =
-  if Buf.length b = page_size then begin
-    let cap = Array.length t.snap_pool in
-    if t.snap_len = cap then begin
-      let np = Array.make (if cap = 0 then 8 else cap * 2) empty_buf in
-      Array.blit t.snap_pool 0 np 0 t.snap_len;
-      t.snap_pool <- np
-    end;
-    t.snap_pool.(t.snap_len) <- b;
-    t.snap_len <- t.snap_len + 1
-  end
-
 (* -- the work-request path --------------------------------------- *)
 
 (* Back to the free list, exactly once per WR: on success, on
-   permanent failure or on [Unreachable]. The write snapshot returns
-   to its pool at the same point. Payload references are scrubbed and
-   the record is free before the caller's continuation runs, so a
-   continuation that posts a new WR can reuse this very record. *)
+   permanent failure or on [Unreachable]. A WRITE's handles that did
+   not land are unstaged at the same point. The record is free before
+   the caller's continuation runs, so a continuation that posts a new
+   WR can reuse this very record. The free list holds record ids, and
+   [free_ids] has room for every record, so a recycle stores ints
+   only: no write barrier. *)
 let recycle c =
   let t = c.c_qp in
-  snap_release t c.c_snap;
-  c.c_segs <- [];
-  c.c_buf <- empty_buf;
-  c.c_snap <- empty_buf;
-  c.c_on_complete <- ignore;
-  c.c_on_error <- None;
-  c.c_fa <- None;
-  c.c_timer <- Sim.Engine.no_timer;
-  let cap = Array.length t.comp_pool in
-  if t.comp_len = cap then begin
-    let np = Array.make (if cap = 0 then 8 else cap * 2) c in
-    Array.blit t.comp_pool 0 np 0 t.comp_len;
-    t.comp_pool <- np
-  end;
-  t.comp_pool.(t.comp_len) <- c;
-  t.comp_len <- t.comp_len + 1
+  for i = c.c_landed to c.c_nstaged - 1 do
+    t.target.t_unstage c.c_staged.(i)
+  done;
+  c.c_nstaged <- 0;
+  c.c_landed <- 0;
+  t.free_ids.(t.nfree) <- c.c_id;
+  t.nfree <- t.nfree + 1
 
 (* One service attempt: a doorbell, then the send engine's occupancy,
    then the completion a wire latency after service starts. Under a
@@ -317,7 +329,7 @@ let launch c =
   match t.faults with
   | None ->
       c.c_completion <- Int64.to_int completion;
-      Sim.Engine.at t.eng completion c.c_fn
+      Sim.Engine.lane_at t.lane completion c.c_fn
   | Some plan ->
       let w = c.c_wire in
       Faults.Plan.wire plan ~completion w;
@@ -325,10 +337,15 @@ let launch c =
       if w.Faults.Plan.w_duplicate then fcount t (fun h -> h.c_dups);
       c.c_completion <- w.Faults.Plan.w_completion;
       let completion = Int64.of_int c.c_completion in
-      c.c_timer <- Sim.Engine.timer_at t.eng completion c.c_fn;
       let timeout_at = Sim.Time.add start (Faults.Plan.timeout plan) in
-      if Sim.Time.compare timeout_at completion < 0 then
-        ignore (Sim.Engine.timer_at t.eng timeout_at c.c_timeout_fn)
+      if Sim.Time.compare timeout_at completion < 0 then begin
+        (* The timeout is due first, so it wins the race: the late
+           completion still arrives, at its own (time, seq) slot, and
+           is dropped there. *)
+        Sim.Engine.at t.eng completion ignore;
+        Sim.Engine.at t.eng timeout_at c.c_timeout_fn
+      end
+      else Sim.Engine.at t.eng completion c.c_fn
 
 (* A failed attempt (error completion or timeout) ending at [ended].
    The QP re-launches the same record after a bounded exponential
@@ -390,7 +407,7 @@ let complete c =
         try
           (match c.c_op with
           | Nic.Read -> land_reads t c.c_buf c.c_segs
-          | Nic.Write -> land_writes t c.c_snap c.c_snap_base c.c_segs);
+          | Nic.Write -> land_writes t c c.c_segs);
           None
         with Unreachable _ as exn -> Some exn
       in
@@ -423,31 +440,32 @@ let complete c =
             Trace.instant cat_rdma ~name:"unreachable" ~track:t.trk ();
           match kerr with Some fail -> fail () | None -> raise exn))
 
-(* The timeout beat the completion: disarm the completion and fail the
-   attempt. Armed only under a plan. *)
+(* The timeout beat the completion (whose event [launch] made a no-op):
+   fail the attempt. Armed only under a plan. *)
 let time_out c =
   let t = c.c_qp in
   match t.faults with
   | None -> ()
   | Some plan ->
-      Sim.Engine.cancel c.c_timer;
       fcount t (fun h -> h.c_timeouts);
       fail_attempt c plan
         ~ended:(c.c_start + Int64.to_int (Faults.Plan.timeout plan))
         ~reason:"timeout"
 
 let comp_take t =
-  if t.comp_len = 0 then begin
+  if t.nfree = 0 then begin
     let c =
       {
         c_qp = t;
+        c_id = t.ncomps;
         c_op = Nic.Read;
         c_bytes = 0;
         c_segments = 0;
         c_segs = [];
         c_buf = empty_buf;
-        c_snap = empty_buf;
-        c_snap_base = 0;
+        c_staged = [| 0 |];
+        c_nstaged = 0;
+        c_landed = 0;
         c_on_complete = ignore;
         c_on_error = None;
         c_fa = None;
@@ -456,7 +474,6 @@ let comp_take t =
         c_start = 0;
         c_completion = 0;
         c_wire = Faults.Plan.wire_cell ();
-        c_timer = Sim.Engine.no_timer;
         c_fn = ignore;
         c_timeout_fn = ignore;
         c_retry_fn = ignore;
@@ -468,37 +485,46 @@ let comp_take t =
       (fun () ->
         c.c_try <- c.c_try + 1;
         launch c);
+    let cap = Array.length t.comps in
+    (* Every record is in use here, so [free_ids] has nothing to keep. *)
+    if t.ncomps = cap then begin
+      let ncap = if cap = 0 then 8 else cap * 2 in
+      let a = Array.make ncap c in
+      Array.blit t.comps 0 a 0 t.ncomps;
+      t.comps <- a;
+      t.free_ids <- Array.make ncap 0
+    end;
+    t.comps.(t.ncomps) <- c;
+    t.ncomps <- t.ncomps + 1;
     c
   end
   else begin
-    t.comp_len <- t.comp_len - 1;
-    t.comp_pool.(t.comp_len)
+    t.nfree <- t.nfree - 1;
+    t.comps.(t.free_ids.(t.nfree))
   end
 
 (* -- posting ----------------------------------------------------- *)
 
-(* Shared post path, for a validated WR. [snap]/[snap_base] carry the
-   write snapshot (rebased so pooled page-sized snapshots work even
-   when [buf] is a whole multi-GB slab); for reads [snap] is empty. *)
-let post ?on_error ?fa t op ~segs ~buf ~snap ~snap_base ~on_complete =
-  let c = comp_take t in
+(* Shared post path, for a validated WR in record [c] (a WRITE's
+   payload already staged). *)
+let post ?on_error ?fa c op ~segs ~buf ~on_complete =
   c.c_op <- op;
   c.c_bytes <- total_len segs;
   c.c_segments <- List.length segs;
   c.c_segs <- segs;
-  c.c_buf <- buf;
-  c.c_snap <- snap;
-  c.c_snap_base <- snap_base;
+  (* Nearly every WR names the same frame slab and no attribution (or
+     the same one): a store only when the value changes skips a write
+     barrier. *)
+  if c.c_buf != buf then c.c_buf <- buf;
   c.c_on_complete <- on_complete;
   c.c_on_error <- on_error;
-  c.c_fa <- fa;
+  if c.c_fa != fa then c.c_fa <- fa;
   c.c_try <- 1;
   launch c
 
 let post_read ?on_error ?fa t ~segs ~buf ~on_complete =
   validate t segs buf;
-  post ?on_error ?fa t Nic.Read ~segs ~buf ~snap:empty_buf ~snap_base:0
-    ~on_complete
+  post ?on_error ?fa (comp_take t) Nic.Read ~segs ~buf ~on_complete
 
 (* Batch bookkeeping for a fetch window posted as one chain of
    one-page [post_read]s: one doorbell's worth of counter + trace for
@@ -531,29 +557,22 @@ let post_read_pages t ~raddr0 ~buf ~offs ~count ~on_page ~on_page_error =
   done;
   for i = 0 to count - 1 do
     let on_error = Option.map (fun f () -> f i) on_page_error in
-    post ?on_error t Nic.Read
+    post ?on_error (comp_take t) Nic.Read
       ~segs:[ { raddr = raddr i; loff = offs.(i); len = page_size } ]
-      ~buf ~snap:empty_buf ~snap_base:0
+      ~buf
       ~on_complete:(fun () -> on_page i)
   done
 
 let post_write ?on_error t ~segs ~buf ~on_complete =
   validate t segs buf;
-  (* Snapshot the payload at post time: the NIC reads local memory when
-     the WR is posted, not when the ack returns. Retransmissions of a
-     timed-out attempt resend the same snapshot (the WR's payload),
-     which keeps a retried WRITE idempotent. Only the segment-covered
-     span is copied, rebased to the lowest segment offset, so a pooled
-     page-sized snapshot serves the common writeback even when [buf]
-     is a whole frame slab. *)
-  let base = List.fold_left (fun a s -> Int.min a s.loff) max_int segs in
-  let hi = List.fold_left (fun a s -> Int.max a (s.loff + s.len)) 0 segs in
-  let span = hi - base in
-  let snap = if span <= page_size then snap_take t else Buf.create span in
-  List.iter
-    (fun s -> Buf.blit buf ~src_off:s.loff snap ~dst_off:(s.loff - base) ~len:s.len)
-    segs;
-  post ?on_error t Nic.Write ~segs ~buf ~snap ~snap_base:base ~on_complete
+  (* Capture the payload at post time: the NIC reads local memory when
+     the WR is posted, not when the ack returns. It is staged in the
+     target, where a whole page becomes the stored block when the WR
+     completes. Retransmissions of a timed-out attempt resend the same
+     staged payload, which keeps a retried WRITE idempotent. *)
+  let c = comp_take t in
+  stage_segs t c buf segs;
+  post ?on_error c Nic.Write ~segs ~buf ~on_complete
 
 let read t ~raddr ~buf ~off ~len =
   Sim.Engine.suspend t.eng (fun wake ->

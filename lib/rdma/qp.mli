@@ -18,19 +18,35 @@
     takes one path: one pooled completion record, launched once per
     attempt (doorbell, send-engine occupancy, completion event) and
     finished by one completion handler. A retry re-launches the same
-    record; it is recycled, and a WRITE's snapshot returned to its
-    pool, exactly once — on success or on permanent failure. Without a
-    fault plan completion dispatch is allocation-free. A prefetch
-    window is one {!note_read_batch} doorbell followed by one
-    {!post_read} per page. *)
+    record; it is recycled, and a WRITE's unlanded staged payloads
+    unstaged, exactly once — on success, on permanent failure or on
+    {!Unreachable}. Without a fault plan an attempt's completion waits
+    in the QP's {!Sim.Engine.lane} (completions come in post order),
+    and dispatch is allocation-free. A prefetch window is one
+    {!note_read_batch} doorbell followed by one {!post_read} per
+    page.
+
+    A WRITE copies its payload once, into the target: {!post_write}
+    stages each piece of it (a segment cut at remote 4 KiB block
+    boundaries) with [t_stage], and the completion lands the pieces in
+    the same order with [t_land]; a memory node adopts a staged whole
+    page as the stored block. *)
 
 type target = {
   t_read : int64 -> Sim.Bigbuf.t -> int -> int -> unit;
       (** [t_read raddr dst dst_off len]: copy remote bytes into a
           local buffer (executed at completion time). *)
-  t_write : int64 -> Sim.Bigbuf.t -> int -> int -> unit;
-      (** [t_write raddr src src_off len]: copy local bytes into
-          remote memory (source snapshotted at post time). *)
+  t_stage : Sim.Bigbuf.t -> int -> int -> int;
+      (** [t_stage src src_off len]: capture [len] (at most 4096) bytes
+          of a WRITE's payload when it is posted; returns a handle. *)
+  t_land : int64 -> int -> int -> unit;
+      (** [t_land raddr h len]: write the [len]-byte staged payload [h]
+          at [raddr], inside one remote 4 KiB block (executed at
+          completion time). Consumes [h], also when it raises
+          {!Unreachable}. *)
+  t_unstage : int -> unit;
+      (** [t_unstage h]: discard a staged payload that will not land
+          (the WR failed). *)
 }
 
 type seg = { raddr : int64; loff : int; len : int }
@@ -106,10 +122,10 @@ val post_write :
   buf:Sim.Bigbuf.t ->
   on_complete:(unit -> unit) ->
   unit
-(** Asynchronous one-sided WRITE. The segment-covered span of the
-    payload is snapshotted when posted (into a pooled page-sized
-    buffer when it fits); retried attempts resend the same snapshot,
-    keeping the WR idempotent. [on_error] as in {!post_read}. *)
+(** Asynchronous one-sided WRITE. The payload is staged in the target
+    when posted, so [buf] may change right after the call; retried
+    attempts resend the same staged payload, keeping the WR
+    idempotent. [on_error] as in {!post_read}. *)
 
 val note_read_batch : t -> wrs:int -> unit
 (** Batch-level bookkeeping for a window of [wrs] READs posted as one

@@ -76,8 +76,8 @@ val equal_range : t -> a_off:int -> t -> b_off:int -> len:int -> bool
 val used : t -> off:int -> len:int -> int
 (** [used t ~off ~len] is the used length of the range: the offset,
     relative to [off], of its last nonzero byte, plus one; [0] when
-    the range is all zeros. Scans back one word at a time, so a range
-    whose last word is nonzero costs one load. Allocates nothing. *)
+    the range is all zeros. Scans back 64 bytes (eight words) per
+    step, then a word at a time. Allocates nothing. *)
 
 val blit : t -> src_off:int -> t -> dst_off:int -> len:int -> unit
 (** [blit src ~src_off dst ~dst_off ~len] copies slab-to-slab with one

@@ -11,10 +11,14 @@ let signal cv =
       cv.q <- List.rev rest;
       oldest ()
 
+(* Most broadcasts find no waiter (a write-back completion, a page
+   mapped with nobody waiting on it): return before reversing. *)
 let broadcast cv =
-  let waiters = List.rev cv.q in
-  cv.q <- [];
-  List.iter (fun wake -> wake ()) waiters
+  match cv.q with
+  | [] -> ()
+  | q ->
+      cv.q <- [];
+      List.iter (fun wake -> wake ()) (List.rev q)
 
 let rec wait_for cv pred =
   if not (pred ()) then begin

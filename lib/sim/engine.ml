@@ -155,6 +155,7 @@ type t = {
   mutable seq : int;
   queue : Eheap.t;
   ready : Ring.t;
+  mutable laned : int;  (* lane entries queued behind their lane's head *)
   mutable failure : (exn * Printexc.raw_backtrace) option;
   (* [true] while fiber code runs (not a callback, not the loop). *)
   mutable in_fiber : bool;
@@ -166,6 +167,7 @@ let create () =
     seq = 0;
     queue = Eheap.create ();
     ready = Ring.create ();
+    laned = 0;
     failure = None;
     in_fiber = false;
   }
@@ -211,14 +213,112 @@ let timer_at t time fn =
   tm
 
 let timer_after t delay fn = timer_at t (Time.add t.now delay) fn
-let no_timer = { tm_state = 1 }
+
+(* Lanes. A source that schedules its events in nondecreasing time
+   order (one QP's completions) keeps them in a FIFO of [(time, seq,
+   fn)] whose head alone sits in the heap, under the lane's permanent
+   [l_fire] thunk. Each entry takes its seq when scheduled, exactly as
+   [at] would, and the next head enters the heap with that same
+   [(time, seq)] when the current one fires, so the global order is
+   the one [at] gives: the heap's top is still the earliest event, and
+   a head pushed at [now] was scheduled before the clock reached it,
+   so it precedes the ring as any heap event at [now] does. An event
+   earlier than its lane's tail goes straight to the heap. A popped
+   entry's closure is left in place until overwritten: the retention
+   is bounded by the lane's capacity, and a store per pop would cost a
+   write barrier. *)
+type lane = {
+  l_eng : t;
+  mutable l_times : int array;
+  mutable l_seqs : int array;
+  mutable l_fns : (unit -> unit) array;
+  mutable l_head : int;
+  mutable l_len : int;
+  mutable l_fire : unit -> unit;
+}
+
+let lane_fire l () =
+  let t = l.l_eng in
+  let mask = Array.length l.l_fns - 1 in
+  let fn = Array.unsafe_get l.l_fns l.l_head in
+  l.l_head <- (l.l_head + 1) land mask;
+  l.l_len <- l.l_len - 1;
+  if l.l_len > 0 then begin
+    t.laned <- t.laned - 1;
+    Eheap.push t.queue l.l_times.(l.l_head) l.l_seqs.(l.l_head) l.l_fire
+  end;
+  fn ()
+
+let lane t =
+  let l =
+    {
+      l_eng = t;
+      l_times = Array.make 8 0;
+      l_seqs = Array.make 8 0;
+      l_fns = Array.make 8 ignore;
+      l_head = 0;
+      l_len = 0;
+      l_fire = ignore;
+    }
+  in
+  l.l_fire <- lane_fire l;
+  l
+
+(* Called when full: double the ring, unrolling it from its head. *)
+let lane_grow l =
+  let cap = Array.length l.l_fns in
+  let unroll a fill =
+    let b = Array.make (2 * cap) fill in
+    for i = 0 to l.l_len - 1 do
+      b.(i) <- a.((l.l_head + i) land (cap - 1))
+    done;
+    b
+  in
+  l.l_times <- unroll l.l_times 0;
+  l.l_seqs <- unroll l.l_seqs 0;
+  l.l_fns <- unroll l.l_fns ignore;
+  l.l_head <- 0
+
+let lane_at l time fn =
+  let t = l.l_eng in
+  let c = Int64.compare time t.now in
+  if c < 0 then invalid_arg "Engine.lane_at: scheduling in the past"
+  else if c = 0 then Ring.push t.ready fn
+  else begin
+    t.seq <- t.seq + 1;
+    let ti = Int64.to_int time in
+    let mask = Array.length l.l_fns - 1 in
+    if l.l_len > 0 && ti < l.l_times.((l.l_head + l.l_len - 1) land mask) then
+      Eheap.push t.queue ti t.seq fn
+    else begin
+      if l.l_len = Array.length l.l_fns then lane_grow l;
+      let i = (l.l_head + l.l_len) land (Array.length l.l_fns - 1) in
+      l.l_times.(i) <- ti;
+      l.l_seqs.(i) <- t.seq;
+      l.l_fns.(i) <- fn;
+      l.l_len <- l.l_len + 1;
+      if l.l_len = 1 then Eheap.push t.queue ti t.seq l.l_fire
+      else t.laned <- t.laned + 1
+    end
+  end
 let cancel tm = if tm.tm_state = 0 then tm.tm_state <- 2
 let timer_pending tm = tm.tm_state = 0
 
-(* Fibers are implemented with one effect: [Suspend register]. The
-   handler captures the continuation and hands [register] a wake
-   function that re-schedules it on the event queue. *)
-type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
+(* Fibers block through two effects. [Suspend register] captures the
+   continuation and hands [register] a wake function that re-schedules
+   it on the ready ring. [Park_until time] is a sleep that has to park:
+   its one heap event resumes the fiber itself. *)
+type _ Effect.t +=
+  | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
+  | Park_until : int -> unit Effect.t
+
+(* A parked sleep's event, popped at its time. A wake pushed onto the
+   ring would run next iff the ring is empty and no heap event is due
+   now (heap events at [now] precede the ring), so resume in place
+   then, and queue behind them otherwise. *)
+let[@inline] resume_now t =
+  t.ready.Ring.len = 0
+  && (t.queue.Eheap.size = 0 || Eheap.top_time t.queue <> Int64.to_int t.now)
 
 let fiber_handler t (f : unit -> unit) () =
   let open Effect.Deep in
@@ -253,6 +353,17 @@ let fiber_handler t (f : unit -> unit) () =
                   | exception e ->
                       t.in_fiber <- true;
                       discontinue k e)
+          | Park_until time ->
+              Some
+                (fun (k : (a, unit) continuation) ->
+                  t.in_fiber <- false;
+                  let go () =
+                    t.in_fiber <- true;
+                    continue k ()
+                  in
+                  t.seq <- t.seq + 1;
+                  Eheap.push t.queue time t.seq (fun () ->
+                      if resume_now t then go () else Ring.push t.ready go))
           | _ -> None);
     }
 
@@ -276,7 +387,7 @@ let sleep_until t time =
       t.seq <- t.seq + 1;
       t.now <- time
     end
-    else Effect.perform (Suspend (fun wake -> at t time wake))
+    else Effect.perform (Park_until ti)
   end
 
 let sleep t delay = sleep_until t (Time.add t.now delay)
@@ -316,4 +427,4 @@ let run t =
   done;
   check_failure t
 
-let pending t = Eheap.length t.queue + Ring.length t.ready
+let pending t = Eheap.length t.queue + Ring.length t.ready + t.laned

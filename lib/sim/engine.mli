@@ -14,7 +14,17 @@
     ready ring in O(1). The split preserves the global order: a heap
     event at time [T] was necessarily scheduled before the clock
     reached [T], so it precedes every ring entry, and the ring's FIFO
-    order equals sequence order among same-instant events. *)
+    order equals sequence order among same-instant events.
+
+    A {!lane} keeps a source's events that come in nondecreasing time
+    order (one RDMA QP's completions) out of the heap: they wait in
+    the lane's FIFO, each with the sequence number it took when
+    scheduled, and only the head sits in the heap. The order is
+    exactly the one {!at} gives; the heap just stays small.
+
+    A sleep that has to park ({!sleep_until}) is one heap event that
+    resumes the fiber itself, or queues it on the ring behind whatever
+    is due at the same instant: the order of a wake, without one. *)
 
 type t
 
@@ -35,8 +45,8 @@ val after : t -> Time.t -> (unit -> unit) -> unit
 (** [after t delay f] is [at t (now t + delay) f]. *)
 
 type timer
-(** A cancellable scheduled callback (e.g. an RDMA retransmission
-    timeout racing a completion). Cancelling does not disturb the
+(** A cancellable scheduled callback (e.g. a scripted shard kill that
+    a drill may call off). Cancelling does not disturb the
     (time, seq) ordering of any other event: the slot simply fires as
     a no-op. *)
 
@@ -45,15 +55,26 @@ val timer_at : t -> Time.t -> (unit -> unit) -> timer
 
 val timer_after : t -> Time.t -> (unit -> unit) -> timer
 
-val no_timer : timer
-(** A timer that was never armed: not pending, and {!cancel} leaves it
-    so. A sentinel for a slot that holds no armed timer. *)
-
 val cancel : timer -> unit
 (** Disarm a timer. No-op if it already fired or was cancelled. *)
 
 val timer_pending : timer -> bool
 (** [true] until the timer fires or is cancelled. *)
+
+type lane
+(** A FIFO of scheduled callbacks whose head alone sits in the event
+    heap. *)
+
+val lane : t -> lane
+(** A new, empty lane of the engine. *)
+
+val lane_at : lane -> Time.t -> (unit -> unit) -> unit
+(** [lane_at l when_ f] is [at t when_ f] for [l]'s engine [t]: the
+    callback fires at the same point of the global (time, seq) order.
+    When [when_] is no earlier than the last callback queued on [l],
+    [f] waits in the lane until the callbacks before it have fired;
+    an earlier one goes to the heap directly. Allocates nothing but
+    the lane's own growth. *)
 
 val sleep : t -> Time.t -> unit
 (** [sleep t d] is [sleep_until t (now t + d)]. Must be called from
@@ -86,4 +107,4 @@ val run : t -> unit
     that escaped a fiber or callback. *)
 
 val pending : t -> int
-(** Number of queued events (diagnostic). *)
+(** Number of queued events, those waiting in lanes included. *)

@@ -17,10 +17,32 @@ let create () =
     isum = 0;
   }
 
+(* [v >= 1]: a binary search over the bit position, six halvings for
+   any 63-bit int. Written out, not through a local helper: a closure
+   over the refs would allocate on every sample. *)
 let floor_log2 v =
-  (* v >= 1 *)
-  let rec go v acc = if v <= 1 then acc else go (v lsr 1) (acc + 1) in
-  go v 0
+  let v = ref v and k = ref 0 in
+  if !v lsr 32 <> 0 then begin
+    v := !v lsr 32;
+    k := 32
+  end;
+  if !v lsr 16 <> 0 then begin
+    v := !v lsr 16;
+    k := !k + 16
+  end;
+  if !v lsr 8 <> 0 then begin
+    v := !v lsr 8;
+    k := !k + 8
+  end;
+  if !v lsr 4 <> 0 then begin
+    v := !v lsr 4;
+    k := !k + 4
+  end;
+  if !v lsr 2 <> 0 then begin
+    v := !v lsr 2;
+    k := !k + 2
+  end;
+  if !v lsr 1 <> 0 then !k + 1 else !k
 
 let index_of v =
   if v < 16 then v

@@ -9,6 +9,11 @@ type t
 
 val create : unit -> t
 val add : t -> int -> unit
+
+val index_of : int -> int
+(** The bucket a value [>= 0] is counted in: the value itself below
+    16, then 16 sub-buckets per octave; constant time. *)
+
 val count : t -> int
 val min_value : t -> int
 val max_value : t -> int

@@ -4,11 +4,16 @@
    root set and force a [Bytes.create] per copy. Frame [f]'s payload
    lives at slab offset [f * page_size]. *)
 
+(* Frames are handed out freed-first, LIFO, then never-used ones in
+   ascending order: [free_stack] holds only frames given back, and
+   [fresh] is a bump pointer over the rest, so building a pool touches
+   no per-frame entry. *)
 type t = {
   total : int;
   slab : Sim.Bigbuf.t;
   free_stack : int array;
-  mutable free_top : int; (* number of free frames on the stack *)
+  mutable free_top : int; (* number of freed frames on the stack *)
+  mutable fresh : int; (* frames [fresh, total) were never allocated *)
   in_use : Bytes.t; (* 1 byte per frame: 0 = free, 1 = used *)
 }
 
@@ -29,25 +34,32 @@ let create ~frames =
   {
     total = frames;
     slab;
-    free_stack = Array.init frames (fun i -> frames - 1 - i);
-    free_top = frames;
+    free_stack = Array.make frames 0;
+    free_top = 0;
+    fresh = 0;
     in_use = Bytes.make frames '\000';
   }
 
 let total t = t.total
-let free_count t = t.free_top
+let free_count t = t.free_top + t.total - t.fresh
 
 (* Frames are handed out dirty: every consumer either fills the page
    from the fetch path or zeroes it explicitly on the zero-fill-fault
    path, so an unconditional memset here would be pure overhead. *)
 let alloc t =
-  if t.free_top = 0 then None
-  else begin
+  if t.free_top > 0 then begin
     t.free_top <- t.free_top - 1;
     let f = t.free_stack.(t.free_top) in
     Bytes.set t.in_use f '\001';
     Some f
   end
+  else if t.fresh < t.total then begin
+    let f = t.fresh in
+    t.fresh <- f + 1;
+    Bytes.set t.in_use f '\001';
+    Some f
+  end
+  else None
 
 let alloc_exn t =
   match alloc t with

@@ -107,6 +107,13 @@ let word t vpn = Array.unsafe_get (leaf t vpn) (fanout + (vpn land (fanout - 1))
 let set_word t vpn w =
   Array.unsafe_set (leaf_rw t vpn) (fanout + (vpn land (fanout - 1))) w
 
+let update_word t vpn ~test ~expect ~keep ~set =
+  let a = leaf t vpn and i = fanout + (vpn land (fanout - 1)) in
+  let w = Array.unsafe_get a i in
+  if w land test = expect then
+    Array.unsafe_set (if a == absent then materialize_walk t vpn else a) i ((w land keep) lor set);
+  w
+
 let iter_range t ~vpn ~count f =
   let stop = vpn + count in
   let v = ref vpn in

@@ -22,8 +22,8 @@
 
     Leaves are never freed. That is what keeps the lookup cache valid:
     [t] remembers the last leaf seen in each of 64 slots (direct-mapped
-    on [vpn lsr 9]), and [get], [set], [update], [word], [set_word] and
-    [leaf_slot] consult it before walking. The shared all-zero leaf that
+    on [vpn lsr 9]), and [get], [set], [update], [word], [set_word],
+    [update_word] and [leaf_slot] consult it before walking. The shared all-zero leaf that
     stands in for absent ones is never cached. *)
 
 type t
@@ -44,6 +44,14 @@ val word : t -> int -> int
 
 val set_word : t -> int -> int -> unit
 (** Materializes the path like [set]; the PTE is untouched. *)
+
+val update_word :
+  t -> int -> test:int -> expect:int -> keep:int -> set:int -> int
+(** [update_word t vpn ~test ~expect ~keep ~set] is one lookup's
+    read-modify-write of [vpn]'s kernel word [w]: iff
+    [w land test = expect], the word becomes [(w land keep) lor set]
+    (materializing the path like [set_word]). Returns [w], the word
+    before. [~test:0 ~expect:0] always writes. *)
 
 val leaf_slot : t -> int -> Pte.t array * int
 (** [leaf_slot t vpn] exposes the leaf array and index holding the

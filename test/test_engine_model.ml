@@ -1,7 +1,9 @@
 (* Engine ordering model. Random programs of fibers and callbacks run
    on [Sim.Engine] and on a naive reference scheduler that parks a fiber
-   on every sleep; the firing trace (each event and the clock when it
-   ran), the final clock and the queue length must agree. *)
+   on every sleep and keeps every event in one sorted list (a lane post
+   is a plain [at]); the firing trace (each event, the clock when it ran
+   and the queue length it saw), the final clock and the queue length
+   must agree. *)
 
 open Util
 
@@ -9,6 +11,7 @@ open Util
 module type ENGINE = sig
   type t
   type timer
+  type lane
 
   val create : unit -> t
   val now : t -> int
@@ -16,6 +19,8 @@ module type ENGINE = sig
   val after : t -> int -> (unit -> unit) -> unit
   val timer_at : t -> int -> (unit -> unit) -> timer
   val cancel : timer -> unit
+  val lane : t -> lane
+  val lane_at : lane -> int -> (unit -> unit) -> unit
   val spawn : t -> (unit -> unit) -> unit
   val sleep : t -> int -> unit
   val sleep_until : t -> int -> unit
@@ -30,6 +35,7 @@ module Real : ENGINE = struct
 
   type t = E.t
   type timer = E.timer
+  type lane = E.lane
 
   let ns = Sim.Time.ns
   let create = E.create
@@ -38,6 +44,8 @@ module Real : ENGINE = struct
   let after t d fn = E.after t (ns d) fn
   let timer_at t time fn = E.timer_at t (ns time) fn
   let cancel = E.cancel
+  let lane = E.lane
+  let lane_at l time fn = E.lane_at l (ns time) fn
   let spawn t f = E.spawn t f
   let sleep t d = E.sleep t (ns d)
   let sleep_until t time = E.sleep_until t (ns time)
@@ -60,6 +68,7 @@ module Reference : ENGINE = struct
   }
 
   type timer = { mutable state : [ `Pending | `Fired | `Cancelled ] }
+  type lane = t
   type _ Effect.t += Park : ((unit -> unit) -> unit) -> unit Effect.t
 
   let create () = { now = 0; seq = 0; future = []; ready = Queue.create () }
@@ -93,6 +102,8 @@ module Reference : ENGINE = struct
     tm
 
   let cancel tm = if tm.state = `Pending then tm.state <- `Cancelled
+  let lane t = t
+  let lane_at = at
 
   let spawn t f =
     Queue.push
@@ -152,6 +163,7 @@ end
 (* Programs *)
 
 let channels = 3
+let lanes = 2
 
 type cb = { cid : int; body : cop list }
 
@@ -159,6 +171,7 @@ and cop =
   | At of int * cb
   | After of int * cb
   | Timer of int * cb * int option (* cancel after this delay; 0 = now *)
+  | Lane of int * int * cb (* lane, delay *)
   | Spawn of fiber
   | Signal of int
 
@@ -180,6 +193,7 @@ let rec pp_cop b = function
       Printf.bprintf b "timer+%d%s %a" d
         (match c with None -> "" | Some c -> Printf.sprintf "/cancel+%d" c)
         pp_cb cb
+  | Lane (l, d, cb) -> Printf.bprintf b "lane%d+%d %a" l d pp_cb cb
   | Spawn f -> pp_fiber b f
   | Signal c -> Printf.bprintf b "signal %d" c
 
@@ -230,6 +244,11 @@ let gen_program_of ~delays ~ops ~top =
               (fun d cb c -> Timer (d, cb, c))
               delays (gen_cb (depth - 1))
               (opt (int_range 0 5)) );
+          ( 3,
+            map3
+              (fun l d cb -> Lane (l, d, cb))
+              (int_bound (lanes - 1))
+              delays (gen_cb (depth - 1)) );
           (3, map (fun f -> Spawn f) (gen_fiber (depth - 1)));
           (1, leaf);
         ]
@@ -273,6 +292,11 @@ let gen_wide_program =
         [
           (2, map2 (fun d cb -> At (d, cb)) (int_range 1 24) (gen_cb 2));
           (1, map2 (fun d cb -> After (d, cb)) (int_range 1 24) (gen_cb 2));
+          ( 2,
+            map3
+              (fun l d cb -> Lane (l, d, cb))
+              (int_bound (lanes - 1))
+              (int_range 1 24) (gen_cb 2) );
         ])
 
 (* Trace of one program on one engine. *)
@@ -280,8 +304,9 @@ module Exec (E : ENGINE) = struct
   let exec p =
     let e = E.create () in
     let log = ref [] in
-    let note s = log := Printf.sprintf "%s@%d" s (E.now e) :: !log in
+    let note s = log := Printf.sprintf "%s@%d/%d" s (E.now e) (E.pending e) :: !log in
     let waiters = Array.make channels [] in
+    let ls = Array.init lanes (fun _ -> E.lane e) in
     let rec cop = function
       | At (d, cb) -> E.at e (E.now e + d) (fun () -> fire cb)
       | After (d, cb) -> E.after e d (fun () -> fire cb)
@@ -291,6 +316,7 @@ module Exec (E : ENGINE) = struct
           | None -> ()
           | Some 0 -> E.cancel tm
           | Some c -> E.after e c (fun () -> E.cancel tm))
+      | Lane (l, d, cb) -> E.lane_at ls.(l) (E.now e + d) (fun () -> fire cb)
       | Spawn f -> E.spawn e (fun () -> fiber f)
       | Signal c ->
           let ws = List.rev waiters.(c) in

@@ -157,7 +157,7 @@ let qp_retries_are_transparent () =
   run_sim (fun eng ->
       let stats = Sim.Stats.create () in
       let spec = { Spec.zero with Spec.error_rate = 0.5 } in
-      let _store, fabric = mk_faulted_fabric eng ~stats ~seed:3 spec in
+      let store, fabric = mk_faulted_fabric eng ~stats ~seed:3 spec in
       let qp = Rdma.Fabric.qp fabric ~name:"t" in
       for i = 0 to 49 do
         let src =
@@ -177,7 +177,9 @@ let qp_retries_are_transparent () =
         (Sim.Stats.get stats "rdma_comp_errors" > 0);
       check_bool "and retried" true (Sim.Stats.get stats "rdma_retries" > 0);
       check_int "no failure ever surfaced" 0
-        (Sim.Stats.get stats "rdma_perm_failures"))
+        (Sim.Stats.get stats "rdma_perm_failures");
+      check_int "retried writes left nothing staged" 0
+        (Memnode.Page_store.staged store))
 
 let qp_nack_and_dup_accounting () =
   run_sim (fun eng ->
@@ -252,10 +254,10 @@ let qp_permanent_failure_surfaces () =
         (Sim.Stats.get stats "rdma_perm_failures");
       (* max_retries is the attempt budget: 3 attempts = 2 retries. *)
       check_int "retry budget honoured" 2 (Sim.Stats.get stats "rdma_retries"));
-  (* A WRITE abandoned in a short blackout lands nothing and returns
-     its pooled snapshot exactly once: the two writes posted after the
-     blackout take distinct snapshots, each holding its post-time
-     payload although the source is overwritten after every post. *)
+  (* A WRITE abandoned in a short blackout lands nothing and unstages
+     its payload exactly once: the two writes posted after the
+     blackout stage distinct payloads, each holding its post-time
+     bytes although the source is overwritten after every post. *)
   run_sim (fun eng ->
       let stats = Sim.Stats.create () in
       let spec =
@@ -268,7 +270,7 @@ let qp_permanent_failure_surfaces () =
           max_retries = 3;
         }
       in
-      let _store, fabric = mk_faulted_fabric eng ~stats ~seed:1 spec in
+      let store, fabric = mk_faulted_fabric eng ~stats ~seed:1 spec in
       let qp = Rdma.Fabric.qp fabric ~name:"t" in
       let page raddr = [ { Rdma.Qp.raddr; loff = 0; len = 4096 } ] in
       let src = Sim.Bigbuf.create 4096 in
@@ -281,6 +283,9 @@ let qp_permanent_failure_surfaces () =
         ~on_complete:(fun () -> Alcotest.fail "abandoned write completed");
       Sim.Engine.sleep eng (Sim.Time.us 200);
       check_bool "write abandoned in the blackout" true !failed;
+      check_int "abandoned write unstaged" 0 (Memnode.Page_store.staged store);
+      check_int "abandoned write holds nothing" 0
+        (Memnode.Page_store.held_bytes store);
       fill 'A';
       Rdma.Qp.post_write qp ~on_error:(fun () -> Alcotest.fail "write A failed")
         ~segs:(page 0L) ~buf:src
@@ -290,8 +295,12 @@ let qp_permanent_failure_surfaces () =
         ~segs:(page 0x1000L) ~buf:src
         ~on_complete:(fun () -> incr landed);
       fill 'C';
+      check_int "two writes staged in flight" 2 (Memnode.Page_store.staged store);
       Sim.Engine.sleep eng (Sim.Time.us 100);
       check_int "both writes landed" 2 !landed;
+      check_int "and were adopted" 0 (Memnode.Page_store.staged store);
+      check_int "two dense blocks held" (2 * 4096)
+        (Memnode.Page_store.held_bytes store);
       let read_back raddr =
         let dst = Sim.Bigbuf.create 4096 in
         Rdma.Qp.read qp ~raddr ~buf:dst ~off:0 ~len:4096;
@@ -318,7 +327,9 @@ let qp_unreachable_attribution () =
             {
               Rdma.Qp.t_read =
                 (fun raddr _ _ _ -> raise (Rdma.Qp.Unreachable raddr));
-              t_write = (fun _ _ _ _ -> ());
+              t_stage = (fun _ _ _ -> 0);
+              t_land = (fun _ _ _ -> ());
+              t_unstage = ignore;
             }
           in
           let fabric =

@@ -331,23 +331,30 @@ let store_drop_partial_rewrite () =
   check_int "one block resident" 1 (Ps.resident_blocks s);
   Alcotest.(check (list int)) "touched" [ 2 ] (touched s)
 
-(* [equal] compares in place, against zeros where nothing was written. *)
+(* [equal] compares a staged payload in place, against zeros where
+   nothing was written. *)
 let store_equal_in_place () =
   let s = Ps.create ~size:65536L in
-  check_bool "absent block equals zeros" true
-    (Ps.equal s 3 ~inb:100 ~src:(bb_make 50 '\000') ~off:0 ~len:50);
+  let staged b ~off ~len = Ps.stage s ~src:b ~off ~len in
+  let zeros = staged (bb_make 50 '\000') ~off:0 ~len:50
+  and qs = staged (bb_make 50 'q') ~off:0 ~len:50 in
+  check_bool "absent block equals zeros" true (Ps.equal s 3 ~inb:100 zeros ~soff:0 ~len:50);
   check_bool "absent block differs from nonzero" false
-    (Ps.equal s 3 ~inb:100 ~src:(bb_make 50 'q') ~off:0 ~len:50);
+    (Ps.equal s 3 ~inb:100 qs ~soff:0 ~len:50);
   Ps.write s ~addr:(Int64.of_int ((3 * 4096) + 100)) ~src:(bb_make 50 'q') ~off:0 ~len:50;
-  let src = bb_make 60 'q' in
-  check_bool "written span equals" true (Ps.equal s 3 ~inb:100 ~src ~off:10 ~len:50);
-  check_bool "one byte past differs" false (Ps.equal s 3 ~inb:101 ~src ~off:0 ~len:50);
+  let src = staged (bb_make 60 'q') ~off:0 ~len:60 in
+  check_bool "written span equals" true (Ps.equal s 3 ~inb:100 src ~soff:10 ~len:50);
+  check_bool "one byte past differs" false (Ps.equal s 3 ~inb:101 src ~soff:0 ~len:50);
+  check_bool "zeros past the staged slot compare" true
+    (Ps.equal s 4 ~inb:0 zeros ~soff:0 ~len:4096);
   Alcotest.check_raises "span leaving its block"
     (Invalid_argument "Page_store.equal: span leaves its block or the store")
-    (fun () -> ignore (Ps.equal s 3 ~inb:4090 ~src ~off:0 ~len:10));
+    (fun () -> ignore (Ps.equal s 3 ~inb:4090 src ~soff:0 ~len:10));
   Alcotest.check_raises "span past the store"
     (Invalid_argument "Page_store.equal: span leaves its block or the store")
-    (fun () -> ignore (Ps.equal s 16 ~inb:0 ~src ~off:0 ~len:1))
+    (fun () -> ignore (Ps.equal s 16 ~inb:0 src ~soff:0 ~len:1));
+  List.iter (Ps.unstage s) [ zeros; qs; src ];
+  check_int "nothing staged" 0 (Ps.staged s)
 
 (* One nonzero word per page (a sequential overwrite's pages) takes a
    64 B slot, not a 4 KiB block; a dense rewrite grows every block to
@@ -402,7 +409,8 @@ let store_holds_used_length () =
 type shape = Zero | Word of int | Prefix of int | Dense
 
 type store_op =
-  | Write of int * int * shape * int
+  | Write of int * int * shape * int * bool (* staged and landed, as a QP does *)
+  | Abandon of int * shape (* stage [len] bytes, then unstage them *)
   | Read of int * int
   | Drop of int
   | Equal of int * int * int * int option
@@ -441,11 +449,15 @@ let store_op_gen =
   in
   frequency
     [
-      (5, map3 (fun (a, len) sh seed -> Write (a, len, sh, seed)) range shape (int_bound 255));
+      ( 5,
+        map4
+          (fun (a, len) sh seed st -> Write (a, len, sh, seed, st))
+          range shape (int_bound 255) bool );
       ( 3,
-        map3
-          (fun blk sh seed -> Write (blk * 4096, 4096, sh, seed))
-          block shape (int_bound 255) );
+        map4
+          (fun blk sh seed st -> Write (blk * 4096, 4096, sh, seed, st))
+          block shape (int_bound 255) bool );
+      (1, map2 (fun len sh -> Abandon (len, sh)) (int_bound 4096) shape);
       (4, map (fun (a, len) -> Read (a, len)) range);
       (2, map (fun a -> Drop (a / 4096)) addr);
       ( 3,
@@ -462,8 +474,11 @@ let print_shape = function
   | Dense -> "dense"
 
 let print_store_op = function
-  | Write (a, len, sh, seed) ->
-      Printf.sprintf "Write(%#x,+%d,%s,%d)" a len (print_shape sh) seed
+  | Write (a, len, sh, seed, st) ->
+      Printf.sprintf "%s(%#x,+%d,%s,%d)"
+        (if st then "Staged_write" else "Write")
+        a len (print_shape sh) seed
+  | Abandon (len, sh) -> Printf.sprintf "Abandon(+%d,%s)" len (print_shape sh)
   | Read (a, len) -> Printf.sprintf "Read(%#x,+%d)" a len
   | Drop blk -> Printf.sprintf "Drop(%d)" blk
   | Equal (blk, inb, len, flip) ->
@@ -494,6 +509,16 @@ let shape_bytes sh len seed =
    1,024 or 4,096 bytes covering a used length. *)
 let class_bytes used = if used <= 64 then 64 else if used <= 256 then 256 else if used <= 1024 then 1024 else 4096
 
+(* A write as a QP lands one: each piece inside a block staged, then
+   landed in order. *)
+let rec staged_write s a src off len =
+  if len > 0 then begin
+    let n = Int.min len (4096 - (a land 4095)) in
+    let h = Ps.stage s ~src ~off ~len:n in
+    Ps.land_staged s ~addr:(Int64.of_int a) h ~len:n;
+    staged_write s (a + n) src (off + n) (len - n)
+  end
+
 let page_store_model =
   QCheck.Test.make ~name:"page store matches Bytes reference model" ~count:200
     (QCheck.make
@@ -508,7 +533,7 @@ let page_store_model =
         (fun op ->
           let op_ok =
             match op with
-            | Write (a, len, sh, seed) ->
+            | Write (a, len, sh, seed, st) ->
                 let b = shape_bytes sh len seed in
                 Bytes.blit b 0 ref_ a len;
                 let rec classify a' =
@@ -526,7 +551,15 @@ let page_store_model =
                   end
                 in
                 classify a;
-                Ps.write s ~addr:(Int64.of_int a) ~src:(Sim.Bigbuf.of_string (Bytes.to_string b)) ~off:0 ~len;
+                let src = Sim.Bigbuf.of_string (Bytes.to_string b) in
+                if st then staged_write s a src 0 len
+                else Ps.write s ~addr:(Int64.of_int a) ~src ~off:0 ~len;
+                true
+            | Abandon (len, sh) ->
+                Ps.unstage s
+                  (Ps.stage s
+                     ~src:(Sim.Bigbuf.of_string (Bytes.to_string (shape_bytes sh len 1)))
+                     ~off:0 ~len);
                 true
             | Read (a, len) ->
                 let dst = bb_make len 'x' in
@@ -538,7 +571,6 @@ let page_store_model =
                 cap.(blk) <- 0;
                 true
             | Equal (blk, inb, len, flip) ->
-                (* three bytes of lead, so [~off] is exercised too *)
                 let src = Bytes.make (len + 3) 'L' in
                 Bytes.blit ref_ ((blk * 4096) + inb) src 3 len;
                 Option.iter
@@ -550,17 +582,117 @@ let page_store_model =
                   String.equal (Bytes.sub_string src 3 len)
                     (Bytes.sub_string ref_ ((blk * 4096) + inb) len)
                 in
-                Bool.equal want
-                  (Ps.equal s blk ~inb ~src:(Sim.Bigbuf.of_string (Bytes.to_string src)) ~off:3 ~len)
+                (* Staged behind up to three bytes of the lead, so
+                   [~off] and [~soff] are exercised too. *)
+                let lead = Int.min 3 (4096 - len) in
+                let h =
+                  Ps.stage s ~src:(Sim.Bigbuf.of_string (Bytes.to_string src))
+                    ~off:(3 - lead) ~len:(lead + len)
+                in
+                let got = Ps.equal s blk ~inb h ~soff:lead ~len in
+                Ps.unstage s h;
+                Bool.equal want got
           in
           let expect =
             List.filter (fun b -> cap.(b) > 0) (List.init (Array.length cap) Fun.id)
           in
           op_ok
+          && Int.equal (Ps.staged s) 0
           && Int.equal (Ps.resident_blocks s) (List.length expect)
           && Int.equal (Ps.held_bytes s) (Array.fold_left ( + ) 0 cap)
           && List.equal Int.equal (touched s) expect)
         ops)
+
+(* WRITEs through a QP, all posted before any completes: one to eight
+   WRs of one to three segments each, crossing block boundaries,
+   spanning several pages, and overlapping each other. Each WR's
+   payload is captured at post (the source is scrambled right after),
+   and WRs of different sizes complete out of post order, so the model
+   applies each payload when its [on_complete] runs. The store must
+   then equal the model byte for byte with nothing left staged, behind
+   a plain store and behind replica groups at one and two copies. *)
+let qp_write_gen =
+  let open QCheck.Gen in
+  let region = 8 * 4096 in
+  let seg =
+    int_bound (region - 1) >>= fun raddr ->
+    frequency [ (3, int_bound 300); (2, int_range 4000 9000); (1, return 4096) ] >>= fun len ->
+    let len = Int.min len (region - raddr) in
+    map (fun loff -> (raddr, loff, len)) (int_bound 256)
+  in
+  let shape =
+    frequency
+      [
+        (1, return Zero);
+        (2, map (fun o -> Word o) (int_bound 9000));
+        (1, map (fun p -> Prefix p) (int_bound 9000));
+        (1, return Dense);
+      ]
+  in
+  list_size (int_range 1 8)
+    (triple (list_size (int_range 1 3) seg) shape (int_bound 255))
+
+let print_qp_writes =
+  QCheck.Print.(
+    list (fun (segs, sh, seed) ->
+        Printf.sprintf "{%s %s %d}"
+          (String.concat ","
+             (List.map (fun (r, l, n) -> Printf.sprintf "%#x<-%d+%d" r l n) segs))
+          (print_shape sh) seed))
+
+let qp_writes_land_exactly =
+  QCheck.Test.make ~name:"qp writes land byte-exact, nothing left staged" ~count:150
+    (QCheck.make ~print:print_qp_writes qp_write_gen)
+    (fun wrs ->
+      let size = 8 * 4096 in
+      List.for_all
+        (fun topo ->
+          run_sim (fun eng ->
+              let store, target =
+                match topo with
+                | None ->
+                    let s = Ps.create ~size:(Int64.of_int size) in
+                    (s, Ps.target s)
+                | Some replication ->
+                    let g =
+                      Memnode.Replica_group.create ~eng ~size:(Int64.of_int size)
+                        ~config:
+                          { Memnode.Replica_group.default_config with shards = 2; replication }
+                        ()
+                    in
+                    (Memnode.Replica_group.store g, Memnode.Replica_group.target g)
+              in
+              let fabric =
+                Rdma.Fabric.connect ~eng ~target ~size:(Int64.of_int size) ()
+              in
+              let qp = Rdma.Fabric.qp fabric ~name:"t" in
+              let model = Bytes.make size '\000' in
+              let src = Sim.Bigbuf.create (9000 + 256) in
+              let landed = ref 0 in
+              List.iter
+                (fun (segs, sh, seed) ->
+                  let payload = shape_bytes sh (Sim.Bigbuf.length src) seed in
+                  Sim.Bigbuf.blit_from_bytes payload ~src_off:0 src ~dst_off:0
+                    ~len:(Bytes.length payload);
+                  let segs =
+                    List.map (fun (raddr, loff, len) -> { Rdma.Qp.raddr = Int64.of_int raddr; loff; len }) segs
+                  in
+                  Rdma.Qp.post_write qp ~segs ~buf:src ~on_complete:(fun () ->
+                      incr landed;
+                      List.iter
+                        (fun s ->
+                          Bytes.blit payload s.Rdma.Qp.loff model
+                            (Int64.to_int s.Rdma.Qp.raddr) s.Rdma.Qp.len)
+                        segs);
+                  Sim.Bigbuf.fill src ~off:0 ~len:(Sim.Bigbuf.length src) '\xff')
+                wrs;
+              Sim.Engine.sleep eng (Sim.Time.ms 1);
+              let got = Sim.Bigbuf.create size in
+              Ps.read store ~addr:0L ~dst:got ~off:0 ~len:size;
+              Int.equal !landed (List.length wrs)
+              && Int.equal (Ps.staged store) 0
+              && String.equal (bb_str got) (Bytes.to_string model)))
+        [ None; Some 1; Some 2 ])
 
 let suite =
   [
@@ -586,4 +718,5 @@ let suite =
     quick "page store compares in place" store_equal_in_place;
     quick "page store holds a block at its used length" store_holds_used_length;
     QCheck_alcotest.to_alcotest page_store_model;
+    QCheck_alcotest.to_alcotest qp_writes_land_exactly;
   ]

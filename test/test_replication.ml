@@ -42,12 +42,35 @@ let mk ~eng ?(shards = 2) ?(replication = 2) ?(granule = 256)
 (* Deterministic byte pattern, keyed by absolute address + seed. *)
 let pat seed addr = (((addr * 131) lxor (seed * 2654435761)) land 0xff : int)
 
+(* A WRITE of [len] bytes of [b] at [addr] through the group's target,
+   as a QP issues one: staged a 4 KiB block's piece at a time, then
+   landed in order; the pieces left when one raises are unstaged. *)
+let target_write g addr b off len =
+  let tg = Rg.target g in
+  let rec stage addr off len =
+    if len = 0 then []
+    else
+      let n = Int.min len (page - (addr land (page - 1))) in
+      let h = tg.Rdma.Qp.t_stage b off n in
+      (addr, h, n) :: stage (addr + n) (off + n) (len - n)
+  in
+  let rec land_all = function
+    | [] -> ()
+    | (addr, h, n) :: rest -> (
+        match tg.Rdma.Qp.t_land (Int64.of_int addr) h n with
+        | () -> land_all rest
+        | exception e ->
+            List.iter (fun (_, h, _) -> tg.Rdma.Qp.t_unstage h) rest;
+            raise e)
+  in
+  land_all (stage addr off len)
+
 let write_pat g ~seed ~addr ~len =
   let b = Buf.create len in
   for i = 0 to len - 1 do
     Buf.set_u8 b i (pat seed (addr + i))
   done;
-  (Rg.target g).Rdma.Qp.t_write (Int64.of_int addr) b 0 len
+  target_write g addr b 0 len
 
 let read_back g ~addr ~len =
   let b = Buf.create len in
@@ -177,7 +200,7 @@ let granule_diff_bounds_mirror_traffic () =
       (* Rewrite the page with exactly one granule changed. *)
       let b = read_back g ~addr:0 ~len:page in
       Buf.set_u8 b 512 (1 + Buf.get_u8 b 512);
-      (Rg.target g).Rdma.Qp.t_write 0L b 0 page;
+      target_write g 0 b 0 page;
       check_int "rewrite: one dirty granule" ((page / 256) + 1)
         (stat st "repl_granules_dirty");
       check_int "rewrite: rest clean" ((page / 256) - 1)
@@ -273,9 +296,82 @@ let double_kill_is_unreachable () =
       | exception Rdma.Qp.Unreachable _ -> ()
       | _ -> Alcotest.fail "read with zero live replicas served bytes");
       (* Writes with no live replica must refuse the ack too. *)
-      match write_pat g ~seed:4 ~addr:0 ~len:page with
+      (match write_pat g ~seed:4 ~addr:0 ~len:page with
       | exception Rdma.Qp.Unreachable _ -> ()
-      | () -> Alcotest.fail "write with zero live replicas was acked")
+      | () -> Alcotest.fail "write with zero live replicas was acked");
+      check_int "the refused write left nothing staged" 0
+        (Memnode.Page_store.staged (Rg.store g)))
+
+(* A WRITE the group cannot land still consumes its staged payload:
+   through a QP, a three-page WRITE whose second page has no live
+   replica lands its first page and fails, and its third page, never
+   landed, is unstaged; a one-page WRITE to a dead page lands nothing.
+   Either way nothing stays staged and what the store holds is exactly
+   what landed. *)
+let unreachable_write_unstages () =
+  run_sim (fun eng ->
+      let g, _ = mk ~eng ~shards:2 ~replication:1 () in
+      let store = Rg.store g in
+      write_pat g ~seed:1 ~addr:0 ~len:(4 * page);
+      (* RF=1: odd pages live only on shard 1, and die with it. *)
+      Rg.kill g 1;
+      check_int "two pages left" 2 (Memnode.Page_store.resident_blocks store);
+      let fabric =
+        Rdma.Fabric.connect ~eng ~target:(Rg.target g)
+          ~size:(Int64.of_int (64 * page)) ()
+      in
+      let qp = Rdma.Fabric.qp fabric ~name:"t" in
+      let src = Buf.create (3 * page) in
+      for i = 0 to (3 * page) - 1 do
+        Buf.set_u8 src i (pat 2 i)
+      done;
+      let failures = ref 0 in
+      let post raddr len =
+        Rdma.Qp.post_write qp
+          ~on_error:(fun () -> incr failures)
+          ~segs:[ { Rdma.Qp.raddr; loff = 0; len } ]
+          ~buf:src
+          ~on_complete:(fun () -> Alcotest.fail "write to a dead page acked")
+      in
+      post 0L (3 * page);
+      post (Int64.of_int (3 * page)) page;
+      check_int "four payloads staged in flight" 4 (Memnode.Page_store.staged store);
+      Sim.Engine.sleep eng (Sim.Time.us 100);
+      check_int "both writes failed" 2 !failures;
+      check_int "nothing left staged" 0 (Memnode.Page_store.staged store);
+      check_pat "page 0 landed before the failure" g ~seed:2 ~addr:0 ~len:page;
+      check_pat "page 2 kept its bytes" g ~seed:1 ~addr:(2 * page) ~len:page;
+      check_int "still two pages" 2 (Memnode.Page_store.resident_blocks store);
+      check_int "two dense pages held" (2 * page) (Memnode.Page_store.held_bytes store))
+
+(* At RF 2 a write is diffed against the store in place. A page with
+   no dirty granule lands nothing: a fresh all-zero page stays absent
+   and an identical rewrite keeps the block as it was. A whole page
+   with a dirty granule is adopted, so it is held at its new used
+   length. *)
+let rf2_clean_write_keeps_residency () =
+  run_sim (fun eng ->
+      let g, st = mk ~eng () in
+      let store = Rg.store g in
+      let zeros = Buf.create page in
+      target_write g (5 * page) zeros 0 page;
+      check_bool "all-zero page on a fresh block stays absent" false
+        (Memnode.Page_store.mem store 5);
+      check_int "all granules clean" (page / 256) (stat st "repl_granules_clean");
+      write_pat g ~seed:3 ~addr:(6 * page) ~len:page;
+      check_int "dense page held whole" page (Memnode.Page_store.held_bytes store);
+      let same = read_back g ~addr:(6 * page) ~len:page in
+      target_write g (6 * page) same 0 page;
+      check_bool "identical rewrite keeps the block" true (Memnode.Page_store.mem store 6);
+      check_int "and its slot" page (Memnode.Page_store.held_bytes store);
+      let sparse = Buf.create page in
+      Buf.set_u64_le sparse 0 0x0102030405060708L;
+      target_write g (6 * page) sparse 0 page;
+      check_int "sparse rewrite adopted at 64 B" 64 (Memnode.Page_store.held_bytes store);
+      check_bool "bytes exact" true
+        (Buf.equal_range (read_back g ~addr:(6 * page) ~len:page) ~a_off:0 sparse ~b_off:0
+           ~len:page);
+      check_int "nothing staged" 0 (Memnode.Page_store.staged store))
 
 (* ------------------------------------------------------------------ *)
 (* Recovery / resync. *)
@@ -496,7 +592,7 @@ let replicated_group_agrees_with_bytes_model =
                     Buf.set_u8 b i v;
                     Bytes.set model (off + i) (Char.chr v)
                   done;
-                  (Rg.target g).Rdma.Qp.t_write (Int64.of_int off) b 0 len
+                  target_write g off b 0 len
               | Q_kill i ->
                   if alive.(i) && alive.(1 - i) && not (Rg.syncing g (1 - i))
                   then begin
@@ -922,6 +1018,9 @@ let suite =
       failover_latency_recorded_once;
     quick "RF=1 kill surfaces Unreachable" rf1_kill_is_unreachable;
     quick "double kill refuses reads and writes" double_kill_is_unreachable;
+    quick "an unreachable WRITE leaves nothing staged" unreachable_write_unstages;
+    quick "an RF 2 write with no dirty granule keeps residency"
+      rf2_clean_write_keeps_residency;
     quick "resync restores the replication factor"
       resync_restores_replication_factor;
     quick "resync respects the bandwidth budget"

@@ -456,6 +456,35 @@ let histogram_mean_qcheck =
         (Int64.bits_of_float (Sim.Histogram.mean h))
         (Int64.bits_of_float (fsum /. float_of_int (List.length vs))))
 
+(* [Histogram.index_of]'s constant-time log2 against the loop it
+   replaced (one shift per bit), for values from 0 to 2^62 - 1
+   ([max_int]): small ones, powers of two and their neighbours, and
+   uniform draws of every width. *)
+let histogram_index_qcheck =
+  let loop_index v =
+    if v < 16 then v
+    else
+      let rec log2 v acc = if v <= 1 then acc else log2 (v lsr 1) (acc + 1) in
+      let k = log2 v 0 in
+      Int.min 1023 (16 + ((k - 4) * 16) + ((v lsr (k - 4)) land 15))
+  in
+  let value_gen =
+    QCheck.Gen.(
+      oneof
+        [
+          int_bound 4096;
+          map2 (fun k d -> Int.max 0 ((1 lsl k) + d)) (int_range 0 61) (int_range (-2) 2);
+          map2
+            (fun k v -> v land ((1 lsl k) - 1))
+            (int_range 1 62)
+            (map2 (fun hi lo -> (hi lsl 31) lxor lo) (int_bound max_int) (int_bound max_int));
+          return max_int;
+        ])
+  in
+  QCheck.Test.make ~name:"histogram index_of equals the per-bit loop" ~count:2000
+    (QCheck.make value_gen ~print:string_of_int)
+    (fun v -> Int.equal (Sim.Histogram.index_of v) (loop_index v))
+
 (* [Stats.diff] walks both name-sorted snapshots in step; the reference
    looks every name of [cur] up in [base]. Names are drawn from a small
    alphabet so the two snapshots share most names, with some only in
@@ -603,8 +632,8 @@ let timer_cancel_preserves_order () =
   (* A cancelled timer stays in the heap as a no-op, so every other
      event keeps its (time, seq) slot: the observable sequence is
      exactly as if the timer had never been armed. This is what lets
-     the QP arm retransmission timeouts without perturbing fault-free
-     event order. *)
+     a drill cancel its scripted kill and recover timers without
+     perturbing the order of everything else. *)
   run_sim (fun eng ->
       let log = ref [] in
       let push x () = log := x :: !log in
@@ -620,6 +649,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest int_table_qcheck;
     QCheck_alcotest.to_alcotest histogram_mean_qcheck;
+    QCheck_alcotest.to_alcotest histogram_index_qcheck;
     QCheck_alcotest.to_alcotest stats_diff_qcheck;
     quick "int_table rejects min_int" int_table_rejects_min_int;
     quick "rng deterministic" rng_deterministic;

@@ -116,6 +116,18 @@ let frame_alloc_free () =
   Vmem.Frame.free f a;
   check_int "freed" 3 (Vmem.Frame.free_count f)
 
+(* Freed frames come back last in, first out, before any frame never
+   used, and frames never used come in ascending order. *)
+let frame_allocation_order () =
+  let f = Vmem.Frame.create ~frames:8 in
+  let take n = List.init n (fun _ -> Vmem.Frame.alloc_exn f) in
+  Alcotest.(check (list int)) "fresh frames ascending" [ 0; 1; 2; 3 ] (take 4);
+  Vmem.Frame.free f 1;
+  Vmem.Frame.free f 3;
+  check_int "free count" 6 (Vmem.Frame.free_count f);
+  Alcotest.(check (list int)) "freed LIFO, then fresh" [ 3; 1; 4; 5 ] (take 4);
+  check_int "two left" 2 (Vmem.Frame.free_count f)
+
 let frame_exhaustion () =
   let f = Vmem.Frame.create ~frames:2 in
   ignore (Vmem.Frame.alloc_exn f);
@@ -222,6 +234,7 @@ let suite =
     quick "page table iter_range" pt_iter_range;
     quick "page table iter_range visits all" pt_iter_range_counts_all;
     quick "frame alloc/free" frame_alloc_free;
+    quick "frame allocation order" frame_allocation_order;
     quick "frame exhaustion" frame_exhaustion;
     quick "frame double free rejected" frame_double_free_rejected;
     quick "frame recycled dirty" frame_recycled_dirty;

@@ -29,6 +29,7 @@ type pt_op =
   | Unset of int
   | Set_word of int * int
   | Get_word of int
+  | Update_word of int * int * int * int * int (* vpn, test, expect, keep, set *)
 
 let pt_op_gen =
   let vpn = QCheck.Gen.int_bound (Array.length vpn_pool - 1) in
@@ -40,6 +41,12 @@ let pt_op_gen =
         map (fun i -> Unset i) vpn;
         map2 (fun i w -> Set_word (i, w)) vpn (oneof [ int_bound 7; int ]);
         map (fun i -> Get_word i) vpn;
+        (* Small masks, so the test both passes and fails often. *)
+        map3
+          (fun i (test, expect) (keep, set) -> Update_word (i, test, expect, keep, set))
+          vpn
+          (pair (int_bound 7) (int_bound 7))
+          (pair (oneof [ return (-1); int_bound 7; map lnot (int_bound 7) ]) (int_bound 7));
       ])
 
 let pt_op_print = function
@@ -48,6 +55,9 @@ let pt_op_print = function
   | Unset i -> Printf.sprintf "Unset(vpn[%d])" i
   | Set_word (i, w) -> Printf.sprintf "Set_word(vpn[%d], %d)" i w
   | Get_word i -> Printf.sprintf "Get_word(vpn[%d])" i
+  | Update_word (i, test, expect, keep, set) ->
+      Printf.sprintf "Update_word(vpn[%d], test %d, expect %d, keep %d, set %d)" i test
+        expect keep set
 
 (* PTEs and kernel words live side by side in a leaf; the model keeps
    them in two tables, so a word write that clobbered a PTE (or the
@@ -94,7 +104,14 @@ let page_table_model_qcheck =
               let vpn = vpn_pool.(i) in
               Vmem.Page_table.set_word pt vpn w;
               Hashtbl.replace words vpn w
-          | Get_word _ -> ());
+          | Get_word _ -> ()
+          | Update_word (i, test, expect, keep, set) ->
+              let vpn = vpn_pool.(i) in
+              let w = find words vpn in
+              if w land test = expect then Hashtbl.replace words vpn ((w land keep) lor set);
+              let old = Vmem.Page_table.update_word pt vpn ~test ~expect ~keep ~set in
+              if not (Int.equal old w) then
+                QCheck.Test.fail_reportf "update_word returned %d, the word was %d" old w);
           (* Every pool vpn reads back what the models hold. *)
           agrees ())
         ops
@@ -113,10 +130,12 @@ let page_table_lookups_no_alloc () =
     let vpn = vpns.(i land 3) + (i land 7) in
     Vmem.Page_table.set pt vpn (Vmem.Pte.make_local ~frame:i ~writable:true);
     Vmem.Page_table.set_word pt vpn i;
-    acc := !acc + Vmem.Page_table.get pt vpn + Vmem.Page_table.word pt vpn
+    acc :=
+      !acc + Vmem.Page_table.get pt vpn + Vmem.Page_table.word pt vpn
+      + Vmem.Page_table.update_word pt vpn ~test:1 ~expect:0 ~keep:(-1) ~set:1
   done;
   let w1 = Gc.minor_words () in
-  check_int "minor words over 10k lookups" 0 (int_of_float (w1 -. w0));
+  check_int "minor words over 12.5k lookups" 0 (int_of_float (w1 -. w0));
   check_bool "lookups read back" true (!acc > 0)
 
 let page_table_iter_range_qcheck =
