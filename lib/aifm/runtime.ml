@@ -348,10 +348,8 @@ let rec demand_fetch t o ci refetches =
   if not !failed then install t o ci buf
   else begin
     abandon_fetch c;
-    if refetches + 1 >= Dilos.Params.fault_refetch_max then
-      raise
-        (Dilos.Cpu.Page_lost
-           (Int64.add (handle_of o.oid) (Int64.of_int (ci * chunk_size))));
+    Dilos.Major_fault.fetch_failed (refetches + 1)
+      (Int64.add (handle_of o.oid) (Int64.of_int (ci * chunk_size)));
     Sim.Engine.sleep t.eng (Sim.Time.ns Dilos.Params.fault_refetch_delay_ns);
     (* Another fiber may have fetched it meanwhile; the caller
        re-dispatches on whatever state the chunk is in. *)

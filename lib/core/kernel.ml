@@ -68,7 +68,6 @@ let allocator t = t.alloc
 let free_frames t = Page_manager.free_frames t.pm
 let page_tag t addr = Vmem.Pte.tag (Vmem.Page_table.get t.pt (Vmem.Addr.vpn addr))
 let quiesce t = Page_manager.quiesce t.pm
-let invalidate t vpn = Cpu.invalidate t.cpus vpn
 
 let cpu t ~core =
   if core < 0 || core >= Array.length t.cpus then invalid_arg "Kernel: bad core";
@@ -80,19 +79,10 @@ let set_prefetch_guide t g = t.prefetch_guide <- g
 (* ------------------------------------------------------------------ *)
 (* Page fault handling                                                 *)
 
-(* READ segments for the page at remote [base], landing at byte
-   offset [foff] of the destination buffer. *)
-let full_page_segs ~base ~foff =
-  [ { Rdma.Qp.raddr = base; loff = foff; len = Vmem.Addr.page_size } ]
-
+(* READ segments of an [Action] page's logged vector. *)
 let action_segs t ~payload ~base ~foff =
-  Page_manager.vector_segments t.pm ~payload
-  |> List.map (fun (off, len) ->
-         {
-           Rdma.Qp.raddr = Int64.add base (Int64.of_int off);
-           loff = foff + off;
-           len;
-         })
+  Writeback.segs ~base ~foff
+    (Some (Writeback.vector_segments (Page_manager.writeback t.pm) ~payload))
 
 (* Shift decoded segs by a frame's slab offset (a top-level recursion:
    a [List.map] closure would allocate per fault). *)
@@ -172,7 +162,7 @@ let prepare_prefetch t ?(flow = 0) vpn =
                        (host-side only, no simulated charge). *)
                     Vmem.Frame.fill_page t.frames frame '\000';
                     action_segs t ~payload:(Vmem.Pte.payload pte) ~base ~foff
-                | _ -> full_page_segs ~base ~foff
+                | _ -> Writeback.segs ~base ~foff None
               in
               match segs with
               | [] ->
@@ -260,7 +250,7 @@ let major_fault t cs vpn pte =
     match Vmem.Pte.tag pte with
     | Vmem.Pte.Action ->
         action_segs t ~payload:(Vmem.Pte.payload pte) ~base ~foff:0
-    | Vmem.Pte.Remote -> full_page_segs ~base ~foff:0
+    | Vmem.Pte.Remote -> Writeback.segs ~base ~foff:0 None
     | Vmem.Pte.Local | Vmem.Pte.Unmapped | Vmem.Pte.Fetching -> assert false
   in
   Vmem.Page_table.set t.pt vpn (Vmem.Pte.make_fetching ());
@@ -362,9 +352,7 @@ let major_fault t cs vpn pte =
       failed := false;
       completed := false;
       incr refetches;
-      (* Bounded: past the budget the page is declared lost (all
-         replicas of its shard dead) rather than spinning forever. *)
-      if !refetches >= Params.fault_refetch_max then raise (Cpu.Page_lost base);
+      Major_fault.fetch_failed !refetches base;
       Sim.Engine.sleep t.eng (Sim.Time.ns Params.fault_refetch_delay_ns);
       (* The pause before re-posting is retry overhead, same bucket as
          the QP's own backoff delays. *)
@@ -544,7 +532,7 @@ let boot ~eng ~server ?nic_config (cfg : config) =
       (Cpu.create ~eng ~pt ~frames ~fault:(fault t)
          ~dirtied:(fun _ vpn -> Page_manager.note_dirtied pm vpn)
          ~first_store:(first_store t));
-  Page_manager.set_invalidate pm (invalidate t);
+  Writeback.set_cpus (Page_manager.writeback pm) t.cpus;
   Page_manager.start pm;
   t
 
@@ -568,7 +556,7 @@ let munmap t base =
       | Vmem.Pte.Local ->
           Vmem.Frame.free t.frames (Vmem.Pte.frame pte);
           Vmem.Page_table.set t.pt vpn Vmem.Pte.zero;
-          invalidate t vpn
+          Cpu.invalidate t.cpus vpn
       | Vmem.Pte.Remote | Vmem.Pte.Action ->
           Vmem.Page_table.set t.pt vpn Vmem.Pte.zero
       | Vmem.Pte.Fetching ->

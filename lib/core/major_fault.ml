@@ -49,6 +49,9 @@ let retried r = Sim.Stats.cincr r.c_fetch_retries
 let zero_filled r = Sim.Stats.cincr r.c_zero_fill
 let reclaimed r ns = Sim.Stats.cadd r.c_ph_reclaim ns
 
+let fetch_failed attempts addr =
+  if attempts >= Params.fault_refetch_max then raise (Cpu.Page_lost addr)
+
 (* Each page's failed write-backs since the last success anywhere: a
    success bumps [ok], and the next failure starts every count afresh,
    so the success path needs no hook. *)
@@ -58,9 +61,7 @@ type writebacks = {
   mutable failed : int Sim.Int_table.t;
 }
 
-let writebacks stats =
-  let ok = Sim.Stats.counter stats "writebacks" in
-  { ok; ok_seen = 0; failed = Sim.Int_table.create 8 }
+let writebacks ok = { ok; ok_seen = 0; failed = Sim.Int_table.create 8 }
 
 let writeback_failed w vpn =
   if Sim.Stats.cget w.ok <> w.ok_seen then begin
@@ -68,6 +69,5 @@ let writeback_failed w vpn =
     w.failed <- Sim.Int_table.create 8
   end;
   let n = 1 + Option.value (Sim.Int_table.find_opt w.failed vpn) ~default:0 in
-  if n >= Params.fault_refetch_max then
-    raise (Cpu.Page_lost (Vmem.Addr.base vpn));
+  fetch_failed n (Vmem.Addr.base vpn);
   Sim.Int_table.replace w.failed vpn n

@@ -6,8 +6,8 @@
     histogram; the Observatory's [kernel_major_faults] and
     [kernel_fault_ns] series for [{system}]; and the latency
     attribution ({!Trace.Attr}), when on. A component only one kernel
-    has stays in that kernel. Also the bound on a page's failed
-    write-backs, which both kernels share. *)
+    has stays in that kernel. Also the bounds on a page's failed
+    fetches and write-backs, which every kernel shares. *)
 
 type t
 
@@ -32,13 +32,19 @@ val zero_filled : t -> unit
 val reclaimed : t -> int -> unit
 (** [ns] of a fault spent reclaiming frames. *)
 
+val fetch_failed : int -> int64 -> unit
+(** [fetch_failed n addr]: the page at [addr] failed [n] transfers in
+    a row. Raises {!Cpu.Page_lost} from the
+    {!Params.fault_refetch_max}-th on, instead of retrying forever. *)
+
 type writebacks
 
-val writebacks : Sim.Stats.t -> writebacks
+val writebacks : Sim.Stats.counter -> writebacks
+(** Over the counter of successful write-backs. *)
 
 val writeback_failed : writebacks -> int -> unit
 (** A write-back of page [vpn] reached nothing; the kernel re-dirties
-    the page to retry it. Raises {!Cpu.Page_lost} once the page has
-    failed {!Params.fault_refetch_max} times with no write-back (the
-    [writebacks] counter) succeeding in between: a fault waiting for
-    its frame ends the run instead of waiting forever. *)
+    the page to retry it. Raises {!Cpu.Page_lost} ({!fetch_failed})
+    once the page has failed {!Params.fault_refetch_max} times with no
+    write-back succeeding in between: a fault waiting for its frame
+    ends the run instead of waiting forever. *)

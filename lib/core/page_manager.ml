@@ -127,34 +127,22 @@ module Dirty_index = struct
     put t !i seq vpn
 end
 
-(* Reclaim-path stats cells, resolved once at [create]: eviction and
-   write-back run per page under memory pressure. *)
-type hot_stats = {
-  c_evictions : Sim.Stats.counter;
-  c_writebacks : Sim.Stats.counter;
+type t = {
+  eng : Sim.Engine.t;
+  (* Reclaim-path stats cells, resolved once at [create]. *)
   c_wb_failures : Sim.Stats.counter;
   c_reclaim_gave_up : Sim.Stats.counter;
   c_reclaim_stalls : Sim.Stats.counter;
   c_reclaim_stall_ns : Sim.Stats.counter;
-}
-
-type t = {
-  eng : Sim.Engine.t;
-  stats : Sim.Stats.t;
-  hot : hot_stats;
   pt : Vmem.Page_table.t;
   frames : Vmem.Frame.t;
   evict_qp : Rdma.Qp.t;
-  wb_bound : Major_fault.writebacks;
-  reclaim_guide : Guide.reclaim_guide option;
+  wb : Writeback.t;
   clock : Clock.t;
-  vector_log : (int * int) list Sim.Int_table.t;
-  mutable next_log_id : int;
   (* Invariant: every [Local] dirty page on the clock has exactly one
      live candidate here; stale ones are discarded when popped. *)
   dirty : Dirty_index.t;
   mutable wb_inflight : int; (* pages with [w_wb] set *)
-  mutable invalidate : int -> unit;
   frames_avail : Sim.Condvar.t;
   reclaim_work : Sim.Condvar.t;
   wb_done : Sim.Condvar.t;
@@ -176,30 +164,21 @@ let create ~eng ~stats ~pt ~frames ~evict_qp ?reclaim_guide () =
     Int.max (3 * low)
       (int_of_float (Params.free_high_watermark *. float_of_int total))
   in
+  let frames_avail = Sim.Condvar.create eng in
   {
     eng;
-    stats;
-    hot =
-      {
-        c_evictions = Sim.Stats.counter stats "evictions";
-        c_writebacks = Sim.Stats.counter stats "writebacks";
-        c_wb_failures = Sim.Stats.counter stats "writeback_failures";
-        c_reclaim_gave_up = Sim.Stats.counter stats "reclaim_gave_up";
-        c_reclaim_stalls = Sim.Stats.counter stats "reclaim_stalls";
-        c_reclaim_stall_ns = Sim.Stats.counter stats "reclaim_stall_ns";
-      };
+    c_wb_failures = Sim.Stats.counter stats "writeback_failures";
+    c_reclaim_gave_up = Sim.Stats.counter stats "reclaim_gave_up";
+    c_reclaim_stalls = Sim.Stats.counter stats "reclaim_stalls";
+    c_reclaim_stall_ns = Sim.Stats.counter stats "reclaim_stall_ns";
     pt;
     frames;
     evict_qp;
-    wb_bound = Major_fault.writebacks stats;
-    reclaim_guide;
+    wb = Writeback.create ~stats ~pt ~frames ~frames_avail ?reclaim_guide ();
     clock = Clock.create pt;
-    vector_log = Sim.Int_table.create 64;
-    next_log_id = 1;
     dirty = Dirty_index.create ();
     wb_inflight = 0;
-    invalidate = (fun _ -> ());
-    frames_avail = Sim.Condvar.create eng;
+    frames_avail;
     reclaim_work = Sim.Condvar.create eng;
     wb_done = Sim.Condvar.create eng;
     running = false;
@@ -207,7 +186,7 @@ let create ~eng ~stats ~pt ~frames ~evict_qp ?reclaim_guide () =
     high;
   }
 
-let set_invalidate t f = t.invalidate <- f
+let writeback t = t.wb
 let free_frames t = Vmem.Frame.free_count t.frames
 
 (* Give queued page [vpn] a live dirty candidate unless it has one;
@@ -243,136 +222,28 @@ let clear_in_flight t vpn =
     (Vmem.Page_table.update_word t.pt vpn ~test:0 ~expect:0
        ~keep:(lnot w_wb) ~set:0)
 
-let vector_segments t ~payload =
-  match Sim.Int_table.find_opt t.vector_log payload with
-  | Some segs ->
-      Sim.Int_table.remove t.vector_log payload;
-      segs
-  | None -> invalid_arg "Page_manager.vector_segments: unknown payload"
-
-let log_vector t segs =
-  let id = t.next_log_id in
-  t.next_log_id <- t.next_log_id + 1;
-  Sim.Int_table.replace t.vector_log id segs;
-  id
-
-let guide_segments t vpn =
-  match t.reclaim_guide with
-  | None -> None
-  | Some g -> (
-      match g.Guide.rg_live_segments (Vmem.Addr.base vpn) with
-      | None -> None
-      | Some [] -> Some [] (* page holds no live data: nothing to move *)
-      | Some segs ->
-          let segs = Guide.clamp_segments segs in
-          (* A full-page vector is just an ordinary page. *)
-          match segs with
-          | [ (0, len) ] when len = Vmem.Addr.page_size -> None
-          | _ -> Some segs)
-
-(* The guide says the page holds no live data. *)
-let no_live_data t vpn =
-  match guide_segments t vpn with Some [] -> true | Some (_ :: _) | None -> false
-
-(* Drop a local page without any RDMA: either it is clean (remote copy
-   current) or the guide says nothing on it is live. With a guide,
-   leave an Action PTE so the refetch moves only live bytes. *)
-let drop_without_write t vpn pte =
-  let frame = Vmem.Pte.frame pte in
-  let new_pte =
-    match guide_segments t vpn with
-    | Some segs -> Vmem.Pte.make_action ~payload:(log_vector t segs)
-    | None -> Vmem.Pte.make_remote ()
-  in
-  Vmem.Page_table.set t.pt vpn new_pte;
-  t.invalidate vpn;
-  Vmem.Frame.free t.frames frame;
-  Sim.Stats.cincr t.hot.c_evictions;
-  Sim.Condvar.broadcast t.frames_avail
-
-(* Write a dirty page back. [then_evict] distinguishes the reclaimer's
-   clean-then-drop path from the periodic cleaner (which leaves the
-   page mapped). *)
-let writeback t vpn pte ~then_evict =
-  if not (writeback_in_flight t vpn) then begin
-    let frame = Vmem.Pte.frame pte in
-    set_in_flight t vpn;
-    (* Clear dirty before the copy is snapshotted: a store racing with
-       the write-back must re-dirty the page so we notice. *)
-    Vmem.Page_table.update t.pt vpn Vmem.Pte.clear_dirty;
-    t.invalidate vpn;
-    (* The guide trims the write-back for the cleaner as well as for
-       eviction (§4.4: the cleaner writes only the used area). The
-       caller guarantees there is at least one live segment. *)
-    let segs_opt =
-      match guide_segments t vpn with
-      | Some [] -> assert false
-      | other -> other
-    in
-    let base = Vmem.Addr.base vpn in
-    (* Segments address the frame pool's slab directly (loff is a slab
-       byte offset) — no per-writeback view allocation. *)
-    let foff = Vmem.Frame.offset t.frames frame in
-    let segs =
-      match segs_opt with
-      | Some segs ->
-          List.map
-            (fun (off, len) ->
-              {
-                Rdma.Qp.raddr = Int64.add base (Int64.of_int off);
-                loff = foff + off;
-                len;
-              })
-            segs
-      | None ->
-          [ { Rdma.Qp.raddr = base; loff = foff; len = Vmem.Addr.page_size } ]
-    in
-    let buf = Vmem.Frame.slab t.frames in
-    (* Permanent write failure: nothing reached the memory node (the
-       transfer only applies on success), so the remote copy is the
-       consistent pre-write page. Re-dirty the PTE — clear_dirty above
-       promised a write-back that never happened — and put the page
-       back on the clock for a later attempt. Reclaim skips wb_inflight
-       pages, so nobody can have dropped the frame meanwhile. A page
-       that keeps failing is lost (Major_fault.writeback_failed). *)
-    let on_error () =
+(* Write back dirty page [vpn] through live vector [vec]: the guide
+   trims the cleaner's writes as well as eviction's (§4.4). Only the
+   reclaimer's write-back ([then_evict]) drops the page; reclaim skips
+   in-flight pages, so nobody else can drop its frame meanwhile. *)
+let start_writeback t vpn pte vec ~then_evict =
+  set_in_flight t vpn;
+  let segs = Writeback.begin_ t.wb vpn pte vec in
+  Rdma.Qp.post_write
+    ~on_error:(fun () ->
       clear_in_flight t vpn;
-      Sim.Stats.cincr t.hot.c_wb_failures;
-      Major_fault.writeback_failed t.wb_bound vpn;
-      (match Vmem.Pte.tag (Vmem.Page_table.get t.pt vpn) with
-      | Vmem.Pte.Local ->
-          Vmem.Page_table.update t.pt vpn Vmem.Pte.set_dirty;
-          enqueue t vpn
-      | Vmem.Pte.Unmapped | Vmem.Pte.Remote | Vmem.Pte.Fetching
-      | Vmem.Pte.Action ->
-          ());
-      Sim.Condvar.broadcast t.wb_done
-    in
-    Rdma.Qp.post_write ~on_error t.evict_qp ~segs ~buf ~on_complete:(fun () ->
-        clear_in_flight t vpn;
-        Sim.Stats.cincr t.hot.c_writebacks;
-        (if then_evict then
-           let pte' = Vmem.Page_table.get t.pt vpn in
-           match Vmem.Pte.tag pte' with
-           | Vmem.Pte.Local when not (Vmem.Pte.dirty pte') ->
-               let new_pte =
-                 match segs_opt with
-                 | Some segs -> Vmem.Pte.make_action ~payload:(log_vector t segs)
-                 | None -> Vmem.Pte.make_remote ()
-               in
-               Vmem.Page_table.set t.pt vpn new_pte;
-               t.invalidate vpn;
-               Vmem.Frame.free t.frames (Vmem.Pte.frame pte');
-               Sim.Stats.cincr t.hot.c_evictions;
-               Sim.Condvar.broadcast t.frames_avail
-           | Vmem.Pte.Local ->
-               (* Re-dirtied while in flight: keep it resident. *)
-               enqueue t vpn
-           | Vmem.Pte.Unmapped | Vmem.Pte.Remote | Vmem.Pte.Fetching
-           | Vmem.Pte.Action ->
-               ());
-        Sim.Condvar.broadcast t.wb_done)
-  end
+      Sim.Stats.cincr t.c_wb_failures;
+      if Writeback.failed t.wb vpn then enqueue t vpn;
+      Sim.Condvar.broadcast t.wb_done)
+    t.evict_qp ~segs ~buf:(Vmem.Frame.slab t.frames)
+    ~on_complete:(fun () ->
+      clear_in_flight t vpn;
+      Writeback.written t.wb;
+      (if then_evict then
+         match Writeback.finish t.wb vpn vec with
+         | Writeback.Kept -> enqueue t vpn
+         | Writeback.Evicted | Writeback.Gone -> ());
+      Sim.Condvar.broadcast t.wb_done)
 
 (* One clock step. Returns [true] if it made progress towards freeing
    a frame (evicted, or started an eviction write-back). *)
@@ -396,18 +267,18 @@ let clock_step t =
           else if Vmem.Pte.accessed pte then begin
             (* Second chance: strip the accessed bit and recycle. *)
             Vmem.Page_table.update t.pt vpn Vmem.Pte.clear_accessed;
-            t.invalidate vpn;
+            Writeback.invalidate t.wb vpn;
             enqueue t vpn;
             false
           end
-          else if Vmem.Pte.dirty pte then begin
-            (match guide_segments t vpn with
-            | Some [] -> drop_without_write t vpn pte
-            | Some _ | None -> writeback t vpn pte ~then_evict:true);
-            true
-          end
           else begin
-            drop_without_write t vpn pte;
+            (* A clean page's remote copy is current, and a page the
+               guide says holds no live data needs none: drop either
+               without RDMA. *)
+            (match Writeback.guide_vector t.wb vpn with
+            | (Some (_ :: _) | None) as vec when Vmem.Pte.dirty pte ->
+                start_writeback t vpn pte vec ~then_evict:true
+            | vec -> Writeback.unmap t.wb vpn ~frame:(Vmem.Pte.frame pte) vec);
             true
           end)
 
@@ -426,7 +297,7 @@ let reclaim_until t target =
           no_progress := 0
         end
         else begin
-          Sim.Stats.cincr t.hot.c_reclaim_gave_up;
+          Sim.Stats.cincr t.c_reclaim_gave_up;
           continue_ := false
         end
     end;
@@ -455,14 +326,15 @@ let clean_batch t =
     if Clock.flagged t.clock vpn seq then begin
       let pte = Vmem.Page_table.get t.pt vpn in
       match Vmem.Pte.tag pte with
-      | Vmem.Pte.Local when Vmem.Pte.dirty pte ->
-          if writeback_in_flight t vpn || no_live_data t vpn then
-            kept := (seq, vpn) :: !kept
-          else begin
-            Clock.unflag t.clock vpn;
-            writeback t vpn pte ~then_evict:false;
-            incr written
-          end
+      | Vmem.Pte.Local when Vmem.Pte.dirty pte && writeback_in_flight t vpn ->
+          kept := (seq, vpn) :: !kept
+      | Vmem.Pte.Local when Vmem.Pte.dirty pte -> (
+          match Writeback.guide_vector t.wb vpn with
+          | Some [] -> kept := (seq, vpn) :: !kept
+          | vec ->
+              Clock.unflag t.clock vpn;
+              start_writeback t vpn pte vec ~then_evict:false;
+              incr written)
       | Vmem.Pte.Local | Vmem.Pte.Unmapped | Vmem.Pte.Remote | Vmem.Pte.Fetching
       | Vmem.Pte.Action ->
           Clock.unflag t.clock vpn
@@ -502,7 +374,7 @@ let alloc_frame t =
   match try_alloc_frame t with
   | Some f -> f
   | None ->
-      Sim.Stats.cincr t.hot.c_reclaim_stalls;
+      Sim.Stats.cincr t.c_reclaim_stalls;
       let started = Sim.Engine.now t.eng in
       let frame = ref None in
       Sim.Condvar.broadcast t.reclaim_work;
@@ -515,7 +387,7 @@ let alloc_frame t =
               Sim.Condvar.broadcast t.reclaim_work;
               false);
       let stalled = Sim.Time.sub (Sim.Engine.now t.eng) started in
-      Sim.Stats.cadd t.hot.c_reclaim_stall_ns (Int64.to_int stalled);
+      Sim.Stats.cadd t.c_reclaim_stall_ns (Int64.to_int stalled);
       (match !frame with Some f -> f | None -> assert false)
 
 let release_frame t frame =

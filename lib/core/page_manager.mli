@@ -12,6 +12,11 @@
       frames fall under the low watermark, evicting
       least-recently-used clean pages until the high watermark.
 
+    Both write pages back through {!Writeback}: [begin_] at post, and
+    from the WRITE's completion [written] and (reclaimer only)
+    [finish], or [failed]; a page kept or failed goes back on the
+    clock. Clean pages drop through [Writeback.unmap], with no WRITE.
+
     With a reclaim guide installed (guided paging), evictions move
     only the live byte ranges of each page using vectored RDMA and
     leave an [Action] PTE whose payload indexes the logged vector, so
@@ -29,9 +34,8 @@ val create :
   unit ->
   t
 
-val set_invalidate : t -> (int -> unit) -> unit
-(** Register the kernel's TLB shoot-down: called with a VPN whenever
-    the manager clears accessed/dirty bits or unmaps a page. *)
+val writeback : t -> Writeback.t
+(** The write-back record: set its cores, decode its [Action] PTEs. *)
 
 val start : t -> unit
 (** Spawn the cleaner and reclaimer fibers. *)
@@ -72,10 +76,6 @@ val clock_order : t -> int list
 
 val writeback_in_flight : t -> int -> bool
 (** A write-back of [vpn] has been posted and has not completed. *)
-
-val vector_segments : t -> payload:int -> (int * int) list
-(** Decode an [Action] PTE payload into its logged fetch vector
-    (consumed: the log entry is removed). *)
 
 val free_frames : t -> int
 val quiesce : t -> unit

@@ -13,10 +13,7 @@ let trk_reclaim = Trace.track "reclaim"
 (* Fault/reclaim-path stats cells, resolved once at [boot]. *)
 type hot_stats = {
   mf : Dilos.Major_fault.t;
-  wb_bound : Dilos.Major_fault.writebacks;
   c_minor_faults : Sim.Stats.counter;
-  c_evictions : Sim.Stats.counter;
-  c_writebacks : Sim.Stats.counter;
   c_ra_dropped : Sim.Stats.counter;
   c_ra_aborted : Sim.Stats.counter;
   c_readahead_pages : Sim.Stats.counter;
@@ -36,6 +33,7 @@ type t = {
   pt : Vmem.Page_table.t;
   frames : Vmem.Frame.t;
   slab : Sim.Bigbuf.t; (* the frame pool's backing slab, cached *)
+  wb : Dilos.Writeback.t;
   cache : Swap_cache.t;
   qps : Rdma.Qp.t array; (* one per core: faults + readahead share it *)
   lru : int Queue.t; (* mapped-page reclaim scan order *)
@@ -60,7 +58,7 @@ let now t = Sim.Engine.now t.eng
 let free_frames t = Vmem.Frame.free_count t.frames
 let swap_cache_size t = Swap_cache.size t.cache
 
-let invalidate t vpn = Dilos.Cpu.invalidate t.cpus vpn
+let pte t addr = Vmem.Page_table.get t.pt (Vmem.Addr.vpn addr)
 
 (* Per-page state lives in the page's kernel word
    ([Vmem.Page_table.word]): bit 0 is set while the VPN is on [lru],
@@ -85,13 +83,8 @@ let lru_push t vpn =
 
 (* The one-page transfer between [vpn]'s remote copy and [frame]. *)
 let page_segs t vpn frame =
-  [
-    {
-      Rdma.Qp.raddr = Vmem.Addr.base vpn;
-      loff = Vmem.Frame.offset t.frames frame;
-      len = Vmem.Addr.page_size;
-    };
-  ]
+  Dilos.Writeback.segs ~base:(Vmem.Addr.base vpn)
+    ~foff:(Vmem.Frame.offset t.frames frame) None
 
 (* One reclaim step over the unified LRU: a popped VPN may be a
    mapped page or an unconsumed swap-cache (readahead) page; both age
@@ -112,11 +105,9 @@ let rec evict_one t ~qp ~budget =
         | Some e when not e.Swap_cache.io_inflight ->
             (* Never-used readahead page: clean, just drop it. *)
             Swap_cache.remove t.cache vpn;
-            Vmem.Frame.free t.frames e.Swap_cache.frame;
-            Sim.Stats.cincr t.hot.c_evictions;
+            Dilos.Writeback.release t.wb e.Swap_cache.frame;
             Sim.Stats.cincr t.hot.c_ra_dropped;
             t.ra_window <- Int.max 1 (t.ra_window / 2);
-            Sim.Condvar.broadcast t.frames_avail;
             true
         | Some _ ->
             (* Swap-in still in flight; not reclaimable yet. *)
@@ -132,20 +123,14 @@ let rec evict_one t ~qp ~budget =
                 if Vmem.Pte.accessed pte then begin
                   (* Inactive-list second chance. *)
                   Vmem.Page_table.update t.pt vpn Vmem.Pte.clear_accessed;
-                  invalidate t vpn;
+                  Dilos.Cpu.invalidate t.cpus vpn;
                   lru_push t vpn;
                   evict_one t ~qp ~budget:(budget - 1)
                 end
                 else begin
-                  let frame = Vmem.Pte.frame pte in
                   (if Vmem.Pte.dirty pte then begin
-                     (* Swap-out: synchronous frontswap store. Clear
-                        dirty and shoot down the TLB before the store
-                        snapshots the page, so a store racing with the
-                        swap-out re-dirties the PTE and is noticed
-                        below instead of silently lost. *)
-                     Vmem.Page_table.update t.pt vpn Vmem.Pte.clear_dirty;
-                     invalidate t vpn;
+                     (* Swap-out: synchronous frontswap store. *)
+                     let segs = Dilos.Writeback.begin_ t.wb vpn pte None in
                      let t0 = Sim.Engine.now t.eng in
                      let failed = ref false in
                      Sim.Engine.suspend t.eng (fun wake ->
@@ -153,48 +138,25 @@ let rec evict_one t ~qp ~budget =
                            ~on_error:(fun () ->
                              failed := true;
                              wake ())
-                           ~segs:(page_segs t vpn frame) ~buf:t.slab
-                           ~on_complete:wake);
+                           ~segs ~buf:t.slab ~on_complete:wake);
                      Trace.complete cat_swap ~name:"swap_out" ~track:trk_reclaim
                        ~t0 ();
-                     if not !failed then Sim.Stats.cincr t.hot.c_writebacks
-                     else begin
-                       (* Nothing reached the memory node: re-dirty for
-                          the store that never happened. *)
-                       if
-                         Vmem.Pte.tag (Vmem.Page_table.get t.pt vpn)
-                         = Vmem.Pte.Local
-                       then Vmem.Page_table.update t.pt vpn Vmem.Pte.set_dirty;
-                       Dilos.Major_fault.writeback_failed t.hot.wb_bound vpn
-                     end
+                     if !failed then ignore (Dilos.Writeback.failed t.wb vpn)
+                     else Dilos.Writeback.written t.wb
                    end);
-                  (* Check-then-act: the PTE re-read and the unmap it
-                     justifies must see no fiber interleaving (the PR 4
-                     lost-update race). [@lint.atomic] has R10 verify
-                     nothing in the region can yield; the recursive
-                     retry stays outside — it swaps out and yields. *)
-                  let freed =
-                    (let pte' = Vmem.Page_table.get t.pt vpn in
-                     if
-                       Vmem.Pte.tag pte' = Vmem.Pte.Local
-                       && not (Vmem.Pte.dirty pte')
-                     then begin
-                       Vmem.Page_table.set t.pt vpn (Vmem.Pte.make_remote ());
-                       invalidate t vpn;
-                       clear_bit t vpn w_swap_backed;
-                       Vmem.Frame.free t.frames frame;
-                       Sim.Stats.cincr t.hot.c_evictions;
-                       Sim.Condvar.broadcast t.frames_avail;
-                       true
-                     end
-                     else false)
+                  let evicted =
+                    (match Dilos.Writeback.finish t.wb vpn None with
+                     | Dilos.Writeback.Evicted ->
+                         clear_bit t vpn w_swap_backed;
+                         true
+                     | Dilos.Writeback.Kept | Dilos.Writeback.Gone -> false)
                     [@lint.atomic]
                   in
-                  if freed then true
+                  if evicted then true
                   else begin
-                    (* Re-dirtied while the store was on the wire: the
-                       remote copy is already stale, keep the page
-                       resident and move on. *)
+                    (* Re-dirtied while the store was on the wire, or
+                       the store failed: the remote copy is stale, so
+                       keep the page resident and move on. *)
                     lru_push t vpn;
                     evict_one t ~qp ~budget:(budget - 1)
                   end
@@ -396,10 +358,7 @@ let rec major_fault t cs vpn refetches =
     Sim.Engine.suspend t.eng (fun wake -> waiter := Some wake);
   if !failed then begin
     Dilos.Major_fault.retried t.hot.mf;
-    (* Bounded re-fault: past the budget the page is declared lost
-       (all replicas of its shard dead) rather than spinning. *)
-    if refetches + 1 >= Dilos.Params.fault_refetch_max then
-      raise (Dilos.Cpu.Page_lost (Vmem.Addr.base vpn));
+    Dilos.Major_fault.fetch_failed (refetches + 1) (Vmem.Addr.base vpn);
     Sim.Engine.sleep t.eng (Sim.Time.ns Dilos.Params.fault_refetch_delay_ns);
     fault t cs vpn (refetches + 1)
   end
@@ -501,10 +460,7 @@ let boot ~eng ~server (cfg : config) =
   let hot =
     {
       mf = Dilos.Major_fault.create ~system:"fastswap" stats;
-      wb_bound = Dilos.Major_fault.writebacks stats;
       c_minor_faults = Sim.Stats.counter stats "minor_faults";
-      c_evictions = Sim.Stats.counter stats "evictions";
-      c_writebacks = Sim.Stats.counter stats "writebacks";
       c_ra_dropped = Sim.Stats.counter stats "ra_dropped";
       c_ra_aborted = Sim.Stats.counter stats "ra_aborted";
       c_readahead_pages = Sim.Stats.counter stats "readahead_pages";
@@ -514,6 +470,8 @@ let boot ~eng ~server (cfg : config) =
       h_minor_fault = Sim.Stats.histogram stats "minor_fault_ns";
     }
   in
+  let pt = Vmem.Page_table.create () in
+  let frames_avail = Sim.Condvar.create eng in
   let t =
     {
       eng;
@@ -522,16 +480,17 @@ let boot ~eng ~server (cfg : config) =
       hot;
       fabric;
       aspace = Vmem.Address_space.create ();
-      pt = Vmem.Page_table.create ();
+      pt;
       frames;
       slab = Vmem.Frame.slab frames;
+      wb = Dilos.Writeback.create ~stats ~pt ~frames ~frames_avail ();
       cache = Swap_cache.create ();
       qps =
         Array.init cfg.cores (fun i ->
             Rdma.Fabric.qp fabric ~name:(Printf.sprintf "swap.%d" i));
       lru = Queue.create ();
       io_done = Sim.Condvar.create eng;
-      frames_avail = Sim.Condvar.create eng;
+      frames_avail;
       reclaim_work = Sim.Condvar.create eng;
       cpus = [||];
       running = true;
@@ -546,6 +505,7 @@ let boot ~eng ~server (cfg : config) =
     Array.init cfg.cores
       (Dilos.Cpu.create ~eng ~pt:t.pt ~frames ~fault:(fun cs vpn -> fault t cs vpn 0)
          ~dirtied:(charge_dirtying t) ~first_store:(charge_dirtying t));
+  Dilos.Writeback.set_cpus t.wb t.cpus;
   Sim.Engine.spawn eng ~name:"fastswap.offload" (offload_fiber t);
   t
 
@@ -572,7 +532,7 @@ let munmap t base =
       | Vmem.Pte.Local ->
           Vmem.Frame.free t.frames (Vmem.Pte.frame pte);
           Vmem.Page_table.set t.pt vpn Vmem.Pte.zero;
-          invalidate t vpn
+          Dilos.Cpu.invalidate t.cpus vpn
       | Vmem.Pte.Remote -> Vmem.Page_table.set t.pt vpn Vmem.Pte.zero
       | Vmem.Pte.Action | Vmem.Pte.Fetching -> assert false
       | Vmem.Pte.Unmapped -> ())

@@ -51,3 +51,4 @@ include Dilos.Cpu.ACCESSORS with type k := t
 val free_frames : t -> int
 val swap_cache_size : t -> int
 val quiesce : t -> unit
+val pte : t -> int64 -> Vmem.Pte.t

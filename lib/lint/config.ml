@@ -47,6 +47,7 @@ let hot_modules =
     "core/kernel.ml";
     "core/major_fault.ml";
     "core/page_manager.ml";
+    "core/writeback.ml";
     "fastswap/kernel.ml";
     "aifm/runtime.ml";
     "rdma/qp.ml";

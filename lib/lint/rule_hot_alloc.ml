@@ -22,8 +22,8 @@ let id = "hot-alloc"
 let doc =
   "Bytes.create/Bytes.make/Array.init are banned on the steady-state \
    paths of hot modules (core/cpu, core/kernel, core/major_fault, \
-   core/page_manager, fastswap/kernel, aifm/runtime, rdma/qp, \
-   memnode/replica_group); \
+   core/page_manager, core/writeback, fastswap/kernel, aifm/runtime, \
+   rdma/qp, memnode/replica_group); \
    allocate at boot (exempt: \
    boot/create/connect/make_* bindings) or pool the buffer"
 

@@ -7,6 +7,7 @@ let () =
       ("vmem", Test_vmem.suite);
       ("dilos", Test_dilos.suite);
       ("page-manager", Test_page_manager.suite);
+      ("writeback", Test_writeback.suite);
       ("prefetcher", Test_prefetcher.suite);
       ("fastswap", Test_fastswap.suite);
       ("aifm", Test_aifm.suite);

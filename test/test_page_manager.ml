@@ -112,9 +112,6 @@ let cleaner_matches_clock_walk () =
   in
   with_pm ~frames:512 ~reclaim_guide:guide ~extra_completion_delay:(Sim.Time.us 100)
     (fun eng _stats pt fr pm ->
-      let log = ref [] in
-      Dilos.Page_manager.set_invalidate pm (fun vpn ->
-          log := (Sim.Engine.now eng, vpn) :: !log);
       for vpn = 1 to npages do
         ignore (map_page pt fr pm vpn ~dirty:(vpn mod 3 = 0));
         if vpn mod 4 = 0 then Vmem.Page_table.update pt vpn Vmem.Pte.set_accessed
@@ -128,6 +125,10 @@ let cleaner_matches_clock_walk () =
       Sim.Engine.sleep eng (Sim.Time.us 20);
       Dilos.Page_manager.quiesce pm;
       let is_local vpn = Vmem.Pte.tag (Vmem.Page_table.get pt vpn) = Vmem.Pte.Local in
+      let pending vpn =
+        let pte = Vmem.Page_table.get pt vpn in
+        Vmem.Pte.tag pte = Vmem.Pte.Local && Vmem.Pte.dirty pte
+      in
       let dirty vpn =
         Vmem.Page_table.update pt vpn Vmem.Pte.set_dirty;
         Dilos.Page_manager.note_dirtied pm vpn
@@ -135,23 +136,46 @@ let cleaner_matches_clock_walk () =
       for vpn = 1 to npages do
         if is_local vpn && vpn mod 5 <> 1 then dirty vpn
       done;
-      (* Anchor on the next cleaner tick; later ticks follow from the
-         cleaner's schedule (period, plus 120 ns per page written). *)
-      let start = Sim.Engine.now eng in
-      let at_tick t =
-        List.rev
-          (List.filter_map (fun (at, v) -> if Int64.equal at t then Some v else None) !log)
-      in
-      while not (List.exists (fun (at, _) -> Int64.compare at start > 0) !log) do
-        Sim.Engine.sleep eng (Sim.Time.ns 100)
+      (* The pages of [cands] (pending when listed, in clock order) a
+         tick has written since: starting a write-back clears the dirty
+         bit, and nothing else cleans a page here. *)
+      let written_of cands = List.filter (fun v -> not (pending v)) cands in
+      (* Anchor on the next cleaner tick, found to within the 1 ns poll
+         step; later ticks follow from the cleaner's schedule (period,
+         plus 120 ns per page written), and each is observed over
+         [tick - 2 ns, tick + 1 ns]. *)
+      let cands = List.filter pending (Dilos.Page_manager.clock_order pm) in
+      while written_of cands = [] do
+        Sim.Engine.sleep eng (Sim.Time.ns 1)
       done;
-      let tick = ref (fst (List.hd !log)) in
+      let tick = ref (Sim.Engine.now eng) in
+      let written = ref (List.length (written_of cands)) in
+      (* The order a tick posted its pages: their completions land one
+         at a time on the evict QP (768 ns apart), in post order, so a
+         100 ns poll sees their in-flight bits clear in that order. *)
+      let watch = ref [] and landed = Array.make 13 [] and expects = Array.make 13 [] in
+      let watching = ref true and same_instant = ref false in
+      Sim.Engine.spawn eng (fun () ->
+          while !watching do
+            Sim.Engine.sleep eng (Sim.Time.ns 100);
+            if !watch <> [] then begin
+              let cleared, rest =
+                List.partition
+                  (fun (v, _) -> not (Dilos.Page_manager.writeback_in_flight pm v))
+                  !watch
+              in
+              (match cleared with
+              | [] -> ()
+              | [ (v, k) ] -> landed.(k) <- v :: landed.(k)
+              | _ -> same_instant := true);
+              watch := rest
+            end
+          done);
       let capped = ref false and skipped_inflight = ref false and skipped_dead = ref false in
       for k = 1 to 12 do
-        let written = List.length (at_tick !tick) in
         tick :=
           Sim.Time.add !tick
-            (Sim.Time.add Dilos.Params.cleaner_period (Sim.Time.ns (written * 120)));
+            (Sim.Time.add Dilos.Params.cleaner_period (Sim.Time.ns (!written * 120)));
         Sim.Engine.sleep_until eng (Sim.Time.sub !tick (Sim.Time.us 5));
         for vpn = 1 to npages do
           if is_local vpn then begin
@@ -164,11 +188,7 @@ let cleaner_matches_clock_walk () =
         for vpn = 1 to npages do
           if vpn mod 9 = k mod 9 then Hashtbl.replace dead vpn ()
         done;
-        Sim.Engine.sleep_until eng (Sim.Time.sub !tick (Sim.Time.ns 1));
-        let pending vpn =
-          let pte = Vmem.Page_table.get pt vpn in
-          Vmem.Pte.tag pte = Vmem.Pte.Local && Vmem.Pte.dirty pte
-        in
+        Sim.Engine.sleep_until eng (Sim.Time.sub !tick (Sim.Time.ns 2));
         let order = Dilos.Page_manager.clock_order pm in
         if List.exists (fun v -> pending v && Dilos.Page_manager.writeback_in_flight pm v) order
         then skipped_inflight := true;
@@ -183,8 +203,35 @@ let cleaner_matches_clock_walk () =
         in
         if List.length eligible > Dilos.Params.cleaner_batch then capped := true;
         let expect = List.filteri (fun i _ -> i < Dilos.Params.cleaner_batch) eligible in
+        let cands = List.filter pending order in
         Sim.Engine.sleep_until eng (Sim.Time.add !tick (Sim.Time.ns 1));
-        Alcotest.(check (list int)) (Printf.sprintf "tick %d" k) expect (at_tick !tick)
+        let got = written_of cands in
+        written := List.length got;
+        Alcotest.(check (list int)) (Printf.sprintf "tick %d" k) expect got;
+        List.iter
+          (fun v ->
+            check_bool "a written page is in flight" true
+              (Dilos.Page_manager.writeback_in_flight pm v);
+            (* Still watched: it landed and was posted again between
+               two polls, after every other page of its tick. *)
+            (match List.assoc_opt v !watch with
+            | Some k0 ->
+                landed.(k0) <- v :: landed.(k0);
+                watch := List.remove_assoc v !watch
+            | None -> ());
+            watch := (v, k) :: !watch)
+          got;
+        expects.(k) <- got
+      done;
+      while !watch <> [] do
+        Sim.Engine.sleep eng (Sim.Time.us 1)
+      done;
+      watching := false;
+      check_bool "one completion per poll" false !same_instant;
+      for k = 1 to 12 do
+        Alcotest.(check (list int))
+          (Printf.sprintf "tick %d post order" k)
+          expects.(k) (List.rev landed.(k))
       done;
       check_bool "a tick hit the batch cap" true !capped;
       check_bool "a dirty in-flight page was skipped" true !skipped_inflight;
@@ -212,7 +259,7 @@ let vector_log_roundtrip () =
         if Vmem.Pte.tag p = Vmem.Pte.Action && not !found then begin
           found := true;
           let segs =
-            Dilos.Page_manager.vector_segments pm ~payload:(Vmem.Pte.payload p)
+            Dilos.Writeback.vector_segments (Dilos.Page_manager.writeback pm) ~payload:(Vmem.Pte.payload p)
           in
           Alcotest.(check (list (pair int int)))
             "vector preserved" [ (0, 64); (1024, 128) ] segs
@@ -241,10 +288,10 @@ let vector_log_consumed_once () =
       match !payload with
       | None -> Alcotest.fail "no action pte"
       | Some pl ->
-          ignore (Dilos.Page_manager.vector_segments pm ~payload:pl);
+          ignore (Dilos.Writeback.vector_segments (Dilos.Page_manager.writeback pm) ~payload:pl);
           Alcotest.check_raises "second decode fails"
-            (Invalid_argument "Page_manager.vector_segments: unknown payload")
-            (fun () -> ignore (Dilos.Page_manager.vector_segments pm ~payload:pl)))
+            (Invalid_argument "Writeback.vector_segments: unknown payload")
+            (fun () -> ignore (Dilos.Writeback.vector_segments (Dilos.Page_manager.writeback pm) ~payload:pl)))
 
 let suite =
   [
